@@ -8,26 +8,35 @@ flagged.
 
 import numpy as np
 
-from vauf import TankState, Wrench, force_tank_step, gate_beta, passivity_audit, valve_sigma
+from vauf import TankState, force_tank_step, gate_beta, lambda_selector, passivity_audit, valve_sigma
 
 tank = TankState(x_t=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.1)
 dt = 1e-3
 
 print("active force injection (tool moving with the push): the tank pays")
 x_dot = np.array([0.0, 0.0, -0.05, 0.0, 0.0, 0.0])  # descending
-f_push = Wrench(np.array([0.0, 0.0, -15.0]), np.zeros(3), "base")  # pressing down
+f_push = np.array([0.0, 0.0, -15.0, 0.0, 0.0, 0.0])  # base frame, pressing down
+
+
+def gates(tank):
+    s = tank.energy
+    return valve_sigma(s, tank.s_lower, tank.ramp_eps), gate_beta(s, tank.s_upper, tank.ramp_eps)
+
+
 for k in range(1300):
-    tank, out = force_tank_step(tank, x_dot, np.zeros((6, 6)), f_push, dt)
+    sigma, beta = gates(tank)
+    tank = force_tank_step(tank, x_dot, f_push, sigma, beta, dt)
     if k % 300 == 0:
-        print(f"  t={k * dt:.2f} s  S={tank.energy:.3f} J  sigma={out.sigma:.2f}  lam={out.lam}")
+        print(f"  t={k * dt:.2f} s  S={tank.energy:.3f} J  sigma={sigma:.2f}  lam={lambda_selector(x_dot, f_push)}")
 
 print(f"  ... depleted to S={tank.energy:.3f} J, valve sigma={valve_sigma(tank.energy, 1.0, 0.1):.2f}")
 
 print("\npassive phase (tool moving against the push): the tank refills")
 for k in range(1300):
-    tank, out = force_tank_step(tank, -x_dot, np.zeros((6, 6)), f_push, dt)
+    sigma, beta = gates(tank)
+    tank = force_tank_step(tank, -x_dot, f_push, sigma, beta, dt)
     if k % 300 == 0:
-        print(f"  t={k * dt:.2f} s  S={tank.energy:.3f} J  beta={out.beta:.2f}  lam={out.lam}")
+        print(f"  t={k * dt:.2f} s  S={tank.energy:.3f} J  beta={beta:.2f}  lam={lambda_selector(-x_dot, f_push)}")
 print(f"  ... refilled to S={tank.energy:.3f} J (capped at {tank.s_upper} J, beta -> "
       f"{gate_beta(tank.energy, tank.s_upper, tank.ramp_eps):.2f})")
 

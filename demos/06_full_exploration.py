@@ -19,10 +19,10 @@ scenario = parse_scenario(scenario_path)
 print(f"running {scenario.duration:.0f} s of exploration at {1 / scenario.dt_control:.0f} Hz "
       f"with perception every {scenario.dt_perception * 1000:.0f} ms ...")
 result = run_scenario(scenario)
-print(f"done in {result.wall_time:.1f} s wall, {len(result.rows)} ticks, "
+print(f"done in {result.wall_time:.1f} s wall, {len(result.table)} ticks, "
       f"{len(result.realignment_events)} realignment event(s)\n")
 
-columns = rows_to_columns(result.rows)
+columns = rows_to_columns(result.table)
 audit = passivity_audit(
     columns,
     np.asarray(scenario.mass),
@@ -34,7 +34,7 @@ print(format_report(compute_metrics(columns), audit))
 
 out = pathlib.Path("out_demo")
 out.mkdir(exist_ok=True)
-write_csv(result.rows, out / "telemetry.csv")
+write_csv(result.table, out / "telemetry.csv")
 (out / "scenario.cfg").write_text(scenario_path.read_text())
 vauf_cli(["export-plots", str(out / "telemetry.csv"), "--scenario", str(scenario_path)])
 print(f"telemetry and plot tables written to {out}/")

@@ -18,12 +18,12 @@ from .controller import (
     force_wrench,
     impedance_wrench,
     orientation_filter,
+    restart_filter,
     stiffness_from_alignment,
     variable_stiffness,
 )
 from .monitor import (
     MonitorConfig,
-    ShapingState,
     alignment_metric,
     normalized_coefficient,
     realignment_trigger,
@@ -64,7 +64,6 @@ from .spatial import (
 from .surface import ContactReport, HeightField, analytic_normal, contact_wrench, height
 from .tanks import (
     AuditReport,
-    TankOutputs,
     TankState,
     force_tank_step,
     gate_beta,

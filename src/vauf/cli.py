@@ -65,25 +65,26 @@ def cmd_run(args) -> int:
     scenario = with_overrides(scenario, seed=args.seed, duration=args.duration)
 
     result = run_scenario(scenario)
+    table = result.table
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(result.rows, out / "telemetry.csv")
+    write_csv(table, out / "telemetry.csv")
     (out / "scenario.cfg").write_text(scenario_to_text(scenario))
 
     audit = None
-    if args.audit and result.rows:
-        columns = rows_to_columns(result.rows)
-        audit = passivity_audit(
-            columns,
-            np.asarray(scenario.mass),
-            scenario.dt_control,
-            scenario.tank_impedance.energy,
-            scenario.tank_force.energy,
-        )
-    if result.rows:
-        metrics = compute_metrics(rows_to_columns(result.rows))
+    if len(table):
+        columns = rows_to_columns(table)
+        if args.audit:
+            audit = passivity_audit(
+                columns,
+                np.asarray(scenario.mass),
+                scenario.dt_control,
+                scenario.tank_impedance.energy,
+                scenario.tank_force.energy,
+            )
+        metrics = compute_metrics(columns)
         stats = {
-            "ticks": len(result.rows),
+            "ticks": len(table),
             "wall time [s]": f"{result.wall_time:.2f}",
             "realignment events": len(result.realignment_events),
             "completed": result.completed,

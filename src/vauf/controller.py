@@ -7,7 +7,8 @@ square-root design from the current stiffness and inertia with a floor so
 the fully compliant robot is still damped. The force path is a PI controller
 on tool-frame wrench error with a per-axis anti-windup clamp. Desired
 orientations are rebuilt from the perceived surface normal and blended in
-via a geodesic low-pass filter.
+via a geodesic low-pass filter. Wrenches and twists are raw 6-vectors in
+the frame named by the argument (``_ee`` tool frame, otherwise base).
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spatial import BASE, EE, Pose, Wrench, rotate_wrench, rotation_power
+from .spatial import rotate_wrench, rotation_log, rotation_power
 
 D_FLOOR = 5.0  # N*s/m per axis, keeps the compliant robot damped
 
@@ -40,11 +41,10 @@ class ControllerConfig:
 @dataclass
 class ControllerState:
     pi_integral: np.ndarray = field(default_factory=lambda: np.zeros(6))
-    x_d: Pose | None = None
     r_init: np.ndarray = field(default_factory=lambda: np.eye(3))
     r_d: np.ndarray = field(default_factory=lambda: np.eye(3))
     t_filter: float = np.inf  # inf = filter settled
-    f_d_ee: Wrench = field(default_factory=lambda: Wrench.zero(EE))
+    rel_log: np.ndarray = field(default_factory=lambda: np.zeros(3))  # log(r_d r_init^T)
 
 
 def stiffness_from_alignment(rho_align: float, r_ee: np.ndarray, k_max_t: np.ndarray) -> np.ndarray:
@@ -56,31 +56,33 @@ def variable_stiffness(rho_align: float, r_ee: np.ndarray, cfg: ControllerConfig
     """Full 6x6 tank-gated stiffness: shaped translational block, fixed rotational."""
     k = np.zeros((6, 6))
     k[:3, :3] = stiffness_from_alignment(rho_align, r_ee, np.asarray(cfg.k_max[:3]))
-    k[3:, 3:] = np.diag(cfg.k_max[3:])
+    k.flat[21::7] = cfg.k_max[3:]  # diagonal of the rotational block
     return k
 
 
 def damping_matrix(k_c: np.ndarray, m_c: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """D = 2 diag(coeffs) sqrt(diag(K) diag(M)) + floor, positive definite."""
-    d = 2.0 * np.asarray(coeffs) * np.sqrt(np.abs(np.diag(k_c)) * np.diag(m_c))
-    return np.diag(d + D_FLOOR)
+    d = 2.0 * np.asarray(coeffs) * np.sqrt(np.abs(k_c.diagonal()) * m_c.diagonal())
+    out = np.zeros((6, 6))
+    out.flat[::7] = d + D_FLOOR
+    return out
 
 
 def impedance_wrench(
     x_tilde: np.ndarray, x_dot: np.ndarray, k_c: np.ndarray, d_c: np.ndarray
-) -> Wrench:
+) -> np.ndarray:
     """Spring-damper wrench -K x_tilde - D x_dot in the base frame."""
-    return Wrench.from_vector(-k_c @ x_tilde - d_c @ x_dot, BASE)
+    return -k_c @ x_tilde - d_c @ x_dot
 
 
 def force_wrench(
-    f_d_ee: Wrench,
-    f_ext_ee: Wrench,
+    f_d_ee: np.ndarray,
+    f_ext_ee: np.ndarray,
     state: ControllerState,
     r_ee: np.ndarray,
     dt: float,
     cfg: ControllerConfig,
-) -> Wrench:
+) -> np.ndarray:
     """PI force controller, evaluated then integrated.
 
     Output is f_d + K_p f_err + K_i * integral rotated to the base frame.
@@ -89,16 +91,14 @@ def force_wrench(
     contact loop (the integral then reinforces over-pressing), so the
     deficit is what keeps the loop stable with a zero steady-state integral.
     The integral is clamped per axis against windup out of contact.
+    Inputs are tool-frame, the result is in the base frame.
     """
-    assert f_d_ee.frame == EE and f_ext_ee.frame == EE
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    f_err = f_ext_ee.as_vector() - f_d_ee.as_vector()
-    out_ee = f_d_ee.as_vector() + np.asarray(cfg.k_p) * f_err + np.asarray(cfg.k_i) * state.pi_integral
-    state.pi_integral = np.clip(
-        state.pi_integral - f_err * dt, -cfg.integral_limit, cfg.integral_limit
-    )
-    return rotate_wrench(r_ee, Wrench.from_vector(out_ee, EE), BASE)
+    f_err = f_ext_ee - f_d_ee
+    out_ee = f_d_ee + np.asarray(cfg.k_p) * f_err + np.asarray(cfg.k_i) * state.pi_integral
+    state.pi_integral = (state.pi_integral - f_err * dt).clip(-cfg.integral_limit, cfg.integral_limit)
+    return rotate_wrench(r_ee, out_ee)
 
 
 def desired_orientation(n_s_base: np.ndarray, r_ee: np.ndarray) -> np.ndarray:
@@ -123,6 +123,15 @@ def desired_orientation(n_s_base: np.ndarray, r_ee: np.ndarray) -> np.ndarray:
     return np.column_stack([new_x, new_y, n])
 
 
+def restart_filter(state: ControllerState, r_init: np.ndarray, r_d: np.ndarray) -> None:
+    """Start a new low-pass from r_init towards r_d; their relative log is
+    constant until the next restart, so it is computed once here."""
+    state.r_init = r_init
+    state.r_d = r_d
+    state.rel_log = rotation_log(r_d @ r_init.T)
+    state.t_filter = 0.0
+
+
 def orientation_filter(state: ControllerState, dt: float, filter_time: float) -> np.ndarray:
     """Geodesic low-pass from r_init to r_d over filter_time seconds.
 
@@ -131,21 +140,21 @@ def orientation_filter(state: ControllerState, dt: float, filter_time: float) ->
     """
     if state.t_filter >= filter_time:
         return state.r_d
-    zeta = float(np.clip(state.t_filter / filter_time, 0.0, 1.0))
-    out = rotation_power(state.r_init, state.r_d, zeta)
+    zeta = min(max(state.t_filter / filter_time, 0.0), 1.0)
+    out = rotation_power(state.r_init, state.r_d, zeta, state.rel_log)
     state.t_filter += dt
     return out
 
 
 def compose_command(
-    f_damp: Wrench,
-    f_var: Wrench,
-    f_frc: Wrench,
+    f_damp: np.ndarray,
+    f_var: np.ndarray,
+    f_frc: np.ndarray,
     rho_frc: float,
     lam: int,
     sigma_f: float,
     sigma_i: float,
-) -> Wrench:
+) -> np.ndarray:
     """Tank-gated control wrench.
 
     f = f_damp + sigma_i * f_var + rho_frc * (lam + sigma_f * (1 - lam)) * f_frc
@@ -153,9 +162,4 @@ def compose_command(
     and f_var = -K_var x_tilde is the variable-stiffness spring. With every
     gate open this is plain unified force-impedance control.
     """
-    vec = (
-        f_damp.as_vector()
-        + sigma_i * f_var.as_vector()
-        + rho_frc * (lam + sigma_f * (1.0 - lam)) * f_frc.as_vector()
-    )
-    return Wrench.from_vector(vec, BASE)
+    return f_damp + sigma_i * f_var + rho_frc * (lam + sigma_f * (1.0 - lam)) * f_frc

@@ -6,7 +6,8 @@ coefficient h drives saturated first-order dynamics for the stiffness
 shaping state rho_align in [0, 1]. A separate gate rho_frc fades the force
 controller out as the tool separates from the desired pose beyond a margin.
 Tactile inputs update every control tick; the visual terms are latched
-between perception frames.
+between perception frames. Wrenches and pose errors are tool-frame raw
+6-vectors.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .spatial import EE, Wrench
 
 
 @dataclass(frozen=True)
@@ -33,20 +32,11 @@ class MonitorConfig:
             raise ValueError("c_margin, rho_min and delta_c must be positive")
 
 
-@dataclass
-class ShapingState:
-    rho_align: float = 0.0
-    rho_frc: float = 1.0
-    last_c: float = 0.0
-    last_h: float = 1.0
-
-
 def alignment_metric(
-    f_ext_ee: Wrench, x_tilde_ee: np.ndarray, theta: float, l_s: float, cfg: MonitorConfig
+    f_ext_ee: np.ndarray, x_tilde_ee: np.ndarray, theta: float, l_s: float, cfg: MonitorConfig
 ) -> float:
     """C = | alpha*|f_ext . x_tilde| + xi*theta + gamma*l_s |, tool-frame inputs."""
-    assert f_ext_ee.frame == EE, "alignment metric expects a tool-frame wrench"
-    tactile = abs(float(f_ext_ee.as_vector() @ x_tilde_ee))
+    tactile = abs(float(f_ext_ee @ x_tilde_ee))
     return abs(cfg.alpha * tactile + cfg.xi * theta + cfg.gamma * l_s)
 
 
@@ -71,18 +61,17 @@ def rho_align_step(rho_align: float, h: float, dt: float, cfg: MonitorConfig) ->
         rate = max(rho, 0.0)
     else:
         rate = rho
-    return float(np.clip(rho_align + rate * dt, 0.0, 1.0))
+    return float(min(max(rho_align + rate * dt, 0.0), 1.0))
 
 
-def rho_frc(f_d_ee: Wrench, x_tilde_ee: np.ndarray, delta_c: float) -> float:
+def rho_frc(f_d_ee: np.ndarray, x_tilde_ee: np.ndarray, delta_c: float) -> float:
     """Force shaping gate in [0, 1].
 
     Full force while the tool sits at or inside the commanded contact
     (f_d . x_tilde <= 0); a half-cosine fade while the separation stays
     within the margin; zero beyond it.
     """
-    assert f_d_ee.frame == EE, "rho_frc expects tool-frame inputs"
-    alignment_error = float(f_d_ee.as_vector() @ x_tilde_ee)
+    alignment_error = float(f_d_ee @ x_tilde_ee)
     if alignment_error <= 0.0:
         return 1.0
     x_z = float(x_tilde_ee[2])

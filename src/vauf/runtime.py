@@ -8,6 +8,10 @@ at one perception tick is processed at the next. The loop per control tick:
     contact -> alignment monitor -> shaping -> realignment handling ->
     controller -> tanks -> composed command -> plant step -> telemetry row
 
+Inside the loop wrenches, twists and pose errors are raw float64 6-vectors
+and gains are Python floats; each tick writes one row of a preallocated
+(n_ticks, len(COLUMNS)) telemetry table.
+
 Force-path sign convention: the commanded and measured wrenches the policy,
 monitor and PI controller work with are *reaction* wrenches on the tool
 (pressing into the surface reads +z in the tool frame), so the thrust the
@@ -25,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import telemetry
 from .camera import CameraModel, EmptyViewError, camera_pose_from_tool, render
 from .controller import (
     ControllerConfig,
@@ -34,11 +39,11 @@ from .controller import (
     desired_orientation,
     force_wrench,
     orientation_filter,
+    restart_filter,
     variable_stiffness,
 )
 from .monitor import (
     MonitorConfig,
-    ShapingState,
     alignment_metric,
     normalized_coefficient,
     realignment_trigger,
@@ -53,10 +58,7 @@ from .perception import (
     perceive,
 )
 from .spatial import (
-    BASE,
-    EE,
     Pose,
-    Wrench,
     pose_error,
     rotate_wrench,
     rotation_exp,
@@ -72,7 +74,7 @@ from .tanks import (
     lambda_selector,
     valve_sigma,
 )
-from .telemetry import TelemetryRow
+from .telemetry import COLUMNS, TelemetryRow
 
 log = logging.getLogger(__name__)
 
@@ -134,21 +136,21 @@ class Scenario:
         return int(round(self.dt_perception / self.dt_control))
 
 
-def wiping_policy(t: float, policy: PolicyConfig) -> tuple[np.ndarray, Wrench]:
-    """Task-frame pose offset and desired contact reaction at time t."""
+def wiping_policy(t: float, policy: PolicyConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Task-frame pose offset and desired tool-frame contact reaction at time t."""
     a, f = policy.amplitude, policy.frequency
     offset = np.array(
         [a * np.sin(f * t), a * (np.cos(f * t) - 1.0) + policy.drift * t, 0.0, 0.0, 0.0, 0.0]
     )
-    return offset, Wrench(np.array([0.0, 0.0, policy.force_z]), np.zeros(3), EE)
+    return offset, np.array([0.0, 0.0, policy.force_z, 0.0, 0.0, 0.0])
 
 
-def plant_step(state: PlantState, f_cmd: Wrench, f_ext: Wrench, dt: float) -> PlantState:
-    """Semi-implicit Euler step of the Cartesian rigid body."""
+def plant_step(state: PlantState, f_cmd: np.ndarray, f_ext: np.ndarray, dt: float) -> PlantState:
+    """Semi-implicit Euler step of the Cartesian rigid body (base-frame wrenches)."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    total = f_cmd.as_vector() + f_ext.as_vector()
-    if not np.all(np.isfinite(total)):
+    total = f_cmd + f_ext
+    if not np.isfinite(total).all():
         raise SimulationDiverged("non-finite commanded or external wrench")
     twist = state.twist + total / state.m_diag * dt
     position = state.pose.position + twist[:3] * dt
@@ -158,12 +160,23 @@ def plant_step(state: PlantState, f_cmd: Wrench, f_ext: Wrench, dt: float) -> Pl
 
 @dataclass
 class RunResult:
-    rows: list
+    table: np.ndarray  # (ticks run, len(COLUMNS)) telemetry, one row per tick
     completed: bool
     abort_reason: str | None
     wall_time: float
     realignment_events: list
     scenario: Scenario
+
+    @property
+    def rows(self) -> list[TelemetryRow]:
+        """The table as TelemetryRow tuples of Python floats.
+
+        Built on each access and not cached: a cached copy would keep a
+        second, larger copy of the telemetry alive next to the table.
+        """
+        # the class is looked up on its own module: the traced benchmark run
+        # replaces this module's TelemetryRow name with a timing wrapper
+        return list(map(telemetry.TelemetryRow._make, self.table.tolist()))
 
 
 def start_pose(scenario: Scenario) -> Pose:
@@ -186,12 +199,15 @@ def run_scenario(scenario: Scenario) -> RunResult:
     n_ticks = int(round(sc.duration / dt))
     stride = sc.perception_stride
     m_diag = np.asarray(sc.mass, dtype=float)
+    m_c = np.diag(m_diag)
+    damping_coeffs = np.asarray(sc.controller.damping_coeffs)
+    filter_time = sc.controller.filter_time
     rng = np.random.default_rng(sc.seed)
 
     pose0 = start_pose(sc)
     plant = PlantState(pose=pose0, twist=np.zeros(6), m_diag=m_diag)
-    ctrl = ControllerState(x_d=pose0, r_init=pose0.rotation.copy(), r_d=pose0.rotation.copy())
-    shaping = ShapingState()
+    ctrl = ControllerState(r_init=pose0.rotation.copy(), r_d=pose0.rotation.copy())
+    rho_align = 0.0
     tank_f = sc.tank_force
     tank_i = sc.tank_impedance
     task_origin = pose0.position.copy()
@@ -199,9 +215,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
     n_s_base: np.ndarray | None = None
     pending: tuple | None = None  # (cloud, camera rotation at render time)
     trigger_armed = True
-    d_zero = np.zeros((6, 6))
     events: list[float] = []
-    rows: list[TelemetryRow] = []
+    table = np.empty((n_ticks, len(COLUMNS)))
+    ticks_run = n_ticks
     completed = True
     abort_reason = None
 
@@ -235,34 +251,30 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
         # --- policy and desired pose
         offset, f_d_ee = wiping_policy(t, sc.policy)
-        ctrl.f_d_ee = f_d_ee
-        r_input = orientation_filter(ctrl, dt, sc.controller.filter_time)
+        r_input = orientation_filter(ctrl, dt, filter_time)
         x_d = Pose(r_input, task_origin + offset[:3])
 
         # --- contact and frame-local errors
         report = contact_wrench(sc.surface, pose, twist, sc.tool_radius)
-        f_ext_base = report.wrench_on_tool
-        f_ext_ee = rotate_wrench(r_ee.T, f_ext_base, EE)
+        f_ext_base = report.wrench_on_tool.as_vector()
+        f_ext_ee = rotate_wrench(r_ee.T, f_ext_base)
         x_tilde = pose_error(pose, x_d)
-        x_tilde_ee = np.concatenate([r_ee.T @ x_tilde[:3], r_ee.T @ x_tilde[3:]])
+        x_tilde_ee = rotate_wrench(r_ee.T, x_tilde)
 
         # --- alignment monitor and shaping
         c_val = alignment_metric(f_ext_ee, x_tilde_ee, latched.theta, latched.l_s, sc.monitor)
         h_val = normalized_coefficient(c_val, sc.monitor.c_margin)
-        shaping.rho_align = rho_align_step(shaping.rho_align, h_val, dt, sc.monitor)
-        shaping.last_c, shaping.last_h = c_val, h_val
+        rho_align = rho_align_step(rho_align, h_val, dt, sc.monitor)
 
         # --- orientation: each fresh surface estimate restarts the low-pass
         # filter from the current attitude, so the tool normal keeps tracking
         # the curvature as the wipe advances
         if fresh and n_s_base is not None:
-            ctrl.r_init = r_ee.copy()
-            ctrl.r_d = desired_orientation(n_s_base, r_ee)
-            ctrl.t_filter = 0.0
+            restart_filter(ctrl, r_ee.copy(), desired_orientation(n_s_base, r_ee))
 
         # --- realignment: at full compliance, re-latch the desired translation
         # onto the actual pose and re-engage the force controller cleanly
-        if realignment_trigger(shaping.rho_align, sc.monitor.rho_trigger):
+        if realignment_trigger(rho_align, sc.monitor.rho_trigger):
             if trigger_armed:
                 events.append(t)
                 task_origin = pose.position - offset[:3]
@@ -270,26 +282,25 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 ctrl.pi_integral = np.zeros(6)
                 trigger_armed = False
                 x_tilde = pose_error(pose, x_d)
-                x_tilde_ee = np.concatenate([r_ee.T @ x_tilde[:3], r_ee.T @ x_tilde[3:]])
+                x_tilde_ee = rotate_wrench(r_ee.T, x_tilde)
         else:
             trigger_armed = True
-        ctrl.x_d = x_d
-        shaping.rho_frc = rho_frc(f_d_ee, x_tilde_ee, sc.monitor.delta_c)
+        rho_f = rho_frc(f_d_ee, x_tilde_ee, sc.monitor.delta_c)
 
         # --- controller
-        k_var = variable_stiffness(shaping.rho_align, r_ee, sc.controller)
-        d_c = damping_matrix(k_var, np.diag(m_diag), np.asarray(sc.controller.damping_coeffs))
-        f_damp = Wrench.from_vector(-d_c @ twist, BASE)
-        f_var = Wrench.from_vector(-k_var @ x_tilde, BASE)
-        f_ext_pi = Wrench(np.array([0.0, 0.0, f_ext_ee.force[2]]), np.zeros(3), EE)
+        k_var = variable_stiffness(rho_align, r_ee, sc.controller)
+        d_c = damping_matrix(k_var, m_c, damping_coeffs)
+        f_damp = -d_c @ twist
+        f_var = -k_var @ x_tilde
+        f_ext_pi = np.array([0.0, 0.0, f_ext_ee[2], 0.0, 0.0, 0.0])
         f_reaction = force_wrench(f_d_ee, f_ext_pi, ctrl, r_ee, dt, sc.controller)
-        f_app = f_reaction.scaled(-1.0)  # commanded thrust opposes the target reaction
+        f_app = f_reaction * -1.0  # commanded thrust opposes the target reaction
 
-        # --- tank gates from the pre-step state drive this tick's command;
-        # the tank energies themselves are integrated after the plant step
-        # with the midpoint twist so the power ledger matches the work
-        # actually done on the semi-implicit plant
-        f_tank = f_app.scaled(shaping.rho_frc)
+        # --- tank gates from the pre-step state drive this tick's command and
+        # both tank steps; the tank energies themselves are integrated after
+        # the plant step with the midpoint twist so the power ledger matches
+        # the work actually done on the semi-implicit plant
+        f_tank = f_app * rho_f
         lam = lambda_selector(twist, f_tank)
         sigma_f = valve_sigma(tank_f.energy, tank_f.s_lower, tank_f.ramp_eps)
         beta_f = gate_beta(tank_f.energy, tank_f.s_upper, tank_f.ramp_eps)
@@ -298,7 +309,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         sigma_f_used = 1.0 if sc.valves_forced_open else sigma_f
         sigma_i_used = 1.0 if sc.valves_forced_open else sigma_i
 
-        f_cmd = compose_command(f_damp, f_var, f_app, shaping.rho_frc, lam, sigma_f_used, sigma_i_used)
+        f_cmd = compose_command(f_damp, f_var, f_app, rho_f, lam, sigma_f_used, sigma_i_used)
 
         try:
             plant = plant_step(plant, f_cmd, f_ext_base, dt)
@@ -306,54 +317,46 @@ def run_scenario(scenario: Scenario) -> RunResult:
             completed = False
             abort_reason = f"{exc} at t={t:.3f} s"
         twist_mid = 0.5 * (twist + plant.twist)
-        tank_f, _ = force_tank_step(tank_f, twist_mid, d_zero, f_tank, dt)
-        tank_i, _ = impedance_tank_step(tank_i, twist_mid, x_tilde, d_c, k_var, dt)
+        tank_f = force_tank_step(tank_f, twist_mid, f_tank, sigma_f, beta_f, dt)
+        tank_i = impedance_tank_step(tank_i, twist_mid, x_tilde, d_c, k_var, sigma_i, beta_i, dt)
 
-        quat = rotation_to_quaternion(r_ee)
-        rows.append(
-            TelemetryRow(
-                t,
-                *pose.position,
-                *quat,
-                *twist,
-                *f_cmd.as_vector(),
-                *f_ext_ee.as_vector(),
-                f_d_ee.force[2],
-                shaping.rho_align,
-                shaping.rho_frc,
-                c_val,
-                h_val,
-                latched.theta,
-                latched.l_s,
-                tank_i.energy,
-                tank_f.energy,
-                sigma_i_used,
-                sigma_f_used,
-                float(lam),
-                beta_i,
-                beta_f,
-                fresh,
-                *x_d.position,
-            )
+        # --- telemetry row k, in COLUMNS order
+        np.concatenate(
+            (
+                (t,),
+                pose.position,
+                rotation_to_quaternion(r_ee),
+                twist,
+                f_cmd,
+                f_ext_ee,
+                (
+                    f_d_ee[2], rho_align, rho_f, c_val, h_val, latched.theta, latched.l_s,
+                    tank_i.energy, tank_f.energy, sigma_i_used, sigma_f_used, lam, beta_i, beta_f,
+                    fresh,
+                ),
+                x_d.position,
+            ),
+            out=table[k],
         )
-        if not completed:
-            break
-        if np.linalg.norm(plant.twist) > TWIST_LIMIT:
+        if completed and np.linalg.norm(plant.twist) > TWIST_LIMIT:
             completed = False
             abort_reason = f"twist norm {np.linalg.norm(plant.twist):.2f} exceeded {TWIST_LIMIT} at t={t:.3f} s"
+        if not completed:
+            ticks_run = k + 1
             break
 
+    table = table[:ticks_run]
     wall = time.perf_counter() - t_start
     if not completed:
         log.error("simulation aborted: %s", abort_reason)
     log.info(
         "scenario finished: %d ticks, %d realignment events, %.2f s wall",
-        len(rows),
+        len(table),
         len(events),
         wall,
     )
     return RunResult(
-        rows=rows,
+        table=table,
         completed=completed,
         abort_reason=abort_reason,
         wall_time=wall,

@@ -1,8 +1,9 @@
-"""Frame-safe small linear algebra: rotations, poses, wrenches, 3x3 symmetric eigen.
+"""Small linear algebra: rotations, poses, wrenches, 3x3 symmetric eigen.
 
-Rotations are plain 3x3 orthonormal numpy arrays (determinant +1). Wrenches
-carry a frame tag so consumers can assert they were handed the frame they
-expect. All functions are pure.
+Rotations are plain 3x3 orthonormal numpy arrays (determinant +1). Inside
+the control loop wrenches, twists and pose errors are raw float64 6-vectors
+(linear part first); the frame-tagged ``Wrench`` is the type handed across
+module boundaries such as the contact model. All functions are pure.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ EE = "ee"
 CAMERA = "camera"
 
 _PI_AXIS_TOL = 1e-7
+_EYE3 = np.eye(3)
 
 
 def hat(w: np.ndarray) -> np.ndarray:
@@ -55,10 +57,10 @@ def rotation_exp(w: np.ndarray) -> np.ndarray:
     wx = hat(w)
     if theta < 1e-10:
         # second-order series; exact enough below the cutoff
-        return np.eye(3) + wx + 0.5 * (wx @ wx)
+        return _EYE3 + wx + 0.5 * (wx @ wx)
     a = np.sin(theta) / theta
     b = (1.0 - np.cos(theta)) / (theta * theta)
-    return np.eye(3) + a * wx + b * (wx @ wx)
+    return _EYE3 + a * wx + b * (wx @ wx)
 
 
 def _canonical_axis_sign(axis: np.ndarray) -> np.ndarray:
@@ -74,7 +76,7 @@ def rotation_log(r: np.ndarray) -> np.ndarray:
     recovered from (R + I)/2 and its sign fixed by making the
     largest-magnitude component positive.
     """
-    tr = np.clip((np.trace(r) - 1.0) * 0.5, -1.0, 1.0)
+    tr = min(max((r.trace() - 1.0) * 0.5, -1.0), 1.0)
     theta = float(np.arccos(tr))
     if theta < 1e-12:
         return np.zeros(3)
@@ -92,13 +94,19 @@ def rotation_log(r: np.ndarray) -> np.ndarray:
     return w * (theta / (2.0 * np.sin(theta)))
 
 
-def rotation_power(r_init: np.ndarray, r_target: np.ndarray, zeta: float) -> np.ndarray:
-    """Geodesic interpolant (R_target R_init^T)^zeta R_init for zeta in [0, 1]."""
+def rotation_power(
+    r_init: np.ndarray, r_target: np.ndarray, zeta: float, rel: np.ndarray | None = None
+) -> np.ndarray:
+    """Geodesic interpolant (R_target R_init^T)^zeta R_init for zeta in [0, 1].
+
+    ``rel`` is log(R_target R_init^T) when the caller already has it.
+    """
     if not 0.0 <= zeta <= 1.0:
         raise ValueError(f"zeta must be in [0, 1], got {zeta}")
     if zeta == 0.0:
         return r_init.copy()
-    rel = rotation_log(r_target @ r_init.T)
+    if rel is None:
+        rel = rotation_log(r_target @ r_init.T)
     return rotation_exp(zeta * rel) @ r_init
 
 
@@ -149,21 +157,13 @@ class Wrench:
     def zero(cls, frame: str = BASE) -> "Wrench":
         return cls(np.zeros(3), np.zeros(3), frame)
 
-    @classmethod
-    def from_vector(cls, v: np.ndarray, frame: str = BASE) -> "Wrench":
-        v = np.asarray(v, dtype=float)
-        return cls(v[:3].copy(), v[3:].copy(), frame)
-
     def as_vector(self) -> np.ndarray:
         return np.concatenate([self.force, self.torque])
 
-    def scaled(self, s: float) -> "Wrench":
-        return Wrench(self.force * s, self.torque * s, self.frame)
 
-
-def rotate_wrench(r: np.ndarray, w: Wrench, new_frame: str) -> Wrench:
-    """Apply blockdiag(R, R) to the 6-vector and retag the frame."""
-    return Wrench(r @ w.force, r @ w.torque, new_frame)
+def rotate_wrench(r: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """blockdiag(R, R) applied to a 6-vector (wrench, twist or pose error)."""
+    return np.concatenate([r @ w[:3], r @ w[3:]])
 
 
 def pose_error(current: Pose, desired: Pose) -> np.ndarray:
@@ -183,7 +183,7 @@ def pose_error(current: Pose, desired: Pose) -> np.ndarray:
 
 def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
     """Unit quaternion (w, x, y, z) with w >= 0, Shepperd's method."""
-    t = np.trace(r)
+    t = r.trace()
     if t > 0.0:
         s = np.sqrt(t + 1.0) * 2.0
         q = np.array(

@@ -5,7 +5,9 @@ power-preserving interconnection: the valve sigma gates energy withdrawal
 (zero once the tank is depleted to its lower limit), the gate beta stops
 refilling at the upper limit. The tank energy is integrated directly from
 the port powers so the per-tick bookkeeping is exact, then clamped to the
-configured band; x_t is recovered as sqrt(2 S).
+configured band; x_t is recovered as sqrt(2 S). The loop evaluates the
+gates once per tick, from the pre-step energies, and hands the same values
+to the command and to both tank steps.
 
 The audit replays a telemetry log and checks, tick by tick, that the total
 storage (kinetic energy plus both tanks) never grows faster than the power
@@ -14,12 +16,9 @@ supplied through the contact, within a small discretization tolerance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
-
-from .spatial import Wrench
 
 
 class AuditError(ValueError):
@@ -44,59 +43,48 @@ class TankState:
         return 0.5 * self.x_t * self.x_t
 
 
-class TankOutputs(NamedTuple):
-    sigma: float  # withdrawal valve, 0 once depleted
-    beta: float  # refill gate, 0 once full
-    lam: int  # force-passivity selector (force tank only, else 0)
-
-
-def lambda_selector(x_dot: np.ndarray, f_f: Wrench) -> int:
+def lambda_selector(x_dot: np.ndarray, f_f: np.ndarray) -> int:
     """1 iff the force wrench extracts energy (x_dot . f_f < 0), else 0."""
-    return 1 if float(np.asarray(x_dot) @ f_f.as_vector()) < 0.0 else 0
+    return 1 if float(x_dot @ f_f) < 0.0 else 0
 
 
 def valve_sigma(s_t: float, s_lower: float, eps: float) -> float:
     """0 at or below the lower limit, linear ramp of width eps, then 1."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    return float(np.clip((s_t - s_lower) / eps, 0.0, 1.0))
+    return float(min(max((s_t - s_lower) / eps, 0.0), 1.0))
 
 
 def gate_beta(s_t: float, s_upper: float, eps: float) -> float:
     """1 well below the upper limit, ramping down to 0 at the limit."""
     if eps <= 0.0:
         raise ValueError("eps must be positive")
-    return float(np.clip((s_upper - s_t) / eps, 0.0, 1.0))
+    return float(min(max((s_upper - s_t) / eps, 0.0), 1.0))
 
 
 def _integrate_energy(tank: TankState, power: float, dt: float) -> TankState:
     # Euler on S keeps the power ledger exact; the clamp can only discard.
     s_new = tank.energy + power * dt
     s_new = min(max(s_new, tank.s_lower), tank.s_upper)
-    return replace(tank, x_t=float(np.sqrt(2.0 * s_new)))
+    return TankState(float(np.sqrt(2.0 * s_new)), tank.s_upper, tank.s_lower, tank.ramp_eps)
 
 
 def force_tank_step(
-    tank: TankState, x_dot: np.ndarray, d_c: np.ndarray, f_f: Wrench, dt: float
-) -> tuple[TankState, TankOutputs]:
-    """Force-controller tank step.
+    tank: TankState, x_dot: np.ndarray, f_f: np.ndarray, sigma: float, beta: float, dt: float
+) -> TankState:
+    """Force-controller tank step with the tick's gates sigma and beta.
 
-    Refills (through beta) while the force demand is passive, from the
-    damper power routed to this tank plus the extracted force power; pays
-    the injected force power (through sigma) while the demand is active.
+    Refills (through beta) with the extracted force power while the force
+    demand is passive; pays the injected force power (through sigma) while
+    the demand is active. The damper power belongs to the impedance tank.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     assert tank.x_t > 0.0, "force tank state must stay positive"
-    s = tank.energy
     lam = lambda_selector(x_dot, f_f)
-    sigma = valve_sigma(s, tank.s_lower, tank.ramp_eps)
-    beta = gate_beta(s, tank.s_upper, tank.ramp_eps)
-    v = np.asarray(x_dot, dtype=float)
-    p_damp = float(v @ d_c @ v)
-    p_force = float(v @ f_f.as_vector())
-    power = lam * beta * (p_damp - p_force) - sigma * (1 - lam) * p_force
-    return _integrate_energy(tank, power, dt), TankOutputs(sigma, beta, lam)
+    p_force = float(x_dot @ f_f)
+    power = lam * beta * -p_force - sigma * (1 - lam) * p_force
+    return _integrate_energy(tank, power, dt)
 
 
 def impedance_tank_step(
@@ -105,9 +93,11 @@ def impedance_tank_step(
     x_tilde: np.ndarray,
     d_c: np.ndarray,
     k_var: np.ndarray,
+    sigma: float,
+    beta: float,
     dt: float,
-) -> tuple[TankState, TankOutputs]:
-    """Variable-stiffness tank step.
+) -> TankState:
+    """Variable-stiffness tank step with the tick's gates sigma and beta.
 
     Harvests the damper dissipation (through beta) and exchanges the
     variable-spring power through the valve that also gates the spring in
@@ -116,14 +106,10 @@ def impedance_tank_step(
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     assert tank.x_t > 0.0, "impedance tank state must stay positive"
-    s = tank.energy
-    sigma = valve_sigma(s, tank.s_lower, tank.ramp_eps)
-    beta = gate_beta(s, tank.s_upper, tank.ramp_eps)
-    v = np.asarray(x_dot, dtype=float)
-    p_damp = float(v @ d_c @ v)
-    p_spring = float(np.asarray(x_tilde) @ k_var.T @ v)
+    p_damp = float(x_dot @ d_c @ x_dot)
+    p_spring = float(x_tilde @ k_var.T @ x_dot)
     power = beta * p_damp + sigma * p_spring
-    return _integrate_energy(tank, power, dt), TankOutputs(sigma, beta, 0)
+    return _integrate_energy(tank, power, dt)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Per-tick telemetry rows, full-precision CSV persistence, run metrics.
 
-One row per control tick. Floats are written with shortest round-trip
-precision so parse(write(rows)) == rows exactly and two identical runs
-produce bit-identical files. Booleans and the passivity selector are stored
-as 0.0/1.0 for uniform parsing.
+One row per control tick, held by a run as an (n_ticks, len(COLUMNS))
+float64 table. Floats are written with shortest round-trip precision so
+parse(write(rows)) == rows exactly and two identical runs produce
+bit-identical files. Booleans and the passivity selector are stored as
+0.0/1.0 for uniform parsing.
 """
 
 from __future__ import annotations
@@ -33,17 +34,14 @@ class ParseError(ValueError):
     """Malformed telemetry CSV; the message names the offending row."""
 
 
-def write_csv(rows: list, path) -> None:
+def write_csv(rows, path) -> None:
+    """Write a telemetry table (or a sequence of rows) as CSV."""
+    table = np.asarray(rows, dtype=float)
     with open(path, "w") as fh:
         fh.write(",".join(COLUMNS) + "\n")
-        buf = []
-        for row in rows:
-            buf.append(",".join(repr(float(v)) for v in row))
-            if len(buf) >= 1000:
-                fh.write("\n".join(buf) + "\n")
-                buf = []
-        if buf:
-            fh.write("\n".join(buf) + "\n")
+        for start in range(0, len(table), 1000):
+            lines = [",".join(map(repr, row)) for row in table[start : start + 1000].tolist()]
+            fh.write("\n".join(lines) + "\n")
 
 
 def read_csv(path) -> list:
@@ -66,8 +64,11 @@ def read_csv(path) -> list:
     return rows
 
 
-def rows_to_columns(rows: list) -> dict:
-    """Column name -> numpy array, for metrics and the passivity audit."""
+def rows_to_columns(rows) -> dict:
+    """Column name -> numpy array, for metrics and the passivity audit.
+
+    A float64 table is not copied: the columns are views into it.
+    """
     arr = np.asarray(rows, dtype=float)
     if arr.ndim != 2 or arr.shape[1] != len(COLUMNS):
         raise ParseError("telemetry rows have the wrong shape")

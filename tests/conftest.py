@@ -44,6 +44,16 @@ def flat_columns(flat_run):
     return rows_to_columns(flat_run.rows)
 
 
+@pytest.fixture(scope="session")
+def negative_scenario():
+    return parse_scenario(SCENARIO_DIR / "negative_control.cfg")
+
+
+@pytest.fixture(scope="session")
+def negative_run(negative_scenario):
+    return run_scenario(negative_scenario)
+
+
 def random_rotation(rng):
     """Uniform-ish random rotation from a random axis-angle."""
     axis = rng.normal(size=3)

@@ -11,13 +11,18 @@ from vauf.controller import (
     force_wrench,
     impedance_wrench,
     orientation_filter,
+    restart_filter,
     stiffness_from_alignment,
     variable_stiffness,
 )
-from vauf.spatial import BASE, EE, Pose, Wrench, pose_error, rotation_x, rotation_z
+from vauf.spatial import Pose, pose_error, rotation_power, rotation_x, rotation_z
 from conftest import random_rotation
 
 TABLE = ControllerConfig()
+
+
+def ee_force_z(fz):
+    return np.array([0.0, 0.0, fz, 0.0, 0.0, 0.0])
 
 
 class TestStiffness:
@@ -72,45 +77,40 @@ class TestDamping:
 class TestImpedanceWrench:
     def test_zero(self):
         out = impedance_wrench(np.zeros(6), np.zeros(6), np.zeros((6, 6)), np.zeros((6, 6)))
-        assert np.allclose(out.as_vector(), 0.0)
+        assert np.allclose(out, 0.0)
 
     def test_spring_term(self):
         k = np.diag([1000.0] * 3 + [0.0] * 3)
         out = impedance_wrench(np.array([0.01, 0, 0, 0, 0, 0]), np.zeros(6), k, np.zeros((6, 6)))
-        assert out.force[0] == pytest.approx(-10.0)
+        assert out[0] == pytest.approx(-10.0)
 
     def test_damping_term(self):
         d = np.diag([0.0, 100.0, 0.0, 0.0, 0.0, 0.0])
         out = impedance_wrench(np.zeros(6), np.array([0, 0.1, 0, 0, 0, 0]), np.zeros((6, 6)), d)
-        assert out.force[1] == pytest.approx(-10.0)
+        assert out[1] == pytest.approx(-10.0)
 
 
 class TestForceWrench:
     def test_zero_error_pass_through(self):
         state = ControllerState()
-        f_d = Wrench(np.array([0.0, 0.0, 15.0]), np.zeros(3), EE)
+        f_d = ee_force_z(15.0)
         out = force_wrench(f_d, f_d, state, np.eye(3), 1e-3, TABLE)
-        assert np.allclose(out.as_vector(), f_d.as_vector())
-        assert out.frame == BASE
+        assert np.allclose(out, f_d)
 
     def test_proportional_correction(self):
         state = ControllerState()
-        f_d = Wrench(np.array([0.0, 0.0, 15.0]), np.zeros(3), EE)
-        f_ext = Wrench(np.array([0.0, 0.0, 20.0]), np.zeros(3), EE)
-        out = force_wrench(f_d, f_ext, state, np.eye(3), 1e-3, TABLE)
-        assert out.force[2] == pytest.approx(15.0 + 0.6 * 5.0, abs=1e-12)
+        out = force_wrench(ee_force_z(15.0), ee_force_z(20.0), state, np.eye(3), 1e-3, TABLE)
+        assert out[2] == pytest.approx(15.0 + 0.6 * 5.0, abs=1e-12)
 
     def test_rotation_to_base(self):
         state = ControllerState()
-        f_d = Wrench(np.array([0.0, 0.0, 15.0]), np.zeros(3), EE)
-        f_ext = Wrench(np.array([0.0, 0.0, 20.0]), np.zeros(3), EE)
-        out = force_wrench(f_d, f_ext, state, rotation_x(np.pi / 2), 1e-3, TABLE)
-        assert np.allclose(out.force, [0.0, -18.0, 0.0], atol=1e-12)
+        out = force_wrench(ee_force_z(15.0), ee_force_z(20.0), state, rotation_x(np.pi / 2), 1e-3, TABLE)
+        assert np.allclose(out[:3], [0.0, -18.0, 0.0], atol=1e-12)
 
     def test_integral_clamped(self):
         state = ControllerState()
-        f_d = Wrench(np.array([0.0, 0.0, 15.0]), np.zeros(3), EE)
-        f_ext = Wrench.zero(EE)
+        f_d = ee_force_z(15.0)
+        f_ext = np.zeros(6)
         for _ in range(5000):
             force_wrench(f_d, f_ext, state, np.eye(3), 1e-2, TABLE)
             assert np.abs(state.pi_integral).max() <= TABLE.integral_limit + 1e-12
@@ -118,16 +118,15 @@ class TestForceWrench:
     def test_integral_opposes_persistent_over_press(self):
         # sustained over-press must wind the command down, not up
         state = ControllerState()
-        f_d = Wrench(np.array([0.0, 0.0, 15.0]), np.zeros(3), EE)
-        f_ext = Wrench(np.array([0.0, 0.0, 20.0]), np.zeros(3), EE)
-        first = force_wrench(f_d, f_ext, state, np.eye(3), 1e-3, TABLE).force[2]
+        f_d, f_ext = ee_force_z(15.0), ee_force_z(20.0)
+        first = force_wrench(f_d, f_ext, state, np.eye(3), 1e-3, TABLE)[2]
         for _ in range(2000):
-            last = force_wrench(f_d, f_ext, state, np.eye(3), 1e-3, TABLE).force[2]
+            last = force_wrench(f_d, f_ext, state, np.eye(3), 1e-3, TABLE)[2]
         assert last < first
 
     def test_bad_dt(self):
         with pytest.raises(ValueError):
-            force_wrench(Wrench.zero(EE), Wrench.zero(EE), ControllerState(), np.eye(3), 0.0, TABLE)
+            force_wrench(np.zeros(6), np.zeros(6), ControllerState(), np.eye(3), 0.0, TABLE)
 
 
 class TestDesiredOrientation:
@@ -173,9 +172,7 @@ class TestDesiredOrientation:
 class TestOrientationFilter:
     def _state(self):
         st = ControllerState()
-        st.r_init = np.eye(3)
-        st.r_d = rotation_z(np.pi / 2)
-        st.t_filter = 0.0
+        restart_filter(st, np.eye(3), rotation_z(np.pi / 2))
         return st
 
     def test_start_returns_initial(self):
@@ -199,43 +196,57 @@ class TestOrientationFilter:
         orientation_filter(st, 1e-3, 0.5)
         assert st.t_filter == pytest.approx(1e-3)
 
+    def test_cached_log_matches_rotation_power_exactly(self):
+        # the log cached at restart must give the very bits rotation_power
+        # computes from scratch, at every clock value and horizon
+        rng = np.random.default_rng(3)
+        for _ in range(40):
+            r_init, r_d = random_rotation(rng), random_rotation(rng)
+            for filter_time in (0.05, 0.3, 0.5, 1.7):
+                st = ControllerState()
+                restart_filter(st, r_init, r_d)
+                while st.t_filter < filter_time:
+                    zeta = min(st.t_filter / filter_time, 1.0)
+                    expect = rotation_power(r_init, r_d, zeta)
+                    assert np.array_equal(orientation_filter(st, 7e-3, filter_time), expect)
+                assert np.array_equal(orientation_filter(st, 7e-3, filter_time), r_d)
+
 
 class TestComposeCommand:
     def _parts(self):
-        f_damp = Wrench(np.array([0.0, 0.0, -1.0]), np.zeros(3), BASE)
-        f_var = Wrench(np.array([0.0, -2.0, 0.0]), np.zeros(3), BASE)
-        f_frc = Wrench(np.array([0.0, 0.0, -15.0]), np.zeros(3), BASE)
+        f_damp = np.array([0.0, 0.0, -1.0, 0.0, 0.0, 0.0])
+        f_var = np.array([0.0, -2.0, 0.0, 0.0, 0.0, 0.0])
+        f_frc = np.array([0.0, 0.0, -15.0, 0.0, 0.0, 0.0])
         return f_damp, f_var, f_frc
 
     def test_all_gates_open_is_plain_sum(self):
         f_damp, f_var, f_frc = self._parts()
         out = compose_command(f_damp, f_var, f_frc, 1.0, 1, 1.0, 1.0)
-        expect = f_damp.as_vector() + f_var.as_vector() + f_frc.as_vector()
-        assert np.allclose(out.as_vector(), expect)
+        assert np.allclose(out, f_damp + f_var + f_frc)
 
     def test_depleted_force_tank_blocks_active_force(self):
         f_damp, f_var, f_frc = self._parts()
         out = compose_command(f_damp, f_var, f_frc, 1.0, 0, 0.0, 1.0)
-        assert np.allclose(out.as_vector(), f_damp.as_vector() + f_var.as_vector())
+        assert np.allclose(out, f_damp + f_var)
 
     def test_contact_loss_gives_pure_impedance(self):
         f_damp, f_var, f_frc = self._parts()
         out = compose_command(f_damp, f_var, f_frc, 0.0, 1, 1.0, 1.0)
-        assert np.allclose(out.as_vector(), f_damp.as_vector() + f_var.as_vector())
+        assert np.allclose(out, f_damp + f_var)
 
     def test_passive_demand_bypasses_the_valve(self):
         # with lam = 1 the force path is applied directly; sigma_f is moot
         f_damp, f_var, f_frc = self._parts()
         gated = compose_command(f_damp, f_var, f_frc, 1.0, 1, 0.0, 1.0)
         open_valve = compose_command(f_damp, f_var, f_frc, 1.0, 1, 1.0, 1.0)
-        assert np.allclose(gated.as_vector(), open_valve.as_vector())
+        assert np.allclose(gated, open_valve)
 
     def test_linearity_in_each_gate(self):
         rng = np.random.default_rng(2)
-        f_damp, f_var, f_frc = (Wrench(rng.normal(size=3), rng.normal(size=3), BASE) for _ in range(3))
+        f_damp, f_var, f_frc = (rng.normal(size=6) for _ in range(3))
 
         def f(rho, lam, sf, si):
-            return compose_command(f_damp, f_var, f_frc, rho, lam, sf, si).as_vector()
+            return compose_command(f_damp, f_var, f_frc, rho, lam, sf, si)
 
         base = f(0.0, 0, 0.0, 0.0)
         mid = f(0.5, 0, 0.5, 0.5)
@@ -271,8 +282,8 @@ class TestFreeSpaceDissipativity:
         prev = energy(plant)
         for _ in range(5000):
             err = pose_error(plant.pose, x_d)
-            f_cmd = Wrench.from_vector(-k_c @ err - d_c @ plant.twist, BASE)
-            plant = plant_step(plant, f_cmd, Wrench.zero(BASE), 1e-3)
+            f_cmd = -k_c @ err - d_c @ plant.twist
+            plant = plant_step(plant, f_cmd, np.zeros(6), 1e-3)
             e = energy(plant)
             assert e <= prev + 1e-9
             prev = e

@@ -9,18 +9,17 @@ from vauf.monitor import (
     rho_align_step,
     rho_frc,
 )
-from vauf.spatial import EE, Wrench
 
 TABLE = MonitorConfig()  # alpha 1, xi 0.08, gamma 10, C_m 0.9, rho_min 0.001, delta_c 0.04
 
 
 def ee_wrench(fz, fx=0.0, fy=0.0):
-    return Wrench(np.array([fx, fy, fz]), np.zeros(3), EE)
+    return np.array([fx, fy, fz, 0.0, 0.0, 0.0])
 
 
 class TestAlignmentMetric:
     def test_all_zero(self):
-        c = alignment_metric(Wrench.zero(EE), np.zeros(6), 0.0, 0.0, TABLE)
+        c = alignment_metric(np.zeros(6), np.zeros(6), 0.0, 0.0, TABLE)
         assert c == 0.0
 
     def test_weighted_sum(self):
@@ -37,16 +36,12 @@ class TestAlignmentMetric:
         rng = np.random.default_rng(0)
         for _ in range(50):
             x = rng.normal(size=6)
-            f = Wrench(rng.normal(size=3), rng.normal(size=3), EE)
+            f = np.concatenate([rng.normal(size=3), rng.normal(size=3)])
             theta, l_s = rng.uniform(0, 1), rng.uniform(0, 0.2)
             base = alignment_metric(f, x, theta, l_s, TABLE)
             assert alignment_metric(f, 1.5 * x, theta, l_s, TABLE) >= base - 1e-15
             assert alignment_metric(f, x, theta + 0.1, l_s, TABLE) >= base
             assert alignment_metric(f, x, theta, l_s + 0.1, TABLE) >= base
-
-    def test_frame_assertion(self):
-        with pytest.raises(AssertionError):
-            alignment_metric(Wrench.zero("base"), np.zeros(6), 0.0, 0.0, TABLE)
 
 
 class TestNormalizedCoefficient:
@@ -140,7 +135,7 @@ class TestRealignmentTrigger:
 class TestConvergenceProperty:
     def test_zero_error_drives_rho_to_one(self):
         # C = 0 when there is no tactile error and perception is clean
-        c = alignment_metric(Wrench.zero(EE), np.zeros(6), 0.0, 0.0, TABLE)
+        c = alignment_metric(np.zeros(6), np.zeros(6), 0.0, 0.0, TABLE)
         h = normalized_coefficient(c, TABLE.c_margin)
         assert h == 1.0
         rho = 0.37

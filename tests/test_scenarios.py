@@ -1,8 +1,11 @@
 """Closed-loop behavior of the shipped scenario configurations."""
 
-import numpy as np
+import hashlib
 
-from vauf.telemetry import compute_metrics, read_csv, rows_to_columns, write_csv
+import numpy as np
+import pytest
+
+from vauf.telemetry import COLUMNS, compute_metrics, read_csv, rows_to_columns, write_csv
 
 
 class TestReferenceScenario:
@@ -18,6 +21,14 @@ class TestReferenceScenario:
         contact_z = c["pz"] - sc.tool_radius  # sphere bottom
         nominal_pen = sc.policy.force_z / sc.surface.k_n
         assert np.abs(contact_z[mask] - h[mask]).max() <= 5e-3 + 2 * nominal_pen
+
+    def test_table_columns_are_views_and_rows_match(self, reference_run):
+        table = reference_run.table
+        assert table.shape == (len(reference_run.rows), len(COLUMNS))
+        columns = rows_to_columns(table)
+        assert all(np.shares_memory(col, table) for col in columns.values())
+        assert np.array_equal(np.asarray(reference_run.rows), table)
+        assert reference_run.rows[-1].t == table[-1, 0]
 
     def test_metrics_from_csv_match_in_memory(self, reference_run, reference_columns, tmp_path):
         path = tmp_path / "t.csv"
@@ -46,3 +57,20 @@ class TestFlatScenario:
     def test_force_tank_holds_at_its_cap(self, flat_columns):
         # no active force demand on a steady flat wipe: the tank never drains
         assert flat_columns["S_t_f"].min() >= 1.99
+
+
+# SHA-256 prefixes of the shipped scenarios' telemetry.csv. A change that is
+# meant to be behaviour-neutral must leave these bytes alone; a change that
+# alters results on purpose re-pins them and says why.
+TELEMETRY_DIGESTS = {
+    "reference_run": "e20d07d3029fe39b",
+    "flat_run": "1a4943e0ffe6d03c",
+    "negative_run": "9ff42bcbc0a84152",
+}
+
+
+@pytest.mark.parametrize("run", sorted(TELEMETRY_DIGESTS))
+def test_telemetry_digest_pinned(run, request, tmp_path):
+    path = tmp_path / "telemetry.csv"
+    write_csv(request.getfixturevalue(run).rows, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == TELEMETRY_DIGESTS[run]

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from vauf.spatial import BASE, Wrench
 from vauf.tanks import (
     AuditError,
     TankState,
@@ -19,7 +18,13 @@ IMP_TANK = TankState(x_t=7.0, s_upper=32.0, s_lower=1.0, ramp_eps=0.2)
 
 
 def wrench_z(fz):
-    return Wrench(np.array([0.0, 0.0, fz]), np.zeros(3), BASE)
+    return np.array([0.0, 0.0, fz, 0.0, 0.0, 0.0])
+
+
+def gates(tank):
+    """(sigma, beta) of a tank at its current energy, as the loop computes them."""
+    s = tank.energy
+    return valve_sigma(s, tank.s_lower, tank.ramp_eps), gate_beta(s, tank.s_upper, tank.ramp_eps)
 
 
 class TestLambdaSelector:
@@ -72,20 +77,22 @@ class TestForceTankStep:
     def test_full_tank_passive_demand_stays_full(self):
         # beta = 0 at the upper limit: no refill, and lam = 1 blocks withdrawal
         x_dot = np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
-        new, out = force_tank_step(FORCE_TANK, x_dot, np.zeros((6, 6)), wrench_z(-10.0), 1e-3)
-        assert out.lam == 1 and out.beta == 0.0
+        sigma, beta = gates(FORCE_TANK)
+        assert lambda_selector(x_dot, wrench_z(-10.0)) == 1 and beta == 0.0
+        new = force_tank_step(FORCE_TANK, x_dot, wrench_z(-10.0), sigma, beta, 1e-3)
         assert new.energy == pytest.approx(2.0, abs=1e-15)
 
     def test_active_injection_withdraws(self):
         # 1 W injected with sigma = 1: tank pays ~1 mJ over the tick
         tank = TankState(x_t=np.sqrt(2 * 1.6), s_upper=2.0, s_lower=1.0, ramp_eps=0.2)
         x_dot = np.array([0.0, 0.0, 0.1, 0.0, 0.0, 0.0])
-        new, out = force_tank_step(tank, x_dot, np.zeros((6, 6)), wrench_z(10.0), 1e-3)
-        assert out.lam == 0 and out.sigma == 1.0
+        sigma, beta = gates(tank)
+        assert lambda_selector(x_dot, wrench_z(10.0)) == 0 and sigma == 1.0
+        new = force_tank_step(tank, x_dot, wrench_z(10.0), sigma, beta, 1e-3)
         assert new.energy - tank.energy == pytest.approx(-1e-3, abs=1e-12)
 
     def test_zero_twist_unchanged(self):
-        new, _ = force_tank_step(FORCE_TANK, np.zeros(6), np.eye(6), wrench_z(-10.0), 1e-3)
+        new = force_tank_step(FORCE_TANK, np.zeros(6), wrench_z(-10.0), *gates(FORCE_TANK), 1e-3)
         assert new.energy == FORCE_TANK.energy
 
     def test_power_bookkeeping_exact(self):
@@ -93,27 +100,25 @@ class TestForceTankStep:
         tank = TankState(x_t=np.sqrt(2 * 1.5), s_upper=2.0, s_lower=1.0, ramp_eps=0.2)
         for _ in range(200):
             x_dot = rng.normal(0, 0.05, 6)
-            f = Wrench(rng.normal(0, 5, 3), rng.normal(0, 1, 3), BASE)
-            d = np.diag(rng.uniform(0, 20, 6))
+            f = np.concatenate([rng.normal(0, 5, 3), rng.normal(0, 1, 3)])
             s = tank.energy
             lam = lambda_selector(x_dot, f)
             sigma = valve_sigma(s, tank.s_lower, tank.ramp_eps)
             beta = gate_beta(s, tank.s_upper, tank.ramp_eps)
-            p_damp = x_dot @ d @ x_dot
-            p_force = x_dot @ f.as_vector()
-            expect = lam * beta * (p_damp - p_force) - sigma * (1 - lam) * p_force
-            tank, _ = force_tank_step(tank, x_dot, d, f, 1e-3)
+            p_force = x_dot @ f
+            expect = -lam * beta * p_force - sigma * (1 - lam) * p_force
+            tank = force_tank_step(tank, x_dot, f, sigma, beta, 1e-3)
             if tank.s_lower < tank.energy < tank.s_upper:  # clamp not engaged
                 assert (tank.energy - s) / 1e-3 == pytest.approx(expect, abs=1e-9)
 
     def test_bad_dt(self):
         with pytest.raises(ValueError):
-            force_tank_step(FORCE_TANK, np.zeros(6), np.zeros((6, 6)), wrench_z(0.0), 0.0)
+            force_tank_step(FORCE_TANK, np.zeros(6), wrench_z(0.0), 1.0, 1.0, 0.0)
 
 
 class TestImpedanceTankStep:
     def test_zero_twist_unchanged(self):
-        new, _ = impedance_tank_step(IMP_TANK, np.zeros(6), np.ones(6), np.eye(6), np.eye(6), 1e-3)
+        new = impedance_tank_step(IMP_TANK, np.zeros(6), np.ones(6), np.eye(6), np.eye(6), *gates(IMP_TANK), 1e-3)
         assert new.energy == IMP_TANK.energy
 
     def test_dissipation_refills(self):
@@ -121,8 +126,9 @@ class TestImpedanceTankStep:
         d = np.diag([200.0, 0, 0, 0, 0, 0])
         x_dot = np.array([0.1, 0, 0, 0, 0, 0])
         assert x_dot @ d @ x_dot == pytest.approx(2.0)
-        new, out = impedance_tank_step(IMP_TANK, x_dot, np.zeros(6), d, np.zeros((6, 6)), 1e-3)
-        assert out.beta == 1.0
+        sigma, beta = gates(IMP_TANK)
+        assert beta == 1.0
+        new = impedance_tank_step(IMP_TANK, x_dot, np.zeros(6), d, np.zeros((6, 6)), sigma, beta, 1e-3)
         assert new.energy - IMP_TANK.energy == pytest.approx(2e-3, abs=1e-12)
 
     def test_initial_energy_inside_band(self):
@@ -133,8 +139,9 @@ class TestImpedanceTankStep:
         tank = TankState(x_t=8.0, s_upper=32.0, s_lower=1.0, ramp_eps=0.2)  # S = 32
         d = np.diag([200.0, 0, 0, 0, 0, 0])
         x_dot = np.array([0.5, 0, 0, 0, 0, 0])
-        new, out = impedance_tank_step(tank, x_dot, np.zeros(6), d, np.zeros((6, 6)), 1e-3)
-        assert out.beta == 0.0
+        sigma, beta = gates(tank)
+        assert beta == 0.0
+        new = impedance_tank_step(tank, x_dot, np.zeros(6), d, np.zeros((6, 6)), sigma, beta, 1e-3)
         assert new.energy <= 32.0 + 1e-9
 
 
@@ -158,11 +165,11 @@ class TestBandInvariant:
         for _ in range(20_000):
             x_dot = rng.normal(0, 0.3, 6)
             x_tilde = rng.normal(0, 0.05, 6)
-            f = Wrench(rng.normal(0, 20, 3), rng.normal(0, 5, 3), BASE)
+            f = np.concatenate([rng.normal(0, 20, 3), rng.normal(0, 5, 3)])
             d = np.diag(rng.uniform(0, 120, 6))
             k = np.diag(rng.uniform(0, 1000, 6))
-            tf, _ = force_tank_step(tf, x_dot, d, f, 1e-3)
-            ti, _ = impedance_tank_step(ti, x_dot, x_tilde, d, k, 1e-3)
+            tf = force_tank_step(tf, x_dot, f, *gates(tf), 1e-3)
+            ti = impedance_tank_step(ti, x_dot, x_tilde, d, k, *gates(ti), 1e-3)
             assert 1.0 - 1e-9 <= tf.energy <= 2.0 + 1e-9
             assert 1.0 - 1e-9 <= ti.energy <= 32.0 + 1e-9
 

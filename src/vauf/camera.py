@@ -51,6 +51,8 @@ class CameraModel:
             raise ValueError("resolution must be at least 8x8")
         if self.range_min >= self.range_max:
             raise ValueError("range_min must be below range_max")
+        if not self.noise_sigma >= 0.0:
+            raise ValueError(f"camera.noise_sigma must be non-negative, got {self.noise_sigma!r}")
 
     def ray_directions(self) -> np.ndarray:
         """Unit ray directions in the camera frame, one per pixel, (N, 3)."""

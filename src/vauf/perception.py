@@ -11,7 +11,6 @@ for a given cloud.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections import deque
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -121,40 +120,40 @@ def region_grow(
 ) -> list[Segment]:
     """Cluster points whose normals stay within angle_thresh of the seed.
 
-    Seeds are taken at the lowest-curvature unvisited point; neighbors come
-    from the kNN graph. Segments below min_segment_size are discarded; the
-    survivors are sorted by size, largest first.
+    Seeds are taken at the lowest-curvature unvisited point and grow one BFS
+    level of the kNN graph per numpy step, keeping each admissible neighbor's
+    first occurrence, so members come in the order of a FIFO-queue search.
+    Segments below min_segment_size are dropped; the rest are sorted largest first.
     """
     pts = cloud.points
-    n = len(pts)
-    if n == 0:
+    if len(pts) == 0:
         raise NoSegmentError("empty cloud")
     cos_thresh = np.cos(angle_thresh)
-    order = np.argsort(normals.curvature, kind="stable")
+    nrm, nb = normals.normals, normals.neighbors
     visited = ~normals.valid.copy()
+    first = np.full(len(pts), nb.size)  # never reset: a point is a candidate in one level only
     segments: list[Segment] = []
-    for seed in order:
+    for seed in np.argsort(normals.curvature, kind="stable"):
         if visited[seed]:
             continue
-        seed_normal = normals.normals[seed]
-        members = [int(seed)]
-        visited[seed] = True
-        queue = deque([int(seed)])
-        while queue:
-            i = queue.popleft()
-            for j in normals.neighbors[i]:
-                if visited[j]:
-                    continue
-                if seed_normal @ normals.normals[j] >= cos_thresh:
-                    visited[j] = True
-                    members.append(int(j))
-                    queue.append(int(j))
-        if len(members) >= min_segment_size:
-            segments.append(_make_segment(pts, np.array(members)))
+        dots = nrm @ nrm[seed]
+        ok = dots >= cos_thresh
+        for j in np.flatnonzero(np.abs(dots - cos_thresh) <= 1e-12):  # batched dots may be an ulp off
+            ok[j] = nrm[seed] @ nrm[j] >= cos_thresh
+        level, levels = np.array([seed]), []
+        while len(level):
+            visited[level] = True
+            levels.append(level)
+            cand = nb[level]
+            cand = cand[ok[cand] & ~visited[cand]]  # row-major: frontier order, then kNN order
+            pos = np.arange(len(cand))
+            np.minimum.at(first, cand, pos)
+            level = cand[first[cand] == pos]
+        if sum(map(len, levels)) >= min_segment_size:
+            segments.append(_make_segment(pts, np.concatenate(levels)))
     if not segments:
         raise NoSegmentError("no segment above minimum size")
-    segments.sort(key=lambda s: -s.size)
-    return segments
+    return sorted(segments, key=lambda s: -s.size)
 
 
 def _make_segment(points: np.ndarray, indices: np.ndarray) -> Segment:

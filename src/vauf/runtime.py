@@ -239,7 +239,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                         n_cam = -n_cam  # upward convention in the base frame
                     n_s_base = n_cam
                     fresh = 1.0
-                except (NoSegmentError, DegenerateSegmentError, ValueError) as exc:
+                except (NoSegmentError, DegenerateSegmentError) as exc:
                     log.debug("perception failed at t=%.3f: %s", t, exc)
             try:
                 cam_pose = camera_pose_from_tool(pose, sc.camera)

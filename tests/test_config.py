@@ -51,6 +51,14 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_scenario_text("run.dt_perception = 0.00037")
 
+    @pytest.mark.parametrize("value", ["-1", "-1e-9", "nan"])
+    def test_negative_noise_sigma_named(self, value):
+        with pytest.raises(ConfigError, match="camera.noise_sigma"):
+            parse_scenario_text(f"camera.noise_sigma = {value}")
+
+    def test_zero_noise_sigma_accepted(self):
+        assert parse_scenario_text("camera.noise_sigma = 0").camera.noise_sigma == 0.0
+
 
 class TestRoundTrip:
     def test_serialize_parse_identity(self):

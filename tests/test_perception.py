@@ -1,11 +1,14 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
-from vauf.camera import PointCloud
+from vauf.camera import MOUNT_ROTATION, CameraModel, EmptyViewError, PointCloud, render
 from vauf.perception import (
     DegenerateSegmentError,
     NoSegmentError,
     PerceptionConfig,
+    PointNormals,
     estimate_point_normals,
     orientation_error,
     perceive,
@@ -14,6 +17,8 @@ from vauf.perception import (
     segment_pca,
     select_working_segment,
 )
+from vauf.spatial import Pose
+from vauf.surface import HeightField
 
 
 def plane_cloud(n_side=24, z=0.3, extent=0.2, jitter=None, seed=0):
@@ -98,6 +103,124 @@ class TestRegionGrow:
         res_dummy = None
         with pytest.raises(NoSegmentError):
             region_grow(cloud, res_dummy or estimate_dummy(cloud), np.deg2rad(8.0), 30)
+
+
+def region_grow_oracle(normals, angle_thresh, min_segment_size):
+    """Member indices from a point-at-a-time FIFO search: the reference for region_grow."""
+    cos_thresh = np.cos(angle_thresh)
+    visited = ~normals.valid.copy()
+    found = []
+    for seed in np.argsort(normals.curvature, kind="stable"):
+        if visited[seed]:
+            continue
+        seed_normal = normals.normals[seed]
+        members = [int(seed)]
+        visited[seed] = True
+        queue = deque([int(seed)])
+        while queue:
+            i = queue.popleft()
+            for j in normals.neighbors[i]:
+                if not visited[j] and seed_normal @ normals.normals[j] >= cos_thresh:
+                    visited[j] = True
+                    members.append(int(j))
+                    queue.append(int(j))
+        if len(members) >= min_segment_size:
+            found.append(np.array(members))
+    found.sort(key=lambda m: -len(m))
+    return found
+
+
+def assert_matches_oracle(cloud, normals, angle_thresh, min_segment_size):
+    segments = region_grow(cloud, normals, angle_thresh, min_segment_size)
+    expected = region_grow_oracle(normals, angle_thresh, min_segment_size)
+    assert len(segments) == len(expected)
+    for seg, members in zip(segments, expected):
+        assert np.array_equal(seg.indices, members)  # order included
+        ref = segment_from_points(cloud.points[members])
+        assert seg.centroid.tobytes() == ref.centroid.tobytes()
+        assert seg.covariance.tobytes() == ref.covariance.tobytes()
+    return segments
+
+
+SURFACE = HeightField()
+REFERENCE_CAMERA = CameraModel(noise_sigma=0.001)  # scenarios/reference.cfg
+NOISY_32_CAMERA = CameraModel(noise_sigma=0.002)
+DENSE_CAMERA = CameraModel(fov_h=np.deg2rad(30), fov_v=np.deg2rad(24), cols=64, rows=48, noise_sigma=0.002)
+SURVEY_CAMERA = CameraModel(fov_h=np.deg2rad(30), fov_v=np.deg2rad(24), cols=48, rows=36)
+ORACLE_CASES = {
+    "reference": (REFERENCE_CAMERA, PerceptionConfig(), 0.25, 8),
+    "noisy-2mm-32x24": (NOISY_32_CAMERA, PerceptionConfig(), 0.25, 8),
+    "dense-64x48-k80": (DENSE_CAMERA, PerceptionConfig(k=80, angle_thresh=np.deg2rad(4.0), min_segment_size=60), 0.3, 3),
+    "noise-free-survey": (SURVEY_CAMERA, PerceptionConfig(k=10, angle_thresh=np.deg2rad(3.0), min_segment_size=30), 0.3, 4),
+}
+
+
+def rendered_clouds(camera, height, n_frames, seed=0):
+    """Frames over the wiping patch, from views tilted up to about 17 degrees."""
+    rng = np.random.default_rng(seed)
+    clouds = []
+    while len(clouds) < n_frames:
+        x, y, tilt = rng.uniform(-0.06, 0.06), rng.uniform(-0.2, 0.2), rng.uniform(-0.3, 0.3)
+        c, s = np.cos(tilt), np.sin(tilt)
+        r = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]) @ MOUNT_ROTATION
+        pose = Pose(r, np.array([x, y, float(SURFACE.height_unchecked(x, y)) + height]))
+        try:
+            clouds.append(render(camera, pose, SURFACE, rng=rng))
+        except EmptyViewError:
+            continue
+    return clouds
+
+
+class TestRegionGrowOracle:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_rendered_frames_match_fifo_search(self, case):
+        camera, cfg, height, n_frames = ORACLE_CASES[case]
+        for cloud in rendered_clouds(camera, height, n_frames):
+            normals = estimate_point_normals(cloud, cfg.k)
+            assert_matches_oracle(cloud, normals, cfg.angle_thresh, cfg.min_segment_size)
+
+    def test_invalid_points_never_join(self):
+        cloud = rendered_clouds(REFERENCE_CAMERA, 0.25, 1)[0]
+        # a dense line 1 cm in front of the surface: collinear kNN neighborhoods
+        mid = cloud.points[np.argmin(np.abs(cloud.points[:, :2]).sum(axis=1))]
+        line = mid + np.column_stack([np.linspace(-0.04, 0.04, 80), np.zeros(80), np.full(80, -0.01)])
+        cloud = PointCloud(points=np.vstack([cloud.points, line]))
+        normals = estimate_point_normals(cloud, 10)
+        invalid = np.flatnonzero(~normals.valid)
+        assert len(invalid) > 0
+        assert np.isin(normals.neighbors[normals.valid], invalid).any()  # valid points border them
+        segments = assert_matches_oracle(cloud, normals, np.deg2rad(8.0), 5)
+        assert not any(np.isin(seg.indices, invalid).any() for seg in segments)
+
+    def test_predicate_within_ulps_of_threshold(self):
+        # a seed and neighbors whose per-pair dot product sits within a few
+        # ulps of cos(angle_thresh), where a batched product can round across it
+        angle = np.deg2rad(8.0)
+        cos_thresh = np.cos(angle)
+        rng = np.random.default_rng(3)
+        seed = rng.normal(size=3)
+        seed /= np.linalg.norm(seed)
+        u = np.cross(seed, [1.0, 0.0, 0.0])
+        u /= np.linalg.norm(u)
+        w = np.cross(seed, u)
+        phi = rng.uniform(0.0, 2.0 * np.pi, 100_000)
+        ring = np.cos(angle) * seed + np.sin(angle) * (np.cos(phi)[:, None] * u + np.sin(phi)[:, None] * w)
+        ring += rng.integers(-8, 9, ring.shape) * np.spacing(ring)
+        ring = ring[np.abs(ring @ seed - cos_thresh) <= 4 * np.spacing(cos_thresh)][:300]
+        nrm = np.vstack([seed, ring])
+        n = len(nrm)
+        assert n > 200
+        assert (np.abs(nrm @ seed - cos_thresh) <= 1e-12).sum() == n - 1  # all take the re-check
+        # every point neighbors all others; the seed has the lowest curvature
+        neighbors = np.array([np.delete(np.arange(n), i) for i in range(n)])
+        curvature = np.r_[0.0, np.ones(n - 1)]
+        normals = PointNormals(normals=nrm, curvature=curvature, valid=np.ones(n, dtype=bool), neighbors=neighbors)
+        cloud = PointCloud(points=rng.normal(size=(n, 3)))
+        segments = assert_matches_oracle(cloud, normals, angle, 1)
+        from_seed = next(seg for seg in segments if seg.indices[0] == 0)
+        scalar_ok = [j for j in range(1, n) if seed @ nrm[j] >= cos_thresh]
+        assert 0 < len(scalar_ok) < n - 1
+        assert from_seed.indices.tolist() == [0, *scalar_ok]
 
 
 def estimate_dummy(cloud):

@@ -58,11 +58,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def cmd_run(args) -> int:
     try:
-        scenario = parse_scenario(args.scenario)
+        scenario = with_overrides(parse_scenario(args.scenario), seed=args.seed, duration=args.duration)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    scenario = with_overrides(scenario, seed=args.seed, duration=args.duration)
 
     result = run_scenario(scenario)
     table = result.table

@@ -1,9 +1,19 @@
 """Scenario files: flat `key = value` text with dotted section names.
 
-Unknown keys and unparsable values are reported by name. Vectors are
-comma-separated. The same writer produces the resolved copy stored next to
-each run's telemetry, so a run can always be reproduced from its output
-directory.
+Every key is `<section>.<field>`. `_SECTIONS` lists all keys once, in file
+order, and the parser, `build_scenario` and the writer all walk it. A section
+names the dataclass inside `Scenario` that holds its fields (`tanks.force` is
+`tank_force`); `tanks`, `plant` and `run` hold fields of `Scenario` itself.
+Only three keys differ from their field: `camera.fov_deg` (fov_h, fov_v in
+degrees), `perception.angle_thresh_deg` (angle_thresh in degrees) and
+`tanks.*.x0` (the tank state x_t). A key's type is that of its default in
+`Scenario()`: bool, int, str, float or a comma-separated float vector, and
+every float must be finite. Range checks live in the dataclass that owns the
+field and name the dotted key; unknown keys and unparsable values are
+reported by name too.
+
+The same writer produces the resolved copy stored next to each run's
+telemetry, so a run can always be reproduced from its output directory.
 """
 
 from __future__ import annotations
@@ -12,106 +22,92 @@ from dataclasses import replace
 
 import numpy as np
 
-from .camera import CameraModel
-from .controller import ControllerConfig
-from .monitor import MonitorConfig
-from .perception import PerceptionConfig
-from .runtime import PolicyConfig, Scenario
-from .surface import HeightField
-from .tanks import TankState
+from .runtime import Scenario
 
 
 class ConfigError(ValueError):
     pass
 
 
-def _float(s):
-    return float(s)
+# (section, Scenario field holding its dataclass or None for Scenario itself, keys)
+_SECTIONS = (
+    ("surface", "surface", "kind amplitude period phase offset mu k_n d_n"),
+    ("camera", "camera", "fov_deg cols rows noise_sigma range_min range_max mount_offset"),
+    ("perception", "perception", "k angle_thresh_deg min_segment_size"),
+    ("monitor", "monitor", "alpha xi gamma c_margin rho_min delta_c rho_trigger"),
+    ("controller", "controller", "k_max damping_coeffs k_p k_i integral_limit filter_time"),
+    ("tanks.force", "tank_force", "x0 s_upper s_lower ramp_eps"),
+    ("tanks.impedance", "tank_impedance", "x0 s_upper s_lower ramp_eps"),
+    ("tanks", None, "valves_forced_open"),
+    ("policy", "policy", "amplitude frequency drift force_z"),
+    ("plant", None, "mass tool_radius"),
+    ("run", None, "duration dt_control dt_perception seed start_x start_y start_height start_tilt_deg"),
+)
 
 
-def _int(s):
-    return int(s)
+def _degrees(rad) -> float:
+    """Degrees that convert back to exactly `rad` (plain rad2deg is an ulp off on ~5% of angles)."""
+    deg = float(np.rad2deg(rad))
+    for d in (deg, np.nextafter(deg, -np.inf), np.nextafter(deg, np.inf)):
+        if np.deg2rad(d) == rad:
+            return float(d)
+    return deg
 
 
-def _bool(s):
-    v = s.strip().lower()
-    if v in ("true", "1", "yes"):
-        return True
-    if v in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {s!r}")
-
-
-def _str(s):
-    return s.strip()
-
-
-def _floats(n):
-    def cast(s):
-        parts = [float(p) for p in s.split(",")]
-        if len(parts) != n:
-            raise ValueError(f"expected {n} comma-separated values, got {len(parts)}")
-        return tuple(parts)
-
-    return cast
-
-
-_KEY_CASTERS = {
-    "surface.kind": _str,
-    "surface.amplitude": _float,
-    "surface.period": _float,
-    "surface.phase": _float,
-    "surface.offset": _float,
-    "surface.mu": _float,
-    "surface.k_n": _float,
-    "surface.d_n": _float,
-    "camera.fov_deg": _floats(2),
-    "camera.cols": _int,
-    "camera.rows": _int,
-    "camera.noise_sigma": _float,
-    "camera.range_min": _float,
-    "camera.range_max": _float,
-    "camera.mount_offset": _floats(3),
-    "perception.k": _int,
-    "perception.angle_thresh_deg": _float,
-    "perception.min_segment_size": _int,
-    "monitor.alpha": _float,
-    "monitor.xi": _float,
-    "monitor.gamma": _float,
-    "monitor.c_margin": _float,
-    "monitor.rho_min": _float,
-    "monitor.delta_c": _float,
-    "monitor.rho_trigger": _float,
-    "controller.k_max": _floats(6),
-    "controller.damping_coeffs": _floats(6),
-    "controller.k_p": _floats(6),
-    "controller.k_i": _floats(6),
-    "controller.integral_limit": _float,
-    "controller.filter_time": _float,
-    "tanks.force.x0": _float,
-    "tanks.force.s_upper": _float,
-    "tanks.force.s_lower": _float,
-    "tanks.force.ramp_eps": _float,
-    "tanks.impedance.x0": _float,
-    "tanks.impedance.s_upper": _float,
-    "tanks.impedance.s_lower": _float,
-    "tanks.impedance.ramp_eps": _float,
-    "tanks.valves_forced_open": _bool,
-    "policy.amplitude": _float,
-    "policy.frequency": _float,
-    "policy.drift": _float,
-    "policy.force_z": _float,
-    "plant.mass": _floats(6),
-    "plant.tool_radius": _float,
-    "run.duration": _float,
-    "run.dt_control": _float,
-    "run.dt_perception": _float,
-    "run.seed": _int,
-    "run.start_x": _float,
-    "run.start_y": _float,
-    "run.start_height": _float,
-    "run.start_tilt_deg": _float,
+# keys whose fields have another name or unit: key -> (fields, file-to-field, field-to-file)
+_RENAMED = {
+    "fov_deg": (("fov_h", "fov_v"), np.deg2rad, _degrees),
+    "angle_thresh_deg": (("angle_thresh",), np.deg2rad, _degrees),
+    "x0": (("x_t",), float, float),
 }
+
+
+def _get(sc: Scenario, part: str | None, name: str):
+    obj = getattr(sc, part) if part else sc
+    if name not in _RENAMED:
+        return getattr(obj, name)
+    fields, _, to_file = _RENAMED[name]
+    values = tuple(to_file(getattr(obj, f)) for f in fields)
+    return values if len(values) > 1 else values[0]
+
+
+_DEFAULT = Scenario()
+# dotted key -> (Scenario part, key within its section, default value), in file order
+_KEYS = {
+    f"{section}.{name}": (part, name, _get(_DEFAULT, part, name))
+    for section, part, names in _SECTIONS
+    for name in names.split()
+}
+
+
+def _cast(text: str, default):
+    if isinstance(default, bool):
+        if text.lower() in ("true", "1", "yes"):
+            return True
+        if text.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(f"expected a boolean, got {text!r}")
+    if isinstance(default, (int, str)):
+        return type(default)(text)
+    if isinstance(default, tuple):
+        value = tuple(float(p) for p in text.split(","))
+        if len(value) != len(default):
+            raise ValueError(f"expected {len(default)} comma-separated values, got {len(value)}")
+    else:
+        value = float(text)
+    if not np.isfinite(value).all():
+        raise ValueError(f"expected finite numbers, got {text!r}")
+    return value
+
+
+def _format(value, default) -> str:
+    if isinstance(default, bool):
+        return str(bool(value)).lower()
+    if isinstance(default, tuple):
+        return ",".join(repr(float(x)) for x in value)
+    if isinstance(default, float):
+        return repr(float(value))
+    return str(value)
 
 
 def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
@@ -124,10 +120,10 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
             raise ConfigError(f"{source}:{lineno}: expected 'key = value', got {raw!r}")
         key, _, val = line.partition("=")
         key = key.strip()
-        if key not in _KEY_CASTERS:
+        if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
         try:
-            values[key] = _KEY_CASTERS[key](val.strip())
+            values[key] = _cast(val.strip(), _KEYS[key][2])
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}") from exc
     return build_scenario(values)
@@ -142,135 +138,37 @@ def parse_scenario(path) -> Scenario:
     return parse_scenario_text(text, source=str(path))
 
 
-def _sub(values: dict, prefix: str) -> dict:
-    plen = len(prefix) + 1
-    return {k[plen:]: v for k, v in values.items() if k.startswith(prefix + ".")}
-
-
 def build_scenario(values: dict) -> Scenario:
     """Assemble a Scenario from a flat key->value dict (defaults fill gaps)."""
+    changes: dict = {}  # Scenario part -> {field: value}
+    for key, value in values.items():
+        if key not in _KEYS:
+            raise ConfigError(f"unknown key {key!r}")
+        part, name, _ = _KEYS[key]
+        if name in _RENAMED:
+            fields, to_field, _ = _RENAMED[name]
+            items = value if len(fields) > 1 else (value,)
+            changes.setdefault(part, {}).update((f, float(to_field(v))) for f, v in zip(fields, items))
+        else:
+            changes.setdefault(part, {})[name] = value
     try:
-        surface = HeightField(**_sub(values, "surface"))
-
-        cam_kwargs = _sub(values, "camera")
-        fov = cam_kwargs.pop("fov_deg", None)
-        if fov is not None:
-            cam_kwargs["fov_h"] = float(np.deg2rad(fov[0]))
-            cam_kwargs["fov_v"] = float(np.deg2rad(fov[1]))
-        camera = CameraModel(**cam_kwargs)
-
-        per_kwargs = _sub(values, "perception")
-        thresh = per_kwargs.pop("angle_thresh_deg", None)
-        if thresh is not None:
-            per_kwargs["angle_thresh"] = float(np.deg2rad(thresh))
-        perception = PerceptionConfig(**per_kwargs)
-
-        monitor = MonitorConfig(**_sub(values, "monitor"))
-        controller = ControllerConfig(**_sub(values, "controller"))
-
-        def tank(prefix, default):
-            kw = _sub(values, prefix)
-            x0 = kw.pop("x0", default.x_t)
-            return TankState(
-                x_t=x0,
-                s_upper=kw.pop("s_upper", default.s_upper),
-                s_lower=kw.pop("s_lower", default.s_lower),
-                ramp_eps=kw.pop("ramp_eps", default.ramp_eps),
-            )
-
-        tank_force = tank("tanks.force", TankState(x_t=2.0, s_upper=2.0, s_lower=1.0))
-        tank_impedance = tank("tanks.impedance", TankState(x_t=7.0, s_upper=32.0, s_lower=1.0))
-        policy = PolicyConfig(**_sub(values, "policy"))
-
-        plant_kwargs = _sub(values, "plant")
-        run_kwargs = _sub(values, "run")
-        return Scenario(
-            surface=surface,
-            camera=camera,
-            perception=perception,
-            monitor=monitor,
-            controller=controller,
-            tank_force=tank_force,
-            tank_impedance=tank_impedance,
-            policy=policy,
-            mass=plant_kwargs.get("mass", Scenario.mass),
-            tool_radius=plant_kwargs.get("tool_radius", Scenario.tool_radius),
-            valves_forced_open=values.get("tanks.valves_forced_open", False),
-            **run_kwargs,
-        )
+        parts = {part: replace(getattr(_DEFAULT, part), **kw) for part, kw in changes.items() if part}
+        return replace(_DEFAULT, **changes.get(None, {}), **parts)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid scenario: {exc}") from exc
 
 
 def scenario_to_text(sc: Scenario) -> str:
     """Serialize the resolved scenario back to config text."""
-
-    def vec(v):
-        return ",".join(repr(float(x)) for x in v)
-
-    lines = [
-        "# resolved scenario",
-        f"surface.kind = {sc.surface.kind}",
-        f"surface.amplitude = {sc.surface.amplitude!r}",
-        f"surface.period = {sc.surface.period!r}",
-        f"surface.phase = {sc.surface.phase!r}",
-        f"surface.offset = {sc.surface.offset!r}",
-        f"surface.mu = {sc.surface.mu!r}",
-        f"surface.k_n = {sc.surface.k_n!r}",
-        f"surface.d_n = {sc.surface.d_n!r}",
-        f"camera.fov_deg = {vec((np.rad2deg(sc.camera.fov_h), np.rad2deg(sc.camera.fov_v)))}",
-        f"camera.cols = {sc.camera.cols}",
-        f"camera.rows = {sc.camera.rows}",
-        f"camera.noise_sigma = {sc.camera.noise_sigma!r}",
-        f"camera.range_min = {sc.camera.range_min!r}",
-        f"camera.range_max = {sc.camera.range_max!r}",
-        f"camera.mount_offset = {vec(sc.camera.mount_offset)}",
-        f"perception.k = {sc.perception.k}",
-        f"perception.angle_thresh_deg = {float(np.rad2deg(sc.perception.angle_thresh))!r}",
-        f"perception.min_segment_size = {sc.perception.min_segment_size}",
-        f"monitor.alpha = {sc.monitor.alpha!r}",
-        f"monitor.xi = {sc.monitor.xi!r}",
-        f"monitor.gamma = {sc.monitor.gamma!r}",
-        f"monitor.c_margin = {sc.monitor.c_margin!r}",
-        f"monitor.rho_min = {sc.monitor.rho_min!r}",
-        f"monitor.delta_c = {sc.monitor.delta_c!r}",
-        f"monitor.rho_trigger = {sc.monitor.rho_trigger!r}",
-        f"controller.k_max = {vec(sc.controller.k_max)}",
-        f"controller.damping_coeffs = {vec(sc.controller.damping_coeffs)}",
-        f"controller.k_p = {vec(sc.controller.k_p)}",
-        f"controller.k_i = {vec(sc.controller.k_i)}",
-        f"controller.integral_limit = {sc.controller.integral_limit!r}",
-        f"controller.filter_time = {sc.controller.filter_time!r}",
-        f"tanks.force.x0 = {sc.tank_force.x_t!r}",
-        f"tanks.force.s_upper = {sc.tank_force.s_upper!r}",
-        f"tanks.force.s_lower = {sc.tank_force.s_lower!r}",
-        f"tanks.force.ramp_eps = {sc.tank_force.ramp_eps!r}",
-        f"tanks.impedance.x0 = {sc.tank_impedance.x_t!r}",
-        f"tanks.impedance.s_upper = {sc.tank_impedance.s_upper!r}",
-        f"tanks.impedance.s_lower = {sc.tank_impedance.s_lower!r}",
-        f"tanks.impedance.ramp_eps = {sc.tank_impedance.ramp_eps!r}",
-        f"tanks.valves_forced_open = {str(sc.valves_forced_open).lower()}",
-        f"policy.amplitude = {sc.policy.amplitude!r}",
-        f"policy.frequency = {sc.policy.frequency!r}",
-        f"policy.drift = {sc.policy.drift!r}",
-        f"policy.force_z = {sc.policy.force_z!r}",
-        f"plant.mass = {vec(sc.mass)}",
-        f"plant.tool_radius = {sc.tool_radius!r}",
-        f"run.duration = {sc.duration!r}",
-        f"run.dt_control = {sc.dt_control!r}",
-        f"run.dt_perception = {sc.dt_perception!r}",
-        f"run.seed = {sc.seed}",
-        f"run.start_x = {sc.start_x!r}",
-        f"run.start_y = {sc.start_y!r}",
-        f"run.start_height = {sc.start_height!r}",
-        f"run.start_tilt_deg = {sc.start_tilt_deg!r}",
-    ]
+    lines = ["# resolved scenario"]
+    for key, (part, name, default) in _KEYS.items():
+        lines.append(f"{key} = {_format(_get(sc, part, name), default)}")
     return "\n".join(lines) + "\n"
 
 
 def with_overrides(sc: Scenario, seed: int | None = None, duration: float | None = None) -> Scenario:
-    if seed is not None:
-        sc = replace(sc, seed=seed)
-    if duration is not None:
-        sc = replace(sc, duration=duration)
-    return sc
+    changes = {k: v for k, v in (("seed", seed), ("duration", duration)) if v is not None}
+    try:
+        return replace(sc, **changes) if changes else sc
+    except ValueError as exc:
+        raise ConfigError(f"invalid override: {exc}") from exc

@@ -125,11 +125,25 @@ class Scenario:
     valves_forced_open: bool = False  # negative control for the passivity audit
 
     def __post_init__(self):
-        ratio = self.dt_perception / self.dt_control
-        if abs(ratio - round(ratio)) > 1e-9:
-            raise ValueError("dt_perception must be an integer multiple of dt_control")
-        if self.duration <= 0.0 or self.dt_control <= 0.0:
-            raise ValueError("duration and dt_control must be positive")
+        if not self.dt_control > 0.0:
+            raise ValueError(f"run.dt_control must be positive, got {self.dt_control!r}")
+        for key, value in (("run.duration", self.duration), ("run.dt_perception", self.dt_perception)):
+            ratio = value / self.dt_control
+            if not 0.5 <= ratio < np.inf or abs(ratio - round(ratio)) > 1e-9:
+                raise ValueError(f"{key} must be a positive whole multiple of run.dt_control, got {value!r}")
+        if not all(m > 0.0 for m in self.mass):
+            raise ValueError(f"plant.mass components must be positive, got {self.mass!r}")
+        if not self.tool_radius > 0.0:
+            raise ValueError(f"plant.tool_radius must be positive, got {self.tool_radius!r}")
+        # checked here, not in TankState, which is also the running state
+        for key, tank in (("tanks.force.x0", self.tank_force), ("tanks.impedance.x0", self.tank_impedance)):
+            if not (tank.x_t > 0.0 and tank.s_lower <= tank.energy <= tank.s_upper):
+                raise ValueError(f"{key} = {tank.x_t!r} must be positive with 0.5*x0^2 in "
+                                 f"[{tank.s_lower!r}, {tank.s_upper!r}] J")
+        for axis, value in (("x", self.start_x), ("y", self.start_y)):
+            half = getattr(self.surface, f"{axis}_half")
+            if not abs(value) <= half:
+                raise ValueError(f"run.start_{axis} = {value!r} is off the surface patch (|{axis}| <= {half!r})")
 
     @property
     def perception_stride(self) -> int:

@@ -43,11 +43,13 @@ class HeightField:
 
     def __post_init__(self):
         if self.kind not in ("sinusoid", "flat"):
-            raise ValueError(f"unknown surface kind {self.kind!r}")
+            raise ValueError(f"surface.kind must be sinusoid or flat, got {self.kind!r}")
+        if not self.period > 0.0:
+            raise ValueError(f"surface.period must be positive, got {self.period!r}")
         if self.k_n <= 0.0:
-            raise ValueError("k_n must be positive")
+            raise ValueError("surface.k_n must be positive")
         if self.mu < 0.0:
-            raise ValueError("mu must be non-negative")
+            raise ValueError("surface.mu must be non-negative")
 
     def in_domain(self, x, y):
         return (np.abs(x) <= self.x_half) & (np.abs(y) <= self.y_half)

@@ -1,10 +1,40 @@
+import collections
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vauf.config import ConfigError, build_scenario, parse_scenario, parse_scenario_text, scenario_to_text
 from vauf.runtime import Scenario
 
 from conftest import SCENARIO_DIR
+
+# each probe is out of range for its key; the error must name that key
+INVALID_VALUES = [
+    "camera.noise_sigma=-1",
+    "camera.noise_sigma=-1e-9",
+    "camera.noise_sigma=nan",
+    "run.duration=nan",
+    "monitor.alpha=nan",
+    "surface.k_n=nan",
+    "policy.frequency=inf",
+    "run.dt_control=inf",
+    "controller.k_max=nan,1,1,1,1,1",
+    "run.dt_perception=nan",
+    "surface.period=0",
+    "surface.period=-0.1",
+    "plant.mass=5,5,5,0.3,0,0.3",
+    "plant.mass=-5,5,5,0.3,0.3,0.3",
+    "plant.tool_radius=0",
+    "tanks.impedance.x0=10",
+    "tanks.force.x0=5",
+    "tanks.force.x0=-2",
+    "run.duration=0.0105",
+    "run.start_x=0.5",
+    "run.start_y=0.4",
+]
 
 
 class TestParsing:
@@ -51,10 +81,11 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_scenario_text("run.dt_perception = 0.00037")
 
-    @pytest.mark.parametrize("value", ["-1", "-1e-9", "nan"])
-    def test_negative_noise_sigma_named(self, value):
-        with pytest.raises(ConfigError, match="camera.noise_sigma"):
-            parse_scenario_text(f"camera.noise_sigma = {value}")
+    @pytest.mark.parametrize("probe", INVALID_VALUES)
+    def test_invalid_value_named(self, probe):
+        key = probe.partition("=")[0]
+        with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
+            parse_scenario_text(probe)
 
     def test_zero_noise_sigma_accepted(self):
         assert parse_scenario_text("camera.noise_sigma = 0").camera.noise_sigma == 0.0
@@ -70,6 +101,121 @@ class TestRoundTrip:
     def test_reference_round_trip(self):
         sc = parse_scenario(SCENARIO_DIR / "reference.cfg")
         assert parse_scenario_text(scenario_to_text(sc)) == sc
+
+
+# SHA-256 prefixes of scenario_to_text: the resolved copy written next to each
+# run must not change its bytes unless the key set or the format does.
+RESOLVED_TEXT_DIGESTS = {
+    "default": "1b1c9f2fccce6964",
+    "duration-seed-tilt": "c782ae8e187aea83",
+    "reference.cfg": "772e2abec9d4c5df",
+    "flat_steady.cfg": "b817f6d24aaa482c",
+    "negative_control.cfg": "1c424e096d40b595",
+}
+PYTHON_SCENARIOS = {"default": {}, "duration-seed-tilt": dict(duration=7.5, seed=11, start_tilt_deg=12.0)}
+
+
+@pytest.mark.parametrize("case", sorted(RESOLVED_TEXT_DIGESTS))
+def test_resolved_text_pinned(case):
+    sc = parse_scenario(SCENARIO_DIR / case) if case.endswith(".cfg") else Scenario(**PYTHON_SCENARIOS[case])
+    text = scenario_to_text(sc)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == RESOLVED_TEXT_DIGESTS[case]
+    assert parse_scenario_text(text) == sc
+
+
+def _finite(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def _vector(n, lo, hi):
+    return st.lists(_finite(lo, hi), min_size=n, max_size=n).map(lambda v: ",".join(map(repr, v)))
+
+
+@st.composite
+def _tank(draw, section):
+    s_lower = draw(_finite(0.0, 10.0))
+    s_upper = s_lower + draw(_finite(0.01, 50.0))
+    energy = s_lower + draw(_finite(0.01, 0.99)) * (s_upper - s_lower)
+    return {
+        f"{section}.x0": repr(float(np.sqrt(2.0 * energy))),
+        f"{section}.s_upper": repr(s_upper),
+        f"{section}.s_lower": repr(s_lower),
+        f"{section}.ramp_eps": repr(draw(_finite(1e-3, 1.0))),
+    }
+
+
+@st.composite
+def _cadence(draw):
+    dt = draw(st.one_of(st.sampled_from([1e-3, 5e-4, 2e-3]), _finite(1e-4, 1e-2)))
+    return {
+        "run.dt_control": repr(dt),
+        "run.dt_perception": repr(draw(st.integers(1, 1000)) * dt),
+        "run.duration": repr(draw(st.integers(1, 10**6)) * dt),
+    }
+
+
+# valid text values per key; tanks and the run cadence are drawn jointly below
+KEY_VALUES = {
+    "surface.kind": st.sampled_from(["sinusoid", "flat"]),
+    "surface.amplitude": _finite(-0.05, 0.05).map(repr),
+    "surface.period": _finite(1e-3, 1.0).map(repr),
+    "surface.phase": _finite(-10.0, 10.0).map(repr),
+    "surface.offset": _finite(-0.1, 0.1).map(repr),
+    "surface.mu": _finite(0.0, 2.0).map(repr),
+    "surface.k_n": _finite(1.0, 1e6).map(repr),
+    "surface.d_n": _finite(0.0, 1e3).map(repr),
+    "camera.fov_deg": _vector(2, 1.0, 179.0),
+    "camera.cols": st.integers(8, 256).map(str),
+    "camera.rows": st.integers(8, 256).map(str),
+    "camera.noise_sigma": _finite(0.0, 0.01).map(repr),
+    "camera.range_min": _finite(1e-3, 0.49).map(repr),
+    "camera.range_max": _finite(0.5, 5.0).map(repr),
+    "camera.mount_offset": _vector(3, -1.0, 1.0),
+    "perception.k": st.integers(5, 100).map(str),
+    "perception.angle_thresh_deg": _finite(0.01, 89.99).map(repr),
+    "perception.min_segment_size": st.integers(1, 1000).map(str),
+    "monitor.alpha": _finite(0.0, 100.0).map(repr),
+    "monitor.xi": _finite(0.0, 100.0).map(repr),
+    "monitor.gamma": _finite(0.0, 100.0).map(repr),
+    "monitor.c_margin": _finite(1e-6, 10.0).map(repr),
+    "monitor.rho_min": _finite(1e-6, 10.0).map(repr),
+    "monitor.delta_c": _finite(1e-6, 10.0).map(repr),
+    "monitor.rho_trigger": _finite(0.0, 1.0).map(repr),
+    "controller.k_max": _vector(6, 0.0, 1e3),
+    "controller.damping_coeffs": _vector(6, 0.0, 10.0),
+    "controller.k_p": _vector(6, 0.0, 10.0),
+    "controller.k_i": _vector(6, 0.0, 10.0),
+    "controller.integral_limit": _finite(0.0, 100.0).map(repr),
+    "controller.filter_time": _finite(1e-3, 10.0).map(repr),
+    "tanks.valves_forced_open": st.sampled_from(["true", "false", "yes", "no", "1", "0"]),
+    "policy.amplitude": _finite(0.0, 0.1).map(repr),
+    "policy.frequency": _finite(-10.0, 10.0).map(repr),
+    "policy.drift": _finite(-0.1, 0.1).map(repr),
+    "policy.force_z": _finite(0.0, 100.0).map(repr),
+    "plant.mass": _vector(6, 1e-3, 100.0),
+    "plant.tool_radius": _finite(1e-4, 0.1).map(repr),
+    "run.seed": st.integers(0, 2**63).map(str),
+    "run.start_x": _finite(-0.13, 0.13).map(repr),
+    "run.start_y": _finite(-0.255, 0.255).map(repr),
+    "run.start_height": _finite(-0.01, 0.5).map(repr),
+    "run.start_tilt_deg": _finite(-90.0, 90.0).map(repr),
+}
+SCENARIO_TEXT = st.tuples(
+    st.fixed_dictionaries(KEY_VALUES), _tank("tanks.force"), _tank("tanks.impedance"), _cadence()
+).map(lambda parts: "\n".join(f"{k} = {v}" for part in parts for k, v in part.items()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(SCENARIO_TEXT)
+def test_parse_write_parse_is_exact(text):
+    sc = parse_scenario_text(text)
+    written = scenario_to_text(sc)
+    back = parse_scenario_text(written)
+    assert back == sc
+    assert scenario_to_text(back) == written
+    keys = collections.Counter(line.partition(" = ")[0] for line in written.splitlines()[1:])
+    assert len(keys) == 54 and set(keys.values()) == {1}
+    assert sorted(keys) == sorted(line.partition(" = ")[0] for line in text.splitlines())
 
 
 class TestBuildScenario:

@@ -21,13 +21,13 @@ h0 = height(surf, 0.0, 0.0)
 for pen_mm in (0.5, 1.0, 2.0):
     pose = Pose(np.eye(3), np.array([0.0, 0.0, h0 + 0.02 - pen_mm * 1e-3]))
     rep = contact_wrench(surf, pose, np.zeros(6), tool_radius=0.02)
-    print(f"  {pen_mm:.1f} mm penetration -> normal force {np.linalg.norm(rep.wrench_on_tool.force):6.2f} N")
+    print(f"  {pen_mm:.1f} mm penetration -> normal force {np.linalg.norm(rep.wrench[:3]):6.2f} N")
 
 print("\nsliding at 5 cm/s under the same penetration (mu = 0.5):")
 pose = Pose(np.eye(3), np.array([0.0, 0.0, h0 + 0.02 - 1.5e-3]))
 twist = np.array([0.05, 0.0, 0.0, 0.0, 0.0, 0.0])
 rep = contact_wrench(surf, pose, twist, tool_radius=0.02)
-f = rep.wrench_on_tool.force
+f = rep.wrench[:3]
 f_n = f @ rep.normal
 f_t = f - f_n * rep.normal
 print(f"  normal {f_n:.2f} N, tangential {np.linalg.norm(f_t):.2f} N (= mu * normal), opposing the slip")

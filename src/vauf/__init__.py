@@ -7,7 +7,7 @@ online alignment monitor shapes stiffness and force, and virtual energy
 tanks keep the time-varying controller passive.
 """
 
-from .camera import CameraModel, PointCloud, camera_pose_from_tool, render
+from .camera import CameraModel, camera_pose_from_tool, render
 from .config import ConfigError, parse_scenario, parse_scenario_text, scenario_to_text
 from .controller import (
     ControllerConfig,
@@ -54,7 +54,6 @@ from .runtime import (
 )
 from .spatial import (
     Pose,
-    Wrench,
     eig_sym3,
     pose_error,
     rotate_wrench,

@@ -4,12 +4,13 @@ The camera is rigidly mounted at the tool. By convention its optical axis
 (+z, out of the lens) points along the tool's -z axis, so with the tool
 aligned (z up, away from the surface) the camera looks straight down at the
 patch. Ray/height-field intersections are found by marching the depth along
-the optical axis and bisecting the first sign change.
+the optical axis and bisecting the first sign change. A frame is a plain
+(N, 3) float64 array of camera-frame points in meters.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import logging
 
 import numpy as np
@@ -46,11 +47,14 @@ class CameraModel:
 
     def __post_init__(self):
         if not (0.0 < self.fov_h < np.pi and 0.0 < self.fov_v < np.pi):
-            raise ValueError("fov must be in (0, pi)")
-        if self.cols < 8 or self.rows < 8:
-            raise ValueError("resolution must be at least 8x8")
-        if self.range_min >= self.range_max:
-            raise ValueError("range_min must be below range_max")
+            raise ValueError(f"camera.fov_deg must lie in (0, 180), got "
+                             f"{np.rad2deg(self.fov_h):g}, {np.rad2deg(self.fov_v):g}")
+        for key, value in (("camera.cols", self.cols), ("camera.rows", self.rows)):
+            if value < 8:
+                raise ValueError(f"{key} must be at least 8, got {value!r}")
+        if not 0.0 < self.range_min < self.range_max:
+            raise ValueError(f"camera.range_min must lie in (0, camera.range_max = {self.range_max!r}), "
+                             f"got {self.range_min!r}")
         if not self.noise_sigma >= 0.0:
             raise ValueError(f"camera.noise_sigma must be non-negative, got {self.noise_sigma!r}")
 
@@ -74,23 +78,13 @@ def camera_pose_from_tool(tool_pose: Pose, camera: CameraModel) -> Pose:
     )
 
 
-@dataclass(frozen=True)
-class PointCloud:
-    points: np.ndarray  # (N, 3), camera frame, meters
-    timestamp: float = 0.0
-
-    def __len__(self):
-        return len(self.points)
-
-
 def render(
     camera: CameraModel,
     camera_pose_in_base: Pose,
     surface: HeightField,
     rng: np.random.Generator | None = None,
-    timestamp: float = 0.0,
-) -> PointCloud:
-    """Render one depth frame as a point cloud in the camera frame.
+) -> np.ndarray:
+    """Render one depth frame as an (N, 3) point cloud in the camera frame.
 
     Deterministic given the RNG state (a fresh generator seeded from
     camera.seed is used when rng is None). Raises EmptyViewError when fewer
@@ -149,5 +143,4 @@ def render(
         log.warning("camera: %d/%d returns below minimum range", int(below_min.sum()), n_pix)
     keep = (~below_min) & (z_noisy <= camera.range_max)
 
-    points = ray_len[keep, None] * dirs_cam[hit_idx[keep]]
-    return PointCloud(points=points, timestamp=timestamp)
+    return ray_len[keep, None] * dirs_cam[hit_idx[keep]]

@@ -103,32 +103,31 @@ def cmd_run(args) -> int:
     return EXIT_OK
 
 
-def cmd_report(args) -> int:
+def _read_telemetry(path):
+    """The telemetry table, or None after printing why it cannot be used."""
     try:
-        rows = read_csv(args.telemetry)
+        table = read_csv(path)
     except (OSError, ParseError) as exc:
         print(f"cannot read telemetry: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    if not rows:
+        return None
+    if not len(table):
         print("telemetry is empty", file=sys.stderr)
+        return None
+    return table
+
+
+def cmd_report(args) -> int:
+    table = _read_telemetry(args.telemetry)
+    if table is None:
         return EXIT_CONFIG
-    print(format_report(compute_metrics(rows_to_columns(rows))), end="")
+    print(format_report(compute_metrics(rows_to_columns(table))), end="")
     return EXIT_OK
-
-
-def _write_table(path: Path, header: list, columns: list) -> None:
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in zip(*columns):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
 def cmd_export_plots(args) -> int:
     tele_path = Path(args.telemetry)
-    try:
-        rows = read_csv(tele_path)
-    except (OSError, ParseError) as exc:
-        print(f"cannot read telemetry: {exc}", file=sys.stderr)
+    table = _read_telemetry(tele_path)
+    if table is None:
         return EXIT_CONFIG
     scenario_path = args.scenario or tele_path.with_name("scenario.cfg")
     try:
@@ -138,25 +137,20 @@ def cmd_export_plots(args) -> int:
         return EXIT_CONFIG
     out = Path(args.out) if args.out else tele_path.parent
     out.mkdir(parents=True, exist_ok=True)
-    c = rows_to_columns(rows)
-
-    h_y = scenario.surface.height_unchecked(c["px"], c["py"])
-    _write_table(out / "trajectory_vs_surface.csv", ["y", "z_tool", "h_y"], [c["py"], c["pz"], h_y])
-    _write_table(
-        out / "shaping.csv",
-        ["t", "rho_align", "rho_frc", "C", "h", "theta", "l_s", "perception_fresh"],
-        [c["t"], c["rho_align"], c["rho_frc"], c["C"], c["h"], c["theta"], c["l_s"], c["perception_fresh"]],
-    )
-    _write_table(
-        out / "force.csv",
-        ["t", "fd_shaped_z", "fext_ee_fz", "fcmd_fz"],
-        [c["t"], c["rho_frc"] * c["fd_ee_z"], c["fext_ee_fz"], c["fcmd_fz"]],
-    )
-    _write_table(
-        out / "tanks.csv",
-        ["t", "S_t_i", "S_t_f", "sigma_i", "sigma_f", "beta_i", "beta_f", "lam"],
-        [c["t"], c["S_t_i"], c["S_t_f"], c["sigma_i"], c["sigma_f"], c["beta_i"], c["beta_f"], c["lam"]],
-    )
+    c = rows_to_columns(table)
+    c |= {
+        "y": c["py"],
+        "z_tool": c["pz"],
+        "h_y": scenario.surface.height_unchecked(c["px"], c["py"]),
+        "fd_shaped_z": c["rho_frc"] * c["fd_ee_z"],
+    }
+    for name, header in (
+        ("trajectory_vs_surface", ["y", "z_tool", "h_y"]),
+        ("shaping", ["t", "rho_align", "rho_frc", "C", "h", "theta", "l_s", "perception_fresh"]),
+        ("force", ["t", "fd_shaped_z", "fext_ee_fz", "fcmd_fz"]),
+        ("tanks", ["t", "S_t_i", "S_t_f", "sigma_i", "sigma_f", "beta_i", "beta_f", "lam"]),
+    ):
+        write_csv(np.column_stack([c[h] for h in header]), out / f"{name}.csv", header)
     print(f"wrote 4 plot tables to {out}")
     return EXIT_OK
 

@@ -28,8 +28,12 @@ class MonitorConfig:
     rho_trigger: float = 1e-3  # realignment threshold on rho_align
 
     def __post_init__(self):
-        if self.c_margin <= 0.0 or self.rho_min <= 0.0 or self.delta_c <= 0.0:
-            raise ValueError("c_margin, rho_min and delta_c must be positive")
+        for name in ("c_margin", "rho_min", "delta_c"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"monitor.{name} must be positive, got {value!r}")
+        if not 0.0 <= self.rho_trigger <= 1.0:
+            raise ValueError(f"monitor.rho_trigger must lie in [0, 1], got {self.rho_trigger!r}")
 
 
 def alignment_metric(

@@ -1,11 +1,11 @@
 """Point-cloud pipeline: per-point normals, region growing, segment PCA.
 
-Per-point normals come from k-nearest-neighbor covariance (smallest
-eigenvector), oriented toward the camera origin. Region growing clusters
-points whose normals stay within an angular threshold of the region seed.
-The working segment's covariance eigenstructure yields the surface normal,
-edge directions, and the local-curvature ratio. Everything is deterministic
-for a given cloud.
+A cloud is a plain (N, 3) float64 array of camera-frame points. Per-point
+normals come from k-nearest-neighbor covariance (smallest eigenvector),
+oriented toward the camera origin. Region growing clusters points whose
+normals stay within an angular threshold of the region seed. The working
+segment's covariance eigenstructure yields the surface normal and the
+local-curvature ratio. Everything is deterministic for a given cloud.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .camera import PointCloud
 from .spatial import eig_sym3
 
 
@@ -35,9 +34,12 @@ class PerceptionConfig:
 
     def __post_init__(self):
         if self.k < 5:
-            raise ValueError("k must be at least 5")
+            raise ValueError(f"perception.k must be at least 5, got {self.k!r}")
         if not 0.0 < self.angle_thresh < 0.5 * np.pi:
-            raise ValueError("angle_thresh must be in (0, pi/2)")
+            raise ValueError(f"perception.angle_thresh_deg must lie in (0, 90), got "
+                             f"{np.rad2deg(self.angle_thresh):g}")
+        if self.min_segment_size < 1:
+            raise ValueError(f"perception.min_segment_size must be at least 1, got {self.min_segment_size!r}")
 
 
 @dataclass(frozen=True)
@@ -62,35 +64,22 @@ class Segment:
 @dataclass(frozen=True)
 class PerceptionResult:
     n_s_camera: np.ndarray  # unit surface normal, camera frame
-    e1: np.ndarray  # long edge
-    e2: np.ndarray  # short edge
     eigenvalues: np.ndarray  # |l1| >= |l2| >= |l3|
     l_s: float  # |l3 / tr|
     theta: float  # rad, folded deviation from the camera axis
     valid: bool
-    timestamp: float
 
     @classmethod
-    def invalid(cls, timestamp: float = 0.0) -> "PerceptionResult":
-        return cls(
-            n_s_camera=np.array([0.0, 0.0, -1.0]),
-            e1=np.array([1.0, 0.0, 0.0]),
-            e2=np.array([0.0, 1.0, 0.0]),
-            eigenvalues=np.zeros(3),
-            l_s=0.0,
-            theta=0.0,
-            valid=False,
-            timestamp=timestamp,
-        )
+    def invalid(cls) -> "PerceptionResult":
+        return cls(np.array([0.0, 0.0, -1.0]), eigenvalues=np.zeros(3), l_s=0.0, theta=0.0, valid=False)
 
 
-def estimate_point_normals(cloud: PointCloud, k: int = 10) -> PointNormals:
+def estimate_point_normals(pts: np.ndarray, k: int = 10) -> PointNormals:
     """Per-point unit normals from kNN covariance, oriented toward the camera.
 
     Points whose neighborhood is rank-deficient (collinear) are flagged
     invalid and take no part in region growing.
     """
-    pts = cloud.points
     n = len(pts)
     if k < 5:
         raise ValueError("k must be at least 5")
@@ -113,7 +102,7 @@ def estimate_point_normals(cloud: PointCloud, k: int = 10) -> PointNormals:
 
 
 def region_grow(
-    cloud: PointCloud,
+    pts: np.ndarray,
     normals: PointNormals,
     angle_thresh: float = np.deg2rad(8.0),
     min_segment_size: int = 30,
@@ -125,7 +114,6 @@ def region_grow(
     first occurrence, so members come in the order of a FIFO-queue search.
     Segments below min_segment_size are dropped; the rest are sorted largest first.
     """
-    pts = cloud.points
     if len(pts) == 0:
         raise NoSegmentError("empty cloud")
     cos_thresh = np.cos(angle_thresh)
@@ -183,8 +171,8 @@ def select_working_segment(segments: list[Segment]) -> Segment:
     return best
 
 
-def segment_pca(segment: Segment, timestamp: float = 0.0) -> PerceptionResult:
-    """Eigenstructure of the segment covariance: normal, edges, curvature ratio."""
+def segment_pca(segment: Segment) -> PerceptionResult:
+    """Eigenstructure of the segment covariance: normal and curvature ratio."""
     trace = float(np.trace(segment.covariance))
     if trace < 1e-12:
         raise DegenerateSegmentError("segment covariance trace below 1e-12")
@@ -194,14 +182,7 @@ def segment_pca(segment: Segment, timestamp: float = 0.0) -> PerceptionResult:
         n_s = -n_s
     l_s = abs(vals[2] / vals.sum())
     return PerceptionResult(
-        n_s_camera=n_s,
-        e1=vecs[:, 0],
-        e2=vecs[:, 1],
-        eigenvalues=vals,
-        l_s=float(l_s),
-        theta=orientation_error(n_s),
-        valid=True,
-        timestamp=timestamp,
+        n_s_camera=n_s, eigenvalues=vals, l_s=float(l_s), theta=orientation_error(n_s), valid=True
     )
 
 
@@ -210,11 +191,11 @@ def orientation_error(n_s_camera: np.ndarray) -> float:
     return float(np.arccos(np.clip(abs(n_s_camera[2]), 0.0, 1.0)))
 
 
-def perceive(cloud: PointCloud, cfg: PerceptionConfig) -> PerceptionResult:
-    """Full pipeline: normals -> region growing -> working segment -> PCA."""
-    if len(cloud) < cfg.k:
-        raise NoSegmentError(f"cloud too small ({len(cloud)} points)")
-    normals = estimate_point_normals(cloud, cfg.k)
-    segments = region_grow(cloud, normals, cfg.angle_thresh, cfg.min_segment_size)
+def perceive(pts: np.ndarray, cfg: PerceptionConfig) -> PerceptionResult:
+    """Full pipeline on an (N, 3) cloud: normals -> region growing -> working segment -> PCA."""
+    if len(pts) < cfg.k:
+        raise NoSegmentError(f"cloud too small ({len(pts)} points)")
+    normals = estimate_point_normals(pts, cfg.k)
+    segments = region_grow(pts, normals, cfg.angle_thresh, cfg.min_segment_size)
     working = select_working_segment(segments)
-    return segment_pca(working, timestamp=cloud.timestamp)
+    return segment_pca(working)

@@ -257,7 +257,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                     log.debug("perception failed at t=%.3f: %s", t, exc)
             try:
                 cam_pose = camera_pose_from_tool(pose, sc.camera)
-                cloud = render(sc.camera, cam_pose, sc.surface, rng=rng, timestamp=t)
+                cloud = render(sc.camera, cam_pose, sc.surface, rng=rng)
                 pending = (cloud, cam_pose.rotation)
             except EmptyViewError as exc:
                 log.debug("camera empty view at t=%.3f: %s", t, exc)
@@ -270,7 +270,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
         # --- contact and frame-local errors
         report = contact_wrench(sc.surface, pose, twist, sc.tool_radius)
-        f_ext_base = report.wrench_on_tool.as_vector()
+        f_ext_base = report.wrench
         f_ext_ee = rotate_wrench(r_ee.T, f_ext_base)
         x_tilde = pose_error(pose, x_d)
         x_tilde_ee = rotate_wrench(r_ee.T, x_tilde)

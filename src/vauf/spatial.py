@@ -1,9 +1,9 @@
-"""Small linear algebra: rotations, poses, wrenches, 3x3 symmetric eigen.
+"""Small linear algebra: rotations, poses, 6-vectors, 3x3 symmetric eigen.
 
-Rotations are plain 3x3 orthonormal numpy arrays (determinant +1). Inside
-the control loop wrenches, twists and pose errors are raw float64 6-vectors
-(linear part first); the frame-tagged ``Wrench`` is the type handed across
-module boundaries such as the contact model. All functions are pure.
+Rotations are plain 3x3 orthonormal numpy arrays (determinant +1).
+Wrenches, twists and pose errors are raw float64 6-vectors (linear part
+first) everywhere, including across module boundaries; the caller knows
+which frame a vector is expressed in. All functions are pure.
 """
 
 from __future__ import annotations
@@ -11,10 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-BASE = "base"
-EE = "ee"
-CAMERA = "camera"
 
 _PI_AXIS_TOL = 1e-7
 _EYE3 = np.eye(3)
@@ -29,11 +25,6 @@ def hat(w: np.ndarray) -> np.ndarray:
 def rotation_x(angle: float) -> np.ndarray:
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rotation_y(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def rotation_z(angle: float) -> np.ndarray:
@@ -139,26 +130,6 @@ class Pose:
     def __post_init__(self):
         object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float))
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-
-
-@dataclass(frozen=True)
-class Wrench:
-    """Force (N) and torque (N*m) with the frame they are expressed in."""
-
-    force: np.ndarray
-    torque: np.ndarray
-    frame: str = BASE
-
-    def __post_init__(self):
-        object.__setattr__(self, "force", np.asarray(self.force, dtype=float))
-        object.__setattr__(self, "torque", np.asarray(self.torque, dtype=float))
-
-    @classmethod
-    def zero(cls, frame: str = BASE) -> "Wrench":
-        return cls(np.zeros(3), np.zeros(3), frame)
-
-    def as_vector(self) -> np.ndarray:
-        return np.concatenate([self.force, self.torque])
 
 
 def rotate_wrench(r: np.ndarray, w: np.ndarray) -> np.ndarray:

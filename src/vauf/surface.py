@@ -5,6 +5,7 @@ height field z = h(x, y). Contact is a unilateral spring-damper along the
 analytic surface normal plus kinetic Coulomb friction against the slip
 direction. Valid for gently sloped surfaces; near-vertical walls are out of
 scope (penetration is measured vertically, then projected on the normal).
+The contact wrench is a base-frame float64 6-vector (force, then torque).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spatial import BASE, Pose, Wrench
+from .spatial import Pose
 
 SLIP_SPEED_EPS = 1e-5  # m/s, below this tangential force is zero
 
@@ -46,10 +47,12 @@ class HeightField:
             raise ValueError(f"surface.kind must be sinusoid or flat, got {self.kind!r}")
         if not self.period > 0.0:
             raise ValueError(f"surface.period must be positive, got {self.period!r}")
-        if self.k_n <= 0.0:
-            raise ValueError("surface.k_n must be positive")
-        if self.mu < 0.0:
-            raise ValueError("surface.mu must be non-negative")
+        if not self.k_n > 0.0:
+            raise ValueError(f"surface.k_n must be positive, got {self.k_n!r}")
+        if not self.d_n >= 0.0:
+            raise ValueError(f"surface.d_n must be non-negative, got {self.d_n!r}")
+        if not self.mu >= 0.0:
+            raise ValueError(f"surface.mu must be non-negative, got {self.mu!r}")
 
     def in_domain(self, x, y):
         return (np.abs(x) <= self.x_half) & (np.abs(y) <= self.y_half)
@@ -78,13 +81,17 @@ def height(surface: HeightField, x: float, y: float) -> float:
     return float(surface.height_unchecked(x, y))
 
 
+def _unit_normal(surface: HeightField, x: float, y: float) -> np.ndarray:
+    gx, gy = surface.gradient_unchecked(x, y)
+    n = np.array([-gx, -gy, 1.0])
+    return n / np.linalg.norm(n)
+
+
 def analytic_normal(surface: HeightField, x: float, y: float) -> np.ndarray:
     """Upward unit normal normalize([-dh/dx, -dh/dy, 1])."""
     if not surface.in_domain(x, y):
         raise DomainError(f"({x}, {y}) outside surface domain")
-    gx, gy = surface.gradient_unchecked(x, y)
-    n = np.array([-gx, -gy, 1.0])
-    return n / np.linalg.norm(n)
+    return _unit_normal(surface, x, y)
 
 
 @dataclass(frozen=True)
@@ -92,11 +99,11 @@ class ContactReport:
     in_contact: bool
     penetration: float
     normal: np.ndarray
-    wrench_on_tool: Wrench
+    wrench: np.ndarray  # 6, base frame, on the tool: force, then zero torque
 
     @classmethod
     def no_contact(cls) -> "ContactReport":
-        return cls(False, 0.0, np.array([0.0, 0.0, 1.0]), Wrench.zero(BASE))
+        return cls(False, 0.0, np.array([0.0, 0.0, 1.0]), np.zeros(6))
 
 
 def contact_wrench(
@@ -118,9 +125,7 @@ def contact_wrench(
     p_vert = float(surface.height_unchecked(x, y)) + tool_radius - z
     if p_vert <= 0.0:
         return ContactReport.no_contact()
-    gx, gy = surface.gradient_unchecked(x, y)
-    n = np.array([-gx, -gy, 1.0])
-    n = n / np.linalg.norm(n)
+    n = _unit_normal(surface, x, y)
     # vertical penetration projected on the normal (gentle-slope approximation)
     pen = p_vert * n[2]
     v = np.asarray(tool_twist, dtype=float)[:3]
@@ -136,5 +141,5 @@ def contact_wrench(
         in_contact=True,
         penetration=pen,
         normal=n,
-        wrench_on_tool=Wrench(f_n_mag * n + f_t, np.zeros(3), BASE),
+        wrench=np.concatenate((f_n_mag * n + f_t, np.zeros(3))),
     )

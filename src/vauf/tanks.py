@@ -80,7 +80,7 @@ def force_tank_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    assert tank.x_t > 0.0, "force tank state must stay positive"
+    assert tank.x_t >= 0.0, "force tank state must stay non-negative"
     lam = lambda_selector(x_dot, f_f)
     p_force = float(x_dot @ f_f)
     power = lam * beta * -p_force - sigma * (1 - lam) * p_force
@@ -105,7 +105,7 @@ def impedance_tank_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    assert tank.x_t > 0.0, "impedance tank state must stay positive"
+    assert tank.x_t >= 0.0, "impedance tank state must stay non-negative"
     p_damp = float(x_dot @ d_c @ x_dot)
     p_spring = float(x_tilde @ k_var.T @ x_dot)
     power = beta * p_damp + sigma * p_spring

@@ -1,10 +1,10 @@
 """Per-tick telemetry rows, full-precision CSV persistence, run metrics.
 
 One row per control tick, held by a run as an (n_ticks, len(COLUMNS))
-float64 table. Floats are written with shortest round-trip precision so
-parse(write(rows)) == rows exactly and two identical runs produce
-bit-identical files. Booleans and the passivity selector are stored as
-0.0/1.0 for uniform parsing.
+float64 table; read_csv returns the same table. Floats are written with
+shortest round-trip precision so read(write(table)) == table exactly and two
+identical runs produce bit-identical files. Booleans and the passivity
+selector are stored as 0.0/1.0 for uniform parsing.
 """
 
 from __future__ import annotations
@@ -34,17 +34,18 @@ class ParseError(ValueError):
     """Malformed telemetry CSV; the message names the offending row."""
 
 
-def write_csv(rows, path) -> None:
-    """Write a telemetry table (or a sequence of rows) as CSV."""
-    table = np.asarray(rows, dtype=float)
+def write_csv(table, path, header=COLUMNS) -> None:
+    """Write a float table (or a sequence of rows), one column per header name, as CSV."""
+    table = np.asarray(table, dtype=float)
     with open(path, "w") as fh:
-        fh.write(",".join(COLUMNS) + "\n")
+        fh.write(",".join(header) + "\n")
         for start in range(0, len(table), 1000):
             lines = [",".join(map(repr, row)) for row in table[start : start + 1000].tolist()]
             fh.write("\n".join(lines) + "\n")
 
 
-def read_csv(path) -> list:
+def read_csv(path) -> np.ndarray:
+    """The (n, len(COLUMNS)) float64 table of a telemetry CSV."""
     rows = []
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
@@ -58,10 +59,10 @@ def read_csv(path) -> list:
             if len(parts) != len(COLUMNS):
                 raise ParseError(f"row {lineno}: expected {len(COLUMNS)} fields, got {len(parts)}")
             try:
-                rows.append(TelemetryRow(*(float(p) for p in parts)))
+                rows.append([float(p) for p in parts])
             except ValueError as exc:
                 raise ParseError(f"row {lineno}: {exc}") from exc
-    return rows
+    return np.array(rows, dtype=float).reshape(len(rows), len(COLUMNS))
 
 
 def rows_to_columns(rows) -> dict:

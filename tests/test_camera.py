@@ -16,13 +16,13 @@ class TestRender:
         cam = CameraModel(cols=16, rows=16, noise_sigma=0.0)
         cloud = render(cam, DOWN, FLAT)
         assert len(cloud) == 256
-        assert np.abs(cloud.points[:, 2] - 0.3).max() < 2e-5
+        assert np.abs(cloud[:, 2] - 0.3).max() < 2e-5
 
     def test_pixel_count_bound(self):
         cam = CameraModel(cols=32, rows=32)
         cloud = render(cam, DOWN, FLAT)
         assert len(cloud) <= 1024
-        z = cloud.points[:, 2]
+        z = cloud[:, 2]
         assert np.all((z >= cam.range_min) & (z <= cam.range_max))
 
     def test_noise_statistics(self):
@@ -31,8 +31,8 @@ class TestRender:
         noisy = render(cam, DOWN, FLAT, rng=np.random.default_rng(0))
         assert len(noisy) >= 10_000
         # ray-depth residuals: distance along each ray vs the clean render
-        d_clean = np.linalg.norm(clean.points, axis=1)
-        d_noisy = np.linalg.norm(noisy.points, axis=1)
+        d_clean = np.linalg.norm(clean, axis=1)
+        d_noisy = np.linalg.norm(noisy, axis=1)
         resid = d_noisy - d_clean[: len(d_noisy)]
         assert 0.0018 <= resid.std() <= 0.0022
 
@@ -40,13 +40,13 @@ class TestRender:
         cam = CameraModel(cols=24, rows=16, noise_sigma=0.002, seed=7)
         a = render(cam, DOWN, PAPER)
         b = render(cam, DOWN, PAPER)
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a, b)
 
     def test_noise_free_points_lie_on_surface(self):
         cam = CameraModel(cols=32, rows=24, noise_sigma=0.0)
         pose = Pose(MOUNT_ROTATION, np.array([0.0, 0.05, 0.33]))
         cloud = render(cam, pose, PAPER)
-        pts_base = cloud.points @ pose.rotation.T + pose.position
+        pts_base = cloud @ pose.rotation.T + pose.position
         h = PAPER.height_unchecked(pts_base[:, 0], pts_base[:, 1])
         assert np.abs(pts_base[:, 2] - h).max() < 2e-5
 

@@ -101,6 +101,15 @@ class TestExportPlots:
         csv_copy.write_bytes((short_run / "telemetry.csv").read_bytes())
         assert main(["export-plots", str(csv_copy)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("command", ["report", "export-plots"])
+    def test_header_only_telemetry_exits_2(self, short_run, tmp_path, capsys, command):
+        header = (short_run / "telemetry.csv").read_text().splitlines()[0]
+        csv_path = tmp_path / "telemetry.csv"
+        csv_path.write_text(header + "\n")
+        (tmp_path / "scenario.cfg").write_bytes((short_run / "scenario.cfg").read_bytes())
+        assert main([command, str(csv_path)]) == EXIT_CONFIG
+        assert "telemetry is empty" in capsys.readouterr().err
+
 
 class TestLogLevelEnv:
     def test_log_level_respected(self, short_run, monkeypatch):

@@ -34,6 +34,23 @@ INVALID_VALUES = [
     "run.duration=0.0105",
     "run.start_x=0.5",
     "run.start_y=0.4",
+    "surface.d_n=-50",
+    "surface.k_n=0",
+    "surface.mu=-0.1",
+    "camera.range_min=0",
+    "camera.range_min=-1",
+    "camera.range_max=0.04",
+    "camera.fov_deg=180,45",
+    "camera.cols=7",
+    "camera.rows=4",
+    "monitor.rho_trigger=-1",
+    "monitor.rho_trigger=1.5",
+    "monitor.c_margin=0",
+    "monitor.rho_min=-1",
+    "monitor.delta_c=0",
+    "perception.min_segment_size=0",
+    "perception.k=4",
+    "perception.angle_thresh_deg=90",
 ]
 
 

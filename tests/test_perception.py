@@ -3,7 +3,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from vauf.camera import MOUNT_ROTATION, CameraModel, EmptyViewError, PointCloud, render
+from vauf.camera import MOUNT_ROTATION, CameraModel, EmptyViewError, render
 from vauf.perception import (
     DegenerateSegmentError,
     NoSegmentError,
@@ -28,7 +28,7 @@ def plane_cloud(n_side=24, z=0.3, extent=0.2, jitter=None, seed=0):
     pts = np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, z)])
     if jitter:
         pts += np.random.default_rng(seed).normal(0, jitter, pts.shape)
-    return PointCloud(points=pts)
+    return pts
 
 
 def two_plane_cloud():
@@ -38,7 +38,7 @@ def two_plane_cloud():
     floor = np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, 0.3)])
     zz, yy2 = np.meshgrid(np.linspace(0.0, 0.15, 18), g)
     wall = np.column_stack([np.full(zz.size, -0.05), yy2.ravel(), 0.28 - zz.ravel()])
-    return PointCloud(points=np.vstack([floor, wall]))
+    return np.vstack([floor, wall])
 
 
 def spherical_cap(radius, footprint=0.04, n=1200, center_depth=0.3):
@@ -80,7 +80,7 @@ class TestPointNormals:
 
     def test_collinear_points_flagged(self):
         pts = np.column_stack([np.linspace(0, 1, 50), np.zeros(50), np.full(50, 0.3)])
-        res = estimate_point_normals(PointCloud(points=pts), k=6)
+        res = estimate_point_normals(pts, k=6)
         assert not res.valid.any()
 
 
@@ -99,7 +99,7 @@ class TestRegionGrow:
         assert len(segs) == 2
 
     def test_empty_cloud(self):
-        cloud = PointCloud(points=np.empty((0, 3)))
+        cloud = np.empty((0, 3))
         res_dummy = None
         with pytest.raises(NoSegmentError):
             region_grow(cloud, res_dummy or estimate_dummy(cloud), np.deg2rad(8.0), 30)
@@ -136,7 +136,7 @@ def assert_matches_oracle(cloud, normals, angle_thresh, min_segment_size):
     assert len(segments) == len(expected)
     for seg, members in zip(segments, expected):
         assert np.array_equal(seg.indices, members)  # order included
-        ref = segment_from_points(cloud.points[members])
+        ref = segment_from_points(cloud[members])
         assert seg.centroid.tobytes() == ref.centroid.tobytes()
         assert seg.covariance.tobytes() == ref.covariance.tobytes()
     return segments
@@ -182,9 +182,9 @@ class TestRegionGrowOracle:
     def test_invalid_points_never_join(self):
         cloud = rendered_clouds(REFERENCE_CAMERA, 0.25, 1)[0]
         # a dense line 1 cm in front of the surface: collinear kNN neighborhoods
-        mid = cloud.points[np.argmin(np.abs(cloud.points[:, :2]).sum(axis=1))]
+        mid = cloud[np.argmin(np.abs(cloud[:, :2]).sum(axis=1))]
         line = mid + np.column_stack([np.linspace(-0.04, 0.04, 80), np.zeros(80), np.full(80, -0.01)])
-        cloud = PointCloud(points=np.vstack([cloud.points, line]))
+        cloud = np.vstack([cloud, line])
         normals = estimate_point_normals(cloud, 10)
         invalid = np.flatnonzero(~normals.valid)
         assert len(invalid) > 0
@@ -215,7 +215,7 @@ class TestRegionGrowOracle:
         neighbors = np.array([np.delete(np.arange(n), i) for i in range(n)])
         curvature = np.r_[0.0, np.ones(n - 1)]
         normals = PointNormals(normals=nrm, curvature=curvature, valid=np.ones(n, dtype=bool), neighbors=neighbors)
-        cloud = PointCloud(points=rng.normal(size=(n, 3)))
+        cloud = rng.normal(size=(n, 3))
         segments = assert_matches_oracle(cloud, normals, angle, 1)
         from_seed = next(seg for seg in segments if seg.indices[0] == 0)
         scalar_ok = [j for j in range(1, n) if seed @ nrm[j] >= cos_thresh]
@@ -237,7 +237,7 @@ def estimate_dummy(cloud):
 
 class TestSegmentPCA:
     def test_planar_segment(self):
-        seg = segment_from_points(plane_cloud().points)
+        seg = segment_from_points(plane_cloud())
         res = segment_pca(seg)
         assert res.l_s < 1e-6
         assert np.allclose(res.n_s_camera, [0.0, 0.0, -1.0], atol=1e-9)
@@ -276,17 +276,17 @@ class TestOrientationError:
 
 class TestSelectWorkingSegment:
     def test_single(self):
-        seg = segment_from_points(plane_cloud().points)
+        seg = segment_from_points(plane_cloud())
         assert select_working_segment([seg]) is seg
 
     def test_prefers_on_axis(self):
-        center = segment_from_points(plane_cloud(extent=0.1).points)
-        off = segment_from_points(plane_cloud(extent=0.1).points + np.array([0.2, 0.0, 0.0]))
+        center = segment_from_points(plane_cloud(extent=0.1))
+        off = segment_from_points(plane_cloud(extent=0.1) + np.array([0.2, 0.0, 0.0]))
         assert select_working_segment([off, center]) is center
 
     def test_tie_broken_by_size(self):
-        big = segment_from_points(plane_cloud(n_side=23).points + np.array([0.1, 0.0, 0.0]))
-        small = segment_from_points(plane_cloud(n_side=20).points + np.array([-0.1, 0.0, 0.0]))
+        big = segment_from_points(plane_cloud(n_side=23) + np.array([0.1, 0.0, 0.0]))
+        small = segment_from_points(plane_cloud(n_side=20) + np.array([-0.1, 0.0, 0.0]))
         # equal axis distance, larger segment wins; list arrives size-sorted
         assert select_working_segment([big, small]) is big
 
@@ -300,7 +300,7 @@ class TestPipeline:
 
     def test_perceive_small_cloud(self):
         with pytest.raises(NoSegmentError):
-            perceive(PointCloud(points=np.zeros((3, 3))), PerceptionConfig())
+            perceive(np.zeros((3, 3)), PerceptionConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from vauf.spatial import (
     Pose,
@@ -14,7 +16,10 @@ from vauf.spatial import (
     rotation_x,
     rotation_z,
 )
+from vauf.tanks import _quat_to_rot_batch
 from conftest import random_rotation
+
+ROTATION_VECTORS = st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3).map(np.array)
 
 
 def rodrigues(axis, angle):
@@ -160,6 +165,13 @@ class TestRotationLog:
         for _ in range(100):
             assert np.linalg.norm(rotation_log(random_rotation(rng))) <= np.pi + 1e-12
 
+    @given(ROTATION_VECTORS)
+    def test_log_inverts_exp(self, w):
+        assume(np.linalg.norm(w) < np.pi - 1e-3)  # away from the half-turn axis ambiguity
+        # the angle comes from arccos of the trace, which reads 0 below about
+        # 1.5e-8 rad and loses digits as sin(angle) -> 0 near pi
+        assert np.abs(rotation_log(rotation_exp(w)) - w).max() <= 5e-8
+
 
 class TestPoseError:
     def test_zero_for_equal_poses(self):
@@ -198,3 +210,9 @@ class TestQuaternion:
             )
             assert np.abs(back - r).max() < 1e-9
             assert q[0] >= 0.0
+
+    @given(ROTATION_VECTORS)
+    def test_audit_conversion_recovers_rotation(self, w):
+        # the passivity audit rebuilds each tick's rotation from the logged quaternion
+        r = rotation_exp(w)
+        assert np.abs(_quat_to_rot_batch(rotation_to_quaternion(r)[None])[0] - r).max() <= 1e-12

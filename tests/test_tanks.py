@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vauf.tanks import (
     AuditError,
@@ -172,6 +174,26 @@ class TestBandInvariant:
             ti = impedance_tank_step(ti, x_dot, x_tilde, d, k, *gates(ti), 1e-3)
             assert 1.0 - 1e-9 <= tf.energy <= 2.0 + 1e-9
             assert 1.0 - 1e-9 <= ti.energy <= 32.0 + 1e-9
+
+    @settings(deadline=None)
+    @given(
+        st.floats(0.0, 10.0),
+        st.floats(0.01, 50.0),
+        st.floats(0.0, 1.0),
+        st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 4, st.floats(0.0, 1.0), st.floats(0.0, 1.0)), max_size=30),
+    )
+    def test_band_holds_for_any_gates_and_powers(self, s_lower, width, start, steps):
+        # each step drives both ports along z: force power v*f, damper power
+        # |d|*v^2 and spring power q*v, with gates sigma and beta
+        s_upper = s_lower + width
+        x0 = np.sqrt(2.0 * (s_lower + start * width))
+        tf = ti = TankState(x_t=x0, s_upper=s_upper, s_lower=s_lower)
+        for v, f, d, q, sigma, beta in steps:
+            x_dot = wrench_z(v)
+            tf = force_tank_step(tf, x_dot, wrench_z(f), sigma, beta, 1e-3)
+            ti = impedance_tank_step(ti, x_dot, wrench_z(q), abs(d) * np.eye(6), np.eye(6), sigma, beta, 1e-3)
+            for tank in (tf, ti):
+                assert s_lower * (1 - 1e-12) <= tank.energy <= s_upper * (1 + 1e-12)
 
 
 def synthetic_columns(n, dt, m_diag, twist, f_ext_ee, s_i, s_f):

@@ -43,7 +43,20 @@ class TestCsvRoundTrip:
         rows = [TelemetryRow(*rng.normal(size=len(COLUMNS))) for _ in range(200)]
         path = tmp_path / "t.csv"
         write_csv(rows, path)
-        assert read_csv(path) == rows
+        table = read_csv(path)
+        assert table.dtype == np.float64 and table.shape == (200, len(COLUMNS))
+        assert np.array_equal(table, np.asarray(rows))
+
+    def test_header_only_reads_empty_table(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(np.empty((0, len(COLUMNS))), path)
+        assert path.read_text() == ",".join(COLUMNS) + "\n"
+        assert read_csv(path).shape == (0, len(COLUMNS))
+
+    def test_custom_header(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(np.array([[0.1, 2.0], [-3.5, 1e-300]]), path, ["a", "b"])
+        assert path.read_text() == "a,b\n0.1,2.0\n-3.5,1e-300\n"
 
     def test_bit_identical_rewrite(self, tmp_path):
         rows = synthetic_rows(100, fz_err=0.123456789012345678)

@@ -8,9 +8,10 @@ flagged.
 
 import numpy as np
 
-from vauf import TankState, force_tank_step, gate_beta, lambda_selector, passivity_audit, valve_sigma
+from vauf import TankConfig, force_tank_step, gate_beta, lambda_selector, passivity_audit, valve_sigma
 
-tank = TankState(x_t=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.1)
+tank = TankConfig(x0=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.1)
+s = tank.s0  # J, the tank energy the loop carries
 dt = 1e-3
 
 print("active force injection (tool moving with the push): the tank pays")
@@ -18,27 +19,28 @@ x_dot = np.array([0.0, 0.0, -0.05, 0.0, 0.0, 0.0])  # descending
 f_push = np.array([0.0, 0.0, -15.0, 0.0, 0.0, 0.0])  # base frame, pressing down
 
 
-def gates(tank):
-    s = tank.energy
+def gates(s):
     return valve_sigma(s, tank.s_lower, tank.ramp_eps), gate_beta(s, tank.s_upper, tank.ramp_eps)
 
 
+lam = lambda_selector(x_dot, f_push)
 for k in range(1300):
-    sigma, beta = gates(tank)
-    tank = force_tank_step(tank, x_dot, f_push, sigma, beta, dt)
+    sigma, beta = gates(s)
+    s = force_tank_step(s, tank, x_dot, f_push, lam, sigma, beta, dt)
     if k % 300 == 0:
-        print(f"  t={k * dt:.2f} s  S={tank.energy:.3f} J  sigma={sigma:.2f}  lam={lambda_selector(x_dot, f_push)}")
+        print(f"  t={k * dt:.2f} s  S={s:.3f} J  sigma={sigma:.2f}  lam={lam}")
 
-print(f"  ... depleted to S={tank.energy:.3f} J, valve sigma={valve_sigma(tank.energy, 1.0, 0.1):.2f}")
+print(f"  ... depleted to S={s:.3f} J, valve sigma={valve_sigma(s, 1.0, 0.1):.2f}")
 
 print("\npassive phase (tool moving against the push): the tank refills")
+lam = lambda_selector(-x_dot, f_push)
 for k in range(1300):
-    sigma, beta = gates(tank)
-    tank = force_tank_step(tank, -x_dot, f_push, sigma, beta, dt)
+    sigma, beta = gates(s)
+    s = force_tank_step(s, tank, -x_dot, f_push, lam, sigma, beta, dt)
     if k % 300 == 0:
-        print(f"  t={k * dt:.2f} s  S={tank.energy:.3f} J  beta={beta:.2f}  lam={lambda_selector(-x_dot, f_push)}")
-print(f"  ... refilled to S={tank.energy:.3f} J (capped at {tank.s_upper} J, beta -> "
-      f"{gate_beta(tank.energy, tank.s_upper, tank.ramp_eps):.2f})")
+        print(f"  t={k * dt:.2f} s  S={s:.3f} J  beta={beta:.2f}  lam={lam}")
+print(f"  ... refilled to S={s:.3f} J (capped at {tank.s_upper} J, beta -> "
+      f"{gate_beta(s, tank.s_upper, tank.ramp_eps):.2f})")
 
 print("\npassivity audit on a synthetic log where kinetic energy appears from nowhere:")
 n, m = 400, np.array([5.0, 5, 5, 0.3, 0.3, 0.3])

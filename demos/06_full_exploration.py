@@ -27,8 +27,8 @@ audit = passivity_audit(
     columns,
     np.asarray(scenario.mass),
     scenario.dt_control,
-    scenario.tank_impedance.energy,
-    scenario.tank_force.energy,
+    scenario.tank_impedance.s0,
+    scenario.tank_force.s0,
 )
 print(format_report(compute_metrics(columns), audit))
 

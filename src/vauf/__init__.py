@@ -63,7 +63,7 @@ from .spatial import (
 from .surface import ContactReport, HeightField, analytic_normal, contact_wrench, height
 from .tanks import (
     AuditReport,
-    TankState,
+    TankConfig,
     force_tank_step,
     gate_beta,
     impedance_tank_step,

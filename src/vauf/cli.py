@@ -78,8 +78,8 @@ def cmd_run(args) -> int:
                 columns,
                 np.asarray(scenario.mass),
                 scenario.dt_control,
-                scenario.tank_impedance.energy,
-                scenario.tank_force.energy,
+                scenario.tank_impedance.s0,
+                scenario.tank_force.s0,
             )
         metrics = compute_metrics(columns)
         stats = {

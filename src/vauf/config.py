@@ -4,13 +4,13 @@ Every key is `<section>.<field>`. `_SECTIONS` lists all keys once, in file
 order, and the parser, `build_scenario` and the writer all walk it. A section
 names the dataclass inside `Scenario` that holds its fields (`tanks.force` is
 `tank_force`); `tanks`, `plant` and `run` hold fields of `Scenario` itself.
-Only three keys differ from their field: `camera.fov_deg` (fov_h, fov_v in
-degrees), `perception.angle_thresh_deg` (angle_thresh in degrees) and
-`tanks.*.x0` (the tank state x_t). A key's type is that of its default in
-`Scenario()`: bool, int, str, float or a comma-separated float vector, and
-every float must be finite. Range checks live in the dataclass that owns the
-field and name the dotted key; unknown keys and unparsable values are
-reported by name too.
+Only two keys differ from their field: `camera.fov_deg` (fov_h, fov_v in
+degrees) and `perception.angle_thresh_deg` (angle_thresh in degrees). A
+key's type is that of its default in `Scenario()`: bool, int, str, float or
+a comma-separated float vector, and every float must be finite. Range checks
+live in the dataclass that owns the field (the tank checks in `Scenario`,
+which knows each tank's section) and name the dotted key; unknown keys and
+unparsable values are reported by name too.
 
 The same writer produces the resolved copy stored next to each run's
 telemetry, so a run can always be reproduced from its output directory.
@@ -58,7 +58,6 @@ def _degrees(rad) -> float:
 _RENAMED = {
     "fov_deg": (("fov_h", "fov_v"), np.deg2rad, _degrees),
     "angle_thresh_deg": (("angle_thresh",), np.deg2rad, _degrees),
-    "x0": (("x_t",), float, float),
 }
 
 

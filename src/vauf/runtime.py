@@ -67,7 +67,7 @@ from .spatial import (
 )
 from .surface import HeightField, contact_wrench
 from .tanks import (
-    TankState,
+    TankConfig,
     force_tank_step,
     gate_beta,
     impedance_tank_step,
@@ -109,8 +109,8 @@ class Scenario:
     perception: PerceptionConfig = field(default_factory=PerceptionConfig)
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
-    tank_force: TankState = field(default_factory=lambda: TankState(x_t=2.0, s_upper=2.0, s_lower=1.0))
-    tank_impedance: TankState = field(default_factory=lambda: TankState(x_t=7.0, s_upper=32.0, s_lower=1.0))
+    tank_force: TankConfig = field(default_factory=lambda: TankConfig(x0=2.0, s_upper=2.0, s_lower=1.0))
+    tank_impedance: TankConfig = field(default_factory=lambda: TankConfig(x0=7.0, s_upper=32.0, s_lower=1.0))
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     mass: tuple = (5.0, 5.0, 5.0, 0.3, 0.3, 0.3)
     tool_radius: float = 0.02
@@ -135,10 +135,13 @@ class Scenario:
             raise ValueError(f"plant.mass components must be positive, got {self.mass!r}")
         if not self.tool_radius > 0.0:
             raise ValueError(f"plant.tool_radius must be positive, got {self.tool_radius!r}")
-        # checked here, not in TankState, which is also the running state
-        for key, tank in (("tanks.force.x0", self.tank_force), ("tanks.impedance.x0", self.tank_impedance)):
-            if not (tank.x_t > 0.0 and tank.s_lower <= tank.energy <= tank.s_upper):
-                raise ValueError(f"{key} = {tank.x_t!r} must be positive with 0.5*x0^2 in "
+        for key, tank in (("tanks.force", self.tank_force), ("tanks.impedance", self.tank_impedance)):
+            if not 0.0 <= tank.s_lower < tank.s_upper:
+                raise ValueError(f"{key}.s_lower = {tank.s_lower!r} must lie in [0, {key}.s_upper = {tank.s_upper!r})")
+            if not tank.ramp_eps > 0.0:
+                raise ValueError(f"{key}.ramp_eps must be positive, got {tank.ramp_eps!r}")
+            if not (tank.x0 > 0.0 and tank.s_lower <= tank.s0 <= tank.s_upper):
+                raise ValueError(f"{key}.x0 = {tank.x0!r} must be positive with 0.5*x0^2 in "
                                  f"[{tank.s_lower!r}, {tank.s_upper!r}] J")
         for axis, value in (("x", self.start_x), ("y", self.start_y)):
             half = getattr(self.surface, f"{axis}_half")
@@ -224,6 +227,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     rho_align = 0.0
     tank_f = sc.tank_force
     tank_i = sc.tank_impedance
+    s_f, s_i = tank_f.s0, tank_i.s0  # J, the tank energies the loop carries
     task_origin = pose0.position.copy()
     latched = PerceptionResult.invalid()
     n_s_base: np.ndarray | None = None
@@ -310,16 +314,16 @@ def run_scenario(scenario: Scenario) -> RunResult:
         f_reaction = force_wrench(f_d_ee, f_ext_pi, ctrl, r_ee, dt, sc.controller)
         f_app = f_reaction * -1.0  # commanded thrust opposes the target reaction
 
-        # --- tank gates from the pre-step state drive this tick's command and
-        # both tank steps; the tank energies themselves are integrated after
-        # the plant step with the midpoint twist so the power ledger matches
-        # the work actually done on the semi-implicit plant
+        # --- lam and the tank gates from the pre-step state drive this tick's
+        # command and both tank steps; the tank energies themselves are
+        # integrated after the plant step with the midpoint twist so the power
+        # ledger matches the work actually done on the semi-implicit plant
         f_tank = f_app * rho_f
         lam = lambda_selector(twist, f_tank)
-        sigma_f = valve_sigma(tank_f.energy, tank_f.s_lower, tank_f.ramp_eps)
-        beta_f = gate_beta(tank_f.energy, tank_f.s_upper, tank_f.ramp_eps)
-        sigma_i = valve_sigma(tank_i.energy, tank_i.s_lower, tank_i.ramp_eps)
-        beta_i = gate_beta(tank_i.energy, tank_i.s_upper, tank_i.ramp_eps)
+        sigma_f = valve_sigma(s_f, tank_f.s_lower, tank_f.ramp_eps)
+        beta_f = gate_beta(s_f, tank_f.s_upper, tank_f.ramp_eps)
+        sigma_i = valve_sigma(s_i, tank_i.s_lower, tank_i.ramp_eps)
+        beta_i = gate_beta(s_i, tank_i.s_upper, tank_i.ramp_eps)
         sigma_f_used = 1.0 if sc.valves_forced_open else sigma_f
         sigma_i_used = 1.0 if sc.valves_forced_open else sigma_i
 
@@ -331,8 +335,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
             completed = False
             abort_reason = f"{exc} at t={t:.3f} s"
         twist_mid = 0.5 * (twist + plant.twist)
-        tank_f = force_tank_step(tank_f, twist_mid, f_tank, sigma_f, beta_f, dt)
-        tank_i = impedance_tank_step(tank_i, twist_mid, x_tilde, d_c, k_var, sigma_i, beta_i, dt)
+        s_f = force_tank_step(s_f, tank_f, twist_mid, f_tank, lam, sigma_f, beta_f, dt)
+        s_i = impedance_tank_step(s_i, tank_i, twist_mid, x_tilde, d_c, k_var, sigma_i, beta_i, dt)
 
         # --- telemetry row k, in COLUMNS order
         np.concatenate(
@@ -345,8 +349,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 f_ext_ee,
                 (
                     f_d_ee[2], rho_align, rho_f, c_val, h_val, latched.theta, latched.l_s,
-                    tank_i.energy, tank_f.energy, sigma_i_used, sigma_f_used, lam, beta_i, beta_f,
-                    fresh,
+                    s_i, s_f, sigma_i_used, sigma_f_used, lam, beta_i, beta_f, fresh,
                 ),
                 x_d.position,
             ),

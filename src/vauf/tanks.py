@@ -3,11 +3,12 @@
 Each tank is a scalar storage exchanging power with its controller through a
 power-preserving interconnection: the valve sigma gates energy withdrawal
 (zero once the tank is depleted to its lower limit), the gate beta stops
-refilling at the upper limit. The tank energy is integrated directly from
-the port powers so the per-tick bookkeeping is exact, then clamped to the
-configured band; x_t is recovered as sqrt(2 S). The loop evaluates the
-gates once per tick, from the pre-step energies, and hands the same values
-to the command and to both tank steps.
+refilling at the upper limit. `TankConfig` holds a tank's band and ramp
+width; the loop carries each tank's energy S as a float. A step integrates S
+directly from the port powers, so the per-tick bookkeeping is exact, then
+clamps it to the band. The loop evaluates lam and the gates once per tick,
+from the pre-step state, and hands the same values to the command and to
+both tank steps.
 
 The audit replays a telemetry log and checks, tick by tick, that the total
 storage (kinetic energy plus both tanks) never grows faster than the power
@@ -26,21 +27,15 @@ class AuditError(ValueError):
 
 
 @dataclass(frozen=True)
-class TankState:
-    x_t: float
+class TankConfig:
+    x0: float  # sqrt(J), initial tank state; the initial energy is 0.5 x0^2
     s_upper: float
     s_lower: float
     ramp_eps: float = 0.2  # J, width of the sigma/beta transition ramps
 
-    def __post_init__(self):
-        if self.s_lower < 0.0 or self.s_upper <= self.s_lower:
-            raise ValueError("need 0 <= s_lower < s_upper")
-        if self.ramp_eps <= 0.0:
-            raise ValueError("ramp_eps must be positive")
-
     @property
-    def energy(self) -> float:
-        return 0.5 * self.x_t * self.x_t
+    def s0(self) -> float:
+        return 0.5 * self.x0 * self.x0
 
 
 def lambda_selector(x_dot: np.ndarray, f_f: np.ndarray) -> int:
@@ -62,33 +57,31 @@ def gate_beta(s_t: float, s_upper: float, eps: float) -> float:
     return float(min(max((s_upper - s_t) / eps, 0.0), 1.0))
 
 
-def _integrate_energy(tank: TankState, power: float, dt: float) -> TankState:
+def _integrate_energy(s: float, tank: TankConfig, power: float, dt: float) -> float:
     # Euler on S keeps the power ledger exact; the clamp can only discard.
-    s_new = tank.energy + power * dt
-    s_new = min(max(s_new, tank.s_lower), tank.s_upper)
-    return TankState(float(np.sqrt(2.0 * s_new)), tank.s_upper, tank.s_lower, tank.ramp_eps)
+    return min(max(s + power * dt, tank.s_lower), tank.s_upper)
 
 
 def force_tank_step(
-    tank: TankState, x_dot: np.ndarray, f_f: np.ndarray, sigma: float, beta: float, dt: float
-) -> TankState:
-    """Force-controller tank step with the tick's gates sigma and beta.
+    s: float, tank: TankConfig, x_dot: np.ndarray, f_f: np.ndarray, lam: int, sigma: float, beta: float, dt: float
+) -> float:
+    """Force-controller tank energy after one tick with the command's lam, sigma and beta.
 
     Refills (through beta) with the extracted force power while the force
-    demand is passive; pays the injected force power (through sigma) while
-    the demand is active. The damper power belongs to the impedance tank.
+    demand is passive (lam = 1); pays the injected force power (through
+    sigma) while the demand is active. The damper power belongs to the
+    impedance tank.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    assert tank.x_t >= 0.0, "force tank state must stay non-negative"
-    lam = lambda_selector(x_dot, f_f)
     p_force = float(x_dot @ f_f)
     power = lam * beta * -p_force - sigma * (1 - lam) * p_force
-    return _integrate_energy(tank, power, dt)
+    return _integrate_energy(s, tank, power, dt)
 
 
 def impedance_tank_step(
-    tank: TankState,
+    s: float,
+    tank: TankConfig,
     x_dot: np.ndarray,
     x_tilde: np.ndarray,
     d_c: np.ndarray,
@@ -96,8 +89,8 @@ def impedance_tank_step(
     sigma: float,
     beta: float,
     dt: float,
-) -> TankState:
-    """Variable-stiffness tank step with the tick's gates sigma and beta.
+) -> float:
+    """Variable-stiffness tank energy after one tick with the tick's gates sigma and beta.
 
     Harvests the damper dissipation (through beta) and exchanges the
     variable-spring power through the valve that also gates the spring in
@@ -105,11 +98,10 @@ def impedance_tank_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    assert tank.x_t >= 0.0, "impedance tank state must stay non-negative"
     p_damp = float(x_dot @ d_c @ x_dot)
     p_spring = float(x_tilde @ k_var.T @ x_dot)
     power = beta * p_damp + sigma * p_spring
-    return _integrate_energy(tank, power, dt)
+    return _integrate_energy(s, tank, power, dt)
 
 
 @dataclass(frozen=True)

@@ -84,8 +84,8 @@ def test_criterion_2_passivity_audit(reference_columns, reference_scenario, nega
         reference_columns,
         np.asarray(sc.mass),
         sc.dt_control,
-        sc.tank_impedance.energy,
-        sc.tank_force.energy,
+        sc.tank_impedance.s0,
+        sc.tank_force.s0,
     )
     neg_sc = negative_scenario
     neg = negative_run
@@ -93,8 +93,8 @@ def test_criterion_2_passivity_audit(reference_columns, reference_scenario, nega
         rows_to_columns(neg.rows),
         np.asarray(neg_sc.mass),
         neg_sc.dt_control,
-        neg_sc.tank_impedance.energy,
-        neg_sc.tank_force.energy,
+        neg_sc.tank_impedance.s0,
+        neg_sc.tank_force.s0,
     )
     elapsed = time.perf_counter() - t0
     ok = audit.ok and neg_audit.violation_count >= 1 and elapsed < 120.0

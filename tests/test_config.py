@@ -31,6 +31,9 @@ INVALID_VALUES = [
     "tanks.impedance.x0=10",
     "tanks.force.x0=5",
     "tanks.force.x0=-2",
+    "tanks.force.s_lower=3",
+    "tanks.impedance.s_lower=-1",
+    "tanks.impedance.ramp_eps=0",
     "run.duration=0.0105",
     "run.start_x=0.5",
     "run.start_y=0.4",
@@ -59,7 +62,7 @@ class TestParsing:
         sc = parse_scenario_text("")
         assert sc.duration == 20.0
         assert sc.surface.kind == "sinusoid"
-        assert sc.tank_impedance.energy == pytest.approx(24.5)
+        assert sc.tank_impedance.s0 == pytest.approx(24.5)
 
     def test_reference_file(self):
         sc = parse_scenario(SCENARIO_DIR / "reference.cfg")
@@ -238,7 +241,7 @@ def test_parse_write_parse_is_exact(text):
 class TestBuildScenario:
     def test_tank_overrides(self):
         sc = build_scenario({"tanks.force.x0": 1.5, "tanks.impedance.ramp_eps": 0.5})
-        assert sc.tank_force.x_t == 1.5
+        assert sc.tank_force.x0 == 1.5
         assert sc.tank_impedance.ramp_eps == 0.5
 
     def test_camera_fov_degrees(self):

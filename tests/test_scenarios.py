@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from vauf import runtime, tanks
 from vauf.runtime import run_scenario
 from vauf.telemetry import COLUMNS, compute_metrics, read_csv, rows_to_columns, write_csv
 
@@ -61,6 +62,71 @@ class TestFlatScenario:
         assert flat_columns["S_t_f"].min() >= 1.99
 
 
+def ledger_run(scenario):
+    """Run a scenario with both tank steps wrapped; per tank, one (S in, booked power, S out) per tick.
+
+    The force tank's entries also carry the lam it booked. Each power is
+    recomputed from the step's own arguments, as the port power the ledger
+    must book with the gates it was handed.
+    """
+    calls = {"f": [], "i": []}
+
+    def force(s, tank, x_dot, f_f, lam, sigma, beta, dt):
+        out = tanks.force_tank_step(s, tank, x_dot, f_f, lam, sigma, beta, dt)
+        p_force = float(x_dot @ f_f)
+        calls["f"].append((s, lam * beta * -p_force - sigma * (1 - lam) * p_force, out, lam))
+        return out
+
+    def impedance(s, tank, x_dot, x_tilde, d_c, k_var, sigma, beta, dt):
+        out = tanks.impedance_tank_step(s, tank, x_dot, x_tilde, d_c, k_var, sigma, beta, dt)
+        power = beta * float(x_dot @ d_c @ x_dot) + sigma * float(x_tilde @ k_var.T @ x_dot)
+        calls["i"].append((s, power, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runtime, "force_tank_step", force)
+        mp.setattr(runtime, "impedance_tank_step", impedance)
+        result = run_scenario(scenario)
+    return result, {k: np.array(v) for k, v in calls.items()}
+
+
+@pytest.fixture(scope="module")
+def ledger(request):
+    """ledger(name): ledger_run of the named scenario fixture, run once per module."""
+    runs = {}
+
+    def get(name):
+        if name not in runs:
+            runs[name] = ledger_run(request.getfixturevalue(name))
+        return runs[name]
+
+    return get
+
+
+class TestTankLedger:
+    @pytest.mark.parametrize("scenario", ["reference_scenario", "flat_scenario", "negative_scenario"])
+    def test_force_tank_books_the_command_lam(self, scenario, ledger):
+        result, calls = ledger(scenario)
+        lam = rows_to_columns(result.table)["lam"]
+        assert len(calls["f"]) == len(lam)
+        assert np.count_nonzero(calls["f"][:, 3] != lam) == 0
+
+    def test_per_tank_identity_exact_on_reference(self, ledger, reference_scenario, reference_run):
+        result, calls = ledger("reference_scenario")
+        assert np.array_equal(result.table, reference_run.table)  # the wrappers change nothing
+        columns = rows_to_columns(result.table)
+        dt = reference_scenario.dt_control
+        for key, column, tank in (
+            ("f", "S_t_f", reference_scenario.tank_force),
+            ("i", "S_t_i", reference_scenario.tank_impedance),
+        ):
+            s_in, power, s_out = calls[key][:, 0], calls[key][:, 1], calls[key][:, 2]
+            logged = columns[column]
+            assert np.array_equal(logged, s_out)
+            assert np.array_equal(s_in, np.concatenate([[tank.s0], logged[:-1]]))
+            assert np.array_equal(logged, np.minimum(np.maximum(s_in + power * dt, tank.s_lower), tank.s_upper))
+
+
 @pytest.fixture(scope="module")
 def noise_free_run(reference_scenario):
     """reference.cfg with camera.noise_sigma = 0 and run.duration = 3."""
@@ -74,10 +140,10 @@ def noise_free_run(reference_scenario):
 # guards segmentation, which on clean clouds depends on the last bits of the
 # normal covariances.
 TELEMETRY_DIGESTS = {
-    "reference_run": "e20d07d3029fe39b",
-    "flat_run": "1a4943e0ffe6d03c",
-    "negative_run": "9ff42bcbc0a84152",
-    "noise_free_run": "c4ccba81d1b728b8",
+    "reference_run": "e1b49e7182aac1d2",
+    "flat_run": "2f95ba2d9df4b82f",
+    "negative_run": "4532c943be0b4f14",
+    "noise_free_run": "07ba6a0da2336e59",
 }
 
 

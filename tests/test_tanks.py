@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vauf.runtime import Scenario
 from vauf.tanks import (
     AuditError,
-    TankState,
+    TankConfig,
     _integrate_energy,
     force_tank_step,
     gate_beta,
@@ -15,17 +16,16 @@ from vauf.tanks import (
     valve_sigma,
 )
 
-FORCE_TANK = TankState(x_t=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.2)
-IMP_TANK = TankState(x_t=7.0, s_upper=32.0, s_lower=1.0, ramp_eps=0.2)
+FORCE_TANK = TankConfig(x0=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.2)
+IMP_TANK = TankConfig(x0=7.0, s_upper=32.0, s_lower=1.0, ramp_eps=0.2)
 
 
 def wrench_z(fz):
     return np.array([0.0, 0.0, fz, 0.0, 0.0, 0.0])
 
 
-def gates(tank):
-    """(sigma, beta) of a tank at its current energy, as the loop computes them."""
-    s = tank.energy
+def gates(s, tank):
+    """(sigma, beta) of a tank at energy s, as the loop computes them."""
     return valve_sigma(s, tank.s_lower, tank.ramp_eps), gate_beta(s, tank.s_upper, tank.ramp_eps)
 
 
@@ -79,101 +79,104 @@ class TestForceTankStep:
     def test_full_tank_passive_demand_stays_full(self):
         # beta = 0 at the upper limit: no refill, and lam = 1 blocks withdrawal
         x_dot = np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
-        sigma, beta = gates(FORCE_TANK)
-        assert lambda_selector(x_dot, wrench_z(-10.0)) == 1 and beta == 0.0
-        new = force_tank_step(FORCE_TANK, x_dot, wrench_z(-10.0), sigma, beta, 1e-3)
-        assert new.energy == pytest.approx(2.0, abs=1e-15)
+        sigma, beta = gates(FORCE_TANK.s0, FORCE_TANK)
+        lam = lambda_selector(x_dot, wrench_z(-10.0))
+        assert lam == 1 and beta == 0.0
+        new = force_tank_step(FORCE_TANK.s0, FORCE_TANK, x_dot, wrench_z(-10.0), lam, sigma, beta, 1e-3)
+        assert new == pytest.approx(2.0, abs=1e-15)
 
     def test_active_injection_withdraws(self):
         # 1 W injected with sigma = 1: tank pays ~1 mJ over the tick
-        tank = TankState(x_t=np.sqrt(2 * 1.6), s_upper=2.0, s_lower=1.0, ramp_eps=0.2)
+        s = 1.6
         x_dot = np.array([0.0, 0.0, 0.1, 0.0, 0.0, 0.0])
-        sigma, beta = gates(tank)
-        assert lambda_selector(x_dot, wrench_z(10.0)) == 0 and sigma == 1.0
-        new = force_tank_step(tank, x_dot, wrench_z(10.0), sigma, beta, 1e-3)
-        assert new.energy - tank.energy == pytest.approx(-1e-3, abs=1e-12)
+        sigma, beta = gates(s, FORCE_TANK)
+        lam = lambda_selector(x_dot, wrench_z(10.0))
+        assert lam == 0 and sigma == 1.0
+        new = force_tank_step(s, FORCE_TANK, x_dot, wrench_z(10.0), lam, sigma, beta, 1e-3)
+        assert new - s == pytest.approx(-1e-3, abs=1e-12)
 
     def test_zero_twist_unchanged(self):
-        new = force_tank_step(FORCE_TANK, np.zeros(6), wrench_z(-10.0), *gates(FORCE_TANK), 1e-3)
-        assert new.energy == FORCE_TANK.energy
+        s = FORCE_TANK.s0
+        new = force_tank_step(s, FORCE_TANK, np.zeros(6), wrench_z(-10.0), 0, *gates(s, FORCE_TANK), 1e-3)
+        assert new == s
 
     def test_power_bookkeeping_exact(self):
         rng = np.random.default_rng(0)
-        tank = TankState(x_t=np.sqrt(2 * 1.5), s_upper=2.0, s_lower=1.0, ramp_eps=0.2)
+        s = 1.5
         for _ in range(200):
             x_dot = rng.normal(0, 0.05, 6)
             f = np.concatenate([rng.normal(0, 5, 3), rng.normal(0, 1, 3)])
-            s = tank.energy
             lam = lambda_selector(x_dot, f)
-            sigma = valve_sigma(s, tank.s_lower, tank.ramp_eps)
-            beta = gate_beta(s, tank.s_upper, tank.ramp_eps)
-            p_force = x_dot @ f
+            sigma, beta = gates(s, FORCE_TANK)
+            p_force = float(x_dot @ f)
             expect = -lam * beta * p_force - sigma * (1 - lam) * p_force
-            tank = force_tank_step(tank, x_dot, f, sigma, beta, 1e-3)
-            if tank.s_lower < tank.energy < tank.s_upper:  # clamp not engaged
-                assert (tank.energy - s) / 1e-3 == pytest.approx(expect, abs=1e-9)
+            new = force_tank_step(s, FORCE_TANK, x_dot, f, lam, sigma, beta, 1e-3)
+            if FORCE_TANK.s_lower < new < FORCE_TANK.s_upper:  # clamp not engaged
+                assert (new - s) / 1e-3 == pytest.approx(expect, abs=1e-9)
+            s = new
 
     def test_bad_dt(self):
         with pytest.raises(ValueError):
-            force_tank_step(FORCE_TANK, np.zeros(6), wrench_z(0.0), 1.0, 1.0, 0.0)
+            force_tank_step(FORCE_TANK.s0, FORCE_TANK, np.zeros(6), wrench_z(0.0), 0, 1.0, 1.0, 0.0)
 
 
 class TestImpedanceTankStep:
     def test_zero_twist_unchanged(self):
-        new = impedance_tank_step(IMP_TANK, np.zeros(6), np.ones(6), np.eye(6), np.eye(6), *gates(IMP_TANK), 1e-3)
-        assert new.energy == IMP_TANK.energy
+        s = IMP_TANK.s0
+        sigma, beta = gates(s, IMP_TANK)
+        new = impedance_tank_step(s, IMP_TANK, np.zeros(6), np.ones(6), np.eye(6), np.eye(6), sigma, beta, 1e-3)
+        assert new == s
 
     def test_dissipation_refills(self):
         # 2 W of damper power with beta = 1: +2 mJ over a 1 ms tick
         d = np.diag([200.0, 0, 0, 0, 0, 0])
         x_dot = np.array([0.1, 0, 0, 0, 0, 0])
         assert x_dot @ d @ x_dot == pytest.approx(2.0)
-        sigma, beta = gates(IMP_TANK)
+        s = IMP_TANK.s0
+        sigma, beta = gates(s, IMP_TANK)
         assert beta == 1.0
-        new = impedance_tank_step(IMP_TANK, x_dot, np.zeros(6), d, np.zeros((6, 6)), sigma, beta, 1e-3)
-        assert new.energy - IMP_TANK.energy == pytest.approx(2e-3, abs=1e-12)
+        new = impedance_tank_step(s, IMP_TANK, x_dot, np.zeros(6), d, np.zeros((6, 6)), sigma, beta, 1e-3)
+        assert new - s == pytest.approx(2e-3, abs=1e-12)
 
     def test_initial_energy_inside_band(self):
-        assert IMP_TANK.energy == pytest.approx(24.5)
-        assert 1.0 <= IMP_TANK.energy <= 32.0
+        assert IMP_TANK.s0 == pytest.approx(24.5)
+        assert 1.0 <= IMP_TANK.s0 <= 32.0
 
     def test_refill_capped_at_upper_limit(self):
-        tank = TankState(x_t=8.0, s_upper=32.0, s_lower=1.0, ramp_eps=0.2)  # S = 32
+        s = 32.0
         d = np.diag([200.0, 0, 0, 0, 0, 0])
         x_dot = np.array([0.5, 0, 0, 0, 0, 0])
-        sigma, beta = gates(tank)
+        sigma, beta = gates(s, IMP_TANK)
         assert beta == 0.0
-        new = impedance_tank_step(tank, x_dot, np.zeros(6), d, np.zeros((6, 6)), sigma, beta, 1e-3)
-        assert new.energy <= 32.0 + 1e-9
+        new = impedance_tank_step(s, IMP_TANK, x_dot, np.zeros(6), d, np.zeros((6, 6)), sigma, beta, 1e-3)
+        assert new <= 32.0 + 1e-9
 
 
 class TestBandInvariant:
     def test_scalar_core_million_steps(self):
         rng = np.random.default_rng(1)
-        tank = TankState(x_t=np.sqrt(2 * 1.5), s_upper=2.0, s_lower=1.0, ramp_eps=0.2)
+        s = 1.5
         powers = rng.uniform(-400.0, 400.0, 1_000_000)
         lo, hi = 2.0, 0.0
         for p in powers:
-            tank = _integrate_energy(tank, p, 1e-3)
-            e = tank.energy
-            lo = min(lo, e)
-            hi = max(hi, e)
+            s = _integrate_energy(s, FORCE_TANK, p, 1e-3)
+            lo = min(lo, s)
+            hi = max(hi, s)
         assert lo >= 1.0 - 1e-9 and hi <= 2.0 + 1e-9
 
     def test_full_ops_fuzz(self):
         rng = np.random.default_rng(2)
-        tf = TankState(x_t=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.2)
-        ti = TankState(x_t=7.0, s_upper=32.0, s_lower=1.0, ramp_eps=0.2)
+        sf, si = FORCE_TANK.s0, IMP_TANK.s0
         for _ in range(20_000):
             x_dot = rng.normal(0, 0.3, 6)
             x_tilde = rng.normal(0, 0.05, 6)
             f = np.concatenate([rng.normal(0, 20, 3), rng.normal(0, 5, 3)])
             d = np.diag(rng.uniform(0, 120, 6))
             k = np.diag(rng.uniform(0, 1000, 6))
-            tf = force_tank_step(tf, x_dot, f, *gates(tf), 1e-3)
-            ti = impedance_tank_step(ti, x_dot, x_tilde, d, k, *gates(ti), 1e-3)
-            assert 1.0 - 1e-9 <= tf.energy <= 2.0 + 1e-9
-            assert 1.0 - 1e-9 <= ti.energy <= 32.0 + 1e-9
+            sf = force_tank_step(sf, FORCE_TANK, x_dot, f, lambda_selector(x_dot, f), *gates(sf, FORCE_TANK), 1e-3)
+            si = impedance_tank_step(si, IMP_TANK, x_dot, x_tilde, d, k, *gates(si, IMP_TANK), 1e-3)
+            assert 1.0 - 1e-9 <= sf <= 2.0 + 1e-9
+            assert 1.0 - 1e-9 <= si <= 32.0 + 1e-9
 
     @settings(deadline=None)
     @given(
@@ -186,14 +189,14 @@ class TestBandInvariant:
         # each step drives both ports along z: force power v*f, damper power
         # |d|*v^2 and spring power q*v, with gates sigma and beta
         s_upper = s_lower + width
-        x0 = np.sqrt(2.0 * (s_lower + start * width))
-        tf = ti = TankState(x_t=x0, s_upper=s_upper, s_lower=s_lower)
+        sf = si = s_lower + start * width
+        tank = TankConfig(x0=np.sqrt(2.0 * sf), s_upper=s_upper, s_lower=s_lower)
         for v, f, d, q, sigma, beta in steps:
             x_dot = wrench_z(v)
-            tf = force_tank_step(tf, x_dot, wrench_z(f), sigma, beta, 1e-3)
-            ti = impedance_tank_step(ti, x_dot, wrench_z(q), abs(d) * np.eye(6), np.eye(6), sigma, beta, 1e-3)
-            for tank in (tf, ti):
-                assert s_lower * (1 - 1e-12) <= tank.energy <= s_upper * (1 + 1e-12)
+            sf = force_tank_step(sf, tank, x_dot, wrench_z(f), lambda_selector(x_dot, wrench_z(f)), sigma, beta, 1e-3)
+            si = impedance_tank_step(si, tank, x_dot, wrench_z(q), abs(d) * np.eye(6), np.eye(6), sigma, beta, 1e-3)
+            for s in (sf, si):
+                assert s_lower * (1 - 1e-12) <= s <= s_upper * (1 + 1e-12)
 
 
 def synthetic_columns(n, dt, m_diag, twist, f_ext_ee, s_i, s_f):
@@ -258,9 +261,9 @@ class TestPassivityAudit:
 
 class TestTankStateValidation:
     def test_bad_band(self):
-        with pytest.raises(ValueError):
-            TankState(x_t=1.0, s_upper=1.0, s_lower=2.0)
+        with pytest.raises(ValueError, match=r"tanks\.force\.s_lower"):
+            Scenario(tank_force=TankConfig(x0=1.0, s_upper=1.0, s_lower=2.0))
 
     def test_energy_definition(self):
-        t = TankState(x_t=7.0, s_upper=32.0, s_lower=1.0)
-        assert t.energy == 0.5 * 7.0**2
+        t = TankConfig(x0=7.0, s_upper=32.0, s_lower=1.0)
+        assert t.s0 == 0.5 * 7.0**2

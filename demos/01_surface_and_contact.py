@@ -7,7 +7,7 @@ normal spring force and the Coulomb friction cone.
 
 import numpy as np
 
-from vauf import HeightField, Pose, analytic_normal, contact_wrench, height
+from vauf import HeightField, analytic_normal, contact_wrench, height
 
 surf = HeightField()  # sinusoid: 0.02*sin(pi*y/0.19 + 0.44) + 0.02 on a 0.26 x 0.51 patch
 
@@ -19,14 +19,14 @@ for y in np.linspace(-0.2, 0.2, 9):
 print("\npressing a 2 cm tool into the surface at the origin:")
 h0 = height(surf, 0.0, 0.0)
 for pen_mm in (0.5, 1.0, 2.0):
-    pose = Pose(np.eye(3), np.array([0.0, 0.0, h0 + 0.02 - pen_mm * 1e-3]))
-    rep = contact_wrench(surf, pose, np.zeros(6), tool_radius=0.02)
+    centre = np.array([0.0, 0.0, h0 + 0.02 - pen_mm * 1e-3])  # contact needs only the tool centre
+    rep = contact_wrench(surf, centre, np.zeros(6), tool_radius=0.02)
     print(f"  {pen_mm:.1f} mm penetration -> normal force {np.linalg.norm(rep.wrench[:3]):6.2f} N")
 
 print("\nsliding at 5 cm/s under the same penetration (mu = 0.5):")
-pose = Pose(np.eye(3), np.array([0.0, 0.0, h0 + 0.02 - 1.5e-3]))
+centre = np.array([0.0, 0.0, h0 + 0.02 - 1.5e-3])
 twist = np.array([0.05, 0.0, 0.0, 0.0, 0.0, 0.0])
-rep = contact_wrench(surf, pose, twist, tool_radius=0.02)
+rep = contact_wrench(surf, centre, twist, tool_radius=0.02)
 f = rep.wrench[:3]
 f_n = f @ rep.normal
 f_t = f - f_n * rep.normal

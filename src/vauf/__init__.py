@@ -16,7 +16,6 @@ from .controller import (
     damping_matrix,
     desired_orientation,
     force_wrench,
-    impedance_wrench,
     orientation_filter,
     restart_filter,
     stiffness_from_alignment,
@@ -43,7 +42,6 @@ from .perception import (
     select_working_segment,
 )
 from .runtime import (
-    PlantState,
     PolicyConfig,
     RunResult,
     Scenario,

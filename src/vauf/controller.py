@@ -2,13 +2,14 @@
 
 The translational stiffness is the maximum stiffness scaled by rho_align and
 conjugated into the base frame; the rotational block stays at its maximum
-(it is still routed through the tank-gated variable term). Damping follows a
-square-root design from the current stiffness and inertia with a floor so
-the fully compliant robot is still damped. The force path is a PI controller
-on tool-frame wrench error with a per-axis anti-windup clamp. Desired
-orientations are rebuilt from the perceived surface normal and blended in
-via a geodesic low-pass filter. Wrenches and twists are raw 6-vectors in
-the frame named by the argument (``_ee`` tool frame, otherwise base).
+(it is still routed through the tank-gated variable term). Damping is
+diagonal: a 6-vector d, damper wrench -d * twist, from a square-root design
+on the current stiffness and inertia with a floor so the fully compliant
+robot is still damped. The force path is a PI controller on tool-frame
+wrench error with a per-axis anti-windup clamp. Desired orientations are
+rebuilt from the perceived surface normal and blended in via a geodesic
+low-pass filter. Wrenches and twists are raw 6-vectors in the frame named
+by the argument (``_ee`` tool frame, otherwise base).
 """
 
 from __future__ import annotations
@@ -32,10 +33,12 @@ class ControllerConfig:
     filter_time: float = 0.5  # s, orientation low-pass horizon
 
     def __post_init__(self):
-        if min(self.k_max) < 0 or min(self.k_p) < 0 or min(self.k_i) < 0:
-            raise ValueError("gains must be non-negative")
-        if self.filter_time <= 0.0:
-            raise ValueError("filter_time must be positive")
+        for name in ("k_max", "damping_coeffs", "k_p", "k_i", "integral_limit"):
+            value = getattr(self, name)
+            if not np.min(value) >= 0.0:
+                raise ValueError(f"controller.{name} must be non-negative, got {value!r}")
+        if not self.filter_time > 0.0:
+            raise ValueError(f"controller.filter_time must be positive, got {self.filter_time!r}")
 
 
 @dataclass
@@ -60,19 +63,13 @@ def variable_stiffness(rho_align: float, r_ee: np.ndarray, cfg: ControllerConfig
     return k
 
 
-def damping_matrix(k_c: np.ndarray, m_c: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """D = 2 diag(coeffs) sqrt(diag(K) diag(M)) + floor, positive definite."""
-    d = 2.0 * np.asarray(coeffs) * np.sqrt(np.abs(k_c.diagonal()) * m_c.diagonal())
-    out = np.zeros((6, 6))
-    out.flat[::7] = d + D_FLOOR
-    return out
+def damping_matrix(k_c: np.ndarray, m_diag: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Diagonal of D = 2 diag(coeffs) sqrt(diag(K) diag(M)) + floor, all positive.
 
-
-def impedance_wrench(
-    x_tilde: np.ndarray, x_dot: np.ndarray, k_c: np.ndarray, d_c: np.ndarray
-) -> np.ndarray:
-    """Spring-damper wrench -K x_tilde - D x_dot in the base frame."""
-    return -k_c @ x_tilde - d_c @ x_dot
+    m_diag is the diagonal inertia; the result is the six per-axis damping
+    coefficients, so the damper wrench is -d * twist.
+    """
+    return 2.0 * np.asarray(coeffs) * np.sqrt(np.abs(k_c.diagonal()) * m_diag) + D_FLOOR
 
 
 def force_wrench(

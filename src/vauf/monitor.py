@@ -28,6 +28,10 @@ class MonitorConfig:
     rho_trigger: float = 1e-3  # realignment threshold on rho_align
 
     def __post_init__(self):
+        for name in ("alpha", "xi", "gamma"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"monitor.{name} must be non-negative, got {value!r}")
         for name in ("c_margin", "rho_min", "delta_c"):
             value = getattr(self, name)
             if not value > 0.0:
@@ -84,7 +88,7 @@ def rho_frc(f_d_ee: np.ndarray, x_tilde_ee: np.ndarray, delta_c: float) -> float
     return 0.0
 
 
-def realignment_trigger(rho_align: float, rho_trigger: float = 1e-3) -> bool:
+def realignment_trigger(rho_align: float, rho_trigger: float) -> bool:
     """True when the robot is effectively fully compliant.
 
     Signals the loop to re-latch the desired translation onto the actual

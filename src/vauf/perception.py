@@ -74,7 +74,7 @@ class PerceptionResult:
         return cls(np.array([0.0, 0.0, -1.0]), eigenvalues=np.zeros(3), l_s=0.0, theta=0.0, valid=False)
 
 
-def estimate_point_normals(pts: np.ndarray, k: int = 10) -> PointNormals:
+def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
     """Per-point unit normals from kNN covariance, oriented toward the camera.
 
     Points whose neighborhood is rank-deficient (collinear) are flagged
@@ -104,8 +104,8 @@ def estimate_point_normals(pts: np.ndarray, k: int = 10) -> PointNormals:
 def region_grow(
     pts: np.ndarray,
     normals: PointNormals,
-    angle_thresh: float = np.deg2rad(8.0),
-    min_segment_size: int = 30,
+    angle_thresh: float,
+    min_segment_size: int,
 ) -> list[Segment]:
     """Cluster points whose normals stay within angle_thresh of the seed.
 

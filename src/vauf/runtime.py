@@ -8,9 +8,12 @@ at one perception tick is processed at the next. The loop per control tick:
     contact -> alignment monitor -> shaping -> realignment handling ->
     controller -> tanks -> composed command -> plant step -> telemetry row
 
-Inside the loop wrenches, twists and pose errors are raw float64 6-vectors
-and gains are Python floats; each tick writes one row of a preallocated
-(n_ticks, len(COLUMNS)) telemetry table.
+Inside the loop the plant state is the arrays (r_ee, p_ee, twist), the
+desired pose is the filtered rotation plus a position p_d, wrenches, twists
+and pose errors are raw float64 6-vectors and gains are Python floats; only
+the camera gets a `Pose`, on perception ticks. Each tick writes one row of a
+preallocated (n_ticks, len(COLUMNS)) telemetry table: the pre-step pose and
+twist, the post-step tank energies.
 
 Force-path sign convention: the commanded and measured wrenches the policy,
 monitor and PI controller work with are *reaction* wrenches on the tool
@@ -96,13 +99,6 @@ class PolicyConfig:
 
 
 @dataclass(frozen=True)
-class PlantState:
-    pose: Pose
-    twist: np.ndarray  # 6, base frame
-    m_diag: np.ndarray  # 6, kg and kg*m^2
-
-
-@dataclass(frozen=True)
 class Scenario:
     surface: HeightField = field(default_factory=HeightField)
     camera: CameraModel = field(default_factory=CameraModel)
@@ -131,6 +127,8 @@ class Scenario:
             ratio = value / self.dt_control
             if not 0.5 <= ratio < np.inf or abs(ratio - round(ratio)) > 1e-9:
                 raise ValueError(f"{key} must be a positive whole multiple of run.dt_control, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"run.seed must be non-negative, got {self.seed!r}")
         if not all(m > 0.0 for m in self.mass):
             raise ValueError(f"plant.mass components must be positive, got {self.mass!r}")
         if not self.tool_radius > 0.0:
@@ -162,17 +160,22 @@ def wiping_policy(t: float, policy: PolicyConfig) -> tuple[np.ndarray, np.ndarra
     return offset, np.array([0.0, 0.0, policy.force_z, 0.0, 0.0, 0.0])
 
 
-def plant_step(state: PlantState, f_cmd: np.ndarray, f_ext: np.ndarray, dt: float) -> PlantState:
-    """Semi-implicit Euler step of the Cartesian rigid body (base-frame wrenches)."""
+def plant_step(
+    rotation: np.ndarray, position: np.ndarray, twist: np.ndarray, m_diag: np.ndarray,
+    f_cmd: np.ndarray, f_ext: np.ndarray, dt: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Semi-implicit Euler step of the Cartesian rigid body (base-frame wrenches).
+
+    m_diag is the diagonal inertia (kg, kg*m^2); returns the new
+    (rotation, position, twist) as fresh arrays.
+    """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     total = f_cmd + f_ext
     if not np.isfinite(total).all():
         raise SimulationDiverged("non-finite commanded or external wrench")
-    twist = state.twist + total / state.m_diag * dt
-    position = state.pose.position + twist[:3] * dt
-    rotation = rotation_exp(twist[3:] * dt) @ state.pose.rotation
-    return PlantState(pose=Pose(rotation, position), twist=twist, m_diag=state.m_diag)
+    twist = twist + total / m_diag * dt
+    return rotation_exp(twist[3:] * dt) @ rotation, position + twist[:3] * dt, twist
 
 
 @dataclass
@@ -216,19 +219,18 @@ def run_scenario(scenario: Scenario) -> RunResult:
     n_ticks = int(round(sc.duration / dt))
     stride = sc.perception_stride
     m_diag = np.asarray(sc.mass, dtype=float)
-    m_c = np.diag(m_diag)
     damping_coeffs = np.asarray(sc.controller.damping_coeffs)
     filter_time = sc.controller.filter_time
     rng = np.random.default_rng(sc.seed)
 
     pose0 = start_pose(sc)
-    plant = PlantState(pose=pose0, twist=np.zeros(6), m_diag=m_diag)
-    ctrl = ControllerState(r_init=pose0.rotation.copy(), r_d=pose0.rotation.copy())
+    r_ee, p_ee, twist = pose0.rotation, pose0.position, np.zeros(6)  # plant state, base frame
+    ctrl = ControllerState(r_init=r_ee.copy(), r_d=r_ee.copy())
     rho_align = 0.0
     tank_f = sc.tank_force
     tank_i = sc.tank_impedance
     s_f, s_i = tank_f.s0, tank_i.s0  # J, the tank energies the loop carries
-    task_origin = pose0.position.copy()
+    task_origin = p_ee.copy()
     latched = PerceptionResult.invalid()
     n_s_base: np.ndarray | None = None
     pending: tuple | None = None  # (cloud, camera rotation at render time)
@@ -241,9 +243,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
     for k in range(n_ticks):
         t = k * dt
-        pose = plant.pose
-        twist = plant.twist
-        r_ee = pose.rotation
 
         # --- perception cadence: process last frame, render the next one
         fresh = 0.0
@@ -260,7 +259,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 except (NoSegmentError, DegenerateSegmentError) as exc:
                     log.debug("perception failed at t=%.3f: %s", t, exc)
             try:
-                cam_pose = camera_pose_from_tool(pose, sc.camera)
+                cam_pose = camera_pose_from_tool(Pose(r_ee, p_ee), sc.camera)
                 cloud = render(sc.camera, cam_pose, sc.surface, rng=rng)
                 pending = (cloud, cam_pose.rotation)
             except EmptyViewError as exc:
@@ -270,13 +269,13 @@ def run_scenario(scenario: Scenario) -> RunResult:
         # --- policy and desired pose
         offset, f_d_ee = wiping_policy(t, sc.policy)
         r_input = orientation_filter(ctrl, dt, filter_time)
-        x_d = Pose(r_input, task_origin + offset[:3])
+        p_d = task_origin + offset[:3]
 
         # --- contact and frame-local errors
-        report = contact_wrench(sc.surface, pose, twist, sc.tool_radius)
+        report = contact_wrench(sc.surface, p_ee, twist, sc.tool_radius)
         f_ext_base = report.wrench
         f_ext_ee = rotate_wrench(r_ee.T, f_ext_base)
-        x_tilde = pose_error(pose, x_d)
+        x_tilde = pose_error(r_ee, p_ee, r_input, p_d)
         x_tilde_ee = rotate_wrench(r_ee.T, x_tilde)
 
         # --- alignment monitor and shaping
@@ -295,11 +294,11 @@ def run_scenario(scenario: Scenario) -> RunResult:
         if realignment_trigger(rho_align, sc.monitor.rho_trigger):
             if trigger_armed:
                 events.append(t)
-                task_origin = pose.position - offset[:3]
-                x_d = Pose(r_input, pose.position.copy())
+                task_origin = p_ee - offset[:3]
+                p_d = p_ee
                 ctrl.pi_integral = np.zeros(6)
                 trigger_armed = False
-                x_tilde = pose_error(pose, x_d)
+                x_tilde = pose_error(r_ee, p_ee, r_input, p_d)
                 x_tilde_ee = rotate_wrench(r_ee.T, x_tilde)
         else:
             trigger_armed = True
@@ -307,8 +306,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
 
         # --- controller
         k_var = variable_stiffness(rho_align, r_ee, sc.controller)
-        d_c = damping_matrix(k_var, m_c, damping_coeffs)
-        f_damp = -d_c @ twist
+        d = damping_matrix(k_var, m_diag, damping_coeffs)
+        f_damp = -d * twist
         f_var = -k_var @ x_tilde
         f_ext_pi = np.array([0.0, 0.0, f_ext_ee[2], 0.0, 0.0, 0.0])
         f_reaction = force_wrench(f_d_ee, f_ext_pi, ctrl, r_ee, dt, sc.controller)
@@ -330,19 +329,20 @@ def run_scenario(scenario: Scenario) -> RunResult:
         f_cmd = compose_command(f_damp, f_var, f_app, rho_f, lam, sigma_f_used, sigma_i_used)
 
         try:
-            plant = plant_step(plant, f_cmd, f_ext_base, dt)
+            r_next, p_next, twist_next = plant_step(r_ee, p_ee, twist, m_diag, f_cmd, f_ext_base, dt)
         except SimulationDiverged as exc:
             completed = False
             abort_reason = f"{exc} at t={t:.3f} s"
-        twist_mid = 0.5 * (twist + plant.twist)
+            r_next, p_next, twist_next = r_ee, p_ee, twist
+        twist_mid = 0.5 * (twist + twist_next)
         s_f = force_tank_step(s_f, tank_f, twist_mid, f_tank, lam, sigma_f, beta_f, dt)
-        s_i = impedance_tank_step(s_i, tank_i, twist_mid, x_tilde, d_c, k_var, sigma_i, beta_i, dt)
+        s_i = impedance_tank_step(s_i, tank_i, twist_mid, x_tilde, d, k_var, sigma_i, beta_i, dt)
 
         # --- telemetry row k, in COLUMNS order
         np.concatenate(
             (
                 (t,),
-                pose.position,
+                p_ee,
                 rotation_to_quaternion(r_ee),
                 twist,
                 f_cmd,
@@ -351,16 +351,17 @@ def run_scenario(scenario: Scenario) -> RunResult:
                     f_d_ee[2], rho_align, rho_f, c_val, h_val, latched.theta, latched.l_s,
                     s_i, s_f, sigma_i_used, sigma_f_used, lam, beta_i, beta_f, fresh,
                 ),
-                x_d.position,
+                p_d,
             ),
             out=table[k],
         )
-        if completed and np.linalg.norm(plant.twist) > TWIST_LIMIT:
+        if completed and np.linalg.norm(twist_next) > TWIST_LIMIT:
             completed = False
-            abort_reason = f"twist norm {np.linalg.norm(plant.twist):.2f} exceeded {TWIST_LIMIT} at t={t:.3f} s"
+            abort_reason = f"twist norm {np.linalg.norm(twist_next):.2f} exceeded {TWIST_LIMIT} at t={t:.3f} s"
         if not completed:
             ticks_run = k + 1
             break
+        r_ee, p_ee, twist = r_next, p_next, twist_next
 
     table = table[:ticks_run]
     wall = time.perf_counter() - t_start

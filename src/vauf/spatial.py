@@ -137,19 +137,14 @@ def rotate_wrench(r: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.concatenate([r @ w[:3], r @ w[3:]])
 
 
-def pose_error(current: Pose, desired: Pose) -> np.ndarray:
-    """6-vector pose error: [p - p_d; log(R R_d^T)].
+def pose_error(r: np.ndarray, p: np.ndarray, r_d: np.ndarray, p_d: np.ndarray) -> np.ndarray:
+    """6-vector pose error of (r, p) from (r_d, p_d): [p - p_d; log(R R_d^T)].
 
     The rotational part is the log of the current-relative-to-desired
     rotation so that -K * error is a restoring torque, matching the sign of
     the translational part.
     """
-    return np.concatenate(
-        [
-            current.position - desired.position,
-            rotation_log(current.rotation @ desired.rotation.T),
-        ]
-    )
+    return np.concatenate([p - p_d, rotation_log(r @ r_d.T)])
 
 
 def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:

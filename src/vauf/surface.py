@@ -5,7 +5,9 @@ height field z = h(x, y). Contact is a unilateral spring-damper along the
 analytic surface normal plus kinetic Coulomb friction against the slip
 direction. Valid for gently sloped surfaces; near-vertical walls are out of
 scope (penetration is measured vertically, then projected on the normal).
-The contact wrench is a base-frame float64 6-vector (force, then torque).
+The tool is given by its centre position and twist only: a sphere's
+contact does not depend on its orientation. The contact wrench is a
+base-frame float64 6-vector (force, then torque).
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .spatial import Pose
 
 SLIP_SPEED_EPS = 1e-5  # m/s, below this tangential force is zero
 
@@ -108,7 +108,7 @@ class ContactReport:
 
 def contact_wrench(
     surface: HeightField,
-    tool_pose: Pose,
+    tool_position: np.ndarray,
     tool_twist: np.ndarray,
     tool_radius: float,
 ) -> ContactReport:
@@ -119,7 +119,7 @@ def contact_wrench(
     SLIP_SPEED_EPS. Point contact: no torque. Outside the patch there is no
     surface, hence no contact.
     """
-    x, y, z = tool_pose.position
+    x, y, z = tool_position
     if not surface.in_domain(x, y):
         return ContactReport.no_contact()
     p_vert = float(surface.height_unchecked(x, y)) + tool_radius - z

@@ -84,7 +84,7 @@ def impedance_tank_step(
     tank: TankConfig,
     x_dot: np.ndarray,
     x_tilde: np.ndarray,
-    d_c: np.ndarray,
+    d: np.ndarray,
     k_var: np.ndarray,
     sigma: float,
     beta: float,
@@ -94,11 +94,12 @@ def impedance_tank_step(
 
     Harvests the damper dissipation (through beta) and exchanges the
     variable-spring power through the valve that also gates the spring in
-    the control law.
+    the control law. d is the diagonal damping, as in the damper wrench
+    -d * x_dot.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    p_damp = float(x_dot @ d_c @ x_dot)
+    p_damp = float((x_dot * d) @ x_dot)
     p_spring = float(x_tilde @ k_var.T @ x_dot)
     power = beta * p_damp + sigma * p_spring
     return _integrate_energy(s, tank, power, dt)

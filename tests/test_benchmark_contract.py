@@ -3,10 +3,14 @@
 perfbench/ measures each layer by replacing module globals of vauf with
 timing wrappers, and its hooks read a few attributes of what the wrapped
 calls return. Deleting or renaming any of them breaks the benchmark, whose
-own smoke test is too slow for this suite; these checks are quick.
+own smoke test is too slow for this suite; these checks are quick. The
+workloads also call the program directly (``cli.main``,
+``runtime.run_scenario``, ``camera.render`` with a ``Pose``,
+``perception.perceive``), so each one runs once at its smoke size here.
 """
 
 import importlib
+import json
 import sys
 from pathlib import Path
 
@@ -18,11 +22,12 @@ import vauf.cli
 import vauf.controller
 import vauf.perception
 import vauf.runtime
-from vauf.spatial import Pose
 from vauf.surface import HeightField, contact_wrench
 from vauf.telemetry import COLUMNS
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 
 
 @pytest.fixture(scope="module")
@@ -63,7 +68,7 @@ def test_install_then_restore_leaves_globals_unchanged(perfbench):
 def test_contact_report_has_in_contact():
     surface = HeightField(kind="flat", offset=0.0)
     for z, touching in ((0.019, True), (0.03, False)):
-        report = contact_wrench(surface, Pose(np.eye(3), np.array([0.0, 0.0, z])), np.zeros(6), 0.02)
+        report = contact_wrench(surface, np.array([0.0, 0.0, z]), np.zeros(6), 0.02)
         assert report.in_contact is touching
 
 
@@ -72,3 +77,23 @@ def test_run_rows_have_named_columns():
     assert len(result.rows) == 5
     names = ("sigma_i", "S_t_i", "sigma_f", "S_t_f")  # read by the traced run's tank counters
     assert [getattr(result.rows[-1], n) for n in names] == [result.table[-1, COLUMNS.index(n)] for n in names]
+
+
+@pytest.mark.parametrize("name", WORKLOADS)
+def test_workload_runs_at_smoke_size(perfbench, name, tmp_path):
+    layers, tracing, workloads = (perfbench[m] for m in ("layers", "tracing", "workloads"))
+    workload = workloads.WORKLOADS[name](1, tmp_path, True)
+    plain = workload.op()
+    tracer = tracing.Tracer()
+    layers.install(tracer)
+    try:
+        tracer.begin_op()
+        traced = workload.op()
+    finally:
+        tracer.restore()
+    _, check_failures = workload.finish([plain])
+    assert not check_failures
+    for record in (plain, traced):
+        assert record.failed == 0 and not record.failures, record.failures
+    assert traced.digest == plain.digest
+    assert list(layers.metrics(tracer, 0.0)) == [metric for metric, _, _ in layers.PER_LAYER]

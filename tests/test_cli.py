@@ -39,6 +39,10 @@ class TestRun:
         assert main(["run", "--scenario", REF, "--duration", "0.0105", "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "run.duration" in capsys.readouterr().err
 
+    def test_negative_seed_override_exits_2(self, tmp_path, capsys):
+        assert main(["run", "--scenario", REF, "--seed", "-1", "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "run.seed" in capsys.readouterr().err
+
     def test_audit_pass_exits_0(self, tmp_path):
         code = main(
             ["run", "--scenario", REF, "--duration", "1.0", "--out", str(tmp_path), "--audit"]

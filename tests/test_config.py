@@ -54,6 +54,16 @@ INVALID_VALUES = [
     "perception.min_segment_size=0",
     "perception.k=4",
     "perception.angle_thresh_deg=90",
+    "run.seed=-3",
+    "controller.integral_limit=-1",
+    "controller.damping_coeffs=0.7,0.7,-0.7,1,1,1",
+    "controller.k_max=1000,1000,10,-200,200,200",
+    "controller.k_p=0.6,0.6,0.6,0.6,0.6,-0.6",
+    "controller.k_i=-0.3,0.3,0.3,0.3,0.3,0.3",
+    "controller.filter_time=0",
+    "monitor.alpha=-1",
+    "monitor.xi=-0.08",
+    "monitor.gamma=-10",
 ]
 
 

@@ -122,14 +122,15 @@ class TestRhoFrc:
 
 class TestRealignmentTrigger:
     def test_fully_compliant(self):
-        assert realignment_trigger(0.0)
+        assert realignment_trigger(0.0, TABLE.rho_trigger)
 
     def test_engaged(self):
-        assert not realignment_trigger(0.5)
+        assert not realignment_trigger(0.5, TABLE.rho_trigger)
 
     def test_documented_threshold(self):
-        assert realignment_trigger(1e-4)
-        assert not realignment_trigger(2e-3)
+        assert TABLE.rho_trigger == 1e-3
+        assert realignment_trigger(1e-4, TABLE.rho_trigger)
+        assert not realignment_trigger(2e-3, TABLE.rho_trigger)
 
 
 class TestConvergenceProperty:

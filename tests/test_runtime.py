@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from vauf.runtime import (
-    PlantState,
     PolicyConfig,
     Scenario,
     SimulationDiverged,
@@ -11,7 +10,7 @@ from vauf.runtime import (
     start_pose,
     wiping_policy,
 )
-from vauf.spatial import Pose, rotation_log
+from vauf.spatial import rotation_log
 from vauf.surface import HeightField
 
 POLICY = PolicyConfig()
@@ -37,47 +36,46 @@ class TestWipingPolicy:
             assert np.allclose(f_d, [0, 0, 15, 0, 0, 0])
 
 
-class TestPlantStep:
-    def _state(self, m=None):
-        return PlantState(
-            pose=Pose(np.eye(3), np.zeros(3)),
-            twist=np.zeros(6),
-            m_diag=np.asarray(m if m is not None else [5.0] * 3 + [0.3] * 3),
-        )
+M_DIAG = np.array([5.0] * 3 + [0.3] * 3)
+AT_REST = (np.eye(3), np.zeros(3), np.zeros(6))  # (rotation, position, twist)
 
+
+class TestPlantStep:
     def test_zero_wrench_uniform_motion(self):
-        st = PlantState(Pose(np.eye(3), np.zeros(3)), np.array([0.1, 0, 0, 0, 0, 0]), np.ones(6))
-        out = plant_step(st, np.zeros(6), np.zeros(6), 1e-3)
-        assert np.allclose(out.twist, st.twist)
-        assert np.allclose(out.pose.position, [0.1e-3, 0.0, 0.0])
+        twist = np.array([0.1, 0, 0, 0, 0, 0])
+        _, position, out = plant_step(np.eye(3), np.zeros(3), twist, np.ones(6), np.zeros(6), np.zeros(6), 1e-3)
+        assert np.allclose(out, twist)
+        assert np.allclose(position, [0.1e-3, 0.0, 0.0])
 
     def test_constant_force_velocity(self):
-        st = self._state(m=[5.0] * 6)
+        state = AT_REST
         f = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         for _ in range(1000):
-            st = plant_step(st, f, np.zeros(6), 1e-3)
-        assert st.twist[0] == pytest.approx(2.0 / 5.0, rel=1e-3)
+            state = plant_step(*state, np.full(6, 5.0), f, np.zeros(6), 1e-3)
+        assert state[2][0] == pytest.approx(2.0 / 5.0, rel=1e-3)
 
     def test_pure_rotation_integrates_to_half_turn(self):
-        st = PlantState(
-            Pose(np.eye(3), np.zeros(3)),
-            np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.pi]),
-            np.ones(6),
-        )
+        state = (np.eye(3), np.zeros(3), np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.pi]))
         for _ in range(1000):
-            st = plant_step(st, np.zeros(6), np.zeros(6), 1e-3)
-        w = rotation_log(st.pose.rotation)
+            state = plant_step(*state, np.ones(6), np.zeros(6), np.zeros(6), 1e-3)
+        w = rotation_log(state[0])
         assert abs(np.linalg.norm(w) - np.pi) < 1e-6
 
+    def test_inputs_left_unchanged(self):
+        rotation, position, twist = np.eye(3), np.zeros(3), np.array([0.1, 0, 0, 0, 0, 0.2])
+        out = plant_step(rotation, position, twist, M_DIAG, np.ones(6), np.zeros(6), 1e-3)
+        assert not any(np.shares_memory(a, b) for a in out for b in (rotation, position, twist))
+        assert np.array_equal(rotation, np.eye(3)) and np.array_equal(position, np.zeros(3))
+        assert np.array_equal(twist, [0.1, 0, 0, 0, 0, 0.2])
+
     def test_non_finite_aborts(self):
-        st = self._state()
         bad = np.array([np.nan, 0.0, 0.0, 0.0, 0.0, 0.0])
         with pytest.raises(SimulationDiverged):
-            plant_step(st, bad, np.zeros(6), 1e-3)
+            plant_step(*AT_REST, M_DIAG, bad, np.zeros(6), 1e-3)
 
     def test_bad_dt(self):
         with pytest.raises(ValueError):
-            plant_step(self._state(), np.zeros(6), np.zeros(6), 0.0)
+            plant_step(*AT_REST, M_DIAG, np.zeros(6), np.zeros(6), 0.0)
 
 
 class TestScenario:

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from vauf.spatial import Pose
 from vauf.surface import (
     DomainError,
     HeightField,
@@ -14,8 +13,9 @@ PAPER = HeightField()  # sinusoid, amplitude 0.02, period 0.19, phase 0.44, offs
 FLAT = HeightField(kind="flat", offset=0.0)
 
 
-def pose_at(x, y, z):
-    return Pose(np.eye(3), np.array([x, y, z]))
+def at(x, y, z):
+    """Tool centre position; a sphere's contact does not depend on its orientation."""
+    return np.array([x, y, z])
 
 
 class TestHeight:
@@ -61,7 +61,7 @@ class TestAnalyticNormal:
 
 class TestContactWrench:
     def test_separated_tool(self):
-        rep = contact_wrench(FLAT, pose_at(0, 0, 0.025), np.zeros(6), tool_radius=0.02)
+        rep = contact_wrench(FLAT, at(0, 0, 0.025), np.zeros(6), tool_radius=0.02)
         assert not rep.in_contact
         assert rep.penetration == 0.0
         assert np.allclose(rep.wrench, 0.0)
@@ -69,7 +69,7 @@ class TestContactWrench:
     def test_penalty_normal_force(self):
         # 1 mm penetration, k_n = 1e4, static: 10 N straight up
         surf = HeightField(kind="flat", offset=0.0, k_n=1e4, d_n=50.0, mu=0.5)
-        rep = contact_wrench(surf, pose_at(0, 0, 0.019), np.zeros(6), tool_radius=0.02)
+        rep = contact_wrench(surf, at(0, 0, 0.019), np.zeros(6), tool_radius=0.02)
         assert rep.in_contact
         assert rep.penetration == pytest.approx(1e-3, abs=1e-12)
         assert rep.wrench[2] == pytest.approx(10.0, abs=1e-9)
@@ -77,7 +77,7 @@ class TestContactWrench:
     def test_coulomb_friction_magnitude(self):
         surf = HeightField(kind="flat", offset=0.0, k_n=1e4, d_n=50.0, mu=0.5)
         twist = np.array([0.01, 0.0, 0.0, 0.0, 0.0, 0.0])
-        rep = contact_wrench(surf, pose_at(0, 0, 0.019), twist, tool_radius=0.02)
+        rep = contact_wrench(surf, at(0, 0, 0.019), twist, tool_radius=0.02)
         f_t = rep.wrench[:2]
         assert np.linalg.norm(f_t) == pytest.approx(5.0, abs=1e-9)
         assert f_t[0] < 0.0  # opposes slip
@@ -85,15 +85,15 @@ class TestContactWrench:
     def test_no_friction_below_slip_speed(self):
         surf = HeightField(kind="flat", offset=0.0, mu=0.5)
         twist = np.array([5e-6, 0, 0, 0, 0, 0])
-        rep = contact_wrench(surf, pose_at(0, 0, 0.019), twist, tool_radius=0.02)
+        rep = contact_wrench(surf, at(0, 0, 0.019), twist, tool_radius=0.02)
         assert np.allclose(rep.wrench[:2], 0.0)
 
     def test_unilateral_and_friction_cone(self):
         rng = np.random.default_rng(1)
         for _ in range(200):
-            pose = pose_at(rng.uniform(-0.1, 0.1), rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.08))
+            position = at(rng.uniform(-0.1, 0.1), rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.08))
             twist = np.concatenate([rng.normal(0, 0.1, 3), np.zeros(3)])
-            rep = contact_wrench(PAPER, pose, twist, tool_radius=0.02)
+            rep = contact_wrench(PAPER, position, twist, tool_radius=0.02)
             f = rep.wrench[:3]
             f_n = f @ rep.normal
             assert f_n >= -1e-12  # never attractive
@@ -101,14 +101,14 @@ class TestContactWrench:
             assert np.linalg.norm(f_t) <= PAPER.mu * f_n + 1e-9
 
     def test_no_torque(self):
-        rep = contact_wrench(FLAT, pose_at(0, 0, 0.015), np.zeros(6), tool_radius=0.02)
+        rep = contact_wrench(FLAT, at(0, 0, 0.015), np.zeros(6), tool_radius=0.02)
         assert np.allclose(rep.wrench[3:], 0.0)
 
     def test_penetration_iff_contact(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
             rep = contact_wrench(
-                PAPER, pose_at(0.0, rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.1)), np.zeros(6), 0.02
+                PAPER, at(0.0, rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.1)), np.zeros(6), 0.02
             )
             assert rep.in_contact == (rep.penetration > 0.0)
 
@@ -121,7 +121,7 @@ class TestContactWrench:
         for z in zs:
             prev = None
             for y in ys:
-                rep = contact_wrench(PAPER, pose_at(0.0, y, z), np.zeros(6), 0.02)
+                rep = contact_wrench(PAPER, at(0.0, y, z), np.zeros(6), 0.02)
                 f = rep.wrench[:3]
                 if prev is not None:
                     dpose = abs(ys[1] - ys[0])
@@ -129,7 +129,7 @@ class TestContactWrench:
                 prev = f
 
     def test_out_of_domain_is_free_space(self):
-        rep = contact_wrench(PAPER, pose_at(0.5, 0.0, -1.0), np.zeros(6), 0.02)
+        rep = contact_wrench(PAPER, at(0.5, 0.0, -1.0), np.zeros(6), 0.02)
         assert not rep.in_contact
 
 

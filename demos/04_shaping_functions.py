@@ -38,7 +38,7 @@ for k in range(3000):
         print(f"  t={k * dt:.1f} s  C={c:.3f}  rho_align={rho:.3f}  realign={trig}")
 
 print("\nforce gate vs separation along the tool axis (margin delta_c = 0.04 m):")
-f_d = np.array([0.0, 0.0, 15.0, 0.0, 0.0, 0.0])  # tool-frame setpoint
+f_d_z = 15.0  # N, tool-z setpoint
 for z in (-0.01, 0.0, 0.01, 0.02, 0.03, 0.05):
-    gate = rho_frc(f_d, np.array([0.0, 0.0, z, 0.0, 0.0, 0.0]), cfg.delta_c)
+    gate = rho_frc(f_d_z, z, cfg.delta_c)
     print(f"  x_tilde_z={z:+.3f} m -> rho_frc={gate:.3f}")

@@ -5,8 +5,8 @@ conjugated into the base frame; the rotational block stays at its maximum
 (it is still routed through the tank-gated variable term). Damping is
 diagonal: a 6-vector d, damper wrench -d * twist, from a square-root design
 on the current stiffness and inertia with a floor so the fully compliant
-robot is still damped. The force path is a PI controller on tool-frame
-wrench error with a per-axis anti-windup clamp. Desired orientations are
+robot is still damped. The force path is a scalar PI controller on the
+tool-z reaction error with an anti-windup clamp. Desired orientations are
 rebuilt from the perceived surface normal and blended in via a geodesic
 low-pass filter. Wrenches and twists are raw 6-vectors in the frame named
 by the argument (``_ee`` tool frame, otherwise base).
@@ -27,9 +27,9 @@ D_FLOOR = 5.0  # N*s/m per axis, keeps the compliant robot damped
 class ControllerConfig:
     k_max: tuple = (1000.0, 1000.0, 10.0, 200.0, 200.0, 200.0)
     damping_coeffs: tuple = (0.7, 0.7, 0.7, 1.0, 1.0, 1.0)
-    k_p: tuple = (0.6,) * 6
-    k_i: tuple = (0.3,) * 6
-    integral_limit: float = 30.0  # N (N*m rotational), per axis
+    k_p: float = 0.6  # tool-z force PI gains
+    k_i: float = 0.3
+    integral_limit: float = 30.0  # N
     filter_time: float = 0.5  # s, orientation low-pass horizon
 
     def __post_init__(self):
@@ -43,7 +43,7 @@ class ControllerConfig:
 
 @dataclass
 class ControllerState:
-    pi_integral: np.ndarray = field(default_factory=lambda: np.zeros(6))
+    pi_integral: float = 0.0  # N*s, tool-z force deficit
     r_init: np.ndarray = field(default_factory=lambda: np.eye(3))
     r_d: np.ndarray = field(default_factory=lambda: np.eye(3))
     t_filter: float = np.inf  # inf = filter settled
@@ -73,29 +73,29 @@ def damping_matrix(k_c: np.ndarray, m_diag: np.ndarray, coeffs: np.ndarray) -> n
 
 
 def force_wrench(
-    f_d_ee: np.ndarray,
-    f_ext_ee: np.ndarray,
+    f_d_z: float,
+    f_ext_z: float,
     state: ControllerState,
     r_ee: np.ndarray,
     dt: float,
     cfg: ControllerConfig,
 ) -> np.ndarray:
-    """PI force controller, evaluated then integrated.
+    """PI force controller on the tool-z reaction, evaluated then integrated.
 
-    Output is f_d + K_p f_err + K_i * integral rotated to the base frame.
-    The integral accumulates the tracking deficit (desired minus measured):
-    accumulating the raw f_err instead puts a right-half-plane root into the
-    contact loop (the integral then reinforces over-pressing), so the
-    deficit is what keeps the loop stable with a zero steady-state integral.
-    The integral is clamped per axis against windup out of contact.
-    Inputs are tool-frame, the result is in the base frame.
+    Output is f_d + k_p f_err + k_i * integral along tool z, rotated to a
+    base-frame wrench. The integral accumulates the tracking deficit
+    (desired minus measured): accumulating the raw f_err instead puts a
+    right-half-plane root into the contact loop (the integral then
+    reinforces over-pressing), so the deficit is what keeps the loop stable
+    with a zero steady-state integral. The integral is clamped against
+    windup out of contact.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    f_err = f_ext_ee - f_d_ee
-    out_ee = f_d_ee + np.asarray(cfg.k_p) * f_err + np.asarray(cfg.k_i) * state.pi_integral
-    state.pi_integral = (state.pi_integral - f_err * dt).clip(-cfg.integral_limit, cfg.integral_limit)
-    return rotate_wrench(r_ee, out_ee)
+    f_err = f_ext_z - f_d_z
+    out = f_d_z + cfg.k_p * f_err + cfg.k_i * state.pi_integral
+    state.pi_integral = min(max(state.pi_integral - f_err * dt, -cfg.integral_limit), cfg.integral_limit)
+    return rotate_wrench(r_ee, (0.0, 0.0, out, 0.0, 0.0, 0.0))
 
 
 def desired_orientation(n_s_base: np.ndarray, r_ee: np.ndarray) -> np.ndarray:

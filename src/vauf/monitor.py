@@ -4,10 +4,10 @@ The alignment metric C accumulates a tactile work-like term, the visual
 orientation error, and the local surface curvature. Its normalized
 coefficient h drives saturated first-order dynamics for the stiffness
 shaping state rho_align in [0, 1]. A separate gate rho_frc fades the force
-controller out as the tool separates from the desired pose beyond a margin.
-Tactile inputs update every control tick; the visual terms are latched
-between perception frames. Wrenches and pose errors are tool-frame raw
-6-vectors.
+controller out as the tool separates from the desired pose beyond a margin,
+read on the tool-z axis alone. Tactile inputs update every control tick; the
+visual terms are latched between perception frames. The metric's wrenches
+and pose errors are tool-frame raw 6-vectors.
 """
 
 from __future__ import annotations
@@ -72,17 +72,15 @@ def rho_align_step(rho_align: float, h: float, dt: float, cfg: MonitorConfig) ->
     return float(min(max(rho_align + rate * dt, 0.0), 1.0))
 
 
-def rho_frc(f_d_ee: np.ndarray, x_tilde_ee: np.ndarray, delta_c: float) -> float:
-    """Force shaping gate in [0, 1].
+def rho_frc(f_d_z: float, x_z: float, delta_c: float) -> float:
+    """Force shaping gate in [0, 1] from the tool-z desired reaction and pose error.
 
     Full force while the tool sits at or inside the commanded contact
-    (f_d . x_tilde <= 0); a half-cosine fade while the separation stays
+    (f_d_z * x_z <= 0); a half-cosine fade while the separation stays
     within the margin; zero beyond it.
     """
-    alignment_error = float(f_d_ee @ x_tilde_ee)
-    if alignment_error <= 0.0:
+    if f_d_z * x_z <= 0.0:
         return 1.0
-    x_z = float(x_tilde_ee[2])
     if 0.0 < x_z <= delta_c:
         return 0.5 * (1.0 + np.cos(np.pi * x_z / delta_c))
     return 0.0

@@ -15,8 +15,8 @@ the camera gets a `Pose`, on perception ticks. Each tick writes one row of a
 preallocated (n_ticks, len(COLUMNS)) telemetry table: the pre-step pose and
 twist, the post-step tank energies.
 
-Force-path sign convention: the commanded and measured wrenches the policy,
-monitor and PI controller work with are *reaction* wrenches on the tool
+Force-path sign convention: the policy, monitor and PI controller work with
+the desired and measured tool-z *reactions* on the tool, one float each
 (pressing into the surface reads +z in the tool frame), so the thrust the
 robot must exert is the negated PI output. The force tank sees the
 rho_frc-shaped thrust (its actual gated port) and none of the damper power,
@@ -141,6 +141,10 @@ class Scenario:
             if not (tank.x0 > 0.0 and tank.s_lower <= tank.s0 <= tank.s_upper):
                 raise ValueError(f"{key}.x0 = {tank.x0!r} must be positive with 0.5*x0^2 in "
                                  f"[{tank.s_lower!r}, {tank.s_upper!r}] J")
+        for key in ("k", "min_segment_size"):
+            value = getattr(self.perception, key)
+            if value > self.camera.cols * self.camera.rows:
+                raise ValueError(f"perception.{key} = {value!r} exceeds the camera.cols * camera.rows pixels")
         for axis, value in (("x", self.start_x), ("y", self.start_y)):
             half = getattr(self.surface, f"{axis}_half")
             if not abs(value) <= half:
@@ -151,13 +155,11 @@ class Scenario:
         return int(round(self.dt_perception / self.dt_control))
 
 
-def wiping_policy(t: float, policy: PolicyConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Task-frame pose offset and desired tool-frame contact reaction at time t."""
+def wiping_policy(t: float, policy: PolicyConfig) -> tuple[np.ndarray, float]:
+    """Task-frame position offset and desired tool-z contact reaction at time t."""
     a, f = policy.amplitude, policy.frequency
-    offset = np.array(
-        [a * np.sin(f * t), a * (np.cos(f * t) - 1.0) + policy.drift * t, 0.0, 0.0, 0.0, 0.0]
-    )
-    return offset, np.array([0.0, 0.0, policy.force_z, 0.0, 0.0, 0.0])
+    offset = np.array([a * np.sin(f * t), a * (np.cos(f * t) - 1.0) + policy.drift * t, 0.0])
+    return offset, policy.force_z
 
 
 def plant_step(
@@ -267,9 +269,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 pending = None
 
         # --- policy and desired pose
-        offset, f_d_ee = wiping_policy(t, sc.policy)
+        offset, f_d_z = wiping_policy(t, sc.policy)
         r_input = orientation_filter(ctrl, dt, filter_time)
-        p_d = task_origin + offset[:3]
+        p_d = task_origin + offset
 
         # --- contact and frame-local errors
         report = contact_wrench(sc.surface, p_ee, twist, sc.tool_radius)
@@ -294,23 +296,22 @@ def run_scenario(scenario: Scenario) -> RunResult:
         if realignment_trigger(rho_align, sc.monitor.rho_trigger):
             if trigger_armed:
                 events.append(t)
-                task_origin = p_ee - offset[:3]
+                task_origin = p_ee - offset
                 p_d = p_ee
-                ctrl.pi_integral = np.zeros(6)
+                ctrl.pi_integral = 0.0
                 trigger_armed = False
                 x_tilde = pose_error(r_ee, p_ee, r_input, p_d)
                 x_tilde_ee = rotate_wrench(r_ee.T, x_tilde)
         else:
             trigger_armed = True
-        rho_f = rho_frc(f_d_ee, x_tilde_ee, sc.monitor.delta_c)
+        rho_f = rho_frc(f_d_z, x_tilde_ee[2], sc.monitor.delta_c)
 
         # --- controller
         k_var = variable_stiffness(rho_align, r_ee, sc.controller)
         d = damping_matrix(k_var, m_diag, damping_coeffs)
         f_damp = -d * twist
         f_var = -k_var @ x_tilde
-        f_ext_pi = np.array([0.0, 0.0, f_ext_ee[2], 0.0, 0.0, 0.0])
-        f_reaction = force_wrench(f_d_ee, f_ext_pi, ctrl, r_ee, dt, sc.controller)
+        f_reaction = force_wrench(f_d_z, f_ext_ee[2], ctrl, r_ee, dt, sc.controller)
         f_app = f_reaction * -1.0  # commanded thrust opposes the target reaction
 
         # --- lam and the tank gates from the pre-step state drive this tick's
@@ -336,7 +337,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
             r_next, p_next, twist_next = r_ee, p_ee, twist
         twist_mid = 0.5 * (twist + twist_next)
         s_f = force_tank_step(s_f, tank_f, twist_mid, f_tank, lam, sigma_f, beta_f, dt)
-        s_i = impedance_tank_step(s_i, tank_i, twist_mid, x_tilde, d, k_var, sigma_i, beta_i, dt)
+        s_i = impedance_tank_step(s_i, tank_i, twist_mid, d, f_var, sigma_i, beta_i, dt)
 
         # --- telemetry row k, in COLUMNS order
         np.concatenate(
@@ -348,7 +349,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 f_cmd,
                 f_ext_ee,
                 (
-                    f_d_ee[2], rho_align, rho_f, c_val, h_val, latched.theta, latched.l_s,
+                    f_d_z, rho_align, rho_f, c_val, h_val, latched.theta, latched.l_s,
                     s_i, s_f, sigma_i_used, sigma_f_used, lam, beta_i, beta_f, fresh,
                 ),
                 p_d,

@@ -83,9 +83,8 @@ def impedance_tank_step(
     s: float,
     tank: TankConfig,
     x_dot: np.ndarray,
-    x_tilde: np.ndarray,
     d: np.ndarray,
-    k_var: np.ndarray,
+    f_var: np.ndarray,
     sigma: float,
     beta: float,
     dt: float,
@@ -95,12 +94,13 @@ def impedance_tank_step(
     Harvests the damper dissipation (through beta) and exchanges the
     variable-spring power through the valve that also gates the spring in
     the control law. d is the diagonal damping, as in the damper wrench
-    -d * x_dot.
+    -d * x_dot; f_var is the spring wrench -K_var x_tilde the command
+    applied, so the tank books the power of that very wrench.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     p_damp = float((x_dot * d) @ x_dot)
-    p_spring = float(x_tilde @ k_var.T @ x_dot)
+    p_spring = -float(f_var @ x_dot)
     power = beta * p_damp + sigma * p_spring
     return _integrate_energy(s, tank, power, dt)
 

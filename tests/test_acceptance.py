@@ -253,17 +253,7 @@ def test_criterion_7_example_oracles():
     )
     checks.append(abs(c_val - 0.158) < 1e-12)
     # force shaping cosine midpoint
-    checks.append(
-        abs(
-            vauf.rho_frc(
-                np.array([0, 0, 15.0, 0, 0, 0]),
-                np.array([0, 0, 0.02, 0, 0, 0]),
-                0.04,
-            )
-            - 0.5
-        )
-        < 1e-12
-    )
+    checks.append(abs(vauf.rho_frc(15.0, 0.02, 0.04) - 0.5) < 1e-12)
     # valve/gate ramp midpoints and the passivity selector boundary
     checks.append(vauf.valve_sigma(1.1, 1.0, 0.2) == pytest.approx(0.5))
     checks.append(vauf.gate_beta(1.9, 2.0, 0.2) == pytest.approx(0.5))

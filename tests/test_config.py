@@ -53,13 +53,17 @@ INVALID_VALUES = [
     "monitor.delta_c=0",
     "perception.min_segment_size=0",
     "perception.k=4",
+    "perception.k=769",
+    "perception.min_segment_size=769",
     "perception.angle_thresh_deg=90",
     "run.seed=-3",
     "controller.integral_limit=-1",
     "controller.damping_coeffs=0.7,0.7,-0.7,1,1,1",
     "controller.k_max=1000,1000,10,-200,200,200",
-    "controller.k_p=0.6,0.6,0.6,0.6,0.6,-0.6",
-    "controller.k_i=-0.3,0.3,0.3,0.3,0.3,0.3",
+    "controller.k_p=-0.6",
+    "controller.k_i=-0.3",
+    "controller.k_p=0.6,0.6,0.6,0.6,0.6,0.6",
+    "controller.k_i=0.3,0.3,0.3,0.3,0.3,0.3",
     "controller.filter_time=0",
     "monitor.alpha=-1",
     "monitor.xi=-0.08",
@@ -117,6 +121,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             parse_scenario_text(probe)
 
+    def test_perception_sizes_up_to_the_frame_accepted(self):
+        # the default 32 x 24 frame has 768 pixels; 769 is rejected above
+        sc = parse_scenario_text("perception.k = 768\nperception.min_segment_size = 768")
+        assert sc.perception.k == sc.perception.min_segment_size == 768
+
     def test_zero_noise_sigma_accepted(self):
         assert parse_scenario_text("camera.noise_sigma = 0").camera.noise_sigma == 0.0
 
@@ -136,11 +145,11 @@ class TestRoundTrip:
 # SHA-256 prefixes of scenario_to_text: the resolved copy written next to each
 # run must not change its bytes unless the key set or the format does.
 RESOLVED_TEXT_DIGESTS = {
-    "default": "1b1c9f2fccce6964",
-    "duration-seed-tilt": "c782ae8e187aea83",
-    "reference.cfg": "772e2abec9d4c5df",
-    "flat_steady.cfg": "b817f6d24aaa482c",
-    "negative_control.cfg": "1c424e096d40b595",
+    "default": "2b0e311d4c2bb0e4",
+    "duration-seed-tilt": "6cd5f77ae3cf344f",
+    "reference.cfg": "e251ff69b87c90ce",
+    "flat_steady.cfg": "2aa340f4f830ebdf",
+    "negative_control.cfg": "58e480a9ae1964e9",
 }
 PYTHON_SCENARIOS = {"default": {}, "duration-seed-tilt": dict(duration=7.5, seed=11, start_tilt_deg=12.0)}
 
@@ -175,6 +184,18 @@ def _tank(draw, section):
 
 
 @st.composite
+def _frame(draw):
+    cols, rows = draw(st.integers(8, 256)), draw(st.integers(8, 256))
+    pixels = cols * rows
+    return {
+        "camera.cols": str(cols),
+        "camera.rows": str(rows),
+        "perception.k": str(draw(st.integers(5, min(100, pixels)))),
+        "perception.min_segment_size": str(draw(st.integers(1, min(1000, pixels)))),
+    }
+
+
+@st.composite
 def _cadence(draw):
     dt = draw(st.one_of(st.sampled_from([1e-3, 5e-4, 2e-3]), _finite(1e-4, 1e-2)))
     return {
@@ -184,7 +205,8 @@ def _cadence(draw):
     }
 
 
-# valid text values per key; tanks and the run cadence are drawn jointly below
+# valid text values per key; tanks, the camera frame with the perception
+# sizes bounded by its pixel count, and the run cadence are drawn jointly below
 KEY_VALUES = {
     "surface.kind": st.sampled_from(["sinusoid", "flat"]),
     "surface.amplitude": _finite(-0.05, 0.05).map(repr),
@@ -195,15 +217,11 @@ KEY_VALUES = {
     "surface.k_n": _finite(1.0, 1e6).map(repr),
     "surface.d_n": _finite(0.0, 1e3).map(repr),
     "camera.fov_deg": _vector(2, 1.0, 179.0),
-    "camera.cols": st.integers(8, 256).map(str),
-    "camera.rows": st.integers(8, 256).map(str),
     "camera.noise_sigma": _finite(0.0, 0.01).map(repr),
     "camera.range_min": _finite(1e-3, 0.49).map(repr),
     "camera.range_max": _finite(0.5, 5.0).map(repr),
     "camera.mount_offset": _vector(3, -1.0, 1.0),
-    "perception.k": st.integers(5, 100).map(str),
     "perception.angle_thresh_deg": _finite(0.01, 89.99).map(repr),
-    "perception.min_segment_size": st.integers(1, 1000).map(str),
     "monitor.alpha": _finite(0.0, 100.0).map(repr),
     "monitor.xi": _finite(0.0, 100.0).map(repr),
     "monitor.gamma": _finite(0.0, 100.0).map(repr),
@@ -213,8 +231,8 @@ KEY_VALUES = {
     "monitor.rho_trigger": _finite(0.0, 1.0).map(repr),
     "controller.k_max": _vector(6, 0.0, 1e3),
     "controller.damping_coeffs": _vector(6, 0.0, 10.0),
-    "controller.k_p": _vector(6, 0.0, 10.0),
-    "controller.k_i": _vector(6, 0.0, 10.0),
+    "controller.k_p": _finite(0.0, 10.0).map(repr),
+    "controller.k_i": _finite(0.0, 10.0).map(repr),
     "controller.integral_limit": _finite(0.0, 100.0).map(repr),
     "controller.filter_time": _finite(1e-3, 10.0).map(repr),
     "tanks.valves_forced_open": st.sampled_from(["true", "false", "yes", "no", "1", "0"]),
@@ -231,7 +249,7 @@ KEY_VALUES = {
     "run.start_tilt_deg": _finite(-90.0, 90.0).map(repr),
 }
 SCENARIO_TEXT = st.tuples(
-    st.fixed_dictionaries(KEY_VALUES), _tank("tanks.force"), _tank("tanks.impedance"), _cadence()
+    st.fixed_dictionaries(KEY_VALUES), _frame(), _tank("tanks.force"), _tank("tanks.impedance"), _cadence()
 ).map(lambda parts: "\n".join(f"{k} = {v}" for part in parts for k, v in part.items()))
 
 

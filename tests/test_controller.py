@@ -14,7 +14,7 @@ from vauf.controller import (
     stiffness_from_alignment,
     variable_stiffness,
 )
-from vauf.spatial import pose_error, rotation_power, rotation_x, rotation_z
+from vauf.spatial import pose_error, rotate_wrench, rotation_power, rotation_x, rotation_z
 from conftest import random_rotation
 
 TABLE = ControllerConfig()
@@ -76,40 +76,78 @@ class TestDamping:
 class TestForceWrench:
     def test_zero_error_pass_through(self):
         state = ControllerState()
-        f_d = ee_force_z(15.0)
-        out = force_wrench(f_d, f_d, state, np.eye(3), 1e-3, TABLE)
-        assert np.allclose(out, f_d)
+        out = force_wrench(15.0, 15.0, state, np.eye(3), 1e-3, TABLE)
+        assert np.allclose(out, ee_force_z(15.0))
 
     def test_proportional_correction(self):
         state = ControllerState()
-        out = force_wrench(ee_force_z(15.0), ee_force_z(20.0), state, np.eye(3), 1e-3, TABLE)
+        out = force_wrench(15.0, 20.0, state, np.eye(3), 1e-3, TABLE)
         assert out[2] == pytest.approx(15.0 + 0.6 * 5.0, abs=1e-12)
 
     def test_rotation_to_base(self):
         state = ControllerState()
-        out = force_wrench(ee_force_z(15.0), ee_force_z(20.0), state, rotation_x(np.pi / 2), 1e-3, TABLE)
+        out = force_wrench(15.0, 20.0, state, rotation_x(np.pi / 2), 1e-3, TABLE)
         assert np.allclose(out[:3], [0.0, -18.0, 0.0], atol=1e-12)
 
     def test_integral_clamped(self):
         state = ControllerState()
-        f_d = ee_force_z(15.0)
-        f_ext = np.zeros(6)
         for _ in range(5000):
-            force_wrench(f_d, f_ext, state, np.eye(3), 1e-2, TABLE)
-            assert np.abs(state.pi_integral).max() <= TABLE.integral_limit + 1e-12
+            force_wrench(15.0, 0.0, state, np.eye(3), 1e-2, TABLE)
+            assert abs(state.pi_integral) <= TABLE.integral_limit + 1e-12
+        assert isinstance(state.pi_integral, float)
 
     def test_integral_opposes_persistent_over_press(self):
         # sustained over-press must wind the command down, not up
         state = ControllerState()
-        f_d, f_ext = ee_force_z(15.0), ee_force_z(20.0)
-        first = force_wrench(f_d, f_ext, state, np.eye(3), 1e-3, TABLE)[2]
+        first = force_wrench(15.0, 20.0, state, np.eye(3), 1e-3, TABLE)[2]
         for _ in range(2000):
-            last = force_wrench(f_d, f_ext, state, np.eye(3), 1e-3, TABLE)[2]
+            last = force_wrench(15.0, 20.0, state, np.eye(3), 1e-3, TABLE)[2]
         assert last < first
 
     def test_bad_dt(self):
         with pytest.raises(ValueError):
-            force_wrench(np.zeros(6), np.zeros(6), ControllerState(), np.eye(3), 0.0, TABLE)
+            force_wrench(0.0, 0.0, ControllerState(), np.eye(3), 0.0, TABLE)
+
+
+def force_wrench_6d(f_d_ee, f_ext_ee, pi_integral, r_ee, dt, cfg):
+    """The 6-axis PI the scalar force_wrench replaced; k_p and k_i repeat on every axis.
+
+    Returns (base-frame wrench, next integral).
+    """
+    f_err = f_ext_ee - f_d_ee
+    out_ee = f_d_ee + np.full(6, cfg.k_p) * f_err + np.full(6, cfg.k_i) * pi_integral
+    pi_integral = (pi_integral - f_err * dt).clip(-cfg.integral_limit, cfg.integral_limit)
+    return rotate_wrench(r_ee, out_ee), pi_integral
+
+
+class TestForceWrenchOracle:
+    """The tool-z force_wrench against the 6-axis PI, with desired and measured force along tool z."""
+
+    @staticmethod
+    def assert_matches(f_d_z, f_ext_z, integral, r_ee, dt, cfg):
+        state = ControllerState(pi_integral=integral)
+        out = force_wrench(f_d_z, f_ext_z, state, r_ee, dt, cfg)
+        ref, ref_integral = force_wrench_6d(ee_force_z(f_d_z), ee_force_z(f_ext_z), ee_force_z(integral), r_ee, dt, cfg)
+        assert out.tobytes() == ref.tobytes()
+        assert np.float64(state.pi_integral).tobytes() == ref_integral[2].tobytes()
+        assert not ref_integral[[0, 1, 3, 4, 5]].any()
+
+    def test_random_inputs_bit_exact(self):
+        rng = np.random.default_rng(7)
+        for _ in range(3000):
+            cfg = ControllerConfig(
+                k_p=rng.uniform(0.0, 5.0), k_i=rng.uniform(0.0, 5.0), integral_limit=rng.uniform(0.0, 50.0)
+            )
+            integral = rng.uniform(-cfg.integral_limit, cfg.integral_limit)
+            f_d_z, f_ext_z = rng.normal(0.0, 20.0, 2)
+            self.assert_matches(f_d_z, f_ext_z, integral, random_rotation(rng), rng.uniform(1e-4, 1e-2), cfg)
+
+    @pytest.mark.parametrize("f_d_z, f_ext_z", [(0.0, 0.0), (0.0, 12.5), (15.0, 0.0), (15.0, -0.0), (-0.0, 3.0)])
+    @pytest.mark.parametrize("integral", [-30.0, 30.0, 0.0, 29.99])
+    def test_edges_bit_exact(self, f_d_z, f_ext_z, integral):
+        # integrals at the clamp, zero forces of either sign, a zero setpoint
+        r_ee = random_rotation(np.random.default_rng(8))
+        self.assert_matches(f_d_z, f_ext_z, integral, r_ee, 1e-2, TABLE)
 
 
 class TestDesiredOrientation:

@@ -93,31 +93,64 @@ class TestRhoAlignStep:
 
 class TestRhoFrc:
     def test_contact_held(self):
-        x_tilde = np.array([0.0, 0.0, -0.01, 0.0, 0.0, 0.0])
-        assert rho_frc(ee_wrench(15.0), x_tilde, 0.04) == 1.0
+        assert rho_frc(15.0, -0.01, 0.04) == 1.0
 
     def test_cosine_midpoint(self):
-        x_tilde = np.array([0.0, 0.0, 0.02, 0.0, 0.0, 0.0])
-        assert rho_frc(ee_wrench(15.0), x_tilde, 0.04) == pytest.approx(0.5, abs=1e-12)
+        assert rho_frc(15.0, 0.02, 0.04) == pytest.approx(0.5, abs=1e-12)
 
     def test_beyond_margin(self):
-        x_tilde = np.array([0.0, 0.0, 0.05, 0.0, 0.0, 0.0])
-        assert rho_frc(ee_wrench(15.0), x_tilde, 0.04) == 0.0
+        assert rho_frc(15.0, 0.05, 0.04) == 0.0
 
     def test_continuity_on_fade_band(self):
-        f_d = ee_wrench(15.0)
         eps = 1e-5
         slope_bound = np.pi / (2 * 0.04)
         for z in np.linspace(1e-4, 0.04 - eps, 200):
-            a = rho_frc(f_d, np.array([0, 0, z, 0, 0, 0]), 0.04)
-            b = rho_frc(f_d, np.array([0, 0, z + eps, 0, 0, 0]), 0.04)
+            a = rho_frc(15.0, z, 0.04)
+            b = rho_frc(15.0, z + eps, 0.04)
             assert abs(b - a) <= slope_bound * eps + 1e-12
 
     def test_range(self):
         rng = np.random.default_rng(2)
         for _ in range(500):
-            val = rho_frc(ee_wrench(15.0), rng.normal(0, 0.03, 6), 0.04)
+            val = rho_frc(15.0, rng.normal(0, 0.03), 0.04)
             assert 0.0 <= val <= 1.0
+
+
+def rho_frc_6d(f_d_ee, x_tilde_ee, delta_c):
+    """The 6-vector force gate the tool-z rho_frc replaced."""
+    alignment_error = float(f_d_ee @ x_tilde_ee)
+    if alignment_error <= 0.0:
+        return 1.0
+    x_z = float(x_tilde_ee[2])
+    if 0.0 < x_z <= delta_c:
+        return 0.5 * (1.0 + np.cos(np.pi * x_z / delta_c))
+    return 0.0
+
+
+class TestRhoFrcOracle:
+    """The tool-z rho_frc against the 6-vector gate, with the desired force along tool z."""
+
+    @staticmethod
+    def assert_matches(f_d_z, x_tilde_ee, delta_c):
+        got = rho_frc(f_d_z, x_tilde_ee[2], delta_c)
+        ref = rho_frc_6d(ee_wrench(f_d_z), x_tilde_ee, delta_c)
+        assert np.float64(got).tobytes() == np.float64(ref).tobytes()
+
+    def test_random_inputs_bit_exact(self):
+        rng = np.random.default_rng(5)
+        for _ in range(5000):
+            delta_c = rng.uniform(1e-3, 0.1)
+            x_tilde = rng.normal(0.0, rng.choice([1e-3, 0.03, 1.0]), 6)
+            self.assert_matches(rng.normal(0.0, 20.0), x_tilde, delta_c)
+
+    @pytest.mark.parametrize("f_d_z", [15.0, -15.0, 0.0, -0.0])
+    @pytest.mark.parametrize("x_z", [0.0, -0.0, 0.04, 0.02, -0.02, 0.05, 5e-324])
+    def test_edges_bit_exact(self, f_d_z, x_z):
+        rng = np.random.default_rng(6)
+        for _ in range(20):
+            x_tilde = rng.normal(0.0, 0.05, 6)
+            x_tilde[2] = x_z
+            self.assert_matches(f_d_z, x_tilde, 0.04)
 
 
 class TestRealignmentTrigger:

@@ -18,10 +18,10 @@ POLICY = PolicyConfig()
 
 class TestWipingPolicy:
     def test_start(self):
-        offset, f_d = wiping_policy(0.0, POLICY)
+        offset, f_d_z = wiping_policy(0.0, POLICY)
         assert np.allclose(offset, 0.0)
-        assert f_d[2] == 15.0
-        assert f_d.shape == (6,)
+        assert offset.shape == (3,)
+        assert f_d_z == 15.0
 
     def test_quarter_period(self):
         t = np.pi / 2
@@ -32,8 +32,8 @@ class TestWipingPolicy:
 
     def test_force_constant(self):
         for t in np.linspace(0.0, 20.0, 25):
-            _, f_d = wiping_policy(t, POLICY)
-            assert np.allclose(f_d, [0, 0, 15, 0, 0, 0])
+            _, f_d_z = wiping_policy(t, POLICY)
+            assert f_d_z == 15.0
 
 
 M_DIAG = np.array([5.0] * 3 + [0.3] * 3)

@@ -77,9 +77,9 @@ def ledger_run(scenario):
         calls["f"].append((s, lam * beta * -p_force - sigma * (1 - lam) * p_force, out, lam))
         return out
 
-    def impedance(s, tank, x_dot, x_tilde, d, k_var, sigma, beta, dt):
-        out = tanks.impedance_tank_step(s, tank, x_dot, x_tilde, d, k_var, sigma, beta, dt)
-        power = beta * float((x_dot * d) @ x_dot) + sigma * float(x_tilde @ k_var.T @ x_dot)
+    def impedance(s, tank, x_dot, d, f_var, sigma, beta, dt):
+        out = tanks.impedance_tank_step(s, tank, x_dot, d, f_var, sigma, beta, dt)
+        power = beta * float((x_dot * d) @ x_dot) - sigma * float(f_var @ x_dot)
         calls["i"].append((s, power, out))
         return out
 

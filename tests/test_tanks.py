@@ -124,7 +124,7 @@ class TestImpedanceTankStep:
     def test_zero_twist_unchanged(self):
         s = IMP_TANK.s0
         sigma, beta = gates(s, IMP_TANK)
-        new = impedance_tank_step(s, IMP_TANK, np.zeros(6), np.ones(6), np.ones(6), np.eye(6), sigma, beta, 1e-3)
+        new = impedance_tank_step(s, IMP_TANK, np.zeros(6), np.ones(6), -np.ones(6), sigma, beta, 1e-3)
         assert new == s
 
     def test_dissipation_refills(self):
@@ -135,7 +135,7 @@ class TestImpedanceTankStep:
         s = IMP_TANK.s0
         sigma, beta = gates(s, IMP_TANK)
         assert beta == 1.0
-        new = impedance_tank_step(s, IMP_TANK, x_dot, np.zeros(6), d, np.zeros((6, 6)), sigma, beta, 1e-3)
+        new = impedance_tank_step(s, IMP_TANK, x_dot, d, np.zeros(6), sigma, beta, 1e-3)
         assert new - s == pytest.approx(2e-3, abs=1e-12)
 
     def test_initial_energy_inside_band(self):
@@ -148,7 +148,7 @@ class TestImpedanceTankStep:
         x_dot = np.array([0.5, 0, 0, 0, 0, 0])
         sigma, beta = gates(s, IMP_TANK)
         assert beta == 0.0
-        new = impedance_tank_step(s, IMP_TANK, x_dot, np.zeros(6), d, np.zeros((6, 6)), sigma, beta, 1e-3)
+        new = impedance_tank_step(s, IMP_TANK, x_dot, d, np.zeros(6), sigma, beta, 1e-3)
         assert new <= 32.0 + 1e-9
 
 
@@ -174,7 +174,7 @@ class TestBandInvariant:
             d = rng.uniform(0, 120, 6)
             k = np.diag(rng.uniform(0, 1000, 6))
             sf = force_tank_step(sf, FORCE_TANK, x_dot, f, lambda_selector(x_dot, f), *gates(sf, FORCE_TANK), 1e-3)
-            si = impedance_tank_step(si, IMP_TANK, x_dot, x_tilde, d, k, *gates(si, IMP_TANK), 1e-3)
+            si = impedance_tank_step(si, IMP_TANK, x_dot, d, -k @ x_tilde, *gates(si, IMP_TANK), 1e-3)
             assert 1.0 - 1e-9 <= sf <= 2.0 + 1e-9
             assert 1.0 - 1e-9 <= si <= 32.0 + 1e-9
 
@@ -194,7 +194,7 @@ class TestBandInvariant:
         for v, f, d, q, sigma, beta in steps:
             x_dot = wrench_z(v)
             sf = force_tank_step(sf, tank, x_dot, wrench_z(f), lambda_selector(x_dot, wrench_z(f)), sigma, beta, 1e-3)
-            si = impedance_tank_step(si, tank, x_dot, wrench_z(q), np.full(6, abs(d)), np.eye(6), sigma, beta, 1e-3)
+            si = impedance_tank_step(si, tank, x_dot, np.full(6, abs(d)), wrench_z(-q), sigma, beta, 1e-3)
             for s in (sf, si):
                 assert s_lower * (1 - 1e-12) <= s <= s_upper * (1 + 1e-12)
 

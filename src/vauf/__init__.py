@@ -18,7 +18,7 @@ from .controller import (
     force_wrench,
     orientation_filter,
     restart_filter,
-    stiffness_from_alignment,
+    spring_wrench,
     variable_stiffness,
 )
 from .monitor import (

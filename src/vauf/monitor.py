@@ -7,14 +7,13 @@ shaping state rho_align in [0, 1]. A separate gate rho_frc fades the force
 controller out as the tool separates from the desired pose beyond a margin,
 read on the tool-z axis alone. Tactile inputs update every control tick; the
 visual terms are latched between perception frames. The metric's wrenches
-and pose errors are tool-frame raw 6-vectors.
+and pose errors are tool-frame 6-tuples; everything here is float math.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -41,10 +40,12 @@ class MonitorConfig:
 
 
 def alignment_metric(
-    f_ext_ee: np.ndarray, x_tilde_ee: np.ndarray, theta: float, l_s: float, cfg: MonitorConfig
+    f_ext_ee: tuple, x_tilde_ee: tuple, theta: float, l_s: float, cfg: MonitorConfig
 ) -> float:
     """C = | alpha*|f_ext . x_tilde| + xi*theta + gamma*l_s |, tool-frame inputs."""
-    tactile = abs(float(f_ext_ee @ x_tilde_ee))
+    f0, f1, f2, f3, f4, f5 = f_ext_ee
+    x0, x1, x2, x3, x4, x5 = x_tilde_ee
+    tactile = abs(f0 * x0 + f1 * x1 + f2 * x2 + f3 * x3 + f4 * x4 + f5 * x5)
     return abs(cfg.alpha * tactile + cfg.xi * theta + cfg.gamma * l_s)
 
 
@@ -82,7 +83,7 @@ def rho_frc(f_d_z: float, x_z: float, delta_c: float) -> float:
     if f_d_z * x_z <= 0.0:
         return 1.0
     if 0.0 < x_z <= delta_c:
-        return 0.5 * (1.0 + np.cos(np.pi * x_z / delta_c))
+        return 0.5 * (1.0 + math.cos(math.pi * x_z / delta_c))
     return 0.0
 
 

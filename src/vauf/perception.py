@@ -69,10 +69,6 @@ class PerceptionResult:
     theta: float  # rad, folded deviation from the camera axis
     valid: bool
 
-    @classmethod
-    def invalid(cls) -> "PerceptionResult":
-        return cls(np.array([0.0, 0.0, -1.0]), eigenvalues=np.zeros(3), l_s=0.0, theta=0.0, valid=False)
-
 
 def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
     """Per-point unit normals from kNN covariance, oriented toward the camera.

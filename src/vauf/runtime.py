@@ -8,12 +8,15 @@ at one perception tick is processed at the next. The loop per control tick:
     contact -> alignment monitor -> shaping -> realignment handling ->
     controller -> tanks -> composed command -> plant step -> telemetry row
 
-Inside the loop the plant state is the arrays (r_ee, p_ee, twist), the
-desired pose is the filtered rotation plus a position p_d, wrenches, twists
-and pose errors are raw float64 6-vectors and gains are Python floats; only
-the camera gets a `Pose`, on perception ticks. Each tick writes one row of a
-preallocated (n_ticks, len(COLUMNS)) telemetry table: the pre-step pose and
-twist, the post-step tank energies.
+The tick is Python floats and tuples from contact to plant step: the plant
+state is (r_ee, p_ee, twist) with r_ee a row-major rotation 9-tuple, the
+desired pose is the filtered rotation plus a position p_d, and wrenches,
+twists and pose errors are 6-tuples. numpy is met only on perception ticks,
+where the camera gets a `Pose` and the perceived normal comes back as a
+float tuple. Each tick writes one row of a preallocated (n_ticks,
+len(COLUMNS)) telemetry table in one assignment: the pre-step pose and
+twist, the post-step tank energies. Every collaborator is called through
+its module global, looked up at call time.
 
 Force-path sign convention: the policy, monitor and PI controller work with
 the desired and measured tool-z *reactions* on the tool, one float each
@@ -27,6 +30,7 @@ same dissipation twice and break the energy ledger.
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -43,6 +47,7 @@ from .controller import (
     force_wrench,
     orientation_filter,
     restart_filter,
+    spring_wrench,
     variable_stiffness,
 )
 from .monitor import (
@@ -53,20 +58,16 @@ from .monitor import (
     rho_align_step,
     rho_frc,
 )
-from .perception import (
-    DegenerateSegmentError,
-    NoSegmentError,
-    PerceptionConfig,
-    PerceptionResult,
-    perceive,
-)
+from .perception import DegenerateSegmentError, NoSegmentError, PerceptionConfig, perceive
 from .spatial import (
     Pose,
+    mat_mul,
     pose_error,
     rotate_wrench,
     rotation_exp,
     rotation_to_quaternion,
     rotation_x,
+    transpose,
 )
 from .surface import HeightField, contact_wrench
 from .tanks import (
@@ -155,29 +156,28 @@ class Scenario:
         return int(round(self.dt_perception / self.dt_control))
 
 
-def wiping_policy(t: float, policy: PolicyConfig) -> tuple[np.ndarray, float]:
+def wiping_policy(t: float, policy: PolicyConfig) -> tuple[tuple, float]:
     """Task-frame position offset and desired tool-z contact reaction at time t."""
     a, f = policy.amplitude, policy.frequency
-    offset = np.array([a * np.sin(f * t), a * (np.cos(f * t) - 1.0) + policy.drift * t, 0.0])
-    return offset, policy.force_z
+    return (a * math.sin(f * t), a * (math.cos(f * t) - 1.0) + policy.drift * t, 0.0), policy.force_z
 
 
 def plant_step(
-    rotation: np.ndarray, position: np.ndarray, twist: np.ndarray, m_diag: np.ndarray,
-    f_cmd: np.ndarray, f_ext: np.ndarray, dt: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    rotation: tuple, position: tuple, twist: tuple, m_diag: tuple, f_cmd: tuple, f_ext: tuple, dt: float
+) -> tuple[tuple, tuple, tuple]:
     """Semi-implicit Euler step of the Cartesian rigid body (base-frame wrenches).
 
     m_diag is the diagonal inertia (kg, kg*m^2); returns the new
-    (rotation, position, twist) as fresh arrays.
+    (rotation, position, twist).
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    total = f_cmd + f_ext
-    if not np.isfinite(total).all():
+    total = [c + e for c, e in zip(f_cmd, f_ext)]
+    if not all(map(math.isfinite, total)):
         raise SimulationDiverged("non-finite commanded or external wrench")
-    twist = twist + total / m_diag * dt
-    return rotation_exp(twist[3:] * dt) @ rotation, position + twist[:3] * dt, twist
+    v0, v1, v2, w0, w1, w2 = twist = tuple([v + f / m * dt for v, f, m in zip(twist, total, m_diag)])
+    position = (position[0] + v0 * dt, position[1] + v1 * dt, position[2] + v2 * dt)
+    return mat_mul(rotation_exp((w0 * dt, w1 * dt, w2 * dt)), rotation), position, twist
 
 
 @dataclass
@@ -220,21 +220,22 @@ def run_scenario(scenario: Scenario) -> RunResult:
     dt = sc.dt_control
     n_ticks = int(round(sc.duration / dt))
     stride = sc.perception_stride
-    m_diag = np.asarray(sc.mass, dtype=float)
-    damping_coeffs = np.asarray(sc.controller.damping_coeffs)
+    m_diag = tuple(map(float, sc.mass))
+    damping_coeffs = tuple(map(float, sc.controller.damping_coeffs))
     filter_time = sc.controller.filter_time
     rng = np.random.default_rng(sc.seed)
 
     pose0 = start_pose(sc)
-    r_ee, p_ee, twist = pose0.rotation, pose0.position, np.zeros(6)  # plant state, base frame
-    ctrl = ControllerState(r_init=r_ee.copy(), r_d=r_ee.copy())
+    # plant state, base frame: row-major rotation 9-tuple, position, twist
+    r_ee, p_ee, twist = tuple(pose0.rotation.ravel().tolist()), tuple(pose0.position.tolist()), (0.0,) * 6
+    ctrl = ControllerState(r_init=r_ee, r_d=r_ee)
     rho_align = 0.0
     tank_f = sc.tank_force
     tank_i = sc.tank_impedance
     s_f, s_i = tank_f.s0, tank_i.s0  # J, the tank energies the loop carries
-    task_origin = p_ee.copy()
-    latched = PerceptionResult.invalid()
-    n_s_base: np.ndarray | None = None
+    task_origin = p_ee
+    theta = l_s = 0.0  # the latched perception estimate's visual terms
+    n_s_base: tuple | None = None
     pending: tuple | None = None  # (cloud, camera rotation at render time)
     trigger_armed = True
     events: list[float] = []
@@ -246,7 +247,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
     for k in range(n_ticks):
         t = k * dt
 
-        # --- perception cadence: process last frame, render the next one
+        # --- perception cadence: process last frame, render the next one;
+        # the only place the tick meets numpy arrays
         fresh = 0.0
         if k % stride == 0:
             if pending is not None:
@@ -256,12 +258,13 @@ def run_scenario(scenario: Scenario) -> RunResult:
                     n_cam = r_cam @ latched.n_s_camera
                     if n_cam[2] < 0.0:
                         n_cam = -n_cam  # upward convention in the base frame
-                    n_s_base = n_cam
+                    n_s_base = tuple(n_cam.tolist())
+                    theta, l_s = float(latched.theta), float(latched.l_s)
                     fresh = 1.0
                 except (NoSegmentError, DegenerateSegmentError) as exc:
                     log.debug("perception failed at t=%.3f: %s", t, exc)
             try:
-                cam_pose = camera_pose_from_tool(Pose(r_ee, p_ee), sc.camera)
+                cam_pose = camera_pose_from_tool(Pose(np.reshape(r_ee, (3, 3)), p_ee), sc.camera)
                 cloud = render(sc.camera, cam_pose, sc.surface, rng=rng)
                 pending = (cloud, cam_pose.rotation)
             except EmptyViewError as exc:
@@ -271,17 +274,17 @@ def run_scenario(scenario: Scenario) -> RunResult:
         # --- policy and desired pose
         offset, f_d_z = wiping_policy(t, sc.policy)
         r_input = orientation_filter(ctrl, dt, filter_time)
-        p_d = task_origin + offset
+        p_d = (task_origin[0] + offset[0], task_origin[1] + offset[1], task_origin[2] + offset[2])
 
         # --- contact and frame-local errors
-        report = contact_wrench(sc.surface, p_ee, twist, sc.tool_radius)
-        f_ext_base = report.wrench
-        f_ext_ee = rotate_wrench(r_ee.T, f_ext_base)
+        f_ext_base = contact_wrench(sc.surface, p_ee, twist, sc.tool_radius).wrench
+        r_ee_t = transpose(r_ee)
+        f_ext_ee = rotate_wrench(r_ee_t, f_ext_base)
         x_tilde = pose_error(r_ee, p_ee, r_input, p_d)
-        x_tilde_ee = rotate_wrench(r_ee.T, x_tilde)
+        x_tilde_ee = rotate_wrench(r_ee_t, x_tilde)
 
         # --- alignment monitor and shaping
-        c_val = alignment_metric(f_ext_ee, x_tilde_ee, latched.theta, latched.l_s, sc.monitor)
+        c_val = alignment_metric(f_ext_ee, x_tilde_ee, theta, l_s, sc.monitor)
         h_val = normalized_coefficient(c_val, sc.monitor.c_margin)
         rho_align = rho_align_step(rho_align, h_val, dt, sc.monitor)
 
@@ -289,19 +292,19 @@ def run_scenario(scenario: Scenario) -> RunResult:
         # filter from the current attitude, so the tool normal keeps tracking
         # the curvature as the wipe advances
         if fresh and n_s_base is not None:
-            restart_filter(ctrl, r_ee.copy(), desired_orientation(n_s_base, r_ee))
+            restart_filter(ctrl, r_ee, desired_orientation(n_s_base, r_ee))
 
         # --- realignment: at full compliance, re-latch the desired translation
         # onto the actual pose and re-engage the force controller cleanly
         if realignment_trigger(rho_align, sc.monitor.rho_trigger):
             if trigger_armed:
                 events.append(t)
-                task_origin = p_ee - offset
+                task_origin = (p_ee[0] - offset[0], p_ee[1] - offset[1], p_ee[2] - offset[2])
                 p_d = p_ee
                 ctrl.pi_integral = 0.0
                 trigger_armed = False
                 x_tilde = pose_error(r_ee, p_ee, r_input, p_d)
-                x_tilde_ee = rotate_wrench(r_ee.T, x_tilde)
+                x_tilde_ee = rotate_wrench(r_ee_t, x_tilde)
         else:
             trigger_armed = True
         rho_f = rho_frc(f_d_z, x_tilde_ee[2], sc.monitor.delta_c)
@@ -309,16 +312,16 @@ def run_scenario(scenario: Scenario) -> RunResult:
         # --- controller
         k_var = variable_stiffness(rho_align, r_ee, sc.controller)
         d = damping_matrix(k_var, m_diag, damping_coeffs)
-        f_damp = -d * twist
-        f_var = -k_var @ x_tilde
-        f_reaction = force_wrench(f_d_z, f_ext_ee[2], ctrl, r_ee, dt, sc.controller)
-        f_app = f_reaction * -1.0  # commanded thrust opposes the target reaction
+        f_damp = tuple([-c * v for c, v in zip(d, twist)])
+        f_var = spring_wrench(k_var, x_tilde)
+        # the commanded thrust opposes the target reaction
+        f_app = tuple([-f for f in force_wrench(f_d_z, f_ext_ee[2], ctrl, r_ee, dt, sc.controller)])
 
         # --- lam and the tank gates from the pre-step state drive this tick's
         # command and both tank steps; the tank energies themselves are
         # integrated after the plant step with the midpoint twist so the power
         # ledger matches the work actually done on the semi-implicit plant
-        f_tank = f_app * rho_f
+        f_tank = tuple([f * rho_f for f in f_app])
         lam = lambda_selector(twist, f_tank)
         sigma_f = valve_sigma(s_f, tank_f.s_lower, tank_f.ramp_eps)
         beta_f = gate_beta(s_f, tank_f.s_upper, tank_f.ramp_eps)
@@ -335,30 +338,19 @@ def run_scenario(scenario: Scenario) -> RunResult:
             completed = False
             abort_reason = f"{exc} at t={t:.3f} s"
             r_next, p_next, twist_next = r_ee, p_ee, twist
-        twist_mid = 0.5 * (twist + twist_next)
+        twist_mid = tuple([0.5 * (a + b) for a, b in zip(twist, twist_next)])
         s_f = force_tank_step(s_f, tank_f, twist_mid, f_tank, lam, sigma_f, beta_f, dt)
         s_i = impedance_tank_step(s_i, tank_i, twist_mid, d, f_var, sigma_i, beta_i, dt)
 
         # --- telemetry row k, in COLUMNS order
-        np.concatenate(
-            (
-                (t,),
-                p_ee,
-                rotation_to_quaternion(r_ee),
-                twist,
-                f_cmd,
-                f_ext_ee,
-                (
-                    f_d_z, rho_align, rho_f, c_val, h_val, latched.theta, latched.l_s,
-                    s_i, s_f, sigma_i_used, sigma_f_used, lam, beta_i, beta_f, fresh,
-                ),
-                p_d,
-            ),
-            out=table[k],
+        table[k] = (
+            t, *p_ee, *rotation_to_quaternion(r_ee), *twist, *f_cmd, *f_ext_ee,
+            f_d_z, rho_align, rho_f, c_val, h_val, theta, l_s,
+            s_i, s_f, sigma_i_used, sigma_f_used, lam, beta_i, beta_f, fresh, *p_d,
         )
-        if completed and np.linalg.norm(twist_next) > TWIST_LIMIT:
+        if completed and math.hypot(*twist_next) > TWIST_LIMIT:
             completed = False
-            abort_reason = f"twist norm {np.linalg.norm(twist_next):.2f} exceeded {TWIST_LIMIT} at t={t:.3f} s"
+            abort_reason = f"twist norm {math.hypot(*twist_next):.2f} exceeded {TWIST_LIMIT} at t={t:.3f} s"
         if not completed:
             ticks_run = k + 1
             break
@@ -368,12 +360,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     wall = time.perf_counter() - t_start
     if not completed:
         log.error("simulation aborted: %s", abort_reason)
-    log.info(
-        "scenario finished: %d ticks, %d realignment events, %.2f s wall",
-        len(table),
-        len(events),
-        wall,
-    )
+    log.info("scenario finished: %d ticks, %d realignment events, %.2f s wall", len(table), len(events), wall)
     return RunResult(
         table=table,
         completed=completed,

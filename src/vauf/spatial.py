@@ -1,25 +1,21 @@
 """Small linear algebra: rotations, poses, 6-vectors, 3x3 symmetric eigen.
 
-Rotations are plain 3x3 orthonormal numpy arrays (determinant +1).
-Wrenches, twists and pose errors are raw float64 6-vectors (linear part
-first) everywhere, including across module boundaries; the caller knows
-which frame a vector is expressed in. All functions are pure.
+On the control tick everything is Python floats and tuples, computed with
+`math`: a rotation is a row-major 9-tuple (r00, r01, r02, r10, ..., r22,
+determinant +1) and wrenches, twists and pose errors are 6-tuples, linear
+part first; the caller knows which frame a vector is expressed in. numpy
+appears only where perception and the camera need it: `Pose`, `rotation_x`
+and `eig_sym3`. All functions are pure.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 _PI_AXIS_TOL = 1e-7
-_EYE3 = np.eye(3)
-
-
-def hat(w: np.ndarray) -> np.ndarray:
-    """Skew-symmetric matrix of a 3-vector."""
-    x, y, z = w
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def rotation_x(angle: float) -> np.ndarray:
@@ -27,31 +23,37 @@ def rotation_x(angle: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
-def rotation_z(angle: float) -> np.ndarray:
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-
-
-def is_rotation(r: np.ndarray, tol: float = 1e-9) -> bool:
-    """Columns orthonormal and determinant +1, both within tol."""
-    if r.shape != (3, 3):
-        return False
+def mat_mul(a: tuple, b: tuple) -> tuple:
+    """Product of two row-major 3x3 matrices."""
+    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
+    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
     return (
-        np.abs(r.T @ r - np.eye(3)).max() < tol
-        and abs(np.linalg.det(r) - 1.0) < tol
+        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
+        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
+        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
     )
 
 
-def rotation_exp(w: np.ndarray) -> np.ndarray:
+def transpose(r: tuple) -> tuple:
+    return r[0], r[3], r[6], r[1], r[4], r[7], r[2], r[5], r[8]
+
+
+def rotation_exp(w: tuple) -> tuple:
     """Rodrigues formula: rotation about w/|w| by angle |w| (radians)."""
-    theta = float(np.linalg.norm(w))
-    wx = hat(w)
+    x, y, z = w
+    xx, yy, zz = x * x, y * y, z * z
+    theta = math.sqrt(xx + yy + zz)
     if theta < 1e-10:
-        # second-order series; exact enough below the cutoff
-        return _EYE3 + wx + 0.5 * (wx @ wx)
-    a = np.sin(theta) / theta
-    b = (1.0 - np.cos(theta)) / (theta * theta)
-    return _EYE3 + a * wx + b * (wx @ wx)
+        a, b = 1.0, 0.5  # second-order series; exact enough below the cutoff
+    else:
+        a = math.sin(theta) / theta
+        b = (1.0 - math.cos(theta)) / (theta * theta)
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    return (
+        1.0 - b * (yy + zz), bxy - a * z, bxz + a * y,
+        bxy + a * z, 1.0 - b * (xx + zz), byz - a * x,
+        bxz - a * y, byz + a * x, 1.0 - b * (xx + yy),
+    )
 
 
 def _canonical_axis_sign(axis: np.ndarray) -> np.ndarray:
@@ -60,34 +62,34 @@ def _canonical_axis_sign(axis: np.ndarray) -> np.ndarray:
     return -axis if axis[i] < 0.0 else axis
 
 
-def rotation_log(r: np.ndarray) -> np.ndarray:
+def rotation_log(r: tuple) -> tuple:
     """Axis*angle 3-vector with |result| <= pi.
 
-    Near angle pi the off-diagonal formula degenerates; the axis is then
+    The angle is atan2(|v|, tr - 1) with v the skew part, exact down to the
+    smallest angles. Near angle pi the skew part vanishes; the axis is then
     recovered from (R + I)/2 and its sign fixed by making the
     largest-magnitude component positive.
     """
-    tr = min(max((r.trace() - 1.0) * 0.5, -1.0), 1.0)
-    theta = float(np.arccos(tr))
-    if theta < 1e-12:
-        return np.zeros(3)
-    if np.pi - theta < _PI_AXIS_TOL:
-        b = 0.5 * (r + np.eye(3))
-        i = int(np.argmax(np.diag(b)))
-        axis = np.empty(3)
-        axis[i] = np.sqrt(max(b[i, i], 0.0))
-        for j in range(3):
-            if j != i:
-                axis[j] = b[i, j] / axis[i]
-        axis = _canonical_axis_sign(axis / np.linalg.norm(axis))
-        return axis * theta
-    w = np.array([r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]])
-    return w * (theta / (2.0 * np.sin(theta)))
+    v0, v1, v2 = r[7] - r[5], r[2] - r[6], r[3] - r[1]  # 2 sin(angle) * axis
+    s = math.hypot(v0, v1, v2)
+    theta = math.atan2(s, r[0] + r[4] + r[8] - 1.0)
+    if math.pi - theta < _PI_AXIS_TOL:
+        diag = (r[0], r[4], r[8])
+        i = diag.index(max(diag))
+        row = [0.5 * (r[3 * i + j] + (i == j)) for j in range(3)]  # row i of (R + I)/2
+        row[i] = math.sqrt(max(row[i], 0.0))
+        axis = [c / row[i] if j != i else c for j, c in enumerate(row)]
+        scale = theta / math.hypot(*axis)
+        if max(axis, key=abs) < 0.0:
+            scale = -scale
+        return tuple(c * scale for c in axis)
+    if s == 0.0:
+        return 0.0, 0.0, 0.0
+    k = theta / s
+    return v0 * k, v1 * k, v2 * k
 
 
-def rotation_power(
-    r_init: np.ndarray, r_target: np.ndarray, zeta: float, rel: np.ndarray | None = None
-) -> np.ndarray:
+def rotation_power(r_init: tuple, r_target: tuple, zeta: float, rel: tuple | None = None) -> tuple:
     """Geodesic interpolant (R_target R_init^T)^zeta R_init for zeta in [0, 1].
 
     ``rel`` is log(R_target R_init^T) when the caller already has it.
@@ -95,10 +97,10 @@ def rotation_power(
     if not 0.0 <= zeta <= 1.0:
         raise ValueError(f"zeta must be in [0, 1], got {zeta}")
     if zeta == 0.0:
-        return r_init.copy()
+        return r_init
     if rel is None:
-        rel = rotation_log(r_target @ r_init.T)
-    return rotation_exp(zeta * rel) @ r_init
+        rel = rotation_log(mat_mul(r_target, transpose(r_init)))
+    return mat_mul(rotation_exp((zeta * rel[0], zeta * rel[1], zeta * rel[2])), r_init)
 
 
 def eig_sym3(m: np.ndarray, sym_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
@@ -132,45 +134,43 @@ class Pose:
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
 
 
-def rotate_wrench(r: np.ndarray, w: np.ndarray) -> np.ndarray:
+def rotate_wrench(r: tuple, w: tuple) -> tuple:
     """blockdiag(R, R) applied to a 6-vector (wrench, twist or pose error)."""
-    return np.concatenate([r @ w[:3], r @ w[3:]])
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
+    f0, f1, f2, t0, t1, t2 = w
+    return (
+        r0 * f0 + r1 * f1 + r2 * f2, r3 * f0 + r4 * f1 + r5 * f2, r6 * f0 + r7 * f1 + r8 * f2,
+        r0 * t0 + r1 * t1 + r2 * t2, r3 * t0 + r4 * t1 + r5 * t2, r6 * t0 + r7 * t1 + r8 * t2,
+    )
 
 
-def pose_error(r: np.ndarray, p: np.ndarray, r_d: np.ndarray, p_d: np.ndarray) -> np.ndarray:
+def pose_error(r: tuple, p: tuple, r_d: tuple, p_d: tuple) -> tuple:
     """6-vector pose error of (r, p) from (r_d, p_d): [p - p_d; log(R R_d^T)].
 
     The rotational part is the log of the current-relative-to-desired
     rotation so that -K * error is a restoring torque, matching the sign of
     the translational part.
     """
-    return np.concatenate([p - p_d, rotation_log(r @ r_d.T)])
+    return (p[0] - p_d[0], p[1] - p_d[1], p[2] - p_d[2]) + rotation_log(mat_mul(r, transpose(r_d)))
 
 
-def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
+def rotation_to_quaternion(r: tuple) -> tuple:
     """Unit quaternion (w, x, y, z) with w >= 0, Shepperd's method."""
-    t = r.trace()
+    r0, r1, r2, r3, r4, r5, r6, r7, r8 = r
+    t = r0 + r4 + r8
     if t > 0.0:
-        s = np.sqrt(t + 1.0) * 2.0
-        q = np.array(
-            [0.25 * s, (r[2, 1] - r[1, 2]) / s, (r[0, 2] - r[2, 0]) / s, (r[1, 0] - r[0, 1]) / s]
-        )
+        s = math.sqrt(t + 1.0) * 2.0
+        q = (0.25 * s, (r7 - r5) / s, (r2 - r6) / s, (r3 - r1) / s)
+    elif r0 >= r4 and r0 >= r8:  # the largest diagonal entry, the first on ties
+        s = math.sqrt(1.0 + r0 - r4 - r8) * 2.0
+        q = ((r7 - r5) / s, 0.25 * s, (r1 + r3) / s, (r2 + r6) / s)
+    elif r4 >= r8:
+        s = math.sqrt(1.0 + r4 - r0 - r8) * 2.0
+        q = ((r2 - r6) / s, (r1 + r3) / s, 0.25 * s, (r5 + r7) / s)
     else:
-        i = int(np.argmax(np.diag(r)))
-        if i == 0:
-            s = np.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2.0
-            q = np.array(
-                [(r[2, 1] - r[1, 2]) / s, 0.25 * s, (r[0, 1] + r[1, 0]) / s, (r[0, 2] + r[2, 0]) / s]
-            )
-        elif i == 1:
-            s = np.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2.0
-            q = np.array(
-                [(r[0, 2] - r[2, 0]) / s, (r[0, 1] + r[1, 0]) / s, 0.25 * s, (r[1, 2] + r[2, 1]) / s]
-            )
-        else:
-            s = np.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2.0
-            q = np.array(
-                [(r[1, 0] - r[0, 1]) / s, (r[0, 2] + r[2, 0]) / s, (r[1, 2] + r[2, 1]) / s, 0.25 * s]
-            )
-    q = q / np.linalg.norm(q)
-    return -q if q[0] < 0.0 else q
+        s = math.sqrt(1.0 + r8 - r0 - r4) * 2.0
+        q = ((r3 - r1) / s, (r2 + r6) / s, (r5 + r7) / s, 0.25 * s)
+    n = math.hypot(*q)
+    if q[0] < 0.0:
+        n = -n
+    return q[0] / n, q[1] / n, q[2] / n, q[3] / n

@@ -6,13 +6,17 @@ analytic surface normal plus kinetic Coulomb friction against the slip
 direction. Valid for gently sloped surfaces; near-vertical walls are out of
 scope (penetration is measured vertically, then projected on the normal).
 The tool is given by its centre position and twist only: a sphere's
-contact does not depend on its orientation. The contact wrench is a
-base-frame float64 6-vector (force, then torque).
+contact does not depend on its orientation. Contact runs on the control
+tick, so it is computed in floats with `math`: the contact wrench is a
+base-frame 6-tuple (force, then torque). The vectorized numpy height field
+serves the renderer.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,7 +59,8 @@ class HeightField:
             raise ValueError(f"surface.mu must be non-negative, got {self.mu!r}")
 
     def in_domain(self, x, y):
-        return (np.abs(x) <= self.x_half) & (np.abs(y) <= self.y_half)
+        """Inside the patch; works on floats and, elementwise, on arrays."""
+        return (abs(x) <= self.x_half) & (abs(y) <= self.y_half)
 
     def height_unchecked(self, x, y):
         """Vectorized h without domain checks (used by the renderer)."""
@@ -63,15 +68,6 @@ class HeightField:
             return np.broadcast_to(np.asarray(self.offset, dtype=float), np.shape(y)).copy() \
                 if np.ndim(y) else float(self.offset)
         return self.amplitude * np.sin(np.pi * y / self.period + self.phase) + self.offset
-
-    def gradient_unchecked(self, x, y):
-        """(dh/dx, dh/dy) without domain checks."""
-        if self.kind == "flat":
-            z = np.zeros(np.shape(y)) if np.ndim(y) else 0.0
-            return z, z
-        dy = self.amplitude * (np.pi / self.period) * np.cos(np.pi * y / self.period + self.phase)
-        dx = np.zeros(np.shape(y)) if np.ndim(y) else 0.0
-        return dx, dy
 
 
 def height(surface: HeightField, x: float, y: float) -> float:
@@ -81,36 +77,35 @@ def height(surface: HeightField, x: float, y: float) -> float:
     return float(surface.height_unchecked(x, y))
 
 
-def _unit_normal(surface: HeightField, x: float, y: float) -> np.ndarray:
-    gx, gy = surface.gradient_unchecked(x, y)
-    n = np.array([-gx, -gy, 1.0])
-    return n / np.linalg.norm(n)
+def _height_slope(surface: HeightField, y: float) -> tuple[float, float]:
+    """(h, dh/dy) at one point in floats; dh/dx is 0 for every kind."""
+    if surface.kind == "flat":
+        return surface.offset, 0.0
+    arg = math.pi * y / surface.period + surface.phase
+    return (surface.amplitude * math.sin(arg) + surface.offset,
+            surface.amplitude * (math.pi / surface.period) * math.cos(arg))
 
 
 def analytic_normal(surface: HeightField, x: float, y: float) -> np.ndarray:
     """Upward unit normal normalize([-dh/dx, -dh/dy, 1])."""
     if not surface.in_domain(x, y):
         raise DomainError(f"({x}, {y}) outside surface domain")
-    return _unit_normal(surface, x, y)
+    gy = _height_slope(surface, y)[1]
+    return np.array([0.0, -gy, 1.0]) / math.sqrt(gy * gy + 1.0)
 
 
-@dataclass(frozen=True)
-class ContactReport:
+class ContactReport(NamedTuple):
     in_contact: bool
     penetration: float
-    normal: np.ndarray
-    wrench: np.ndarray  # 6, base frame, on the tool: force, then zero torque
+    normal: tuple  # unit, base frame
+    wrench: tuple  # 6, base frame, on the tool: force, then zero torque
 
-    @classmethod
-    def no_contact(cls) -> "ContactReport":
-        return cls(False, 0.0, np.array([0.0, 0.0, 1.0]), np.zeros(6))
+
+_NO_CONTACT = ContactReport(False, 0.0, (0.0, 0.0, 1.0), (0.0,) * 6)
 
 
 def contact_wrench(
-    surface: HeightField,
-    tool_position: np.ndarray,
-    tool_twist: np.ndarray,
-    tool_radius: float,
+    surface: HeightField, tool_position: tuple, tool_twist: tuple, tool_radius: float
 ) -> ContactReport:
     """Penalty contact of a spherical tool tip against the height field.
 
@@ -121,25 +116,23 @@ def contact_wrench(
     """
     x, y, z = tool_position
     if not surface.in_domain(x, y):
-        return ContactReport.no_contact()
-    p_vert = float(surface.height_unchecked(x, y)) + tool_radius - z
+        return _NO_CONTACT
+    h, gy = _height_slope(surface, y)
+    p_vert = h + tool_radius - z
     if p_vert <= 0.0:
-        return ContactReport.no_contact()
-    n = _unit_normal(surface, x, y)
+        return _NO_CONTACT
+    norm = math.sqrt(gy * gy + 1.0)
+    n1, n2 = -gy / norm, 1.0 / norm
     # vertical penetration projected on the normal (gentle-slope approximation)
-    pen = p_vert * n[2]
-    v = np.asarray(tool_twist, dtype=float)[:3]
-    approach = -float(n @ v)  # > 0 while sinking in
-    f_n_mag = surface.k_n * pen + surface.d_n * max(0.0, approach)
-    v_t = v - (n @ v) * n
-    slip = np.linalg.norm(v_t)
+    pen = p_vert * n2
+    v0, v1, v2 = tool_twist[0], tool_twist[1], tool_twist[2]
+    vn = n1 * v1 + n2 * v2  # < 0 while sinking in
+    f_n = surface.k_n * pen + surface.d_n * max(0.0, -vn)
+    t0, t1, t2 = v0, v1 - vn * n1, v2 - vn * n2
+    slip = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
     if slip >= SLIP_SPEED_EPS and surface.mu > 0.0:
-        f_t = -surface.mu * f_n_mag * (v_t / slip)
+        c = -surface.mu * f_n
+        f = (c * (t0 / slip), f_n * n1 + c * (t1 / slip), f_n * n2 + c * (t2 / slip))
     else:
-        f_t = np.zeros(3)
-    return ContactReport(
-        in_contact=True,
-        penetration=pen,
-        normal=n,
-        wrench=np.concatenate((f_n_mag * n + f_t, np.zeros(3))),
-    )
+        f = (0.0, f_n * n1, f_n * n2)
+    return ContactReport(True, pen, (0.0, n1, n2), f + (0.0, 0.0, 0.0))

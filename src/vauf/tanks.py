@@ -8,7 +8,8 @@ width; the loop carries each tank's energy S as a float. A step integrates S
 directly from the port powers, so the per-tick bookkeeping is exact, then
 clamps it to the band. The loop evaluates lam and the gates once per tick,
 from the pre-step state, and hands the same values to the command and to
-both tank steps.
+both tank steps. The steps run on the control tick in Python floats on
+6-tuples; the audit is numpy over the whole telemetry table.
 
 The audit replays a telemetry log and checks, tick by tick, that the total
 storage (kinetic energy plus both tanks) never grows faster than the power
@@ -38,9 +39,13 @@ class TankConfig:
         return 0.5 * self.x0 * self.x0
 
 
-def lambda_selector(x_dot: np.ndarray, f_f: np.ndarray) -> int:
+def lambda_selector(x_dot: tuple, f_f: tuple) -> int:
     """1 iff the force wrench extracts energy (x_dot . f_f < 0), else 0."""
-    return 1 if float(x_dot @ f_f) < 0.0 else 0
+    return 1 if _dot6(x_dot, f_f) < 0.0 else 0
+
+
+def _dot6(a: tuple, b: tuple) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] + a[4] * b[4] + a[5] * b[5]
 
 
 def valve_sigma(s_t: float, s_lower: float, eps: float) -> float:
@@ -63,7 +68,7 @@ def _integrate_energy(s: float, tank: TankConfig, power: float, dt: float) -> fl
 
 
 def force_tank_step(
-    s: float, tank: TankConfig, x_dot: np.ndarray, f_f: np.ndarray, lam: int, sigma: float, beta: float, dt: float
+    s: float, tank: TankConfig, x_dot: tuple, f_f: tuple, lam: int, sigma: float, beta: float, dt: float
 ) -> float:
     """Force-controller tank energy after one tick with the command's lam, sigma and beta.
 
@@ -74,20 +79,13 @@ def force_tank_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    p_force = float(x_dot @ f_f)
+    p_force = _dot6(x_dot, f_f)
     power = lam * beta * -p_force - sigma * (1 - lam) * p_force
     return _integrate_energy(s, tank, power, dt)
 
 
 def impedance_tank_step(
-    s: float,
-    tank: TankConfig,
-    x_dot: np.ndarray,
-    d: np.ndarray,
-    f_var: np.ndarray,
-    sigma: float,
-    beta: float,
-    dt: float,
+    s: float, tank: TankConfig, x_dot: tuple, d: tuple, f_var: tuple, sigma: float, beta: float, dt: float
 ) -> float:
     """Variable-stiffness tank energy after one tick with the tick's gates sigma and beta.
 
@@ -99,8 +97,10 @@ def impedance_tank_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    p_damp = float((x_dot * d) @ x_dot)
-    p_spring = -float(f_var @ x_dot)
+    v0, v1, v2, v3, v4, v5 = x_dot
+    d0, d1, d2, d3, d4, d5 = d
+    p_damp = d0 * v0 * v0 + d1 * v1 * v1 + d2 * v2 * v2 + d3 * v3 * v3 + d4 * v4 * v4 + d5 * v5 * v5
+    p_spring = -_dot6(f_var, x_dot)
     power = beta * p_damp + sigma * p_spring
     return _integrate_energy(s, tank, power, dt)
 

@@ -54,11 +54,32 @@ def negative_run(negative_scenario):
     return run_scenario(negative_scenario)
 
 
-def random_rotation(rng):
-    """Uniform-ish random rotation from a random axis-angle."""
+def flat(r) -> tuple:
+    """A 3x3 matrix as the tick's row-major 9-tuple."""
+    return tuple(np.asarray(r, dtype=float).ravel().tolist())
+
+
+def mat(r) -> np.ndarray:
+    """A row-major 9-tuple as a 3x3 array."""
+    return np.reshape(np.asarray(r, dtype=float), (3, 3))
+
+
+def rotation_z(angle: float) -> tuple:
+    c, s = np.cos(angle), np.sin(angle)
+    return (c, -s, 0.0, s, c, 0.0, 0.0, 0.0, 1.0)
+
+
+def is_rotation(r, tol: float = 1e-9) -> bool:
+    """Columns orthonormal and determinant +1, both within tol."""
+    r = mat(r)
+    return np.abs(r.T @ r - np.eye(3)).max() < tol and abs(np.linalg.det(r) - 1.0) < tol
+
+
+def random_rotation(rng) -> tuple:
+    """Uniform-ish random rotation from a random axis-angle, as a 9-tuple."""
     axis = rng.normal(size=3)
     axis /= np.linalg.norm(axis)
     angle = rng.uniform(0.0, np.pi * 0.999)
     from vauf.spatial import rotation_exp
 
-    return rotation_exp(axis * angle)
+    return rotation_exp(tuple((axis * angle).tolist()))

@@ -97,3 +97,47 @@ def test_workload_runs_at_smoke_size(perfbench, name, tmp_path):
         assert record.failed == 0 and not record.failures, record.failures
     assert traced.digest == plain.digest
     assert list(layers.metrics(tracer, 0.0)) == [metric for metric, _, _ in layers.PER_LAYER]
+
+
+# Patched globals a control tick never calls, with the reason. Everything
+# else in layers._RUNTIME and layers._CONTROLLER must be called at least once
+# per traced smoke op, or the float tick has bypassed the global and its
+# per-layer metric silently reads 0.
+UNREACHED_BY_TICK = {
+    (vauf.runtime, "run_scenario"): "the loop itself; the CLI calls it through vauf.cli.run_scenario",
+    (vauf.runtime, "TelemetryRow"): "the tick writes table rows; RunResult.rows builds rows via telemetry.TelemetryRow",
+}
+
+
+def test_traced_smoke_op_reaches_every_patched_global(perfbench, tmp_path):
+    layers, tracing, workloads = (perfbench[m] for m in ("layers", "tracing", "workloads"))
+    workload = workloads.WORKLOADS["reference_wipe"](1, tmp_path, True)
+    tracer = tracing.Tracer()
+    layers.install(tracer)
+    calls = {}
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            for module, table in ((vauf.runtime, layers._RUNTIME), (vauf.controller, layers._CONTROLLER)):
+                for attr in table:
+                    traced = getattr(module, attr)
+
+                    def counted(*args, _key=(module, attr), _fn=traced, **kwargs):
+                        calls[_key] = calls.get(_key, 0) + 1
+                        return _fn(*args, **kwargs)
+
+                    mp.setattr(module, attr, counted)
+            tracer.begin_op()
+            record = workload.op()
+    finally:
+        tracer.restore()
+    assert record.failed == 0, record.failures
+    summary = tracer.summary()
+    expected = [
+        (module, attr, span)
+        for module, table in ((vauf.runtime, layers._RUNTIME), (vauf.controller, layers._CONTROLLER))
+        for attr, span in table.items()
+        if (module, attr) not in UNREACHED_BY_TICK
+    ]
+    assert not [attr for module, attr, _ in expected if not calls.get((module, attr))]
+    assert not [span for _, _, span in expected if not summary.get(span, (0,))[0]]
+    assert not [key for key in UNREACHED_BY_TICK if calls.get(key)], "a listed global is called: drop it from the list"

@@ -12,6 +12,7 @@ from vauf.runtime import (
 )
 from vauf.spatial import rotation_log
 from vauf.surface import HeightField
+from conftest import flat
 
 POLICY = PolicyConfig()
 
@@ -20,7 +21,7 @@ class TestWipingPolicy:
     def test_start(self):
         offset, f_d_z = wiping_policy(0.0, POLICY)
         assert np.allclose(offset, 0.0)
-        assert offset.shape == (3,)
+        assert len(offset) == 3
         assert f_d_z == 15.0
 
     def test_quarter_period(self):
@@ -36,46 +37,48 @@ class TestWipingPolicy:
             assert f_d_z == 15.0
 
 
-M_DIAG = np.array([5.0] * 3 + [0.3] * 3)
-AT_REST = (np.eye(3), np.zeros(3), np.zeros(6))  # (rotation, position, twist)
+M_DIAG = (5.0,) * 3 + (0.3,) * 3
+EYE = flat(np.eye(3))
+AT_REST = (EYE, (0.0,) * 3, (0.0,) * 6)  # (rotation, position, twist)
 
 
 class TestPlantStep:
     def test_zero_wrench_uniform_motion(self):
-        twist = np.array([0.1, 0, 0, 0, 0, 0])
-        _, position, out = plant_step(np.eye(3), np.zeros(3), twist, np.ones(6), np.zeros(6), np.zeros(6), 1e-3)
+        twist = (0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
+        _, position, out = plant_step(EYE, (0.0,) * 3, twist, (1.0,) * 6, (0.0,) * 6, (0.0,) * 6, 1e-3)
         assert np.allclose(out, twist)
         assert np.allclose(position, [0.1e-3, 0.0, 0.0])
 
     def test_constant_force_velocity(self):
         state = AT_REST
-        f = np.array([2.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        f = (2.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         for _ in range(1000):
-            state = plant_step(*state, np.full(6, 5.0), f, np.zeros(6), 1e-3)
+            state = plant_step(*state, (5.0,) * 6, f, (0.0,) * 6, 1e-3)
         assert state[2][0] == pytest.approx(2.0 / 5.0, rel=1e-3)
 
     def test_pure_rotation_integrates_to_half_turn(self):
-        state = (np.eye(3), np.zeros(3), np.array([0.0, 0.0, 0.0, 0.0, 0.0, np.pi]))
+        state = (EYE, (0.0,) * 3, (0.0, 0.0, 0.0, 0.0, 0.0, np.pi))
         for _ in range(1000):
-            state = plant_step(*state, np.ones(6), np.zeros(6), np.zeros(6), 1e-3)
+            state = plant_step(*state, (1.0,) * 6, (0.0,) * 6, (0.0,) * 6, 1e-3)
         w = rotation_log(state[0])
         assert abs(np.linalg.norm(w) - np.pi) < 1e-6
 
     def test_inputs_left_unchanged(self):
-        rotation, position, twist = np.eye(3), np.zeros(3), np.array([0.1, 0, 0, 0, 0, 0.2])
-        out = plant_step(rotation, position, twist, M_DIAG, np.ones(6), np.zeros(6), 1e-3)
-        assert not any(np.shares_memory(a, b) for a in out for b in (rotation, position, twist))
-        assert np.array_equal(rotation, np.eye(3)) and np.array_equal(position, np.zeros(3))
-        assert np.array_equal(twist, [0.1, 0, 0, 0, 0, 0.2])
+        # the state is immutable tuples of floats, so the loop may alias them freely
+        rotation, position, twist = EYE, (0.0,) * 3, (0.1, 0.0, 0.0, 0.0, 0.0, 0.2)
+        out = plant_step(rotation, position, twist, M_DIAG, (1.0,) * 6, (0.0,) * 6, 1e-3)
+        assert all(type(part) is tuple and all(type(x) is float for x in part) for part in out)
+        assert [len(part) for part in out] == [9, 3, 6]
+        assert rotation == EYE and position == (0.0,) * 3 and twist == (0.1, 0.0, 0.0, 0.0, 0.0, 0.2)
 
     def test_non_finite_aborts(self):
-        bad = np.array([np.nan, 0.0, 0.0, 0.0, 0.0, 0.0])
+        bad = (np.nan, 0.0, 0.0, 0.0, 0.0, 0.0)
         with pytest.raises(SimulationDiverged):
-            plant_step(*AT_REST, M_DIAG, bad, np.zeros(6), 1e-3)
+            plant_step(*AT_REST, M_DIAG, bad, (0.0,) * 6, 1e-3)
 
     def test_bad_dt(self):
         with pytest.raises(ValueError):
-            plant_step(*AT_REST, M_DIAG, np.zeros(6), np.zeros(6), 0.0)
+            plant_step(*AT_REST, M_DIAG, (0.0,) * 6, (0.0,) * 6, 0.0)
 
 
 class TestScenario:

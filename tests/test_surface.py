@@ -15,7 +15,7 @@ FLAT = HeightField(kind="flat", offset=0.0)
 
 def at(x, y, z):
     """Tool centre position; a sphere's contact does not depend on its orientation."""
-    return np.array([x, y, z])
+    return (x, y, z)
 
 
 class TestHeight:
@@ -78,7 +78,7 @@ class TestContactWrench:
         surf = HeightField(kind="flat", offset=0.0, k_n=1e4, d_n=50.0, mu=0.5)
         twist = np.array([0.01, 0.0, 0.0, 0.0, 0.0, 0.0])
         rep = contact_wrench(surf, at(0, 0, 0.019), twist, tool_radius=0.02)
-        f_t = rep.wrench[:2]
+        f_t = np.asarray(rep.wrench[:2])
         assert np.linalg.norm(f_t) == pytest.approx(5.0, abs=1e-9)
         assert f_t[0] < 0.0  # opposes slip
 
@@ -94,10 +94,10 @@ class TestContactWrench:
             position = at(rng.uniform(-0.1, 0.1), rng.uniform(-0.2, 0.2), rng.uniform(0.0, 0.08))
             twist = np.concatenate([rng.normal(0, 0.1, 3), np.zeros(3)])
             rep = contact_wrench(PAPER, position, twist, tool_radius=0.02)
-            f = rep.wrench[:3]
-            f_n = f @ rep.normal
+            f, n = np.asarray(rep.wrench[:3]), np.asarray(rep.normal)
+            f_n = f @ n
             assert f_n >= -1e-12  # never attractive
-            f_t = f - f_n * rep.normal
+            f_t = f - f_n * n
             assert np.linalg.norm(f_t) <= PAPER.mu * f_n + 1e-9
 
     def test_no_torque(self):
@@ -122,7 +122,7 @@ class TestContactWrench:
             prev = None
             for y in ys:
                 rep = contact_wrench(PAPER, at(0.0, y, z), np.zeros(6), 0.02)
-                f = rep.wrench[:3]
+                f = np.asarray(rep.wrench[:3])
                 if prev is not None:
                     dpose = abs(ys[1] - ys[0])
                     assert np.linalg.norm(f - prev) <= bound * dpose

@@ -10,7 +10,7 @@ import numpy as np
 
 from vauf import TankConfig, force_tank_step, gate_beta, lambda_selector, passivity_audit, valve_sigma
 
-tank = TankConfig(x0=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.1)
+tank = TankConfig(s0=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.1)
 s = tank.s0  # J, the tank energy the loop carries
 dt = 1e-3
 

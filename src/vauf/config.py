@@ -31,13 +31,13 @@ class ConfigError(ValueError):
 
 # (section, Scenario field holding its dataclass or None for Scenario itself, keys)
 _SECTIONS = (
-    ("surface", "surface", "kind amplitude period phase offset mu k_n d_n"),
+    ("surface", "surface", "amplitude period phase offset mu k_n d_n"),
     ("camera", "camera", "fov_deg cols rows noise_sigma range_min range_max mount_offset"),
     ("perception", "perception", "k angle_thresh_deg min_segment_size"),
     ("monitor", "monitor", "alpha xi gamma c_margin rho_min delta_c rho_trigger"),
     ("controller", "controller", "k_max damping_coeffs k_p k_i integral_limit filter_time"),
-    ("tanks.force", "tank_force", "x0 s_upper s_lower ramp_eps"),
-    ("tanks.impedance", "tank_impedance", "x0 s_upper s_lower ramp_eps"),
+    ("tanks.force", "tank_force", "s0 s_upper s_lower ramp_eps"),
+    ("tanks.impedance", "tank_impedance", "s0 s_upper s_lower ramp_eps"),
     ("tanks", None, "valves_forced_open"),
     ("policy", "policy", "amplitude frequency drift force_z"),
     ("plant", None, "mass tool_radius"),

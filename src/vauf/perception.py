@@ -67,7 +67,6 @@ class PerceptionResult:
     eigenvalues: np.ndarray  # |l1| >= |l2| >= |l3|
     l_s: float  # |l3 / tr|
     theta: float  # rad, folded deviation from the camera axis
-    valid: bool
 
 
 def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
@@ -178,7 +177,7 @@ def segment_pca(segment: Segment) -> PerceptionResult:
         n_s = -n_s
     l_s = abs(vals[2] / vals.sum())
     return PerceptionResult(
-        n_s_camera=n_s, eigenvalues=vals, l_s=float(l_s), theta=orientation_error(n_s), valid=True
+        n_s_camera=n_s, eigenvalues=vals, l_s=float(l_s), theta=orientation_error(n_s)
     )
 
 

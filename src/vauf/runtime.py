@@ -106,8 +106,8 @@ class Scenario:
     perception: PerceptionConfig = field(default_factory=PerceptionConfig)
     monitor: MonitorConfig = field(default_factory=MonitorConfig)
     controller: ControllerConfig = field(default_factory=ControllerConfig)
-    tank_force: TankConfig = field(default_factory=lambda: TankConfig(x0=2.0, s_upper=2.0, s_lower=1.0))
-    tank_impedance: TankConfig = field(default_factory=lambda: TankConfig(x0=7.0, s_upper=32.0, s_lower=1.0))
+    tank_force: TankConfig = field(default_factory=lambda: TankConfig(s0=2.0, s_upper=2.0, s_lower=1.0))
+    tank_impedance: TankConfig = field(default_factory=lambda: TankConfig(s0=24.5, s_upper=32.0, s_lower=1.0))
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     mass: tuple = (5.0, 5.0, 5.0, 0.3, 0.3, 0.3)
     tool_radius: float = 0.02
@@ -139,9 +139,8 @@ class Scenario:
                 raise ValueError(f"{key}.s_lower = {tank.s_lower!r} must lie in [0, {key}.s_upper = {tank.s_upper!r})")
             if not tank.ramp_eps > 0.0:
                 raise ValueError(f"{key}.ramp_eps must be positive, got {tank.ramp_eps!r}")
-            if not (tank.x0 > 0.0 and tank.s_lower <= tank.s0 <= tank.s_upper):
-                raise ValueError(f"{key}.x0 = {tank.x0!r} must be positive with 0.5*x0^2 in "
-                                 f"[{tank.s_lower!r}, {tank.s_upper!r}] J")
+            if not tank.s_lower <= tank.s0 <= tank.s_upper:
+                raise ValueError(f"{key}.s0 = {tank.s0!r} must lie in [{tank.s_lower!r}, {tank.s_upper!r}] J")
         for key in ("k", "min_segment_size"):
             value = getattr(self.perception, key)
             if value > self.camera.cols * self.camera.rows:

@@ -29,13 +29,9 @@ class DomainError(ValueError):
 
 @dataclass(frozen=True)
 class HeightField:
-    """Height field h(x, y) over a rectangular patch.
+    """Height field h = amplitude * sin(pi * y / period + phase) + offset over a
+    rectangular patch; a flat surface has amplitude 0."""
 
-    kind "sinusoid": h = amplitude * sin(pi * y / period + phase) + offset
-    kind "flat":     h = offset
-    """
-
-    kind: str = "sinusoid"
     amplitude: float = 0.02
     period: float = 0.19
     phase: float = 0.44
@@ -47,8 +43,6 @@ class HeightField:
     d_n: float = 50.0
 
     def __post_init__(self):
-        if self.kind not in ("sinusoid", "flat"):
-            raise ValueError(f"surface.kind must be sinusoid or flat, got {self.kind!r}")
         if not self.period > 0.0:
             raise ValueError(f"surface.period must be positive, got {self.period!r}")
         if not self.k_n > 0.0:
@@ -64,9 +58,6 @@ class HeightField:
 
     def height_unchecked(self, x, y):
         """Vectorized h without domain checks (used by the renderer)."""
-        if self.kind == "flat":
-            return np.broadcast_to(np.asarray(self.offset, dtype=float), np.shape(y)).copy() \
-                if np.ndim(y) else float(self.offset)
         return self.amplitude * np.sin(np.pi * y / self.period + self.phase) + self.offset
 
 
@@ -78,9 +69,7 @@ def height(surface: HeightField, x: float, y: float) -> float:
 
 
 def _height_slope(surface: HeightField, y: float) -> tuple[float, float]:
-    """(h, dh/dy) at one point in floats; dh/dx is 0 for every kind."""
-    if surface.kind == "flat":
-        return surface.offset, 0.0
+    """(h, dh/dy) at one point in floats; dh/dx is 0."""
     arg = math.pi * y / surface.period + surface.phase
     return (surface.amplitude * math.sin(arg) + surface.offset,
             surface.amplitude * (math.pi / surface.period) * math.cos(arg))

@@ -3,13 +3,14 @@
 Each tank is a scalar storage exchanging power with its controller through a
 power-preserving interconnection: the valve sigma gates energy withdrawal
 (zero once the tank is depleted to its lower limit), the gate beta stops
-refilling at the upper limit. `TankConfig` holds a tank's band and ramp
-width; the loop carries each tank's energy S as a float. A step integrates S
-directly from the port powers, so the per-tick bookkeeping is exact, then
-clamps it to the band. The loop evaluates lam and the gates once per tick,
-from the pre-step state, and hands the same values to the command and to
-both tank steps. The steps run on the control tick in Python floats on
-6-tuples; the audit is numpy over the whole telemetry table.
+refilling at the upper limit. `TankConfig` holds a tank's start energy,
+band and ramp width, all in joules; the loop carries each tank's energy S as
+a float. A step integrates S directly from the port powers, so the per-tick
+bookkeeping is exact, then clamps it to the band. The loop evaluates lam
+and the gates once per tick, from the pre-step state, and hands the same
+values to the command and to both tank steps. The steps run on the control
+tick in Python floats on 6-tuples; the audit is numpy over the whole
+telemetry table.
 
 The audit replays a telemetry log and checks, tick by tick, that the total
 storage (kinetic energy plus both tanks) never grows faster than the power
@@ -29,14 +30,10 @@ class AuditError(ValueError):
 
 @dataclass(frozen=True)
 class TankConfig:
-    x0: float  # sqrt(J), initial tank state; the initial energy is 0.5 x0^2
-    s_upper: float
-    s_lower: float
+    s0: float  # J, initial tank energy
+    s_upper: float  # J
+    s_lower: float  # J
     ramp_eps: float = 0.2  # J, width of the sigma/beta transition ramps
-
-    @property
-    def s0(self) -> float:
-        return 0.5 * self.x0 * self.x0
 
 
 def lambda_selector(x_dot: tuple, f_f: tuple) -> int:

@@ -24,7 +24,7 @@ def reference_run(reference_scenario):
 
 @pytest.fixture(scope="session")
 def reference_columns(reference_run):
-    return rows_to_columns(reference_run.rows)
+    return rows_to_columns(reference_run.table)
 
 
 @pytest.fixture(scope="session")
@@ -41,7 +41,7 @@ def flat_run(flat_scenario):
 
 @pytest.fixture(scope="session")
 def flat_columns(flat_run):
-    return rows_to_columns(flat_run.rows)
+    return rows_to_columns(flat_run.table)
 
 
 @pytest.fixture(scope="session")

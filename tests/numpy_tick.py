@@ -114,11 +114,8 @@ def contact_wrench(surface, position, twist, radius):
     p_vert = float(surface.height_unchecked(x, y)) + radius - z
     if p_vert <= 0.0:
         return no_contact
-    if surface.kind == "flat":
-        gx = gy = 0.0
-    else:
-        gx = 0.0
-        gy = surface.amplitude * (np.pi / surface.period) * np.cos(np.pi * y / surface.period + surface.phase)
+    gx = 0.0
+    gy = surface.amplitude * (np.pi / surface.period) * np.cos(np.pi * y / surface.period + surface.phase)
     n = np.array([-gx, -gy, 1.0])
     n = n / np.linalg.norm(n)
     pen = p_vert * n[2]
@@ -253,7 +250,7 @@ def run_numpy_loop(sc):
     tank_f, tank_i = sc.tank_force, sc.tank_impedance
     s_f, s_i = tank_f.s0, tank_i.s0
     task_origin = p_ee.copy()
-    latched = PerceptionResult(np.array([0.0, 0.0, -1.0]), np.zeros(3), l_s=0.0, theta=0.0, valid=False)
+    latched = PerceptionResult(np.array([0.0, 0.0, -1.0]), np.zeros(3), l_s=0.0, theta=0.0)
     n_s_base = None
     pending = None
     trigger_armed = True

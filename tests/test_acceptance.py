@@ -63,7 +63,7 @@ def test_criterion_1_tank_bounds(reference_columns):
     worst = ""
     for s in range(50):
         res = run_scenario(random_scenario(1000 + s))
-        cols = rows_to_columns(res.rows)
+        cols = rows_to_columns(res.table)
         if not (res.completed and tank_bounds_ok(cols)):
             ok = False
             worst = f"scenario seed {1000 + s} violated"
@@ -90,7 +90,7 @@ def test_criterion_2_passivity_audit(reference_columns, reference_scenario, nega
     neg_sc = negative_scenario
     neg = negative_run
     neg_audit = passivity_audit(
-        rows_to_columns(neg.rows),
+        rows_to_columns(neg.table),
         np.asarray(neg_sc.mass),
         neg_sc.dt_control,
         neg_sc.tank_impedance.s0,
@@ -265,13 +265,13 @@ def test_criterion_7_example_oracles():
 def test_criterion_8_determinism_and_performance(reference_run, reference_scenario, tmp_path):
     second = run_scenario(reference_scenario)
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(reference_run.rows, p1)
-    write_csv(second.rows, p2)
+    write_csv(reference_run.table, p1)
+    write_csv(second.table, p2)
     identical = p1.read_bytes() == p2.read_bytes()
     wall = max(reference_run.wall_time, second.wall_time)
-    ok = identical and wall < 60.0 and len(reference_run.rows) >= 20_000
+    ok = identical and wall < 60.0 and len(reference_run.table) >= 20_000
     report(
         "8 determinism-performance",
         ok,
-        f"bit-identical telemetry {identical}, {len(reference_run.rows)} rows, wall {wall:.1f} s (< 60)",
+        f"bit-identical telemetry {identical}, {len(reference_run.table)} rows, wall {wall:.1f} s (< 60)",
     )

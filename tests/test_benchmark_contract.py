@@ -66,7 +66,7 @@ def test_install_then_restore_leaves_globals_unchanged(perfbench):
 
 
 def test_contact_report_has_in_contact():
-    surface = HeightField(kind="flat", offset=0.0)
+    surface = HeightField(amplitude=0.0, offset=0.0)
     for z, touching in ((0.019, True), (0.03, False)):
         report = contact_wrench(surface, np.array([0.0, 0.0, z]), np.zeros(6), 0.02)
         assert report.in_contact is touching
@@ -75,6 +75,7 @@ def test_contact_report_has_in_contact():
 def test_run_rows_have_named_columns():
     result = vauf.runtime.run_scenario(vauf.runtime.Scenario(duration=0.005))
     assert len(result.rows) == 5
+    assert np.array_equal(np.asarray(result.rows), result.table)
     names = ("sigma_i", "S_t_i", "sigma_f", "S_t_f")  # read by the traced run's tank counters
     assert [getattr(result.rows[-1], n) for n in names] == [result.table[-1, COLUMNS.index(n)] for n in names]
 

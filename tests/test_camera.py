@@ -5,7 +5,7 @@ from vauf.camera import CameraModel, EmptyViewError, MOUNT_ROTATION, camera_pose
 from vauf.spatial import Pose, rotation_x
 from vauf.surface import HeightField
 
-FLAT = HeightField(kind="flat", offset=0.0, x_half=1.0, y_half=1.0)
+FLAT = HeightField(amplitude=0.0, offset=0.0, x_half=1.0, y_half=1.0)
 PAPER = HeightField()
 
 DOWN = Pose(MOUNT_ROTATION, np.array([0.0, 0.0, 0.3]))  # camera z looks along -z base

@@ -28,6 +28,13 @@ INVALID_VALUES = [
     "plant.mass=5,5,5,0.3,0,0.3",
     "plant.mass=-5,5,5,0.3,0.3,0.3",
     "plant.tool_radius=0",
+    "tanks.impedance.s0=50",
+    "tanks.force.s0=12.5",
+    "tanks.force.s0=-2",
+    "tanks.force.s0=0.5",
+    # keys that no longer exist: a flat surface is amplitude 0, a tank starts at s0 J
+    "surface.kind=flat",
+    "tanks.force.x0=2",
     "tanks.impedance.x0=10",
     "tanks.force.x0=5",
     "tanks.force.x0=-2",
@@ -75,8 +82,8 @@ class TestParsing:
     def test_defaults_from_empty_text(self):
         sc = parse_scenario_text("")
         assert sc.duration == 20.0
-        assert sc.surface.kind == "sinusoid"
-        assert sc.tank_impedance.s0 == pytest.approx(24.5)
+        assert sc.surface.amplitude == 0.02
+        assert sc.tank_impedance.s0 == 24.5
 
     def test_reference_file(self):
         sc = parse_scenario(SCENARIO_DIR / "reference.cfg")
@@ -121,6 +128,12 @@ class TestParsing:
         with pytest.raises(ConfigError, match=key.replace(".", r"\.")):
             parse_scenario_text(probe)
 
+    @pytest.mark.parametrize("key", ["surface.kind", "tanks.force.x0", "tanks.impedance.x0"])
+    def test_removed_key_named_with_its_line(self, key):
+        text = f"# an older scenario file\nrun.seed = 3\n{key} = 2\n"
+        with pytest.raises(ConfigError, match=f"^old.cfg:3: unknown key '{key}'$".replace(".", r"\.")):
+            parse_scenario_text(text, source="old.cfg")
+
     def test_perception_sizes_up_to_the_frame_accepted(self):
         # the default 32 x 24 frame has 768 pixels; 769 is rejected above
         sc = parse_scenario_text("perception.k = 768\nperception.min_segment_size = 768")
@@ -145,11 +158,11 @@ class TestRoundTrip:
 # SHA-256 prefixes of scenario_to_text: the resolved copy written next to each
 # run must not change its bytes unless the key set or the format does.
 RESOLVED_TEXT_DIGESTS = {
-    "default": "2b0e311d4c2bb0e4",
-    "duration-seed-tilt": "6cd5f77ae3cf344f",
-    "reference.cfg": "e251ff69b87c90ce",
-    "flat_steady.cfg": "2aa340f4f830ebdf",
-    "negative_control.cfg": "58e480a9ae1964e9",
+    "default": "a94132ae023a17be",
+    "duration-seed-tilt": "89c5837f98f29029",
+    "reference.cfg": "920a8708015d7536",
+    "flat_steady.cfg": "4f6db5380f2d298d",
+    "negative_control.cfg": "e5c8e582cc24f1b8",
 }
 PYTHON_SCENARIOS = {"default": {}, "duration-seed-tilt": dict(duration=7.5, seed=11, start_tilt_deg=12.0)}
 
@@ -174,9 +187,9 @@ def _vector(n, lo, hi):
 def _tank(draw, section):
     s_lower = draw(_finite(0.0, 10.0))
     s_upper = s_lower + draw(_finite(0.01, 50.0))
-    energy = s_lower + draw(_finite(0.01, 0.99)) * (s_upper - s_lower)
+    s0 = s_lower + draw(_finite(0.01, 0.99)) * (s_upper - s_lower)
     return {
-        f"{section}.x0": repr(float(np.sqrt(2.0 * energy))),
+        f"{section}.s0": repr(s0),
         f"{section}.s_upper": repr(s_upper),
         f"{section}.s_lower": repr(s_lower),
         f"{section}.ramp_eps": repr(draw(_finite(1e-3, 1.0))),
@@ -208,7 +221,6 @@ def _cadence(draw):
 # valid text values per key; tanks, the camera frame with the perception
 # sizes bounded by its pixel count, and the run cadence are drawn jointly below
 KEY_VALUES = {
-    "surface.kind": st.sampled_from(["sinusoid", "flat"]),
     "surface.amplitude": _finite(-0.05, 0.05).map(repr),
     "surface.period": _finite(1e-3, 1.0).map(repr),
     "surface.phase": _finite(-10.0, 10.0).map(repr),
@@ -262,14 +274,14 @@ def test_parse_write_parse_is_exact(text):
     assert back == sc
     assert scenario_to_text(back) == written
     keys = collections.Counter(line.partition(" = ")[0] for line in written.splitlines()[1:])
-    assert len(keys) == 54 and set(keys.values()) == {1}
+    assert len(keys) == 53 and set(keys.values()) == {1}
     assert sorted(keys) == sorted(line.partition(" = ")[0] for line in text.splitlines())
 
 
 class TestBuildScenario:
     def test_tank_overrides(self):
-        sc = build_scenario({"tanks.force.x0": 1.5, "tanks.impedance.ramp_eps": 0.5})
-        assert sc.tank_force.x0 == 1.5
+        sc = build_scenario({"tanks.force.s0": 1.5, "tanks.impedance.ramp_eps": 0.5})
+        assert sc.tank_force.s0 == 1.5
         assert sc.tank_impedance.ramp_eps == 0.5
 
     def test_camera_fov_degrees(self):

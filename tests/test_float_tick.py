@@ -98,7 +98,7 @@ class TestContactAgainstNumpy:
         # patch and on the slope of the sinusoid
         speed = SLIP_SPEED_EPS * (1.0 + rel)
         twist = (speed * math.cos(heading), speed * math.sin(heading), v_z, 0.0, 0.0, 0.0)
-        assert_contact_matches(HeightField(kind="flat", offset=0.0), (0.0, y, 0.019), twist)
+        assert_contact_matches(HeightField(amplitude=0.0, offset=0.0), (0.0, y, 0.019), twist)
         surface = HeightField()
         h = float(surface.height_unchecked(0.0, y))
         normal = oracle.contact_wrench(surface, np.array([0.0, y, h]), np.zeros(6), 0.02)[2]

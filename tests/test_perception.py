@@ -294,7 +294,6 @@ class TestSelectWorkingSegment:
 class TestPipeline:
     def test_perceive_plane(self):
         res = perceive(plane_cloud(), PerceptionConfig())
-        assert res.valid
         assert res.theta < 1e-6
         assert res.l_s < 1e-6
 

@@ -12,6 +12,7 @@ from vauf.runtime import (
 )
 from vauf.spatial import rotation_log
 from vauf.surface import HeightField
+from vauf.telemetry import COLUMNS, rows_to_columns
 from conftest import flat
 
 POLICY = PolicyConfig()
@@ -101,17 +102,16 @@ class TestRunScenario:
         sc = Scenario(duration=1.2, start_height=0.005, start_y=0.0684)
         res = run_scenario(sc)
         assert res.completed
-        assert len(res.rows) == 1200
-        t = np.array([r.t for r in res.rows])
+        assert res.table.shape == (1200, len(COLUMNS))
+        t = rows_to_columns(res.table)["t"]
         assert np.allclose(np.diff(t), sc.dt_control)
 
     def test_determinism_bit_exact(self):
         sc = Scenario(duration=1.5, seed=3, start_height=0.005, start_y=0.0684)
         a = run_scenario(sc)
         b = run_scenario(sc)
-        assert len(a.rows) == len(b.rows)
-        for ra, rb in zip(a.rows, b.rows):
-            assert ra == rb
+        assert a.table.shape == b.table.shape
+        assert a.table.tobytes() == b.table.tobytes()
 
     def test_initial_compliance_event(self):
         sc = Scenario(duration=0.5)
@@ -121,8 +121,8 @@ class TestRunScenario:
     def test_quaternion_unit_norm(self):
         sc = Scenario(duration=0.8)
         res = run_scenario(sc)
-        for row in res.rows[::100]:
-            q = np.array([row.qw, row.qx, row.qy, row.qz])
+        c = rows_to_columns(res.table)
+        for q in np.stack([c["qw"], c["qx"], c["qy"], c["qz"]], axis=1)[::100]:
             assert abs(np.linalg.norm(q) - 1.0) < 1e-6
 
     def test_divergence_aborts_with_reason(self):

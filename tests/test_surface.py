@@ -10,7 +10,7 @@ from vauf.surface import (
 )
 
 PAPER = HeightField()  # sinusoid, amplitude 0.02, period 0.19, phase 0.44, offset 0.02
-FLAT = HeightField(kind="flat", offset=0.0)
+FLAT = HeightField(amplitude=0.0, offset=0.0)
 
 
 def at(x, y, z):
@@ -35,6 +35,32 @@ class TestHeight:
             height(PAPER, 0.5, 0.0)
         with pytest.raises(DomainError):
             height(PAPER, 0.0, 0.3)
+
+
+class TestZeroAmplitude:
+    """A flat surface is the sinusoid with amplitude 0: height offset, normal +z, everywhere."""
+
+    YS = np.linspace(-0.255, 0.255, 101)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.02, -0.01])
+    def test_height_is_exactly_offset(self, offset):
+        surf = HeightField(amplitude=0.0, offset=offset)
+        for y in self.YS:
+            h = surf.height_unchecked(0.01, float(y))
+            assert h == offset and np.signbit(h) == np.signbit(offset)
+        xs, ys = np.meshgrid(np.linspace(-0.13, 0.13, 7), self.YS)
+        grid = surf.height_unchecked(xs, ys)
+        assert grid.shape == ys.shape
+        assert np.array_equal(grid, np.full(ys.shape, offset))
+        assert np.array_equal(np.signbit(grid), np.full(ys.shape, np.signbit(offset)))
+
+    def test_contact_normal_is_up(self):
+        surf = HeightField(amplitude=0.0, offset=0.02)
+        for y in self.YS:
+            rep = contact_wrench(surf, at(0.0, float(y), 0.039), (0.01, 0.02, -0.01, 0.0, 0.0, 0.0), 0.02)
+            assert rep.in_contact
+            assert rep.normal == (0.0, 0.0, 1.0)
+            assert rep.penetration == pytest.approx(1e-3, abs=1e-15)
 
 
 class TestAnalyticNormal:
@@ -68,14 +94,14 @@ class TestContactWrench:
 
     def test_penalty_normal_force(self):
         # 1 mm penetration, k_n = 1e4, static: 10 N straight up
-        surf = HeightField(kind="flat", offset=0.0, k_n=1e4, d_n=50.0, mu=0.5)
+        surf = HeightField(amplitude=0.0, offset=0.0, k_n=1e4, d_n=50.0, mu=0.5)
         rep = contact_wrench(surf, at(0, 0, 0.019), np.zeros(6), tool_radius=0.02)
         assert rep.in_contact
         assert rep.penetration == pytest.approx(1e-3, abs=1e-12)
         assert rep.wrench[2] == pytest.approx(10.0, abs=1e-9)
 
     def test_coulomb_friction_magnitude(self):
-        surf = HeightField(kind="flat", offset=0.0, k_n=1e4, d_n=50.0, mu=0.5)
+        surf = HeightField(amplitude=0.0, offset=0.0, k_n=1e4, d_n=50.0, mu=0.5)
         twist = np.array([0.01, 0.0, 0.0, 0.0, 0.0, 0.0])
         rep = contact_wrench(surf, at(0, 0, 0.019), twist, tool_radius=0.02)
         f_t = np.asarray(rep.wrench[:2])
@@ -83,7 +109,7 @@ class TestContactWrench:
         assert f_t[0] < 0.0  # opposes slip
 
     def test_no_friction_below_slip_speed(self):
-        surf = HeightField(kind="flat", offset=0.0, mu=0.5)
+        surf = HeightField(amplitude=0.0, offset=0.0, mu=0.5)
         twist = np.array([5e-6, 0, 0, 0, 0, 0])
         rep = contact_wrench(surf, at(0, 0, 0.019), twist, tool_radius=0.02)
         assert np.allclose(rep.wrench[:2], 0.0)
@@ -134,10 +160,6 @@ class TestContactWrench:
 
 
 class TestValidation:
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            HeightField(kind="mesh")
-
     def test_bad_stiffness(self):
         with pytest.raises(ValueError):
             HeightField(k_n=0.0)

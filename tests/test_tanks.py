@@ -16,8 +16,8 @@ from vauf.tanks import (
     valve_sigma,
 )
 
-FORCE_TANK = TankConfig(x0=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.2)
-IMP_TANK = TankConfig(x0=7.0, s_upper=32.0, s_lower=1.0, ramp_eps=0.2)
+FORCE_TANK = TankConfig(s0=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.2)
+IMP_TANK = TankConfig(s0=24.5, s_upper=32.0, s_lower=1.0, ramp_eps=0.2)
 
 
 def wrench_z(fz):
@@ -190,7 +190,7 @@ class TestBandInvariant:
         # |d|*v^2 and spring power q*v, with gates sigma and beta
         s_upper = s_lower + width
         sf = si = s_lower + start * width
-        tank = TankConfig(x0=np.sqrt(2.0 * sf), s_upper=s_upper, s_lower=s_lower)
+        tank = TankConfig(s0=sf, s_upper=s_upper, s_lower=s_lower)
         for v, f, d, q, sigma, beta in steps:
             x_dot = wrench_z(v)
             sf = force_tank_step(sf, tank, x_dot, wrench_z(f), lambda_selector(x_dot, wrench_z(f)), sigma, beta, 1e-3)
@@ -262,8 +262,9 @@ class TestPassivityAudit:
 class TestTankStateValidation:
     def test_bad_band(self):
         with pytest.raises(ValueError, match=r"tanks\.force\.s_lower"):
-            Scenario(tank_force=TankConfig(x0=1.0, s_upper=1.0, s_lower=2.0))
+            Scenario(tank_force=TankConfig(s0=1.0, s_upper=1.0, s_lower=2.0))
 
     def test_energy_definition(self):
-        t = TankConfig(x0=7.0, s_upper=32.0, s_lower=1.0)
-        assert t.s0 == 0.5 * 7.0**2
+        # J; the start energies the pinned telemetry digests were recorded with
+        sc = Scenario()
+        assert (sc.tank_force.s0, sc.tank_impedance.s0) == (2.0, 24.5)

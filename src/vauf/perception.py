@@ -1,19 +1,22 @@
 """Point-cloud pipeline: per-point normals, region growing, segment PCA.
 
-A cloud is a plain (N, 3) float64 array of camera-frame points. Per-point
-normals come from k-nearest-neighbor covariance (smallest eigenvector),
-oriented toward the camera origin. Region growing clusters points whose
-normals stay within an angular threshold of the region seed. The working
-segment's covariance eigenstructure yields the surface normal and the
-local-curvature ratio. Everything is deterministic for a given cloud.
+A cloud is a plain (N, 3) float64 array of camera-frame points, organized:
+each point lies on the ray of one pixel of an evenly spaced pinhole grid, so
+its pixel is recovered from the ray slopes x/z and y/z. Per-point normals
+come from the covariance of the points in a square pixel window (smallest
+eigenvector), oriented toward the camera origin. Region growing clusters
+points whose normals stay within an angular threshold of the region seed,
+over a pixel window one ring wider. The working segment's covariance
+eigenstructure yields the surface normal and the local-curvature ratio.
+Everything is deterministic for a given cloud.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .spatial import eig_sym3
 
@@ -45,9 +48,12 @@ class PerceptionConfig:
 @dataclass(frozen=True)
 class PointNormals:
     normals: np.ndarray  # (N, 3) unit, camera-facing
-    curvature: np.ndarray  # (N,) smallest-eigenvalue ratio of the kNN covariance
+    curvature: np.ndarray  # (N,) smallest-eigenvalue ratio of the window covariance
     valid: np.ndarray  # (N,) bool, False for degenerate neighborhoods
-    neighbors: np.ndarray  # (N, k) kNN indices, reused as the growing graph
+    # (N, m) growing graph: the points of each point's pixel window one ring
+    # wider than the normal window, ring by ring; a missing pixel holds the
+    # point itself
+    neighbors: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -69,31 +75,99 @@ class PerceptionResult:
     theta: float  # rad, folded deviation from the camera axis
 
 
-def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
-    """Per-point unit normals from kNN covariance, oriented toward the camera.
+def pixel_index(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, col) of each point's pixel, recovered from the ray slopes y/z and x/z.
 
-    Points whose neighborhood is rank-deficient (collinear) are flagged
-    invalid and take no part in region growing.
+    The slopes of a rendered frame lie on an evenly spaced grid up to
+    rounding; its pitch is the smallest gap between distinct slopes. Raises
+    ValueError when the cloud is not organized: a point lies more than 1e-6
+    pitch off the grid, two points land on one pixel, or the grid has more
+    than 100 pixels per point (a rational off-grid slope makes a finer grid
+    that holds every point, and its images would not fit in memory).
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        row, col = (_grid_index(pts[:, axis] / pts[:, 2]) for axis in (1, 0))
+    n_rows, n_cols = row.max() + 1, col.max() + 1
+    if n_rows * n_cols > 100 * len(pts):
+        raise ValueError(f"cloud is not organized: {len(pts)} points span a {n_rows}x{n_cols} pixel grid")
+    if np.bincount(row * n_cols + col).max() > 1:
+        raise ValueError("cloud is not organized: two points land on one pixel")
+    return row, col
+
+
+def _grid_index(slope: np.ndarray) -> np.ndarray:
+    """Place of each slope on the evenly spaced grid through all of them."""
+    lo = slope.min()
+    gaps = np.diff(np.unique(slope))
+    gaps = gaps[gaps > 1e-9 * (slope.max() - lo)]  # closer slopes are one grid value, apart by rounding
+    if not len(gaps):
+        return np.zeros(len(slope), dtype=np.intp)
+    steps = (slope - lo) / gaps.min()
+    index = np.rint(steps)
+    if not np.all(np.abs(steps - index) <= 1e-6):  # also false on a NaN slope
+        raise ValueError("cloud is not organized: a point lies off the pixel grid")
+    return index.astype(np.intp)
+
+
+# the six second moments x*x, x*y, x*z, y*y, y*z, z*z, and their places in a 3x3 matrix
+_FIRST, _SECOND = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
+_SYMMETRIC = [0, 1, 2, 1, 3, 4, 2, 4, 5]
+
+
+def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
+    """Per-point unit normals from pixel-window covariance, oriented toward the camera.
+
+    The window is the smallest odd square with at least k pixels, and a
+    point's neighborhood is the cloud's points on it. A neighborhood of
+    fewer than 3 points or of rank below 2 (collinear) flags the point
+    invalid, and it takes no part in region growing. The growing graph is
+    the window one ring wider.
     """
     n = len(pts)
     if k < 5:
         raise ValueError("k must be at least 5")
     if n < k:
         raise ValueError(f"cloud has {n} points, need at least k={k}")
-    tree = cKDTree(pts)
-    _, idx = tree.query(pts, k=k)
-    nb = pts[idx]  # (N, k, 3)
-    centered = nb - nb.mean(axis=1, keepdims=True)
-    cov = np.einsum("nki,nkj->nij", centered, centered) / k
+    row, col = pixel_index(pts)
+    half = (math.isqrt(k - 1) + 1) // 2  # the smallest odd square with at least k pixels is 2 * half + 1 wide
+    c = pts - pts.mean(axis=0)  # centred on the frame, so the window sums cancel less
+    moments = np.zeros((row.max() + 1, col.max() + 1, 10))
+    moments[row, col] = np.column_stack([np.ones(n), c, c[:, _FIRST] * c[:, _SECOND]])
+    sums = _box_sum(moments, half)[row, col]
+    count = sums[:, 0]
+    mean = sums[:, 1:4] / count[:, None]
+    second = sums[:, 4:][:, _SYMMETRIC].reshape(n, 3, 3) / count[:, None, None]
+    cov = second - mean[:, :, None] * mean[:, None, :]
     vals, vecs = np.linalg.eigh(cov)  # ascending
     normals = vecs[:, :, 0]
     trace = vals.sum(axis=1)
-    valid = (trace > 0.0) & (vals[:, 1] > 1e-12 * np.maximum(trace, 1e-300))
+    valid = (count >= 3) & (trace > 0.0) & (vals[:, 1] > 1e-12 * np.maximum(trace, 1e-300))
     curvature = np.where(trace > 0.0, np.abs(vals[:, 0]) / np.maximum(trace, 1e-300), np.inf)
     # camera-facing: flip normals pointing away from the origin
     flip = np.einsum("ni,ni->n", normals, pts) > 0.0
     normals = np.where(flip[:, None], -normals, normals)
-    return PointNormals(normals=normals, curvature=curvature, valid=valid, neighbors=idx)
+    neighbors = _window_neighbors(row, col, half + 1)
+    return PointNormals(normals=normals, curvature=curvature, valid=valid, neighbors=neighbors)
+
+
+def _box_sum(image: np.ndarray, half: int) -> np.ndarray:
+    """Sum of each channel over the square window around every pixel, zero off the image."""
+    rows, cols = image.shape[:2]
+    padded = np.pad(image, ((half, half), (half, half), (0, 0)))
+    band = sum(padded[i : i + rows] for i in range(2 * half + 1))
+    return sum(band[:, j : j + cols] for j in range(2 * half + 1))
+
+
+def _window_neighbors(row: np.ndarray, col: np.ndarray, half: int) -> np.ndarray:
+    """Points on each point's square pixel window, ring by ring; a missing pixel is the point itself."""
+    n = len(row)
+    width = col.max() + 1 + 2 * half
+    index = np.full((row.max() + 1 + 2 * half, width), -1)
+    index[row + half, col + half] = np.arange(n)
+    d_row, d_col = np.mgrid[-half : half + 1, -half : half + 1].reshape(2, -1)
+    ring = np.argsort(np.maximum(abs(d_row), abs(d_col)), kind="stable")[1:]  # the centre pixel dropped
+    nb = index.ravel()[((row + half) * width + col + half)[:, None] + (d_row * width + d_col)[ring]]
+    return np.where(nb < 0, np.arange(n)[:, None], nb)
 
 
 def region_grow(
@@ -105,7 +179,7 @@ def region_grow(
     """Cluster points whose normals stay within angle_thresh of the seed.
 
     Seeds are taken at the lowest-curvature unvisited point and grow one BFS
-    level of the kNN graph per numpy step, keeping each admissible neighbor's
+    level of the window graph per numpy step, keeping each admissible neighbor's
     first occurrence, so members come in the order of a FIFO-queue search.
     Segments below min_segment_size are dropped; the rest are sorted largest first.
     """
@@ -128,7 +202,7 @@ def region_grow(
             visited[level] = True
             levels.append(level)
             cand = nb[level]
-            cand = cand[ok[cand] & ~visited[cand]]  # row-major: frontier order, then kNN order
+            cand = cand[ok[cand] & ~visited[cand]]  # row-major: frontier order, then ring order
             pos = np.arange(len(cand))
             np.minimum.at(first, cand, pos)
             level = cand[first[cand] == pos]

@@ -6,7 +6,9 @@ bound the difference, helper by helper on random inputs and column by column
 over whole shipped runs.
 """
 
+import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import numpy_tick as oracle
+from vauf import perception, runtime
 from vauf.controller import ControllerConfig, damping_matrix, spring_wrench, variable_stiffness
 from vauf.spatial import pose_error, rotate_wrench, rotation_exp, rotation_to_quaternion
 from vauf.surface import SLIP_SPEED_EPS, HeightField, contact_wrench
@@ -121,16 +124,50 @@ COLUMN_BOUNDS = {
 }
 
 
+# The two loops are compared on one recorded perception sequence. Coulomb
+# friction at near-zero slip speed amplifies ulp-level differences between
+# the two ticks, so how far apart they end up depends on which surface
+# estimates they latch; the bounds above hold on the sequence they were
+# measured on, which each loop replays in call order.
+OUTCOMES = json.loads((pathlib.Path(__file__).resolve().parent / "data" / "perception_outcomes.json").read_text())
+
+
+class ReplayPerception:
+    """Stands in for `perceive`: the recorded outcomes in call order."""
+
+    def __init__(self, outcomes):
+        self.outcomes = outcomes
+        self.calls = 0
+
+    def __call__(self, cloud, cfg):
+        outcome = self.outcomes[self.calls]
+        self.calls += 1
+        if isinstance(outcome, str):
+            raise getattr(perception, outcome)("recorded outcome")
+        return perception.PerceptionResult(
+            np.array(outcome["n_s_camera"]), np.array(outcome["eigenvalues"]), outcome["l_s"], outcome["theta"]
+        )
+
+
 @pytest.fixture(scope="module")
-def numpy_runs(reference_scenario, flat_scenario):
-    scenarios = {"reference": reference_scenario, "flat": flat_scenario}
-    return {name: oracle.run_numpy_loop(sc) for name, sc in scenarios.items()}
+def replayed_runs(reference_scenario, flat_scenario):
+    runs = {}
+    for name, sc, cfg in (("reference", reference_scenario, "reference.cfg"), ("flat", flat_scenario, "flat_steady.cfg")):
+        outcomes = OUTCOMES[cfg]
+        with pytest.MonkeyPatch.context() as mp:
+            replay_float, replay_numpy = ReplayPerception(outcomes), ReplayPerception(outcomes)
+            mp.setattr(runtime, "perceive", replay_float)
+            mp.setattr(oracle, "perceive", replay_numpy)
+            result = runtime.run_scenario(sc)
+            table, events = oracle.run_numpy_loop(sc)
+        assert replay_float.calls == replay_numpy.calls == len(outcomes)
+        runs[name] = result, table, events
+    return runs
 
 
 @pytest.mark.parametrize("name", ["reference", "flat"])
-def test_loop_matches_numpy_loop(name, numpy_runs, request):
-    result = request.getfixturevalue(f"{name}_run")
-    table, events = numpy_runs[name]
+def test_loop_matches_numpy_loop(name, replayed_runs):
+    result, table, events = replayed_runs[name]
     assert result.table.shape == table.shape
     assert result.realignment_events == events
     diff = np.abs(result.table - table).max(axis=0)
@@ -142,8 +179,6 @@ def test_loop_matches_numpy_loop(name, numpy_runs, request):
 
 def test_tick_state_is_python_floats(reference_scenario):
     from dataclasses import replace
-
-    from vauf import runtime
 
     seen = []
 

@@ -12,6 +12,7 @@ from vauf.perception import (
     estimate_point_normals,
     orientation_error,
     perceive,
+    pixel_index,
     region_grow,
     segment_from_points,
     segment_pca,
@@ -31,14 +32,14 @@ def plane_cloud(n_side=24, z=0.3, extent=0.2, jitter=None, seed=0):
     return pts
 
 
-def two_plane_cloud():
-    """An L shape: horizontal floor plus a vertical wall, with a gap between."""
-    g = np.linspace(0.0, 0.15, 18)
-    xx, yy = np.meshgrid(g, g)
-    floor = np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, 0.3)])
-    zz, yy2 = np.meshgrid(np.linspace(0.0, 0.15, 18), g)
-    wall = np.column_stack([np.full(zz.size, -0.05), yy2.ravel(), 0.28 - zz.ravel()])
-    return np.vstack([floor, wall])
+def two_plane_cloud(cols=40, rows=24):
+    """An L shape seen from the origin: pinhole rays cast against the floor
+    z = 0.3 and the wall x = -0.05, keeping the nearer hit."""
+    u, v = np.meshgrid((np.arange(cols) + 0.5) / cols - 0.5, 0.8 * ((np.arange(rows) + 0.5) / rows - 0.5))
+    rays = np.column_stack([u.ravel(), v.ravel(), np.ones(u.size)])
+    with np.errstate(divide="ignore"):
+        wall_depth = np.where(rays[:, 0] < 0.0, -0.05 / rays[:, 0], np.inf)
+    return rays * np.minimum(0.3, wall_depth)[:, None]
 
 
 def spherical_cap(radius, footprint=0.04, n=1200, center_depth=0.3):
@@ -73,6 +74,11 @@ class TestPointNormals:
         near_wall = (dots < 0.05).sum()
         assert near_floor > 200 and near_wall > 200
         assert near_floor + near_wall > 0.9 * res.valid.sum()
+
+    @pytest.mark.parametrize("k, side", [(5, 3), (9, 3), (10, 5), (80, 9), (81, 9), (82, 11)])
+    def test_window_is_smallest_odd_square_and_graph_one_ring_wider(self, k, side):
+        res = estimate_point_normals(plane_cloud(), k=k)
+        assert res.neighbors.shape == (24 * 24, (side + 2) ** 2 - 1)
 
     def test_k_larger_than_cloud(self):
         with pytest.raises(ValueError):
@@ -180,11 +186,18 @@ class TestRegionGrowOracle:
             assert_matches_oracle(cloud, normals, cfg.angle_thresh, cfg.min_segment_size)
 
     def test_invalid_points_never_join(self):
-        cloud = rendered_clouds(REFERENCE_CAMERA, 0.25, 1)[0]
-        # a dense line 1 cm in front of the surface: collinear kNN neighborhoods
-        mid = cloud[np.argmin(np.abs(cloud[:, :2]).sum(axis=1))]
-        line = mid + np.column_stack([np.linspace(-0.04, 0.04, 80), np.zeros(80), np.full(80, -0.01)])
-        cloud = np.vstack([cloud, line])
+        camera = REFERENCE_CAMERA
+        cloud = rendered_clouds(camera, 0.25, 1)[0]
+        # an organized rank-deficient strip: one pixel row of collinear points
+        # 1 cm in front of the surface, three rows from the nearest kept row:
+        # one more than the normal window's half-width (k=10: 5x5), so strip
+        # windows hold strip points only, and within the growing graph's (7x7)
+        strip_row = camera.rows // 2
+        rays = camera.ray_directions()[strip_row * camera.cols : (strip_row + 1) * camera.cols]
+        slope, pitch = rays[0, 1] / rays[0, 2], 2.0 * np.tan(0.5 * camera.fov_v) / camera.rows
+        cloud = cloud[np.abs(cloud[:, 1] / cloud[:, 2] - slope) > 2.5 * pitch]
+        strip = rays / rays[:, 2:] * (np.median(cloud[:, 2]) - 0.01)
+        cloud = np.vstack([cloud, strip])
         normals = estimate_point_normals(cloud, 10)
         invalid = np.flatnonzero(~normals.valid)
         assert len(invalid) > 0
@@ -221,6 +234,63 @@ class TestRegionGrowOracle:
         scalar_ok = [j for j in range(1, n) if seed @ nrm[j] >= cos_thresh]
         assert 0 < len(scalar_ok) < n - 1
         assert from_seed.indices.tolist() == [0, *scalar_ok]
+
+
+def camera_pixels(camera, cloud):
+    """(row, col) of each point's pixel from the camera's own ray grid."""
+    tan_h, tan_v = np.tan(0.5 * camera.fov_h), np.tan(0.5 * camera.fov_v)
+    col = np.rint((cloud[:, 0] / cloud[:, 2] / tan_h + 1.0) * camera.cols / 2 - 0.5).astype(int)
+    row = np.rint((cloud[:, 1] / cloud[:, 2] / tan_v + 1.0) * camera.rows / 2 - 0.5).astype(int)
+    return row, col
+
+
+def assert_pixels_recovered(camera, cloud):
+    row, col = pixel_index(cloud)
+    true_row, true_col = camera_pixels(camera, cloud)
+    assert np.array_equal(row, true_row - true_row.min())
+    assert np.array_equal(col, true_col - true_col.min())
+
+
+class TestPixelIndex:
+    @pytest.mark.parametrize("case", ORACLE_CASES)
+    def test_exact_on_rendered_frames(self, case):
+        camera, _, height, n_frames = ORACLE_CASES[case]
+        for cloud in rendered_clouds(camera, height, n_frames):
+            assert_pixels_recovered(camera, cloud)
+
+    def test_exact_on_reference_run_frames(self, reference_scenario, monkeypatch):
+        from vauf import runtime
+
+        frames = []
+
+        def render(*args, **kwargs):
+            frames.append(runtime_render(*args, **kwargs))
+            return frames[-1]
+
+        runtime_render = runtime.render
+        monkeypatch.setattr(runtime, "render", render)
+        runtime.run_scenario(reference_scenario)
+        assert len(frames) == 67
+        for cloud in frames:
+            assert_pixels_recovered(reference_scenario.camera, cloud)
+
+    @pytest.mark.parametrize("shift", [np.sqrt(2.0) * 1e-5, 0.3, 1e-3])
+    def test_off_grid_point_raises(self, shift):
+        # 1.4e-5 and 0.3 pitch leave the point off every grid through the
+        # other slopes; 1e-3 pitch makes a grid 1,000 times finer that holds
+        # every point but is far too large for the cloud
+        camera = REFERENCE_CAMERA
+        cloud = rendered_clouds(camera, 0.25, 1)[0]
+        pitch = 2.0 * np.tan(0.5 * camera.fov_h) / camera.cols
+        cloud[7, 0] += shift * pitch * cloud[7, 2]
+        with pytest.raises(ValueError, match="organized"):
+            pixel_index(cloud)
+
+    def test_two_points_on_one_pixel_raise(self):
+        cloud = rendered_clouds(REFERENCE_CAMERA, 0.25, 1)[0]
+        cloud = np.vstack([cloud, 1.01 * cloud[7]])  # same ray, 1% deeper
+        with pytest.raises(ValueError, match="organized"):
+            pixel_index(cloud)
 
 
 def estimate_dummy(cloud):

@@ -143,10 +143,10 @@ def noise_free_run(reference_scenario):
 # guards segmentation, which on clean clouds depends on the last bits of the
 # normal covariances.
 TELEMETRY_DIGESTS = {
-    "reference_run": "8dc991cc5318e738",
-    "flat_run": "e8b210f9724d6c81",
-    "negative_run": "7e910de66244d7e4",
-    "noise_free_run": "e63c4a0b3a5e55b1",
+    "reference_run": "b1e780e24bb08896",
+    "flat_run": "f9f55ae4818111bb",
+    "negative_run": "2a19a1ec0969986f",
+    "noise_free_run": "63d94ac349fc5863",
 }
 
 

@@ -15,7 +15,7 @@ surf = HeightField()
 pose = Pose(MOUNT_ROTATION, np.array([0.0, 0.05, 0.33]))  # straight down from 0.33 m
 
 cam = CameraModel(cols=48, rows=36, noise_sigma=0.0)
-cloud = render(cam, pose, surf)
+cloud = render(cam, pose, surf, rng=np.random.default_rng(0))
 pts_base = cloud @ pose.rotation.T + pose.position
 resid = pts_base[:, 2] - surf.height_unchecked(pts_base[:, 0], pts_base[:, 1])
 print(f"noise-free render: {len(cloud)} returns, worst surface residual {np.abs(resid).max():.2e} m")
@@ -26,6 +26,6 @@ resid = pts_base[:, 2] - surf.height_unchecked(pts_base[:, 0], pts_base[:, 1])
 print(f"2 mm noise:        {len(noisy)} returns, residual std {resid.std() * 1000:.2f} mm")
 
 # determinism: same seed, same cloud
-a = render(CameraModel(noise_sigma=0.002, seed=5), pose, surf)
-b = render(CameraModel(noise_sigma=0.002, seed=5), pose, surf)
+a = render(CameraModel(noise_sigma=0.002), pose, surf, rng=np.random.default_rng(5))
+b = render(CameraModel(noise_sigma=0.002), pose, surf, rng=np.random.default_rng(5))
 print("bit-identical repeat render:", np.array_equal(a, b))

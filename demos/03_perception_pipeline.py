@@ -20,7 +20,7 @@ cfg = PerceptionConfig(k=10, angle_thresh=np.deg2rad(3.0), min_segment_size=30)
 print("recovered vs analytic surface normal (noise-free, straight-down views):")
 for y in (-0.15, -0.05, 0.05, 0.15):
     pose = Pose(MOUNT_ROTATION, np.array([0.0, y, float(surf.height_unchecked(0.0, y)) + 0.3]))
-    cloud = render(cam, pose, surf)
+    cloud = render(cam, pose, surf, rng=np.random.default_rng(0))
     res = perceive(cloud, cfg)
     n_base = pose.rotation @ res.n_s_camera
     if n_base[2] < 0:
@@ -29,7 +29,7 @@ for y in (-0.15, -0.05, 0.05, 0.15):
     print(f"  y={y:+.2f}: error {err:5.2f} deg, theta {np.rad2deg(res.theta):5.2f} deg, l_s {res.l_s:.5f}")
 
 pose = Pose(MOUNT_ROTATION, np.array([0.0, 0.0, 0.33]))
-cloud = render(cam, pose, surf)
+cloud = render(cam, pose, surf, rng=np.random.default_rng(0))
 normals = estimate_point_normals(cloud, cfg.k)
 segments = region_grow(cloud, normals, cfg.angle_thresh, cfg.min_segment_size)
 print(f"\nregion growing split the view into {len(segments)} segments "

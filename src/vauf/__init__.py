@@ -52,7 +52,6 @@ from .runtime import (
 )
 from .spatial import (
     Pose,
-    eig_sym3,
     pose_error,
     rotate_wrench,
     rotation_log,

@@ -43,7 +43,6 @@ class CameraModel:
     # tool-frame camera position: at the flange, up the tool axis, so the
     # surface stays outside the minimum range while the tool is in contact
     mount_offset: tuple = (0.0, 0.0, 0.25)
-    seed: int = 0
 
     def __post_init__(self):
         if not (0.0 < self.fov_h < np.pi and 0.0 < self.fov_v < np.pi):
@@ -82,16 +81,14 @@ def render(
     camera: CameraModel,
     camera_pose_in_base: Pose,
     surface: HeightField,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> np.ndarray:
     """Render one depth frame as an (N, 3) point cloud in the camera frame.
 
-    Deterministic given the RNG state (a fresh generator seeded from
-    camera.seed is used when rng is None). Raises EmptyViewError when fewer
-    than 10% of the pixels hit the surface inside the working range.
+    Deterministic given the state of rng, which draws the range noise.
+    Raises EmptyViewError when fewer than 10% of the pixels hit the surface
+    inside the working range.
     """
-    if rng is None:
-        rng = np.random.default_rng(camera.seed)
     dirs_cam = camera.ray_directions()
     r = camera_pose_in_base.rotation
     o = camera_pose_in_base.position

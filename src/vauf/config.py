@@ -6,8 +6,8 @@ names the dataclass inside `Scenario` that holds its fields (`tanks.force` is
 `tank_force`); `tanks`, `plant` and `run` hold fields of `Scenario` itself.
 Only two keys differ from their field: `camera.fov_deg` (fov_h, fov_v in
 degrees) and `perception.angle_thresh_deg` (angle_thresh in degrees). A
-key's type is that of its default in `Scenario()`: bool, int, str, float or
-a comma-separated float vector, and every float must be finite. Range checks
+key's type is that of its default in `Scenario()`: bool, int, float or a
+comma-separated float vector, and every float must be finite. Range checks
 live in the dataclass that owns the field (the tank checks in `Scenario`,
 which knows each tank's section) and name the dotted key; unknown keys and
 unparsable values are reported by name too.
@@ -86,8 +86,8 @@ def _cast(text: str, default):
         if text.lower() in ("false", "0", "no"):
             return False
         raise ValueError(f"expected a boolean, got {text!r}")
-    if isinstance(default, (int, str)):
-        return type(default)(text)
+    if isinstance(default, int):
+        return int(text)
     if isinstance(default, tuple):
         value = tuple(float(p) for p in text.split(","))
         if len(value) != len(default):
@@ -111,6 +111,7 @@ def _format(value, default) -> str:
 
 def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
     values = {}
+    line_of = {}  # key -> the line that set it
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -121,6 +122,9 @@ def parse_scenario_text(text: str, source: str = "<string>") -> Scenario:
         key = key.strip()
         if key not in _KEYS:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise ConfigError(f"{source}:{lineno}: key {key!r} is set again, first set on line {line_of[key]}")
+        line_of[key] = lineno
         try:
             values[key] = _cast(val.strip(), _KEYS[key][2])
         except ValueError as exc:

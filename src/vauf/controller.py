@@ -154,7 +154,7 @@ def orientation_filter(state: ControllerState, dt: float, filter_time: float) ->
     if state.t_filter >= filter_time:
         return state.r_d
     zeta = min(max(state.t_filter / filter_time, 0.0), 1.0)
-    out = rotation_power(state.r_init, state.r_d, zeta, state.rel_log)
+    out = rotation_power(state.r_init, state.rel_log, zeta)
     state.t_filter += dt
     return out
 

@@ -18,8 +18,6 @@ import math
 
 import numpy as np
 
-from .spatial import eig_sym3
-
 
 class NoSegmentError(RuntimeError):
     """Segmentation produced no usable segment."""
@@ -245,7 +243,10 @@ def segment_pca(segment: Segment) -> PerceptionResult:
     trace = float(np.trace(segment.covariance))
     if trace < 1e-12:
         raise DegenerateSegmentError("segment covariance trace below 1e-12")
-    vals, vecs = eig_sym3(segment.covariance)
+    vals, vecs = np.linalg.eigh(segment.covariance)
+    order = np.argsort(-np.abs(vals), kind="stable")  # |l1| >= |l2| >= |l3|
+    vals = vals[order]
+    vecs = vecs[:, order]
     n_s = vecs[:, 2]
     if n_s @ segment.centroid > 0.0:  # camera-facing
         n_s = -n_s

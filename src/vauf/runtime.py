@@ -234,7 +234,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
     s_f, s_i = tank_f.s0, tank_i.s0  # J, the tank energies the loop carries
     task_origin = p_ee
     theta = l_s = 0.0  # the latched perception estimate's visual terms
-    n_s_base: tuple | None = None
     pending: tuple | None = None  # (cloud, camera rotation at render time)
     trigger_armed = True
     events: list[float] = []
@@ -290,7 +289,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         # --- orientation: each fresh surface estimate restarts the low-pass
         # filter from the current attitude, so the tool normal keeps tracking
         # the curvature as the wipe advances
-        if fresh and n_s_base is not None:
+        if fresh:
             restart_filter(ctrl, r_ee, desired_orientation(n_s_base, r_ee))
 
         # --- realignment: at full compliance, re-latch the desired translation

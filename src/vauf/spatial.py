@@ -1,11 +1,11 @@
-"""Small linear algebra: rotations, poses, 6-vectors, 3x3 symmetric eigen.
+"""Small linear algebra: rotations, poses, 6-vectors.
 
 On the control tick everything is Python floats and tuples, computed with
 `math`: a rotation is a row-major 9-tuple (r00, r01, r02, r10, ..., r22,
 determinant +1) and wrenches, twists and pose errors are 6-tuples, linear
 part first; the caller knows which frame a vector is expressed in. numpy
-appears only where perception and the camera need it: `Pose`, `rotation_x`
-and `eig_sym3`. All functions are pure.
+appears only where the camera needs it: `Pose` and `rotation_x`. All
+functions are pure.
 """
 
 from __future__ import annotations
@@ -56,12 +56,6 @@ def rotation_exp(w: tuple) -> tuple:
     )
 
 
-def _canonical_axis_sign(axis: np.ndarray) -> np.ndarray:
-    # Deterministic tie-break: make the largest-magnitude component positive.
-    i = int(np.argmax(np.abs(axis)))
-    return -axis if axis[i] < 0.0 else axis
-
-
 def rotation_log(r: tuple) -> tuple:
     """Axis*angle 3-vector with |result| <= pi.
 
@@ -89,37 +83,16 @@ def rotation_log(r: tuple) -> tuple:
     return v0 * k, v1 * k, v2 * k
 
 
-def rotation_power(r_init: tuple, r_target: tuple, zeta: float, rel: tuple | None = None) -> tuple:
+def rotation_power(r_init: tuple, rel: tuple, zeta: float) -> tuple:
     """Geodesic interpolant (R_target R_init^T)^zeta R_init for zeta in [0, 1].
 
-    ``rel`` is log(R_target R_init^T) when the caller already has it.
+    ``rel`` is log(R_target R_init^T), the whole way from R_init to R_target.
     """
     if not 0.0 <= zeta <= 1.0:
         raise ValueError(f"zeta must be in [0, 1], got {zeta}")
     if zeta == 0.0:
         return r_init
-    if rel is None:
-        rel = rotation_log(mat_mul(r_target, transpose(r_init)))
     return mat_mul(rotation_exp((zeta * rel[0], zeta * rel[1], zeta * rel[2])), r_init)
-
-
-def eig_sym3(m: np.ndarray, sym_tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
-    """Eigen-decomposition of a symmetric 3x3 matrix.
-
-    Returns (eigenvalues, eigenvectors-as-columns) sorted by descending
-    absolute eigenvalue, so index 2 is always the smallest-magnitude one.
-    Each eigenvector's largest-magnitude component is made positive.
-    """
-    scale = max(np.abs(m).max(), 1.0)
-    if np.abs(m - m.T).max() > sym_tol * scale:
-        raise ValueError("matrix is not symmetric")
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
-    order = np.argsort(-np.abs(vals), kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    for k in range(3):
-        vecs[:, k] = _canonical_axis_sign(vecs[:, k])
-    return vals, vecs
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ telemetry table.
 
 The audit replays a telemetry log and checks, tick by tick, that the total
 storage (kinetic energy plus both tanks) never grows faster than the power
-supplied through the contact, within a small discretization tolerance.
+supplied through the contact, within AUDIT_TOL per tick.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+AUDIT_TOL = 1e-4  # J per tick, the discretization slack the audit allows
 
 
 class AuditError(ValueError):
@@ -108,7 +110,6 @@ class AuditReport:
     violation_count: int
     worst_violation: float  # J, max of (delta storage - supplied work)
     worst_time: float  # s
-    tol: float
 
     @property
     def ok(self) -> bool:
@@ -116,7 +117,7 @@ class AuditReport:
 
 
 _REQUIRED_AUDIT_COLUMNS = (
-    ["qw", "qx", "qy", "qz"]
+    ["t", "qw", "qx", "qy", "qz"]
     + [f"v{a}" for a in "xyz"]
     + [f"w{a}" for a in "xyz"]
     + [f"fext_ee_{c}" for c in ("fx", "fy", "fz", "tx", "ty", "tz")]
@@ -130,13 +131,12 @@ def passivity_audit(
     dt: float,
     s0_impedance: float,
     s0_force: float,
-    tol_tick: float = 1e-4,
 ) -> AuditReport:
     """Check discrete passivity of a run from its telemetry columns.
 
     Per tick: [KE(k+1) - KE(k)] + [S_tanks(k) - S_tanks(k-1)] must not exceed
     the contact work (midpoint twist dotted with the external wrench, which
-    is the exact work done on the semi-implicit plant) by more than tol_tick.
+    is the exact work done on the semi-implicit plant) by more than AUDIT_TOL.
     Tank energies are logged post-update, so row k holds the storage at the
     end of tick k.
     """
@@ -166,16 +166,13 @@ def passivity_audit(
     d_storage = (ke[1:] - ke[:-1]) + np.diff(s_i)[: n - 1] + np.diff(s_f)[: n - 1]
     excess = d_storage - supplied
 
-    viol = excess > tol_tick
+    viol = excess > AUDIT_TOL
     worst_idx = int(np.argmax(excess))
-    t = columns.get("t")
-    worst_time = float(t[worst_idx]) if t is not None else worst_idx * dt
     return AuditReport(
         ticks_checked=n - 1,
         violation_count=int(viol.sum()),
         worst_violation=float(excess[worst_idx]),
-        worst_time=worst_time,
-        tol=tol_tick,
+        worst_time=float(columns["t"][worst_idx]),
     )
 
 

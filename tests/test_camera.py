@@ -14,20 +14,20 @@ DOWN = Pose(MOUNT_ROTATION, np.array([0.0, 0.0, 0.3]))  # camera z looks along -
 class TestRender:
     def test_flat_plane_depth(self):
         cam = CameraModel(cols=16, rows=16, noise_sigma=0.0)
-        cloud = render(cam, DOWN, FLAT)
+        cloud = render(cam, DOWN, FLAT, rng=np.random.default_rng(0))
         assert len(cloud) == 256
         assert np.abs(cloud[:, 2] - 0.3).max() < 2e-5
 
     def test_pixel_count_bound(self):
         cam = CameraModel(cols=32, rows=32)
-        cloud = render(cam, DOWN, FLAT)
+        cloud = render(cam, DOWN, FLAT, rng=np.random.default_rng(0))
         assert len(cloud) <= 1024
         z = cloud[:, 2]
         assert np.all((z >= cam.range_min) & (z <= cam.range_max))
 
     def test_noise_statistics(self):
         cam = CameraModel(cols=128, rows=96, noise_sigma=0.002)
-        clean = render(CameraModel(cols=128, rows=96, noise_sigma=0.0), DOWN, FLAT)
+        clean = render(CameraModel(cols=128, rows=96, noise_sigma=0.0), DOWN, FLAT, rng=np.random.default_rng(0))
         noisy = render(cam, DOWN, FLAT, rng=np.random.default_rng(0))
         assert len(noisy) >= 10_000
         # ray-depth residuals: distance along each ray vs the clean render
@@ -37,15 +37,15 @@ class TestRender:
         assert 0.0018 <= resid.std() <= 0.0022
 
     def test_deterministic_given_seed(self):
-        cam = CameraModel(cols=24, rows=16, noise_sigma=0.002, seed=7)
-        a = render(cam, DOWN, PAPER)
-        b = render(cam, DOWN, PAPER)
+        cam = CameraModel(cols=24, rows=16, noise_sigma=0.002)
+        a = render(cam, DOWN, PAPER, rng=np.random.default_rng(7))
+        b = render(cam, DOWN, PAPER, rng=np.random.default_rng(7))
         assert np.array_equal(a, b)
 
     def test_noise_free_points_lie_on_surface(self):
         cam = CameraModel(cols=32, rows=24, noise_sigma=0.0)
         pose = Pose(MOUNT_ROTATION, np.array([0.0, 0.05, 0.33]))
-        cloud = render(cam, pose, PAPER)
+        cloud = render(cam, pose, PAPER, rng=np.random.default_rng(0))
         pts_base = cloud @ pose.rotation.T + pose.position
         h = PAPER.height_unchecked(pts_base[:, 0], pts_base[:, 1])
         assert np.abs(pts_base[:, 2] - h).max() < 2e-5
@@ -54,12 +54,12 @@ class TestRender:
         cam = CameraModel(cols=16, rows=16)
         up = Pose(np.eye(3), np.array([0.0, 0.0, 0.3]))  # camera z along +z base
         with pytest.raises(EmptyViewError):
-            render(cam, up, FLAT)
+            render(cam, up, FLAT, rng=np.random.default_rng(0))
 
     def test_tilted_view_still_returns(self):
         cam = CameraModel(cols=24, rows=18)
         pose = Pose(rotation_x(np.deg2rad(20.0)) @ MOUNT_ROTATION, np.array([0.0, 0.05, 0.33]))
-        cloud = render(cam, pose, PAPER)
+        cloud = render(cam, pose, PAPER, rng=np.random.default_rng(0))
         assert len(cloud) > 0.5 * 24 * 18
 
     def test_minimum_range_drops_logged(self, caplog):
@@ -69,7 +69,7 @@ class TestRender:
         cam = CameraModel(cols=16, rows=16, range_min=0.3)
         pose = Pose(MOUNT_ROTATION, np.array([0.0, 0.0, 0.25]))
         with caplog.at_level(logging.WARNING, logger="vauf.camera"):
-            cloud = render(cam, pose, FLAT)
+            cloud = render(cam, pose, FLAT, rng=np.random.default_rng(0))
         assert any("minimum range" in r.message for r in caplog.records)
         assert len(cloud) == 0
 

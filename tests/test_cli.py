@@ -35,6 +35,12 @@ class TestRun:
         assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "surface.wat" in capsys.readouterr().err
 
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        bad = tmp_path / "twice.cfg"
+        bad.write_text("run.seed = 3\nrun.seed = 4\n")
+        assert main(["run", "--scenario", str(bad), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "run.seed" in capsys.readouterr().err
+
     def test_bad_duration_override_exits_2(self, tmp_path, capsys):
         assert main(["run", "--scenario", REF, "--duration", "0.0105", "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "run.duration" in capsys.readouterr().err

@@ -134,6 +134,11 @@ class TestParsing:
         with pytest.raises(ConfigError, match=f"^old.cfg:3: unknown key '{key}'$".replace(".", r"\.")):
             parse_scenario_text(text, source="old.cfg")
 
+    def test_repeated_key_named_with_both_lines(self):
+        text = "# seed twice\nrun.seed = 3\nsurface.mu = 0.2\nrun.seed = 4\n"
+        with pytest.raises(ConfigError, match=r"^twice\.cfg:4: key 'run\.seed' is set again, first set on line 2$"):
+            parse_scenario_text(text, source="twice.cfg")
+
     def test_perception_sizes_up_to_the_frame_accepted(self):
         # the default 32 x 24 frame has 768 pixels; 769 is rejected above
         sc = parse_scenario_text("perception.k = 768\nperception.min_segment_size = 768")

@@ -9,6 +9,7 @@ from vauf.perception import (
     NoSegmentError,
     PerceptionConfig,
     PointNormals,
+    Segment,
     estimate_point_normals,
     orientation_error,
     perceive,
@@ -305,7 +306,54 @@ def estimate_dummy(cloud):
     )
 
 
+def covariance_segment(cov, centroid=(0.1, 0.1, 0.3)):
+    """A segment with the given covariance, off the axis of a camera at the origin."""
+    return Segment(indices=np.arange(3), centroid=np.array(centroid), covariance=np.array(cov, dtype=float))
+
+
 class TestSegmentPCA:
+    def test_diagonal_covariance(self):
+        for diagonal, eigenvalues, axis in (
+            ([3.0, 2.0, 1.0], [3.0, 2.0, 1.0], 2),
+            ([1.0, 3.0, 2.0], [3.0, 2.0, 1.0], 0),
+            ([2.0, 1.0, 3.0], [3.0, 2.0, 1.0], 1),
+            ([1.0, -3.0, 4.0], [4.0, -3.0, 1.0], 0),  # descending |l|, not descending l
+        ):
+            res = segment_pca(covariance_segment(np.diag(diagonal)))
+            assert np.array_equal(res.eigenvalues, eigenvalues)
+            assert np.array_equal(res.n_s_camera, -np.eye(3)[axis])  # the smallest |l|, facing the camera
+            assert res.l_s == pytest.approx(abs(eigenvalues[2] / sum(eigenvalues)), rel=1e-15)
+
+    def test_isotropic_covariance(self):
+        res = segment_pca(covariance_segment(np.eye(3)))
+        assert np.allclose(res.eigenvalues, 1.0)
+        assert abs(np.linalg.norm(res.n_s_camera) - 1.0) < 1e-12
+        assert res.n_s_camera @ np.array([0.1, 0.1, 0.3]) <= 0.0
+        assert res.l_s == pytest.approx(1.0 / 3.0)
+
+    def test_plane_samples_smallest_eigenvalue(self):
+        # brute-force covariance of synthetic planar samples
+        rng = np.random.default_rng(4)
+        pts = np.column_stack([rng.uniform(-1, 1, 1000), rng.uniform(-1, 1, 1000), np.zeros(1000)])
+        centered = pts - pts.mean(axis=0)
+        cov = centered.T @ centered / len(pts)
+        res = segment_pca(segment_from_points(pts))
+        assert abs(res.eigenvalues[2]) < 1e-9 * np.trace(cov)
+
+    def test_eigenpairs_of_random_symmetric_matrices(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            a = rng.normal(size=(3, 3))
+            m = a + a.T
+            if np.trace(m) < 0.0:  # segment_pca rejects a trace below 1e-12
+                m = -m
+            res = segment_pca(covariance_segment(m))
+            vals, n_s = res.eigenvalues, res.n_s_camera
+            assert np.all(np.abs(vals)[:-1] >= np.abs(vals)[1:])  # sorted |.| desc
+            assert np.abs(np.sort(vals) - np.linalg.eigvalsh(m)).max() < 1e-12 * np.abs(m).max()
+            assert np.abs(m @ n_s - vals[2] * n_s).max() < 1e-8 * np.abs(m).max()
+            assert abs(np.linalg.norm(n_s) - 1.0) < 1e-12
+
     def test_planar_segment(self):
         seg = segment_from_points(plane_cloud())
         res = segment_pca(seg)

@@ -27,7 +27,7 @@ print("\nsliding at 5 cm/s under the same penetration (mu = 0.5):")
 centre = np.array([0.0, 0.0, h0 + 0.02 - 1.5e-3])
 twist = np.array([0.05, 0.0, 0.0, 0.0, 0.0, 0.0])
 rep = contact_wrench(surf, centre, twist, tool_radius=0.02)
-f, n = np.array(rep.wrench[:3]), np.array(rep.normal)  # the contact returns float tuples
+f, n = np.array(rep.wrench[:3]), analytic_normal(surf, 0.0, 0.0)  # the contact returns float tuples
 f_n = f @ n
 f_t = f - f_n * n
 print(f"  normal {f_n:.2f} N, tangential {np.linalg.norm(f_t):.2f} N (= mu * normal), opposing the slip")

@@ -8,7 +8,17 @@ flagged.
 
 import numpy as np
 
-from vauf import TankConfig, force_tank_step, gate_beta, lambda_selector, passivity_audit, valve_sigma
+from vauf import (
+    COLUMNS,
+    Scenario,
+    TankConfig,
+    force_tank_step,
+    gate_beta,
+    lambda_selector,
+    passivity_audit,
+    rows_to_columns,
+    valve_sigma,
+)
 
 tank = TankConfig(s0=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.1)
 s = tank.s0  # J, the tank energy the loop carries
@@ -43,14 +53,13 @@ print(f"  ... refilled to S={s:.3f} J (capped at {tank.s_upper} J, beta -> "
       f"{gate_beta(s, tank.s_upper, tank.ramp_eps):.2f})")
 
 print("\npassivity audit on a synthetic log where kinetic energy appears from nowhere:")
-n, m = 400, np.array([5.0, 5, 5, 0.3, 0.3, 0.3])
-cols = {c: np.zeros(n) for c in ("qx", "qy", "qz", "vy", "vz", "wx", "wy", "wz")}
-cols["t"] = np.arange(n) * dt
-cols["qw"] = np.ones(n)
-cols["vx"] = np.linspace(0.0, 1.0, n)  # accelerating with zero external force
-for c in ("fx", "fy", "fz", "tx", "ty", "tz"):
-    cols[f"fext_ee_{c}"] = np.zeros(n)
-cols["S_t_i"] = np.full(n, 24.5)
-cols["S_t_f"] = np.full(n, 2.0)
-rep = passivity_audit(cols, m, dt, 24.5, 2.0)
+n = 400
+log = np.zeros((n, len(COLUMNS)))  # a telemetry table; unset columns stay 0
+cols = rows_to_columns(log)  # named views into it
+cols["t"][:] = np.arange(n) * dt
+cols["qw"][:] = 1.0
+cols["vx"][:] = np.linspace(0.0, 1.0, n)  # accelerating with zero external force
+cols["S_t_i"][:] = 24.5
+cols["S_t_f"][:] = 2.0
+rep = passivity_audit(log, Scenario())  # the default run: mass, 1 ms tick and tank start energies
 print(f"  violations: {rep.violation_count}, worst excess {rep.worst_violation:.2e} J at t={rep.worst_time:.3f} s")

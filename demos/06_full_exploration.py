@@ -7,8 +7,6 @@ four plot-ready tables into ./out_demo/.
 
 import pathlib
 
-import numpy as np
-
 from vauf import compute_metrics, parse_scenario, passivity_audit, rows_to_columns, run_scenario
 from vauf.cli import main as vauf_cli
 from vauf.telemetry import format_report, write_csv
@@ -22,15 +20,8 @@ result = run_scenario(scenario)
 print(f"done in {result.wall_time:.1f} s wall, {len(result.table)} ticks, "
       f"{len(result.realignment_events)} realignment event(s)\n")
 
-columns = rows_to_columns(result.table)
-audit = passivity_audit(
-    columns,
-    np.asarray(scenario.mass),
-    scenario.dt_control,
-    scenario.tank_impedance.s0,
-    scenario.tank_force.s0,
-)
-print(format_report(compute_metrics(columns), audit))
+audit = passivity_audit(result.table, scenario)
+print(format_report(compute_metrics(rows_to_columns(result.table)), audit))
 
 out = pathlib.Path("out_demo")
 out.mkdir(exist_ok=True)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .config import ConfigError, parse_scenario, scenario_to_text, with_overrides
 from .runtime import run_scenario
-from .tanks import AuditError, passivity_audit
+from .tanks import passivity_audit
 from .telemetry import ParseError, compute_metrics, format_report, read_csv, rows_to_columns, write_csv
 
 log = logging.getLogger(__name__)
@@ -70,29 +70,19 @@ def cmd_run(args) -> int:
     write_csv(table, out / "telemetry.csv")
     (out / "scenario.cfg").write_text(scenario_to_text(scenario))
 
-    audit = None
-    if len(table):
-        columns = rows_to_columns(table)
-        if args.audit:
-            audit = passivity_audit(
-                columns,
-                np.asarray(scenario.mass),
-                scenario.dt_control,
-                scenario.tank_impedance.s0,
-                scenario.tank_force.s0,
-            )
-        metrics = compute_metrics(columns)
-        stats = {
-            "ticks": len(table),
-            "wall time [s]": f"{result.wall_time:.2f}",
-            "realignment events": len(result.realignment_events),
-            "completed": result.completed,
-        }
-        if not result.completed:
-            stats["abort"] = result.abort_reason
-        report = format_report(metrics, audit, stats)
-        (out / "report.txt").write_text(report)
-        print(report, end="")
+    audit = passivity_audit(table, scenario) if args.audit else None
+    metrics = compute_metrics(rows_to_columns(table))
+    stats = {
+        "ticks": len(table),
+        "wall time [s]": f"{result.wall_time:.2f}",
+        "realignment events": len(result.realignment_events),
+        "completed": result.completed,
+    }
+    if not result.completed:
+        stats["abort"] = result.abort_reason
+    report = format_report(metrics, audit, stats)
+    (out / "report.txt").write_text(report)
+    print(report, end="")
 
     if not result.completed:
         print(f"simulation aborted: {result.abort_reason}", file=sys.stderr)
@@ -155,20 +145,13 @@ def cmd_export_plots(args) -> int:
     return EXIT_OK
 
 
+_COMMANDS = {"run": cmd_run, "report": cmd_report, "export-plots": cmd_export_plots}
+
+
 def main(argv=None) -> int:
     _setup_logging()
     args = _build_parser().parse_args(argv)
-    try:
-        if args.command == "run":
-            return cmd_run(args)
-        if args.command == "report":
-            return cmd_report(args)
-        if args.command == "export-plots":
-            return cmd_export_plots(args)
-    except AuditError as exc:
-        print(f"audit error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return EXIT_CONFIG
+    return _COMMANDS[args.command](args)
 
 
 def entry() -> None:

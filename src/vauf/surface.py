@@ -7,9 +7,10 @@ direction. Valid for gently sloped surfaces; near-vertical walls are out of
 scope (penetration is measured vertically, then projected on the normal).
 The tool is given by its centre position and twist only: a sphere's
 contact does not depend on its orientation. Contact runs on the control
-tick, so it is computed in floats with `math`: the contact wrench is a
-base-frame 6-tuple (force, then torque). The vectorized numpy height field
-serves the renderer.
+tick, so it is computed in floats with `math`: the report holds whether the
+tool touches and the contact wrench, a base-frame 6-tuple (force, then
+torque). The normal it used is `analytic_normal` at the tool centre. The
+vectorized numpy height field serves the renderer.
 """
 
 from __future__ import annotations
@@ -85,12 +86,10 @@ def analytic_normal(surface: HeightField, x: float, y: float) -> np.ndarray:
 
 class ContactReport(NamedTuple):
     in_contact: bool
-    penetration: float
-    normal: tuple  # unit, base frame
     wrench: tuple  # 6, base frame, on the tool: force, then zero torque
 
 
-_NO_CONTACT = ContactReport(False, 0.0, (0.0, 0.0, 1.0), (0.0,) * 6)
+_NO_CONTACT = ContactReport(False, (0.0,) * 6)
 
 
 def contact_wrench(
@@ -124,4 +123,4 @@ def contact_wrench(
         f = (c * (t0 / slip), f_n * n1 + c * (t1 / slip), f_n * n2 + c * (t2 / slip))
     else:
         f = (0.0, f_n * n1, f_n * n2)
-    return ContactReport(True, pen, (0.0, n1, n2), f + (0.0, 0.0, 0.0))
+    return ContactReport(True, f + (0.0, 0.0, 0.0))

@@ -12,9 +12,11 @@ values to the command and to both tank steps. The steps run on the control
 tick in Python floats on 6-tuples; the audit is numpy over the whole
 telemetry table.
 
-The audit replays a telemetry log and checks, tick by tick, that the total
-storage (kinetic energy plus both tanks) never grows faster than the power
-supplied through the contact, within AUDIT_TOL per tick.
+The audit replays a run's telemetry table against the scenario the run used
+(its mass, control period and tank start energies) and checks, tick by
+tick, that the total storage (kinetic energy plus both tanks) never grows
+faster than the power supplied through the contact, within AUDIT_TOL per
+tick. A one-row table has no tick to check and passes.
 """
 
 from __future__ import annotations
@@ -23,11 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .telemetry import rows_to_columns
+
 AUDIT_TOL = 1e-4  # J per tick, the discretization slack the audit allows
-
-
-class AuditError(ValueError):
-    """Telemetry log is missing columns the audit needs."""
 
 
 @dataclass(frozen=True)
@@ -116,23 +116,9 @@ class AuditReport:
         return self.violation_count == 0
 
 
-_REQUIRED_AUDIT_COLUMNS = (
-    ["t", "qw", "qx", "qy", "qz"]
-    + [f"v{a}" for a in "xyz"]
-    + [f"w{a}" for a in "xyz"]
-    + [f"fext_ee_{c}" for c in ("fx", "fy", "fz", "tx", "ty", "tz")]
-    + ["S_t_i", "S_t_f"]
-)
-
-
-def passivity_audit(
-    columns: dict,
-    m_diag: np.ndarray,
-    dt: float,
-    s0_impedance: float,
-    s0_force: float,
-) -> AuditReport:
-    """Check discrete passivity of a run from its telemetry columns.
+def passivity_audit(table, scenario) -> AuditReport:
+    """Check discrete passivity of a run from its (n, len(COLUMNS)) telemetry
+    table and the `runtime.Scenario` it ran.
 
     Per tick: [KE(k+1) - KE(k)] + [S_tanks(k) - S_tanks(k-1)] must not exceed
     the contact work (midpoint twist dotted with the external wrench, which
@@ -140,14 +126,10 @@ def passivity_audit(
     Tank energies are logged post-update, so row k holds the storage at the
     end of tick k.
     """
-    missing = [c for c in _REQUIRED_AUDIT_COLUMNS if c not in columns]
-    if missing:
-        raise AuditError(f"telemetry log missing columns: {missing}")
+    columns = rows_to_columns(table)
     twist = np.stack([columns[c] for c in ("vx", "vy", "vz", "wx", "wy", "wz")], axis=1)
     n = len(twist)
-    if n < 2:
-        raise AuditError("audit needs at least two telemetry rows")
-    ke = 0.5 * np.sum(twist * twist * np.asarray(m_diag)[None, :], axis=1)
+    ke = 0.5 * np.sum(twist * twist * np.asarray(scenario.mass)[None, :], axis=1)
 
     q = np.stack([columns[c] for c in ("qw", "qx", "qy", "qz")], axis=1)
     f_ee = np.stack(
@@ -158,13 +140,15 @@ def passivity_audit(
     f_base[:, :3] = np.einsum("nij,nj->ni", rot, f_ee[:, :3])
     f_base[:, 3:] = np.einsum("nij,nj->ni", rot, f_ee[:, 3:])
 
-    s_i = np.concatenate([[s0_impedance], columns["S_t_i"]])
-    s_f = np.concatenate([[s0_force], columns["S_t_f"]])
+    s_i = np.concatenate([[scenario.tank_impedance.s0], columns["S_t_i"]])
+    s_f = np.concatenate([[scenario.tank_force.s0], columns["S_t_f"]])
 
     v_mid = 0.5 * (twist[:-1] + twist[1:])
-    supplied = np.sum(v_mid * f_base[:-1], axis=1) * dt
+    supplied = np.sum(v_mid * f_base[:-1], axis=1) * scenario.dt_control
     d_storage = (ke[1:] - ke[:-1]) + np.diff(s_i)[: n - 1] + np.diff(s_f)[: n - 1]
-    excess = d_storage - supplied
+    # the trailing -inf is never a violation nor the worst of a checked tick:
+    # a one-row run, with no tick to check, reports it at t[0]
+    excess = np.append(d_storage - supplied, -np.inf)
 
     viol = excess > AUDIT_TOL
     worst_idx = int(np.argmax(excess))

@@ -77,25 +77,10 @@ def test_criterion_1_tank_bounds(reference_columns):
     )
 
 
-def test_criterion_2_passivity_audit(reference_columns, reference_scenario, negative_run, negative_scenario):
+def test_criterion_2_passivity_audit(reference_run, negative_run):
     t0 = time.perf_counter()
-    sc = reference_scenario
-    audit = passivity_audit(
-        reference_columns,
-        np.asarray(sc.mass),
-        sc.dt_control,
-        sc.tank_impedance.s0,
-        sc.tank_force.s0,
-    )
-    neg_sc = negative_scenario
-    neg = negative_run
-    neg_audit = passivity_audit(
-        rows_to_columns(neg.table),
-        np.asarray(neg_sc.mass),
-        neg_sc.dt_control,
-        neg_sc.tank_impedance.s0,
-        neg_sc.tank_force.s0,
-    )
+    audit = passivity_audit(reference_run.table, reference_run.scenario)
+    neg_audit = passivity_audit(negative_run.table, negative_run.scenario)
     elapsed = time.perf_counter() - t0
     ok = audit.ok and neg_audit.violation_count >= 1 and elapsed < 120.0
     report(

@@ -55,6 +55,12 @@ class TestRun:
         )
         assert code == EXIT_OK
 
+    def test_one_tick_audit_passes_with_no_tick_checked(self, tmp_path):
+        code = main(["run", "--scenario", REF, "--duration", "0.001", "--out", str(tmp_path), "--audit"])
+        assert code == EXIT_OK
+        assert len(read_csv(tmp_path / "telemetry.csv")) == 1
+        assert "passivity audit: PASS (0 violations over 0 ticks" in (tmp_path / "report.txt").read_text()
+
     def test_negative_control_audit_exits_4(self, tmp_path):
         neg = str(SCENARIO_DIR / "negative_control.cfg")
         code = main(

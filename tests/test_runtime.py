@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import vauf.runtime
+from vauf.camera import CameraModel, EmptyViewError, render
 from vauf.runtime import (
     PolicyConfig,
     Scenario,
@@ -124,6 +126,29 @@ class TestRunScenario:
         c = rows_to_columns(res.table)
         for q in np.stack([c["qw"], c["qx"], c["qy"], c["qz"]], axis=1)[::100]:
             assert abs(np.linalg.norm(q) - 1.0) < 1e-6
+
+    def test_camera_that_never_sees_the_patch(self, monkeypatch):
+        # 6 cm of range from a camera mounted above the tool: every frame is an empty view
+        raised = []
+
+        def counted_render(*args, **kwargs):
+            try:
+                return render(*args, **kwargs)
+            except EmptyViewError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(vauf.runtime, "render", counted_render)
+        sc = Scenario(camera=CameraModel(range_max=0.06), duration=1.0)
+        res = run_scenario(sc)
+        assert len(raised) == 4  # the perception ticks at t = 0, 0.3, 0.6 and 0.9 s
+        assert res.completed
+        assert res.table.shape == (1000, len(COLUMNS))
+        c = rows_to_columns(res.table)
+        for name in ("perception_fresh", "theta", "l_s"):
+            assert not c[name].any(), name
+        for col, tank in (("S_t_i", sc.tank_impedance), ("S_t_f", sc.tank_force)):
+            assert tank.s_lower <= c[col].min() and c[col].max() <= tank.s_upper
 
     def test_divergence_aborts_with_reason(self):
         # absurd negative damping is not reachable via config; instead use a

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from vauf.runtime import Scenario
 from vauf.tanks import (
-    AuditError,
     TankConfig,
     _integrate_energy,
     force_tank_step,
@@ -15,6 +14,7 @@ from vauf.tanks import (
     passivity_audit,
     valve_sigma,
 )
+from vauf.telemetry import COLUMNS, ParseError, rows_to_columns
 
 FORCE_TANK = TankConfig(s0=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.2)
 IMP_TANK = TankConfig(s0=24.5, s_upper=32.0, s_lower=1.0, ramp_eps=0.2)
@@ -199,64 +199,82 @@ class TestBandInvariant:
                 assert s_lower * (1 - 1e-12) <= s <= s_upper * (1 + 1e-12)
 
 
-def synthetic_columns(n, dt, m_diag, twist, f_ext_ee, s_i, s_f):
-    cols = {
-        "t": np.arange(n) * dt,
-        "qw": np.ones(n),
-        "qx": np.zeros(n),
-        "qy": np.zeros(n),
-        "qz": np.zeros(n),
-        "S_t_i": s_i,
-        "S_t_f": s_f,
-    }
+def synthetic_table(dt, twist, f_ext_ee, s_i, s_f):
+    """A telemetry table at the identity orientation; the columns the audit
+    does not read are 0."""
+    n = len(twist)
+    table = np.zeros((n, len(COLUMNS)))
+    cols = rows_to_columns(table)  # views into the table
+    cols["t"][:] = np.arange(n) * dt
+    cols["qw"][:] = 1.0
     for i, name in enumerate(("vx", "vy", "vz", "wx", "wy", "wz")):
-        cols[name] = twist[:, i]
+        cols[name][:] = twist[:, i]
     for i, name in enumerate(("fx", "fy", "fz", "tx", "ty", "tz")):
-        cols[f"fext_ee_{name}"] = f_ext_ee[:, i]
-    return cols
+        cols[f"fext_ee_{name}"][:] = f_ext_ee[:, i]
+    cols["S_t_i"][:] = s_i
+    cols["S_t_f"][:] = s_f
+    return table
 
 
 class TestPassivityAudit:
+    SC = Scenario()  # mass (5, 5, 5, 0.3, 0.3, 0.3), dt 1 ms, tanks start at 24.5 and 2.0 J
+
     def test_pure_dissipation_passes(self):
         # free decay of a damped mass: storage only ever decreases
-        n, dt, m = 2000, 1e-3, np.array([5.0, 5.0, 5.0, 0.3, 0.3, 0.3])
+        n, dt, m = 2000, self.SC.dt_control, self.SC.mass
         d = 20.0
         v = np.zeros((n, 6))
         v[0, 0] = 1.0
         for k in range(1, n):
             v[k, 0] = v[k - 1, 0] * (1.0 - d / m[0] * dt)
-        cols = synthetic_columns(n, dt, m, v, np.zeros((n, 6)), np.full(n, 24.5), np.full(n, 2.0))
-        rep = passivity_audit(cols, m, dt, 24.5, 2.0)
+        table = synthetic_table(dt, v, np.zeros((n, 6)), 24.5, 2.0)
+        rep = passivity_audit(table, self.SC)
         assert rep.ok
         assert rep.worst_violation <= 0.0
 
     def test_energy_injection_flagged(self):
         # kinetic energy grows with zero external wrench: not passive
-        n, dt, m = 500, 1e-3, np.array([5.0, 5.0, 5.0, 0.3, 0.3, 0.3])
+        n = 500
         v = np.zeros((n, 6))
         v[:, 0] = np.linspace(0.0, 1.0, n)
-        cols = synthetic_columns(n, dt, m, v, np.zeros((n, 6)), np.full(n, 24.5), np.full(n, 2.0))
-        rep = passivity_audit(cols, m, dt, 24.5, 2.0)
+        table = synthetic_table(self.SC.dt_control, v, np.zeros((n, 6)), 24.5, 2.0)
+        rep = passivity_audit(table, self.SC)
         assert not rep.ok
         assert rep.violation_count > 0
         assert rep.worst_violation > 1e-4
 
     def test_missing_column_raises(self):
-        with pytest.raises(AuditError):
-            passivity_audit({"t": np.zeros(10)}, np.ones(6), 1e-3, 24.5, 2.0)
+        with pytest.raises(ParseError):
+            passivity_audit(np.zeros((10, len(COLUMNS) - 1)), self.SC)
 
     def test_supplied_work_credited(self):
         # growth backed by external work must pass
-        n, dt, m = 400, 1e-3, np.ones(6) * 2.0
-        f = 4.0
+        n, sc = 400, Scenario(mass=(2.0,) * 6)
+        f, dt = 4.0, sc.dt_control
         v = np.zeros((n, 6))
         for k in range(1, n):
-            v[k, 0] = v[k - 1, 0] + f / m[0] * dt
+            v[k, 0] = v[k - 1, 0] + f / sc.mass[0] * dt
         f_ext = np.zeros((n, 6))
         f_ext[:, 0] = f
-        cols = synthetic_columns(n, dt, m, v, f_ext, np.full(n, 24.5), np.full(n, 2.0))
-        rep = passivity_audit(cols, m, dt, 24.5, 2.0)
+        rep = passivity_audit(synthetic_table(dt, v, f_ext, 24.5, 2.0), sc)
         assert rep.ok
+
+    def test_start_energy_from_scenario(self):
+        # a log whose tank holds 24.5 J from the first row, audited against a
+        # run that started it at 20 J: 4.5 J appear in the first tick
+        n = 10
+        table = synthetic_table(self.SC.dt_control, np.zeros((n, 6)), np.zeros((n, 6)), 24.5, 2.0)
+        sc = Scenario(tank_impedance=TankConfig(s0=20.0, s_upper=32.0, s_lower=1.0))
+        rep = passivity_audit(table, sc)
+        assert (rep.violation_count, rep.worst_violation, rep.worst_time) == (1, 4.5, 0.0)
+        assert passivity_audit(table, self.SC).ok
+
+    def test_one_row_has_no_tick_to_check(self):
+        table = synthetic_table(self.SC.dt_control, np.ones((1, 6)), np.zeros((1, 6)), 24.5, 2.0)
+        rep = passivity_audit(table, self.SC)
+        assert rep.ok
+        assert (rep.ticks_checked, rep.violation_count) == (0, 0)
+        assert rep.worst_violation == -np.inf and rep.worst_time == 0.0
 
 
 class TestTankStateValidation:

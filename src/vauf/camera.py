@@ -3,15 +3,20 @@
 The camera is rigidly mounted at the tool. By convention its optical axis
 (+z, out of the lens) points along the tool's -z axis, so with the tool
 aligned (z up, away from the surface) the camera looks straight down at the
-patch. Ray/height-field intersections are found by marching the depth along
-the optical axis and bisecting the first sign change. A frame is a plain
-(N, 3) float64 array of camera-frame points in meters.
+patch. Each ray is marched in z-depth only across the interval where its
+base-frame height lies in the surface's height band, with 25 samples of the
+gap to the unbounded sinusoid; the first sign change is bisected a fixed
+number of times, and the hit is kept only if the bisected point lies on the
+patch. Range noise is drawn once per pixel and frame, so a pixel's noise
+does not depend on which other pixels hit. A frame is a plain (N, 3) float64
+array of camera-frame points in meters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import logging
+import math
 
 import numpy as np
 
@@ -23,7 +28,7 @@ log = logging.getLogger(__name__)
 # tool -> camera rotation: camera +z looks along tool -z
 MOUNT_ROTATION = rotation_x(np.pi)
 
-_MARCH_STEPS = 96
+_BAND_SAMPLES = 25
 _BISECT_TOL = 1e-6  # m, an order tighter than the advertised 1e-5
 
 
@@ -85,54 +90,57 @@ def render(
 ) -> np.ndarray:
     """Render one depth frame as an (N, 3) point cloud in the camera frame.
 
-    Deterministic given the state of rng, which draws the range noise.
-    Raises EmptyViewError when fewer than 10% of the pixels hit the surface
-    inside the working range.
+    Deterministic given the state of rng, from which a noisy camera draws
+    one range-noise sample per pixel each frame, hit or not. Raises
+    EmptyViewError when fewer than 10% of the pixels hit the surface inside
+    the working range.
     """
     dirs_cam = camera.ray_directions()
-    r = camera_pose_in_base.rotation
     o = camera_pose_in_base.position
-    dirs_base = dirs_cam @ r.T
-
     dz = dirs_cam[:, 2]  # z-depth per unit ray length is dz (== 1/ray stretch)
     n_pix = len(dirs_cam)
+    noise = rng.normal(0.0, camera.noise_sigma, n_pix) if camera.noise_sigma > 0.0 else np.zeros(n_pix)
+    # base-frame displacement per unit z-depth: a ray's points are o + z * step
+    step = (dirs_cam / dz[:, None]) @ camera_pose_in_base.rotation.T
 
-    # march z-depth out to range_max, starting below the minimum range so
-    # too-close geometry is found and then dropped (with a warning) rather
-    # than silently missed; t = z / dz along the ray
-    z_near = min(0.01, camera.range_min)
-    z_samples = np.linspace(z_near, camera.range_max, _MARCH_STEPS + 1)
-    t = z_samples[None, :] / dz[:, None]  # (N, S)
-    pts = o[None, None, :] + t[..., None] * dirs_base[:, None, :]
-    in_dom = surface.in_domain(pts[..., 0], pts[..., 1])
-    gap = pts[..., 2] - surface.height_unchecked(pts[..., 0], pts[..., 1])
+    # depth interval where each ray's height lies in the padded surface band,
+    # starting below the minimum range so too-close geometry is found and
+    # then dropped (with a warning) rather than silently missed
+    lo, hi = surface.height_band()
+    with np.errstate(divide="ignore", invalid="ignore"):  # level rays
+        z_a = (lo - _BISECT_TOL - o[2]) / step[:, 2]
+        z_b = (hi + _BISECT_TOL - o[2]) / step[:, 2]
+    z_near = np.maximum(np.minimum(z_a, z_b), min(0.01, camera.range_min))
+    z_far = np.minimum(np.maximum(z_a, z_b), camera.range_max)
+    ray = np.nonzero(z_near < z_far)[0]
 
-    above = in_dom & (gap > 0.0)
-    below = in_dom & (gap <= 0.0)
-    cross = above[:, :-1] & below[:, 1:]
-    has_hit = cross.any(axis=1)
-    first = np.argmax(cross, axis=1)
+    # first sign change of the gap to the unbounded sinusoid
+    z = np.linspace(z_near[ray], z_far[ray], _BAND_SAMPLES, axis=1)
+    gap = _gap(surface, o, step[ray, None, :], z)
+    cross = (gap[:, :-1] > 0.0) & (gap[:, 1:] <= 0.0)
+    crossed = np.nonzero(cross.any(axis=1))[0]
+    first = np.argmax(cross[crossed], axis=1)
+    ray = ray[crossed]
+    z_lo = z[crossed, first]
+    z_hi = z[crossed, first + 1]
 
-    hit_idx = np.nonzero(has_hit)[0]
-    if len(hit_idx) < 0.10 * n_pix:
-        raise EmptyViewError(f"{len(hit_idx)}/{n_pix} pixels returned")
-
-    z_lo = z_samples[first[hit_idx]]
-    z_hi = z_samples[first[hit_idx] + 1]
-    d_hit = dirs_base[hit_idx]
-    dz_hit = dz[hit_idx]
-    while (z_hi - z_lo).max() > _BISECT_TOL:
+    # a fixed number of halvings takes the widest bracket below tolerance
+    widest = max((z_hi - z_lo).max(initial=0.0), _BISECT_TOL)
+    for _ in range(math.ceil(math.log2(widest / _BISECT_TOL))):
         z_mid = 0.5 * (z_lo + z_hi)
-        p = o[None, :] + (z_mid / dz_hit)[:, None] * d_hit
-        g = p[:, 2] - surface.height_unchecked(p[:, 0], p[:, 1])
-        go_lo = g > 0.0
+        go_lo = _gap(surface, o, step[ray], z_mid) > 0.0
         z_lo = np.where(go_lo, z_mid, z_lo)
         z_hi = np.where(go_lo, z_hi, z_mid)
     z_hit = 0.5 * (z_lo + z_hi)
 
-    ray_len = z_hit / dz_hit
-    if camera.noise_sigma > 0.0:
-        ray_len = ray_len + rng.normal(0.0, camera.noise_sigma, size=ray_len.shape)
+    p = o + z_hit[:, None] * step[ray]
+    on_patch = surface.in_domain(p[:, 0], p[:, 1])
+    hit_idx = ray[on_patch]
+    if len(hit_idx) < 0.10 * n_pix:
+        raise EmptyViewError(f"{len(hit_idx)}/{n_pix} pixels returned")
+
+    dz_hit = dz[hit_idx]
+    ray_len = z_hit[on_patch] / dz_hit + noise[hit_idx]
     z_noisy = ray_len * dz_hit
 
     below_min = z_noisy < camera.range_min
@@ -141,3 +149,9 @@ def render(
     keep = (~below_min) & (z_noisy <= camera.range_max)
 
     return ray_len[keep, None] * dirs_cam[hit_idx[keep]]
+
+
+def _gap(surface: HeightField, o: np.ndarray, step: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Height of the ray points o + z * step above the unbounded sinusoid."""
+    x, y, h = (o[i] + z * step[..., i] for i in range(3))
+    return h - surface.height_unchecked(x, y)

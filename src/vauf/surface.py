@@ -57,6 +57,10 @@ class HeightField:
         """Inside the patch; works on floats and, elementwise, on arrays."""
         return (abs(x) <= self.x_half) & (abs(y) <= self.y_half)
 
+    def height_band(self) -> tuple[float, float]:
+        """(lowest, highest) height of the unbounded sinusoid."""
+        return self.offset - abs(self.amplitude), self.offset + abs(self.amplitude)
+
     def height_unchecked(self, x, y):
         """Vectorized h without domain checks (used by the renderer)."""
         return self.amplitude * np.sin(np.pi * y / self.period + self.phase) + self.offset

@@ -1,14 +1,21 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from march_render import MARCH_STEPS, march_render
 from vauf.camera import CameraModel, EmptyViewError, MOUNT_ROTATION, camera_pose_from_tool, render
-from vauf.spatial import Pose, rotation_x
+from vauf.spatial import Pose, rotation_exp, rotation_x
 from vauf.surface import HeightField
 
 FLAT = HeightField(amplitude=0.0, offset=0.0, x_half=1.0, y_half=1.0)
 PAPER = HeightField()
 
 DOWN = Pose(MOUNT_ROTATION, np.array([0.0, 0.0, 0.3]))  # camera z looks along -z base
+
+
+def rotation_y(angle: float) -> np.ndarray:
+    return np.reshape(rotation_exp((0.0, angle, 0.0)), (3, 3))
 
 
 class TestRender:
@@ -73,6 +80,66 @@ class TestRender:
         assert any("minimum range" in r.message for r in caplog.records)
         assert len(cloud) == 0
 
+    def test_noise_drawn_per_pixel(self):
+        cam = CameraModel(cols=16, rows=16, noise_sigma=0.002)
+        clean = render(replace(cam, noise_sigma=0.0), DOWN, FLAT, rng=np.random.default_rng(0))
+        noisy = render(cam, DOWN, FLAT, rng=np.random.default_rng(3))
+        assert len(clean) == len(noisy) == 256
+        twin = np.random.default_rng(3).normal(0.0, 0.002, 256)
+        resid = np.linalg.norm(noisy, axis=1) - np.linalg.norm(clean, axis=1)
+        assert np.abs(resid - twin).max() < 1e-12
+
+    def test_band_beyond_range_max_is_empty(self):
+        deep = HeightField(offset=-1.0, x_half=1.0, y_half=1.0)  # band 1.28-1.32 m below the camera
+        with pytest.raises(EmptyViewError):
+            render(CameraModel(cols=16, rows=16), DOWN, deep, rng=np.random.default_rng(0))
+
+
+# Oblique view toward -x: EDGE_PIXEL's ray crosses the band's 4 cm of height
+# over 2.5 cm of x, so each of its 24 band steps spans 1.06 mm of x. A hit
+# 0.1 mm inside the +x edge then has the sample before its crossing off the
+# patch, and only the patch test on the bisected point keeps it.
+OBLIQUE = Pose(rotation_y(0.6) @ MOUNT_ROTATION, np.array([0.0, 0.05, 0.33]))
+EDGE_PIXEL = 8 * 16 + 8
+
+
+def edge_view(inside: float) -> tuple[Pose, np.ndarray]:
+    """OBLIQUE shifted along x so EDGE_PIXEL's ray meets the unbounded sinusoid
+    `inside` metres inside the patch's +x edge; returns the pose and that point."""
+    cam = CameraModel(cols=16, rows=16)
+    wide = render(cam, OBLIQUE, replace(PAPER, x_half=1.0, y_half=1.0), rng=np.random.default_rng(0))
+    (point,) = wide[pixel_of(wide, cam) == EDGE_PIXEL]
+    hit = OBLIQUE.rotation @ point + OBLIQUE.position
+    shift = np.array([PAPER.x_half - inside - hit[0], 0.0, 0.0])
+    return Pose(OBLIQUE.rotation, OBLIQUE.position + shift), hit + shift
+
+
+def pixel_of(cloud: np.ndarray, cam: CameraModel) -> np.ndarray:
+    """Pixel index of each point, from its ray slopes x/z and y/z."""
+    tan_h, tan_v = np.tan(0.5 * cam.fov_h), np.tan(0.5 * cam.fov_v)
+    col = np.rint((cloud[:, 0] / cloud[:, 2] / tan_h + 1.0) * 0.5 * cam.cols - 0.5).astype(int)
+    row = np.rint((cloud[:, 1] / cloud[:, 2] / tan_v + 1.0) * 0.5 * cam.rows - 0.5).astype(int)
+    return row * cam.cols + col
+
+
+class TestPatchEdge:
+    def test_hit_just_inside_the_edge_is_kept(self):
+        cam = CameraModel(cols=16, rows=16)
+        pose, expected = edge_view(inside=1e-4)
+        cloud = render(cam, pose, PAPER, rng=np.random.default_rng(0))
+        pix = pixel_of(cloud, cam)
+        assert EDGE_PIXEL in pix
+        hit = pose.rotation @ cloud[pix == EDGE_PIXEL][0] + pose.position
+        assert np.abs(hit - expected).max() < 2e-5
+        assert abs(hit[2] - PAPER.height_unchecked(hit[0], hit[1])) < 2e-5
+        assert 0.0 < PAPER.x_half - hit[0] < 2e-4
+
+    def test_crossing_just_outside_the_edge_is_no_hit(self):
+        cam = CameraModel(cols=16, rows=16)
+        pose, _ = edge_view(inside=-1e-4)
+        cloud = render(cam, pose, PAPER, rng=np.random.default_rng(0))
+        assert EDGE_PIXEL not in pixel_of(cloud, cam)
+
 
 class TestCameraModel:
     def test_mount_pose(self):
@@ -95,3 +162,50 @@ class TestCameraModel:
         d = cam.ray_directions()
         assert np.abs(np.linalg.norm(d, axis=1) - 1.0).max() < 1e-12
         assert np.all(d[:, 2] > 0.0)
+
+
+# The renderer against the test-local oracle of the 97-sample march: the band
+# march loses no pixel, gains only pixels whose hit is within one march step
+# of the patch edge (the march needs both bracketing samples on the patch),
+# and returns the same point on every pixel both hit.
+ORACLE_CAMERAS = {
+    "32x24": CameraModel(),
+    "64x48": CameraModel(fov_h=np.deg2rad(30), fov_v=np.deg2rad(24), cols=64, rows=48),
+}
+
+
+def oracle_poses(n: int = 12) -> list[Pose]:
+    rng = np.random.default_rng(11)
+    poses = []
+    for _ in range(n):  # straight down from 0.3 m, over the whole patch
+        x, y = rng.uniform(-0.12, 0.12), rng.uniform(-0.25, 0.25)
+        poses.append(Pose(MOUNT_ROTATION, np.array([x, y, PAPER.height_unchecked(x, y) + 0.3])))
+    for _ in range(n):  # tool-mounted, tool tilted up to 0.4 rad, tip 5 mm above the surface
+        x, y = rng.uniform(-0.1, 0.1), rng.uniform(-0.2, 0.2)
+        tilt = np.reshape(rotation_exp((rng.uniform(-0.4, 0.4), rng.uniform(-0.4, 0.4), 0.0)), (3, 3))
+        tool = Pose(tilt, np.array([x, y, PAPER.height_unchecked(x, y) + 0.005]))
+        poses.append(camera_pose_from_tool(tool, CameraModel()))
+    return poses
+
+
+@pytest.mark.parametrize("sigma", [0.0, 0.002])
+@pytest.mark.parametrize("name", sorted(ORACLE_CAMERAS))
+def test_band_march_against_march_oracle(name, sigma):
+    cam = replace(ORACLE_CAMERAS[name], noise_sigma=sigma)
+    march_step = (cam.range_max - min(0.01, cam.range_min)) / MARCH_STEPS
+    gained = 0
+    for i, pose in enumerate(oracle_poses()):
+        old, old_pix = march_render(cam, pose, PAPER, np.random.default_rng(i))
+        new = render(cam, pose, PAPER, rng=np.random.default_rng(i))
+        new_pix = pixel_of(new, cam)
+        assert len(np.unique(new_pix)) == len(new_pix)
+        assert np.isin(old_pix, new_pix).all(), f"pose {i}: pixels lost"
+        extra = ~np.isin(new_pix, old_pix)
+        gained += extra.sum()
+        base = new[extra] @ pose.rotation.T + pose.position
+        edge = np.minimum(PAPER.x_half - abs(base[:, 0]), PAPER.y_half - abs(base[:, 1]))
+        assert np.all(edge <= march_step), f"pose {i}: a gained hit lies {edge.max():.4f} m inside the edge"
+        order = np.argsort(new_pix)
+        shared = new[order][np.isin(new_pix[order], old_pix)]
+        assert np.abs(shared - old[np.argsort(old_pix)]).max() < 1e-6
+    print(f"{name}, sigma {sigma}: {gained} pixels gained")

@@ -143,10 +143,10 @@ def noise_free_run(reference_scenario):
 # guards segmentation, which on clean clouds depends on the last bits of the
 # normal covariances.
 TELEMETRY_DIGESTS = {
-    "reference_run": "b1e780e24bb08896",
-    "flat_run": "f9f55ae4818111bb",
-    "negative_run": "2a19a1ec0969986f",
-    "noise_free_run": "63d94ac349fc5863",
+    "reference_run": "8efc2dbf3d78fe76",
+    "flat_run": "1d5e349585ff6e10",
+    "negative_run": "15983d5b885f349c",
+    "noise_free_run": "d25c7bd482638936",
 }
 
 

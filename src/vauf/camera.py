@@ -15,6 +15,7 @@ array of camera-frame points in meters.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import functools
 import logging
 import math
 
@@ -63,14 +64,21 @@ class CameraModel:
             raise ValueError(f"camera.noise_sigma must be non-negative, got {self.noise_sigma!r}")
 
     def ray_directions(self) -> np.ndarray:
-        """Unit ray directions in the camera frame, one per pixel, (N, 3)."""
-        tan_h = np.tan(0.5 * self.fov_h)
-        tan_v = np.tan(0.5 * self.fov_v)
-        u = (2.0 * (np.arange(self.cols) + 0.5) / self.cols - 1.0) * tan_h
-        v = (2.0 * (np.arange(self.rows) + 0.5) / self.rows - 1.0) * tan_v
-        uu, vv = np.meshgrid(u, v)
-        d = np.stack([uu.ravel(), vv.ravel(), np.ones(self.cols * self.rows)], axis=1)
-        return d / np.linalg.norm(d, axis=1, keepdims=True)
+        """Unit ray directions in the camera frame, one per pixel, (N, 3); built once per ray geometry, read-only."""
+        return _ray_directions(self.fov_h, self.fov_v, self.cols, self.rows)
+
+
+@functools.lru_cache(maxsize=16)
+def _ray_directions(fov_h: float, fov_v: float, cols: int, rows: int) -> np.ndarray:
+    tan_h = np.tan(0.5 * fov_h)
+    tan_v = np.tan(0.5 * fov_v)
+    u = (2.0 * (np.arange(cols) + 0.5) / cols - 1.0) * tan_h
+    v = (2.0 * (np.arange(rows) + 0.5) / rows - 1.0) * tan_v
+    uu, vv = np.meshgrid(u, v)
+    d = np.stack([uu.ravel(), vv.ravel(), np.ones(cols * rows)], axis=1)
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    d.flags.writeable = False
+    return d
 
 
 def camera_pose_from_tool(tool_pose: Pose, camera: CameraModel) -> Pose:

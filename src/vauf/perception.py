@@ -3,12 +3,19 @@
 A cloud is a plain (N, 3) float64 array of camera-frame points, organized:
 each point lies on the ray of one pixel of an evenly spaced pinhole grid, so
 its pixel is recovered from the ray slopes x/z and y/z. Per-point normals
-come from the covariance of the points in a square pixel window (smallest
-eigenvector), oriented toward the camera origin. Region growing clusters
-points whose normals stay within an angular threshold of the region seed,
-over a pixel window one ring wider. The working segment's covariance
-eigenstructure yields the surface normal and the local-curvature ratio.
-Everything is deterministic for a given cloud.
+come from the covariance of the points in a square pixel window, oriented
+toward the camera origin. The window covariances are diagonalized in
+closed form, with no LAPACK call per point: the smallest eigenvalue from
+Smith's trigonometric formula (O. K. Smith, Comm. ACM 4(4), 1961), its
+eigenvector as the longest cross product of two rows of A - l0 I (J. Kopp,
+arXiv:physics/0610206), and the rank test on the sum of the principal 2x2
+minors; only a window whose two smallest eigenvalues nearly coincide takes
+LAPACK's pair. Region growing clusters points whose normals stay within an
+angular threshold of the region seed, over a pixel window one ring wider
+whose missing pixels hold the sentinel index N. The working segment's
+covariance eigenstructure (LAPACK eigh, one matrix per frame) yields the
+surface normal and the local-curvature ratio. Everything is deterministic
+for a given cloud.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ class PointNormals:
     valid: np.ndarray  # (N,) bool, False for degenerate neighborhoods
     # (N, m) growing graph: the points of each point's pixel window one ring
     # wider than the normal window, ring by ring; a missing pixel holds the
-    # point itself
+    # sentinel N, one past the last point
     neighbors: np.ndarray
 
 
@@ -119,7 +126,8 @@ def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
     point's neighborhood is the cloud's points on it. A neighborhood of
     fewer than 3 points or of rank below 2 (collinear) flags the point
     invalid, and it takes no part in region growing. The growing graph is
-    the window one ring wider.
+    the window one ring wider, with the sentinel N for a pixel that holds no
+    point.
     """
     n = len(pts)
     if k < 5:
@@ -131,21 +139,63 @@ def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
     c = pts - pts.mean(axis=0)  # centred on the frame, so the window sums cancel less
     moments = np.zeros((row.max() + 1, col.max() + 1, 10))
     moments[row, col] = np.column_stack([np.ones(n), c, c[:, _FIRST] * c[:, _SECOND]])
-    sums = _box_sum(moments, half)[row, col]
-    count = sums[:, 0]
-    mean = sums[:, 1:4] / count[:, None]
-    second = sums[:, 4:][:, _SYMMETRIC].reshape(n, 3, 3) / count[:, None, None]
-    cov = second - mean[:, :, None] * mean[:, None, :]
-    vals, vecs = np.linalg.eigh(cov)  # ascending
-    normals = vecs[:, :, 0]
-    trace = vals.sum(axis=1)
-    valid = (count >= 3) & (trace > 0.0) & (vals[:, 1] > 1e-12 * np.maximum(trace, 1e-300))
-    curvature = np.where(trace > 0.0, np.abs(vals[:, 0]) / np.maximum(trace, 1e-300), np.inf)
+    sums = _box_sum(moments, half)[row, col].T
+    count = sums[0]
+    mean = sums[1:4] / count
+    cov = sums[4:] / count - mean[_FIRST] * mean[_SECOND]  # xx, xy, xz, yy, yz, zz
+    low, normals, rank2 = smallest_eigenpairs(cov)
+    valid = (count >= 3) & rank2
+    trace = cov[0] + cov[3] + cov[5]
+    curvature = np.where(trace > 0.0, np.abs(low) / np.maximum(trace, 1e-300), np.inf)
     # camera-facing: flip normals pointing away from the origin
     flip = np.einsum("ni,ni->n", normals, pts) > 0.0
     normals = np.where(flip[:, None], -normals, normals)
     neighbors = _window_neighbors(row, col, half + 1)
     return PointNormals(normals=normals, curvature=curvature, valid=valid, neighbors=neighbors)
+
+
+def smallest_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smallest eigenvalue, a unit eigenvector of it, and a rank-2 flag, of symmetric 3x3 matrices.
+
+    cov is (6, N): the entries xx, xy, xz, yy, yz, zz of one matrix per
+    column. The eigenvalues come from Smith's trigonometric formula and the
+    eigenvector is the longest of the three row cross products of A - l0 I.
+    Where that product is short against the rows, the two smallest
+    eigenvalues lie within about 1e-4 of the spread, and the formula's l0
+    and the product lose digits; those few matrices take LAPACK's pair. The
+    rank test reads the sum of the principal 2x2 minors, l0 l1 + l0 l2 + l1 l2,
+    against l2: the trigonometric l1 is too inexact on a rank-1 matrix.
+    """
+    xx, xy, xz, yy, yz, zz = cov
+    trace = xx + yy + zz
+    q = trace / 3.0
+    dx, dy, dz = xx - q, yy - q, zz - q
+    p = np.sqrt((dx * dx + dy * dy + dz * dz + 2.0 * (xy * xy + xz * xz + yz * yz)) / 6.0)
+    s = np.where(p > 0.0, p, 1.0)  # A = qI leaves B = (A - qI) / p at zero
+    bx, by, bz, bxy, bxz, byz = dx / s, dy / s, dz / s, xy / s, xz / s, yz / s
+    det_b = bx * (by * bz - byz * byz) - bxy * (bxy * bz - byz * bxz) + bxz * (bxy * byz - by * bxz)
+    phi = np.arccos(np.clip(0.5 * det_b, -1.0, 1.0)) / 3.0
+    high = q + 2.0 * p * np.cos(phi)
+    low = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
+    minors = xx * yy - xy * xy + xx * zz - xz * xz + yy * zz - yz * yz
+    rank2 = (trace > 0.0) & (minors > 1e-12 * trace * high)
+    a, d, f = xx - low, yy - low, zz - low
+    # the rows of A - l0 I are (a, xy, xz), (xy, d, yz), (xz, yz, f); their
+    # cross products r1 x r2, r2 x r0 and r0 x r1, each (3, N)
+    cross = np.array([
+        [d * f - yz * yz, yz * xz - xy * f, xy * yz - d * xz],
+        [xz * yz - xy * f, a * f - xz * xz, xz * xy - a * yz],
+        [xy * yz - xz * d, xz * xy - a * yz, a * d - xy * xy],
+    ])
+    length = np.einsum("kin,kin->kn", cross, cross)
+    pick = length.argmax(axis=0), np.arange(len(q))
+    frobenius = a * a + d * d + f * f + 2.0 * (xy * xy + xz * xz + yz * yz)  # |A - l0 I|^2
+    close = length[pick] <= (1e-4 * frobenius) ** 2
+    vec = cross[pick[0], :, pick[1]] / np.sqrt(np.where(close, 1.0, length[pick]))[:, None]
+    if close.any():
+        vals, vecs = np.linalg.eigh(cov[:, close][_SYMMETRIC].T.reshape(-1, 3, 3))
+        low[close], vec[close] = vals[:, 0], vecs[:, :, 0]
+    return low, vec, rank2
 
 
 def _box_sum(image: np.ndarray, half: int) -> np.ndarray:
@@ -157,15 +207,14 @@ def _box_sum(image: np.ndarray, half: int) -> np.ndarray:
 
 
 def _window_neighbors(row: np.ndarray, col: np.ndarray, half: int) -> np.ndarray:
-    """Points on each point's square pixel window, ring by ring; a missing pixel is the point itself."""
+    """Points on each point's square pixel window, ring by ring; a missing pixel is the sentinel N."""
     n = len(row)
     width = col.max() + 1 + 2 * half
-    index = np.full((row.max() + 1 + 2 * half, width), -1)
+    index = np.full((row.max() + 1 + 2 * half, width), n)
     index[row + half, col + half] = np.arange(n)
     d_row, d_col = np.mgrid[-half : half + 1, -half : half + 1].reshape(2, -1)
     ring = np.argsort(np.maximum(abs(d_row), abs(d_col)), kind="stable")[1:]  # the centre pixel dropped
-    nb = index.ravel()[((row + half) * width + col + half)[:, None] + (d_row * width + d_col)[ring]]
-    return np.where(nb < 0, np.arange(n)[:, None], nb)
+    return index.ravel().take(((row + half) * width + col + half)[:, None] + (d_row * width + d_col)[ring])
 
 
 def region_grow(
@@ -179,33 +228,39 @@ def region_grow(
     Seeds are taken at the lowest-curvature unvisited point and grow one BFS
     level of the window graph per numpy step, keeping each admissible neighbor's
     first occurrence, so members come in the order of a FIFO-queue search.
+    A seed's admissible points are one mask, free: close enough to the seed
+    and not yet in a segment, cleared level by level as the search reaches
+    them; its padding entry keeps the graph's sentinel N out.
     Segments below min_segment_size are dropped; the rest are sorted largest first.
     """
-    if len(pts) == 0:
+    n = len(pts)
+    if n == 0:
         raise NoSegmentError("empty cloud")
     cos_thresh = np.cos(angle_thresh)
     nrm, nb = normals.normals, normals.neighbors
-    visited = ~normals.valid.copy()
-    first = np.full(len(pts), nb.size)  # never reset: a point is a candidate in one level only
+    visited = ~normals.valid
+    first = np.full(n, nb.size)  # never reset: a point is a candidate in one level only
     segments: list[Segment] = []
-    for seed in np.argsort(normals.curvature, kind="stable"):
+    for seed in np.argsort(normals.curvature, kind="stable").tolist():
         if visited[seed]:
             continue
         dots = nrm @ nrm[seed]
-        ok = dots >= cos_thresh
+        free = np.append((dots >= cos_thresh) & ~visited, False)
         for j in np.flatnonzero(np.abs(dots - cos_thresh) <= 1e-12):  # batched dots may be an ulp off
-            ok[j] = nrm[seed] @ nrm[j] >= cos_thresh
+            free[j] = not visited[j] and nrm[seed] @ nrm[j] >= cos_thresh
         level, levels = np.array([seed]), []
         while len(level):
-            visited[level] = True
+            free[level] = False
             levels.append(level)
             cand = nb[level]
-            cand = cand[ok[cand] & ~visited[cand]]  # row-major: frontier order, then ring order
+            cand = cand[free[cand]]  # row-major: frontier order, then ring order
             pos = np.arange(len(cand))
             np.minimum.at(first, cand, pos)
             level = cand[first[cand] == pos]
-        if sum(map(len, levels)) >= min_segment_size:
-            segments.append(_make_segment(pts, np.concatenate(levels)))
+        members = np.concatenate(levels)
+        visited[members] = True
+        if len(members) >= min_segment_size:
+            segments.append(_make_segment(pts, members))
     if not segments:
         raise NoSegmentError("no segment above minimum size")
     return sorted(segments, key=lambda s: -s.size)

@@ -1,5 +1,7 @@
 from collections import deque
 
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from vauf.perception import (
     segment_from_points,
     segment_pca,
     select_working_segment,
+    smallest_eigenpairs,
 )
 from vauf.spatial import Pose
 from vauf.surface import HeightField
@@ -78,8 +81,22 @@ class TestPointNormals:
 
     @pytest.mark.parametrize("k, side", [(5, 3), (9, 3), (10, 5), (80, 9), (81, 9), (82, 11)])
     def test_window_is_smallest_odd_square_and_graph_one_ring_wider(self, k, side):
-        res = estimate_point_normals(plane_cloud(), k=k)
-        assert res.neighbors.shape == (24 * 24, (side + 2) ** 2 - 1)
+        cloud = plane_cloud()
+        res = estimate_point_normals(cloud, k=k)
+        n = len(cloud)
+        assert res.neighbors.shape == (n, (side + 2) ** 2 - 1)
+        # the sentinel n exactly where the window pixel holds no point: off
+        # the 24x24 grid, or on a pixel dropped from the cloud
+        assert res.neighbors.min() >= 0 and res.neighbors.max() == n
+        half = side // 2 + 1
+        offsets = [(dr, dc) for dr in range(-half, half + 1) for dc in range(-half, half + 1)]
+        ring = sorted(offsets, key=lambda o: max(abs(o[0]), abs(o[1])))[1:]  # stable: row-major per ring
+        kept = np.delete(np.arange(n), [0, 100, 300])
+        sub = estimate_point_normals(cloud[kept], k=k).neighbors
+        at = {(i // 24, i % 24): j for j, i in enumerate(kept)}
+        for j, i in enumerate(kept):
+            expected = [at.get((i // 24 + dr, i % 24 + dc), len(kept)) for dr, dc in ring]
+            assert sub[j].tolist() == expected
 
     def test_k_larger_than_cloud(self):
         with pytest.raises(ValueError):
@@ -89,6 +106,36 @@ class TestPointNormals:
         pts = np.column_stack([np.linspace(0, 1, 50), np.zeros(50), np.full(50, 0.3)])
         res = estimate_point_normals(pts, k=6)
         assert not res.valid.any()
+
+
+# entries zero or at least 1e-30 in magnitude, so no product the closed form
+# takes underflows; 0, 1, 2 or 3 outer products make the zero matrix, a
+# rank-1 matrix, an exact rank-2 matrix and a random symmetric PSD one
+ENTRIES = st.one_of(st.just(0.0), st.floats(1e-30, 1.0), st.floats(-1.0, -1e-30))
+PSD_MATRICES = st.lists(st.tuples(ENTRIES, ENTRIES, ENTRIES), max_size=3).map(
+    lambda vs: sum((np.outer(v, v) for v in vs), np.zeros((3, 3)))
+)
+EPS = np.finfo(float).eps
+
+
+class TestSmallestEigenpairs:
+    @settings(max_examples=500, deadline=None)
+    @given(PSD_MATRICES)
+    def test_matches_eigh(self, m):
+        low, vec, rank2 = smallest_eigenpairs(m[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]][:, None])
+        low, vec = low[0], vec[0]
+        vals, vecs = np.linalg.eigh(m)
+        trace, gap, norm = vals.sum(), vals[1] - vals[0], np.abs(vals).max()
+        # the minor sum over l2 lies in [l1, 3 l1]: away from the threshold
+        # it flags what the rule l1 > 1e-12 trace on eigh's l1 flagged
+        assume(not 0.3e-12 * trace < vals[1] <= 1.01e-12 * trace)
+        assert rank2[0] == (trace > 0.0 and vals[1] > 1e-12 * trace)
+        assert abs(np.linalg.norm(vec) - 1.0) <= 4 * EPS
+        # l0 and its vector lose at most the digits of a pair 1e-4 of the
+        # spread apart; closer pairs take eigh's
+        assert np.linalg.norm(m @ vec - low * vec) <= 1e5 * EPS * norm
+        if gap > 1e-6 * trace:
+            assert np.linalg.norm(np.cross(vec, vecs[:, 0])) <= 1e5 * EPS * trace / gap
 
 
 class TestRegionGrow:
@@ -127,7 +174,7 @@ def region_grow_oracle(normals, angle_thresh, min_segment_size):
         while queue:
             i = queue.popleft()
             for j in normals.neighbors[i]:
-                if not visited[j] and seed_normal @ normals.normals[j] >= cos_thresh:
+                if j < len(visited) and not visited[j] and seed_normal @ normals.normals[j] >= cos_thresh:
                     visited[j] = True
                     members.append(int(j))
                     queue.append(int(j))

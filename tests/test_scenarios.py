@@ -146,7 +146,7 @@ TELEMETRY_DIGESTS = {
     "reference_run": "8efc2dbf3d78fe76",
     "flat_run": "1d5e349585ff6e10",
     "negative_run": "15983d5b885f349c",
-    "noise_free_run": "d25c7bd482638936",
+    "noise_free_run": "8a4f5155beabeafd",
 }
 
 

@@ -84,9 +84,14 @@ def damping_matrix(k_c: tuple[tuple, tuple], m_diag: tuple, coeffs: tuple) -> tu
     m_diag is the diagonal inertia; the result is the six per-axis damping
     coefficients, so the damper wrench is -d * twist.
     """
-    k_t, (kr0, kr1, kr2) = k_c
-    k_diag = (k_t[0], k_t[4], k_t[8], kr0, kr1, kr2)
-    return tuple([2.0 * c * math.sqrt(abs(k) * m) + D_FLOOR for c, k, m in zip(coeffs, k_diag, m_diag)])
+    (k0, _, _, _, k4, _, _, _, k8), (kr0, kr1, kr2) = k_c
+    c0, c1, c2, c3, c4, c5 = coeffs
+    m0, m1, m2, m3, m4, m5 = m_diag
+    return (
+        2.0 * c0 * math.sqrt(abs(k0) * m0) + D_FLOOR, 2.0 * c1 * math.sqrt(abs(k4) * m1) + D_FLOOR,
+        2.0 * c2 * math.sqrt(abs(k8) * m2) + D_FLOOR, 2.0 * c3 * math.sqrt(abs(kr0) * m3) + D_FLOOR,
+        2.0 * c4 * math.sqrt(abs(kr1) * m4) + D_FLOOR, 2.0 * c5 * math.sqrt(abs(kr2) * m5) + D_FLOOR,
+    )
 
 
 def force_wrench(
@@ -170,4 +175,10 @@ def compose_command(
     gate open this is plain unified force-impedance control.
     """
     g = rho_frc * (lam + sigma_f * (1.0 - lam))
-    return tuple([d + sigma_i * v + g * f for d, v, f in zip(f_damp, f_var, f_frc)])
+    d0, d1, d2, d3, d4, d5 = f_damp
+    v0, v1, v2, v3, v4, v5 = f_var
+    f0, f1, f2, f3, f4, f5 = f_frc
+    return (
+        d0 + sigma_i * v0 + g * f0, d1 + sigma_i * v1 + g * f1, d2 + sigma_i * v2 + g * f2,
+        d3 + sigma_i * v3 + g * f3, d4 + sigma_i * v4 + g * f4, d5 + sigma_i * v5 + g * f5,
+    )

@@ -171,10 +171,20 @@ def plant_step(
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    total = [c + e for c, e in zip(f_cmd, f_ext)]
-    if not all(map(math.isfinite, total)):
+    c0, c1, c2, c3, c4, c5 = f_cmd
+    e0, e1, e2, e3, e4, e5 = f_ext
+    f0, f1, f2, f3, f4, f5 = c0 + e0, c1 + e1, c2 + e2, c3 + e3, c4 + e4, c5 + e5
+    if not (
+        math.isfinite(f0) and math.isfinite(f1) and math.isfinite(f2)
+        and math.isfinite(f3) and math.isfinite(f4) and math.isfinite(f5)
+    ):
         raise SimulationDiverged("non-finite commanded or external wrench")
-    v0, v1, v2, w0, w1, w2 = twist = tuple([v + f / m * dt for v, f, m in zip(twist, total, m_diag)])
+    t0, t1, t2, t3, t4, t5 = twist
+    m0, m1, m2, m3, m4, m5 = m_diag
+    v0, v1, v2, w0, w1, w2 = twist = (
+        t0 + f0 / m0 * dt, t1 + f1 / m1 * dt, t2 + f2 / m2 * dt,
+        t3 + f3 / m3 * dt, t4 + f4 / m4 * dt, t5 + f5 / m5 * dt,
+    )
     position = (position[0] + v0 * dt, position[1] + v1 * dt, position[2] + v2 * dt)
     return mat_mul(rotation_exp((w0 * dt, w1 * dt, w2 * dt)), rotation), position, twist
 
@@ -310,16 +320,19 @@ def run_scenario(scenario: Scenario) -> RunResult:
         # --- controller
         k_var = variable_stiffness(rho_align, r_ee, sc.controller)
         d = damping_matrix(k_var, m_diag, damping_coeffs)
-        f_damp = tuple([-c * v for c, v in zip(d, twist)])
+        d0, d1, d2, d3, d4, d5 = d
+        v0, v1, v2, v3, v4, v5 = twist
+        f_damp = (-d0 * v0, -d1 * v1, -d2 * v2, -d3 * v3, -d4 * v4, -d5 * v5)
         f_var = spring_wrench(k_var, x_tilde)
         # the commanded thrust opposes the target reaction
-        f_app = tuple([-f for f in force_wrench(f_d_z, f_ext_ee[2], ctrl, r_ee, dt, sc.controller)])
+        a0, a1, a2, a3, a4, a5 = force_wrench(f_d_z, f_ext_ee[2], ctrl, r_ee, dt, sc.controller)
+        f_app = (-a0, -a1, -a2, -a3, -a4, -a5)
 
         # --- lam and the tank gates from the pre-step state drive this tick's
         # command and both tank steps; the tank energies themselves are
         # integrated after the plant step with the midpoint twist so the power
         # ledger matches the work actually done on the semi-implicit plant
-        f_tank = tuple([f * rho_f for f in f_app])
+        f_tank = (-a0 * rho_f, -a1 * rho_f, -a2 * rho_f, -a3 * rho_f, -a4 * rho_f, -a5 * rho_f)
         lam = lambda_selector(twist, f_tank)
         sigma_f = valve_sigma(s_f, tank_f.s_lower, tank_f.ramp_eps)
         beta_f = gate_beta(s_f, tank_f.s_upper, tank_f.ramp_eps)
@@ -336,7 +349,10 @@ def run_scenario(scenario: Scenario) -> RunResult:
             completed = False
             abort_reason = f"{exc} at t={t:.3f} s"
             r_next, p_next, twist_next = r_ee, p_ee, twist
-        twist_mid = tuple([0.5 * (a + b) for a, b in zip(twist, twist_next)])
+        n0, n1, n2, n3, n4, n5 = twist_next
+        twist_mid = (
+            0.5 * (v0 + n0), 0.5 * (v1 + n1), 0.5 * (v2 + n2), 0.5 * (v3 + n3), 0.5 * (v4 + n4), 0.5 * (v5 + n5)
+        )
         s_f = force_tank_step(s_f, tank_f, twist_mid, f_tank, lam, sigma_f, beta_f, dt)
         s_i = impedance_tank_step(s_i, tank_i, twist_mid, d, f_var, sigma_i, beta_i, dt)
 

@@ -1,7 +1,15 @@
+import math
+import sys
+
 import numpy as np
 import pytest
 
+import vauf.controller
+import vauf.monitor
 import vauf.runtime
+import vauf.spatial
+import vauf.surface
+import vauf.tanks
 from vauf.camera import CameraModel, EmptyViewError, render
 from vauf.runtime import (
     PolicyConfig,
@@ -79,6 +87,28 @@ class TestPlantStep:
         with pytest.raises(SimulationDiverged):
             plant_step(*AT_REST, M_DIAG, bad, (0.0,) * 6, 1e-3)
 
+    @pytest.mark.parametrize(
+        "f_cmd, f_ext",
+        [
+            ((0.0,) * 6, (0.0, math.inf, 0.0, 0.0, 0.0, 0.0)),
+            ((0.0, 0.0, 0.0, 0.0, -math.inf, 0.0), (0.0,) * 6),
+            ((0.0, 0.0, math.inf, 0.0, 0.0, 0.0), (0.0, 0.0, -math.inf, 0.0, 0.0, 0.0)),  # inf - inf is nan
+            ((0.0, 1e308, 0.0, 0.0, 0.0, 0.0), (0.0, 1e308, 0.0, 0.0, 0.0, 0.0)),  # overflows to inf
+        ],
+        ids=["inf-f_ext-force", "minus-inf-f_cmd-torque", "inf-against-minus-inf", "overflow-on-one-axis"],
+    )
+    def test_non_finite_component_aborts(self, f_cmd, f_ext):
+        with pytest.raises(SimulationDiverged):
+            plant_step(*AT_REST, M_DIAG, f_cmd, f_ext, 1e-3)
+
+    def test_finite_components_with_overflowing_sum_step(self):
+        # each component of f_cmd + f_ext is finite, only their six-term sum is not
+        f_cmd = (1e308, 1e308, 0.0, 0.0, 0.0, 0.0)
+        f_ext = (0.0, 0.0, 1e308, 0.0, 0.0, 0.0)
+        assert math.isinf(sum(f_cmd) + sum(f_ext))
+        _, position, twist = plant_step(*AT_REST, M_DIAG, f_cmd, f_ext, 1e-3)
+        assert all(map(math.isfinite, position + twist))
+
     def test_bad_dt(self):
         with pytest.raises(ValueError):
             plant_step(*AT_REST, M_DIAG, (0.0,) * 6, (0.0,) * 6, 0.0)
@@ -114,6 +144,36 @@ class TestRunScenario:
         b = run_scenario(sc)
         assert a.table.shape == b.table.shape
         assert a.table.tobytes() == b.table.tobytes()
+
+    def test_tick_calls_no_comprehension(self):
+        # before Python 3.12 (PEP 709) every comprehension is a nested function
+        # call, which the tick writes out per component instead; the Scenario
+        # checks run a few once per run, so the count must not grow with ticks
+        tick_files = {
+            module.__file__
+            for module in (vauf.runtime, vauf.controller, vauf.tanks, vauf.monitor, vauf.spatial, vauf.surface)
+        }
+        names = {"<listcomp>", "<genexpr>", "<setcomp>", "<dictcomp>"}
+
+        def comprehension_calls(duration):
+            calls = 0
+
+            def profile(frame, event, arg):
+                nonlocal calls
+                if event == "call" and frame.f_code.co_name in names and frame.f_code.co_filename in tick_files:
+                    calls += 1
+
+            previous = sys.getprofile()
+            sys.setprofile(profile)
+            try:
+                res = run_scenario(Scenario(duration=duration, start_height=-0.001, start_y=0.0684))
+            finally:
+                sys.setprofile(previous)
+            assert res.completed and len(res.table) == round(duration * 1000)
+            assert np.any(rows_to_columns(res.table)["fext_ee_fz"] != 0.0)  # the contact branch runs
+            return calls
+
+        assert comprehension_calls(0.10) == comprehension_calls(0.05)
 
     def test_initial_compliance_event(self):
         sc = Scenario(duration=0.5)

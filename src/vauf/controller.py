@@ -158,8 +158,8 @@ def orientation_filter(state: ControllerState, dt: float, filter_time: float) ->
     """
     if state.t_filter >= filter_time:
         return state.r_d
-    zeta = min(max(state.t_filter / filter_time, 0.0), 1.0)
-    out = rotation_power(state.r_init, state.rel_log, zeta)
+    # the guard above and a clock that starts at 0 and only grows keep zeta in [0, 1)
+    out = rotation_power(state.r_init, state.rel_log, state.t_filter / filter_time)
     state.t_filter += dt
     return out
 

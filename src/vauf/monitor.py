@@ -57,20 +57,13 @@ def normalized_coefficient(c: float, c_margin: float) -> float:
 def rho_align_step(rho_align: float, h: float, dt: float, cfg: MonitorConfig) -> float:
     """One explicit-Euler step of the saturated shaping dynamics.
 
-    rate = h*rho_align + rho_min, clipped at the saturations: no growth past
-    1, no decay past 0. The result is clamped to [0, 1] so the state is a
-    valid gain under any h sequence.
+    rate = h*rho_align + rho_min. The clamp to [0, 1] is the saturation: no
+    growth past 1, no decay past 0 (for finite dt, bit for bit the rate
+    clipped at a saturated state), so the state is a valid gain under any h.
     """
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    rho = h * rho_align + cfg.rho_min
-    if rho_align >= 1.0:
-        rate = min(rho, 0.0)
-    elif rho_align <= 0.0:
-        rate = max(rho, 0.0)
-    else:
-        rate = rho
-    return float(min(max(rho_align + rate * dt, 0.0), 1.0))
+    return float(min(max(rho_align + (h * rho_align + cfg.rho_min) * dt, 0.0), 1.0))
 
 
 def rho_frc(f_d_z: float, x_z: float, delta_c: float) -> float:

@@ -156,9 +156,9 @@ class Scenario:
 
 
 def wiping_policy(t: float, policy: PolicyConfig) -> tuple[tuple, float]:
-    """Task-frame position offset and desired tool-z contact reaction at time t."""
+    """Task-plane (x, y) position offset and desired tool-z contact reaction at time t."""
     a, f = policy.amplitude, policy.frequency
-    return (a * math.sin(f * t), a * (math.cos(f * t) - 1.0) + policy.drift * t, 0.0), policy.force_z
+    return (a * math.sin(f * t), a * (math.cos(f * t) - 1.0) + policy.drift * t), policy.force_z
 
 
 def plant_step(
@@ -191,12 +191,17 @@ def plant_step(
 
 @dataclass
 class RunResult:
+    """A run's telemetry and outcome; `completed` is derived from `abort_reason`."""
+
     table: np.ndarray  # (ticks run, len(COLUMNS)) telemetry, one row per tick
-    completed: bool
     abort_reason: str | None
     wall_time: float
     realignment_events: list
     scenario: Scenario
+
+    @property
+    def completed(self) -> bool:
+        return self.abort_reason is None
 
     @property
     def rows(self) -> list[TelemetryRow]:
@@ -248,8 +253,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
     trigger_armed = True
     events: list[float] = []
     table = np.empty((n_ticks, len(COLUMNS)))
-    ticks_run = n_ticks
-    completed = True
     abort_reason = None
 
     for k in range(n_ticks):
@@ -282,7 +285,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         # --- policy and desired pose
         offset, f_d_z = wiping_policy(t, sc.policy)
         r_input = orientation_filter(ctrl, dt, filter_time)
-        p_d = (task_origin[0] + offset[0], task_origin[1] + offset[1], task_origin[2] + offset[2])
+        p_d = (task_origin[0] + offset[0], task_origin[1] + offset[1], task_origin[2])
 
         # --- contact and frame-local errors
         f_ext_base = contact_wrench(sc.surface, p_ee, twist, sc.tool_radius).wrench
@@ -307,7 +310,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         if realignment_trigger(rho_align, sc.monitor.rho_trigger):
             if trigger_armed:
                 events.append(t)
-                task_origin = (p_ee[0] - offset[0], p_ee[1] - offset[1], p_ee[2] - offset[2])
+                task_origin = (p_ee[0] - offset[0], p_ee[1] - offset[1], p_ee[2])
                 p_d = p_ee
                 ctrl.pi_integral = 0.0
                 trigger_armed = False
@@ -346,7 +349,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
         try:
             r_next, p_next, twist_next = plant_step(r_ee, p_ee, twist, m_diag, f_cmd, f_ext_base, dt)
         except SimulationDiverged as exc:
-            completed = False
             abort_reason = f"{exc} at t={t:.3f} s"
             r_next, p_next, twist_next = r_ee, p_ee, twist
         n0, n1, n2, n3, n4, n5 = twist_next
@@ -362,22 +364,18 @@ def run_scenario(scenario: Scenario) -> RunResult:
             f_d_z, rho_align, rho_f, c_val, h_val, theta, l_s,
             s_i, s_f, sigma_i_used, sigma_f_used, lam, beta_i, beta_f, fresh, *p_d,
         )
-        if completed and math.hypot(*twist_next) > TWIST_LIMIT:
-            completed = False
+        if abort_reason is None and math.hypot(*twist_next) > TWIST_LIMIT:
             abort_reason = f"twist norm {math.hypot(*twist_next):.2f} exceeded {TWIST_LIMIT} at t={t:.3f} s"
-        if not completed:
-            ticks_run = k + 1
+        if abort_reason is not None:
+            log.error("simulation aborted: %s", abort_reason)
+            table = table[: k + 1]
             break
         r_ee, p_ee, twist = r_next, p_next, twist_next
 
-    table = table[:ticks_run]
     wall = time.perf_counter() - t_start
-    if not completed:
-        log.error("simulation aborted: %s", abort_reason)
     log.info("scenario finished: %d ticks, %d realignment events, %.2f s wall", len(table), len(events), wall)
     return RunResult(
         table=table,
-        completed=completed,
         abort_reason=abort_reason,
         wall_time=wall,
         realignment_events=events,

@@ -4,8 +4,9 @@ On the control tick everything is Python floats and tuples, computed with
 `math`: a rotation is a row-major 9-tuple (r00, r01, r02, r10, ..., r22,
 determinant +1) and wrenches, twists and pose errors are 6-tuples, linear
 part first; the caller knows which frame a vector is expressed in. numpy
-appears only where the camera needs it: `Pose` and `rotation_x`. All
-functions are pure.
+appears only where the camera needs it, `Pose` and `rotation_x`, and in
+`quaternion_to_rotation`, which the passivity audit applies to a whole
+telemetry table. All functions are pure.
 """
 
 from __future__ import annotations
@@ -147,3 +148,20 @@ def rotation_to_quaternion(r: tuple) -> tuple:
     if q[0] < 0.0:
         n = -n
     return q[0] / n, q[1] / n, q[2] / n, q[3] / n
+
+
+def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
+    """The (n, 3, 3) rotations of n unit quaternions (w, x, y, z), the inverse
+    of `rotation_to_quaternion` row by row."""
+    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    rot = np.empty((len(q), 3, 3))
+    rot[:, 0, 0] = 1 - 2 * (y * y + z * z)
+    rot[:, 0, 1] = 2 * (x * y - w * z)
+    rot[:, 0, 2] = 2 * (x * z + w * y)
+    rot[:, 1, 0] = 2 * (x * y + w * z)
+    rot[:, 1, 1] = 1 - 2 * (x * x + z * z)
+    rot[:, 1, 2] = 2 * (y * z - w * x)
+    rot[:, 2, 0] = 2 * (x * z - w * y)
+    rot[:, 2, 1] = 2 * (y * z + w * x)
+    rot[:, 2, 2] = 1 - 2 * (x * x + y * y)
+    return rot

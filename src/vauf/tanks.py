@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spatial import quaternion_to_rotation
 from .telemetry import rows_to_columns
 
 AUDIT_TOL = 1e-4  # J per tick, the discretization slack the audit allows
@@ -136,7 +137,7 @@ def passivity_audit(table, scenario) -> AuditReport:
         [columns[f"fext_ee_{c}"] for c in ("fx", "fy", "fz", "tx", "ty", "tz")], axis=1
     )
     f_base = np.empty_like(f_ee)
-    rot = _quat_to_rot_batch(q)
+    rot = quaternion_to_rotation(q)
     f_base[:, :3] = np.einsum("nij,nj->ni", rot, f_ee[:, :3])
     f_base[:, 3:] = np.einsum("nij,nj->ni", rot, f_ee[:, 3:])
 
@@ -158,18 +159,3 @@ def passivity_audit(table, scenario) -> AuditReport:
         worst_violation=float(excess[worst_idx]),
         worst_time=float(columns["t"][worst_idx]),
     )
-
-
-def _quat_to_rot_batch(q: np.ndarray) -> np.ndarray:
-    w, x, y, z = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
-    rot = np.empty((len(q), 3, 3))
-    rot[:, 0, 0] = 1 - 2 * (y * y + z * z)
-    rot[:, 0, 1] = 2 * (x * y - w * z)
-    rot[:, 0, 2] = 2 * (x * z + w * y)
-    rot[:, 1, 0] = 2 * (x * y + w * z)
-    rot[:, 1, 1] = 1 - 2 * (x * x + z * z)
-    rot[:, 1, 2] = 2 * (y * z - w * x)
-    rot[:, 2, 0] = 2 * (x * z - w * y)
-    rot[:, 2, 1] = 2 * (y * z + w * x)
-    rot[:, 2, 2] = 1 - 2 * (x * x + y * y)
-    return rot

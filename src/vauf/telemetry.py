@@ -103,40 +103,31 @@ def compute_metrics(columns: dict) -> RunMetrics:
     commanded setpoint scaled by rho_frc. Restricted to the contact phase;
     when the run never makes contact the tracking stats are not applicable.
     """
-    tank_i = (float(columns["S_t_i"].min()), float(columns["S_t_i"].max()))
-    tank_f = (float(columns["S_t_f"].min()), float(columns["S_t_f"].max()))
     rho_a = columns["rho_align"]
     rho_f = columns["rho_frc"]
-    rho_align_stats = (float(rho_a.min()), float(rho_a.max()), float(rho_a.mean()))
-    rho_frc_stats = (float(rho_f.min()), float(rho_f.max()), float(rho_f.mean()))
     mask = rho_f > 0.5
-    if not mask.any():
-        return RunMetrics(
-            applicable=False,
-            contact_ticks=0,
-            position=(),
-            force_z=None,
-            tank_impedance_range=tank_i,
-            tank_force_range=tank_f,
-            rho_align_stats=rho_align_stats,
-            rho_frc_stats=rho_frc_stats,
+    contact_ticks = int(mask.sum())
+    position, force_z = (), None
+    if contact_ticks:
+        position = tuple(
+            _axis_stats(columns[axis][mask] - columns[desired][mask])
+            for axis, desired in (("px", "xd_x"), ("py", "xd_y"), ("pz", "xd_z"))
         )
-    position = []
-    for axis, desired in (("px", "xd_x"), ("py", "xd_y"), ("pz", "xd_z")):
-        err = columns[axis][mask] - columns[desired][mask]
-        position.append(AxisStats(mae=float(np.abs(err).mean()), rmse=float(np.sqrt((err ** 2).mean()))))
-    f_err = columns["fext_ee_fz"][mask] - rho_f[mask] * columns["fd_ee_z"][mask]
-    force = AxisStats(mae=float(np.abs(f_err).mean()), rmse=float(np.sqrt((f_err ** 2).mean())))
+        force_z = _axis_stats(columns["fext_ee_fz"][mask] - rho_f[mask] * columns["fd_ee_z"][mask])
     return RunMetrics(
-        applicable=True,
-        contact_ticks=int(mask.sum()),
-        position=tuple(position),
-        force_z=force,
-        tank_impedance_range=tank_i,
-        tank_force_range=tank_f,
-        rho_align_stats=rho_align_stats,
-        rho_frc_stats=rho_frc_stats,
+        applicable=contact_ticks > 0,
+        contact_ticks=contact_ticks,
+        position=position,
+        force_z=force_z,
+        tank_impedance_range=(float(columns["S_t_i"].min()), float(columns["S_t_i"].max())),
+        tank_force_range=(float(columns["S_t_f"].min()), float(columns["S_t_f"].max())),
+        rho_align_stats=(float(rho_a.min()), float(rho_a.max()), float(rho_a.mean())),
+        rho_frc_stats=(float(rho_f.min()), float(rho_f.max()), float(rho_f.mean())),
     )
+
+
+def _axis_stats(err: np.ndarray) -> AxisStats:
+    return AxisStats(mae=float(np.abs(err).mean()), rmse=float(np.sqrt((err ** 2).mean())))
 
 
 def format_report(metrics: RunMetrics, audit=None, stats: dict | None = None) -> str:

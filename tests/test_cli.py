@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -6,6 +10,8 @@ from vauf.surface import HeightField
 from vauf.telemetry import read_csv
 
 from conftest import SCENARIO_DIR
+
+ROOT = SCENARIO_DIR.parent
 
 REF = str(SCENARIO_DIR / "reference.cfg")
 
@@ -135,3 +141,23 @@ class TestLogLevelEnv:
         logging.getLogger().handlers.clear()
         assert main(["report", str(short_run / "telemetry.csv")]) == EXIT_OK
         assert logging.getLogger().level in (logging.DEBUG, logging.WARNING)
+
+
+class TestModuleEntry:
+    @pytest.mark.parametrize(
+        "scenario, duration, extra, code",
+        [("negative_control.cfg", "0.61", ["--audit"], EXIT_AUDIT), ("flat_steady.cfg", "0.05", [], EXIT_OK)],
+        ids=["negative_control_audit", "flat_steady"],
+    )
+    def test_process_exit_code(self, tmp_path, scenario, duration, extra, code):
+        # main()'s return value reaches the process only through entry()'s sys.exit
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "vauf", "run", "--scenario", str(SCENARIO_DIR / scenario),
+             "--duration", duration, *extra, "--out", str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert proc.returncode == code, proc.stderr[-2000:]

@@ -1,5 +1,11 @@
+import itertools
+import math
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vauf.monitor import (
     MonitorConfig,
@@ -89,6 +95,48 @@ class TestRhoAlignStep:
     def test_bad_dt(self):
         with pytest.raises(ValueError):
             rho_align_step(0.5, 0.5, 0.0, TABLE)
+
+
+def clipped_rate_rho_align_step(rho_align, h, dt, rho_min):
+    """The shaping step with the rate clipped at a saturated state, then clamped."""
+    rho = h * rho_align + rho_min
+    if rho_align >= 1.0:
+        rate = min(rho, 0.0)
+    elif rho_align <= 0.0:
+        rate = max(rho, 0.0)
+    else:
+        rate = rho
+    return float(min(max(rho_align + rate * dt, 0.0), 1.0))
+
+
+def same_bits(a, b):
+    return (math.isnan(a) and math.isnan(b)) or struct.pack("<d", a) == struct.pack("<d", b)
+
+
+EDGE_FLOATS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, 1.0 - 2.0**-53, 1.5, -0.5, 5e-324)
+
+
+class TestRhoAlignStepClampIsTheSaturation:
+    """The clamp alone saturates rho_align: for finite dt > 0 and any rho_min > 0
+    it gives the bits of the rate clipped at the saturations, negative zeros
+    and NaN included."""
+
+    @given(
+        st.floats(),
+        st.floats(),
+        st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+        st.floats(min_value=0.0, exclude_min=True),
+    )
+    def test_matches_the_clipped_rate(self, rho_align, h, dt, rho_min):
+        out = rho_align_step(rho_align, h, dt, MonitorConfig(rho_min=rho_min))
+        assert same_bits(out, clipped_rate_rho_align_step(rho_align, h, dt, rho_min))
+
+    def test_matches_the_clipped_rate_on_the_edges(self):
+        for dt, rho_min in itertools.product((5e-324, 1e-3, 1.0, 1e300), (5e-324, 1e-3, 1.0, math.inf)):
+            cfg = MonitorConfig(rho_min=rho_min)
+            for rho_align, h in itertools.product(EDGE_FLOATS, repeat=2):
+                out = rho_align_step(rho_align, h, dt, cfg)
+                assert same_bits(out, clipped_rate_rho_align_step(rho_align, h, dt, rho_min)), (rho_align, h, dt, rho_min)
 
 
 class TestRhoFrc:

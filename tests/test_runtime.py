@@ -32,7 +32,7 @@ class TestWipingPolicy:
     def test_start(self):
         offset, f_d_z = wiping_policy(0.0, POLICY)
         assert np.allclose(offset, 0.0)
-        assert len(offset) == 3
+        assert len(offset) == 2
         assert f_d_z == 15.0
 
     def test_quarter_period(self):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from vauf.spatial import (
     mat_mul,
     pose_error,
+    quaternion_to_rotation,
     rotate_wrench,
     rotation_exp,
     rotation_log,
@@ -14,7 +15,6 @@ from vauf.spatial import (
     rotation_x,
     transpose,
 )
-from vauf.tanks import _quat_to_rot_batch
 from conftest import flat, is_rotation, mat, random_rotation, rotation_z
 
 ROTATION_VECTORS = st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3).map(tuple)
@@ -191,4 +191,4 @@ class TestQuaternion:
     def test_audit_conversion_recovers_rotation(self, w):
         # the passivity audit rebuilds each tick's rotation from the logged quaternion
         r = rotation_exp(w)
-        assert np.abs(_quat_to_rot_batch(np.array([rotation_to_quaternion(r)]))[0] - mat(r)).max() <= 1e-12
+        assert np.abs(quaternion_to_rotation(np.array([rotation_to_quaternion(r)]))[0] - mat(r)).max() <= 1e-12

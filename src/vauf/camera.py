@@ -7,9 +7,9 @@ patch. Each ray is marched in z-depth only across the interval where its
 base-frame height lies in the surface's height band, with 25 samples of the
 gap to the unbounded sinusoid; the first sign change is bisected a fixed
 number of times, and the hit is kept only if the bisected point lies on the
-patch. Range noise is drawn once per pixel and frame, so a pixel's noise
-does not depend on which other pixels hit. A frame is a plain (N, 3) float64
-array of camera-frame points in meters.
+patch. Every camera draws range noise once per pixel and frame, +0.0 at
+sigma 0, so a pixel's noise does not depend on which other pixels hit. A
+frame is a plain (N, 3) float64 array of camera-frame points in meters.
 """
 
 from __future__ import annotations
@@ -98,8 +98,8 @@ def render(
 ) -> np.ndarray:
     """Render one depth frame as an (N, 3) point cloud in the camera frame.
 
-    Deterministic given the state of rng, from which a noisy camera draws
-    one range-noise sample per pixel each frame, hit or not. Raises
+    Deterministic given the state of rng, from which every camera draws one
+    range-noise sample per pixel each frame, hit or not, also at sigma 0. Raises
     EmptyViewError when fewer than 10% of the pixels hit the surface inside
     the working range.
     """
@@ -107,7 +107,7 @@ def render(
     o = camera_pose_in_base.position
     dz = dirs_cam[:, 2]  # z-depth per unit ray length is dz (== 1/ray stretch)
     n_pix = len(dirs_cam)
-    noise = rng.normal(0.0, camera.noise_sigma, n_pix) if camera.noise_sigma > 0.0 else np.zeros(n_pix)
+    noise = rng.normal(0.0, camera.noise_sigma, n_pix)
     # base-frame displacement per unit z-depth: a ray's points are o + z * step
     step = (dirs_cam / dz[:, None]) @ camera_pose_in_base.rotation.T
 

@@ -225,29 +225,25 @@ def region_grow(
 ) -> list[Segment]:
     """Cluster points whose normals stay within angle_thresh of the seed.
 
-    Seeds are taken at the lowest-curvature unvisited point and grow one BFS
-    level of the window graph per numpy step, keeping each admissible neighbor's
-    first occurrence, so members come in the order of a FIFO-queue search.
+    The predicate is one batched row per seed, normals @ seed normal >=
+    cos(angle_thresh), evaluated once over the whole cloud. Seeds are taken
+    at the lowest-curvature unvisited point and grow one BFS level of the
+    window graph per numpy step, keeping each admissible neighbor's first
+    occurrence, so members come in the order of a FIFO-queue search.
     A seed's admissible points are one mask, free: close enough to the seed
     and not yet in a segment, cleared level by level as the search reaches
     them; its padding entry keeps the graph's sentinel N out.
     Segments below min_segment_size are dropped; the rest are sorted largest first.
     """
-    n = len(pts)
-    if n == 0:
-        raise NoSegmentError("empty cloud")
     cos_thresh = np.cos(angle_thresh)
     nrm, nb = normals.normals, normals.neighbors
     visited = ~normals.valid
-    first = np.full(n, nb.size)  # never reset: a point is a candidate in one level only
+    first = np.full(len(pts), nb.size)  # never reset: a point is a candidate in one level only
     segments: list[Segment] = []
     for seed in np.argsort(normals.curvature, kind="stable").tolist():
         if visited[seed]:
             continue
-        dots = nrm @ nrm[seed]
-        free = np.append((dots >= cos_thresh) & ~visited, False)
-        for j in np.flatnonzero(np.abs(dots - cos_thresh) <= 1e-12):  # batched dots may be an ulp off
-            free[j] = not visited[j] and nrm[seed] @ nrm[j] >= cos_thresh
+        free = np.append((nrm @ nrm[seed] >= cos_thresh) & ~visited, False)
         level, levels = np.array([seed]), []
         while len(level):
             free[level] = False

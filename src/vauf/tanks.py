@@ -63,7 +63,8 @@ def gate_beta(s_t: float, s_upper: float, eps: float) -> float:
 
 
 def _integrate_energy(s: float, tank: TankConfig, power: float, dt: float) -> float:
-    # Euler on S keeps the power ledger exact; the clamp can only discard.
+    # Euler on S keeps the power ledger exact. The clamp acts both ways: it discards
+    # a refill above s_upper and adds energy when a payment overdraws S - s_lower.
     return min(max(s + power * dt, tank.s_lower), tank.s_upper)
 
 

@@ -178,7 +178,8 @@ def test_criterion_6_perception_accuracy():
     t0 = time.perf_counter()
     surf = HeightField()
     # noise-free 10x10 pose grid, straight-down survey views from 0.3 m; a
-    # noise-free camera draws nothing from its generator
+    # noise-free camera draws +0.0 per pixel, so the generator's state does
+    # not move the grid's errors
     grid_rng = np.random.default_rng(0)
     grid_errs = [
         normal_error_deg(SURVEY_CAMERA, SURVEY_CONFIG, surf, x, y, grid_rng)

@@ -89,6 +89,16 @@ class TestRender:
         resid = np.linalg.norm(noisy, axis=1) - np.linalg.norm(clean, axis=1)
         assert np.abs(resid - twin).max() < 1e-12
 
+    def test_noise_free_camera_draws_as_a_noisy_one(self):
+        cam = CameraModel(cols=16, rows=16, noise_sigma=0.002)
+        clean_rng, noisy_rng = np.random.default_rng(5), np.random.default_rng(5)
+        clean = render(replace(cam, noise_sigma=0.0), DOWN, PAPER, rng=clean_rng)
+        render(cam, DOWN, PAPER, rng=noisy_rng)
+        assert clean_rng.bit_generator.state == noisy_rng.bit_generator.state
+        # the +0.0 samples leave every point's bits independent of the generator
+        other = render(replace(cam, noise_sigma=0.0), DOWN, PAPER, rng=np.random.default_rng(0))
+        assert clean.tobytes() == other.tobytes()
+
     def test_band_beyond_range_max_is_empty(self):
         deep = HeightField(offset=-1.0, x_half=1.0, y_half=1.0)  # band 1.28-1.32 m below the camera
         with pytest.raises(EmptyViewError):

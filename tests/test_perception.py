@@ -167,14 +167,14 @@ def region_grow_oracle(normals, angle_thresh, min_segment_size):
     for seed in np.argsort(normals.curvature, kind="stable"):
         if visited[seed]:
             continue
-        seed_normal = normals.normals[seed]
+        dots = normals.normals @ normals.normals[seed]  # the predicate, once per seed
         members = [int(seed)]
         visited[seed] = True
         queue = deque([int(seed)])
         while queue:
             i = queue.popleft()
             for j in normals.neighbors[i]:
-                if j < len(visited) and not visited[j] and seed_normal @ normals.normals[j] >= cos_thresh:
+                if j < len(visited) and not visited[j] and dots[j] >= cos_thresh:
                     visited[j] = True
                     members.append(int(j))
                     queue.append(int(j))
@@ -255,7 +255,8 @@ class TestRegionGrowOracle:
 
     def test_predicate_within_ulps_of_threshold(self):
         # a seed and neighbors whose per-pair dot product sits within a few
-        # ulps of cos(angle_thresh), where a batched product can round across it
+        # ulps of cos(angle_thresh), where the batched row and a per-pair dot
+        # round to different sides: membership follows the batched row alone
         angle = np.deg2rad(8.0)
         cos_thresh = np.cos(angle)
         rng = np.random.default_rng(3)
@@ -271,7 +272,7 @@ class TestRegionGrowOracle:
         nrm = np.vstack([seed, ring])
         n = len(nrm)
         assert n > 200
-        assert (np.abs(nrm @ seed - cos_thresh) <= 1e-12).sum() == n - 1  # all take the re-check
+        assert (np.abs(nrm @ seed - cos_thresh) <= 1e-12).sum() == n - 1
         # every point neighbors all others; the seed has the lowest curvature
         neighbors = np.array([np.delete(np.arange(n), i) for i in range(n)])
         curvature = np.r_[0.0, np.ones(n - 1)]
@@ -279,9 +280,11 @@ class TestRegionGrowOracle:
         cloud = rng.normal(size=(n, 3))
         segments = assert_matches_oracle(cloud, normals, angle, 1)
         from_seed = next(seg for seg in segments if seg.indices[0] == 0)
+        batched_ok = np.flatnonzero((nrm @ seed)[1:] >= cos_thresh) + 1
+        assert 0 < len(batched_ok) < n - 1
         scalar_ok = [j for j in range(1, n) if seed @ nrm[j] >= cos_thresh]
-        assert 0 < len(scalar_ok) < n - 1
-        assert from_seed.indices.tolist() == [0, *scalar_ok]
+        assert batched_ok.tolist() != scalar_ok  # a per-pair re-check would move members
+        assert from_seed.indices.tolist() == [0, *batched_ok]
 
 
 def camera_pixels(camera, cloud):

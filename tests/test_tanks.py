@@ -119,6 +119,19 @@ class TestForceTankStep:
         with pytest.raises(ValueError):
             force_tank_step(FORCE_TANK.s0, FORCE_TANK, np.zeros(6), wrench_z(0.0), 0, 1.0, 1.0, 0.0)
 
+    def test_clamp_adds_an_overdrawn_payment(self):
+        # 100 W paid through sigma = 0.5 over 1 ms books 0.95 J; the clamp returns 1.0 J
+        tank = TankConfig(s0=1.05, s_upper=2.0, s_lower=1.0, ramp_eps=0.1)
+        x_dot, f_f = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 200.0, 0.0, 0.0, 0.0)
+        assert 1.05 - 0.5 * 200.0 * 1e-3 < tank.s_lower
+        assert force_tank_step(1.05, tank, x_dot, f_f, 0, 0.5, 1.0, 1e-3) == tank.s_lower
+
+    def test_clamp_discards_a_refill_above_the_band(self):
+        # 100 W refilled through beta = 1 over 1 ms books 2.08 J; the clamp returns 2.0 J
+        x_dot, f_f = (0.0, 0.0, 1.0, 0.0, 0.0, 0.0), (0.0, 0.0, -100.0, 0.0, 0.0, 0.0)
+        assert 1.98 + 100.0 * 1e-3 > FORCE_TANK.s_upper
+        assert force_tank_step(1.98, FORCE_TANK, x_dot, f_f, 1, 1.0, 1.0, 1e-3) == FORCE_TANK.s_upper
+
 
 class TestImpedanceTankStep:
     def test_zero_twist_unchanged(self):

@@ -1,8 +1,9 @@
 """Command-line entry point: run scenarios, report metrics, export plot data.
 
-Exit codes: 0 success, 2 configuration/parse error, 3 simulation abort,
-4 passivity-audit failure when --audit is requested. Log level comes from
-the VAUF_LOG_LEVEL environment variable (error, warn, info, debug).
+Exit codes: 0 success, 2 configuration/parse error or an output directory
+that cannot be created, 3 simulation abort, 4 passivity-audit failure when
+--audit is requested. Log level comes from the VAUF_LOG_LEVEL environment
+variable (error, warn, info, debug).
 """
 
 from __future__ import annotations
@@ -62,11 +63,15 @@ def cmd_run(args) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
 
     result = run_scenario(scenario)
     table = result.table
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_csv(table, out / "telemetry.csv")
     (out / "scenario.cfg").write_text(scenario_to_text(scenario))
 
@@ -126,7 +131,11 @@ def cmd_export_plots(args) -> int:
         print(f"config error (need the run's scenario for the surface profile): {exc}", file=sys.stderr)
         return EXIT_CONFIG
     out = Path(args.out) if args.out else tele_path.parent
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory {out}: {exc.strerror}", file=sys.stderr)
+        return EXIT_CONFIG
     c = rows_to_columns(table)
     c |= {
         "y": c["py"],

@@ -107,8 +107,6 @@ def force_wrench(
     with a zero steady-state integral. The integral is clamped against
     windup out of contact.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     f_err = f_ext_z - f_d_z
     out = f_d_z + cfg.k_p * f_err + cfg.k_i * state.pi_integral
     state.pi_integral = min(max(state.pi_integral - f_err * dt, -cfg.integral_limit), cfg.integral_limit)

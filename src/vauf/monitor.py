@@ -61,9 +61,7 @@ def rho_align_step(rho_align: float, h: float, dt: float, cfg: MonitorConfig) ->
     growth past 1, no decay past 0 (for finite dt, bit for bit the rate
     clipped at a saturated state), so the state is a valid gain under any h.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
-    return float(min(max(rho_align + (h * rho_align + cfg.rho_min) * dt, 0.0), 1.0))
+    return min(max(rho_align + (h * rho_align + cfg.rho_min) * dt, 0.0), 1.0)
 
 
 def rho_frc(f_d_z: float, x_z: float, delta_c: float) -> float:

@@ -130,10 +130,6 @@ def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
     point.
     """
     n = len(pts)
-    if k < 5:
-        raise ValueError("k must be at least 5")
-    if n < k:
-        raise ValueError(f"cloud has {n} points, need at least k={k}")
     row, col = pixel_index(pts)
     half = (math.isqrt(k - 1) + 1) // 2  # the smallest odd square with at least k pixels is 2 * half + 1 wide
     c = pts - pts.mean(axis=0)  # centred on the frame, so the window sums cancel less
@@ -277,8 +273,6 @@ def segment_from_points(points: np.ndarray) -> Segment:
 
 def select_working_segment(segments: list[Segment]) -> Segment:
     """Segment whose centroid lies closest to the camera axis; ties go to size."""
-    if not segments:
-        raise NoSegmentError("no segments to select from")
     best = None
     best_dist = np.inf
     for seg in segments:  # already size-descending, so ties keep the larger

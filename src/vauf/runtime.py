@@ -16,7 +16,9 @@ where the camera gets a `Pose` and the perceived normal comes back as a
 float tuple. Each tick writes one row of a preallocated (n_ticks,
 len(COLUMNS)) telemetry table in one assignment: the pre-step pose and
 twist, the post-step tank energies. Every collaborator is called through
-its module global, looked up at call time.
+its module global, looked up at call time. The collaborators take a
+validated `Scenario`'s values and do not re-check them: a direct library
+caller must pass dt > 0, eps > 0 and zeta in [0, 1].
 
 Force-path sign convention: the policy, monitor and PI controller work with
 the desired and measured tool-z *reactions* on the tool, one float each
@@ -169,8 +171,6 @@ def plant_step(
     m_diag is the diagonal inertia (kg, kg*m^2); returns the new
     (rotation, position, twist).
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     c0, c1, c2, c3, c4, c5 = f_cmd
     e0, e1, e2, e3, e4, e5 = f_ext
     f0, f1, f2, f3, f4, f5 = c0 + e0, c1 + e1, c2 + e2, c3 + e3, c4 + e4, c5 + e5

@@ -89,8 +89,6 @@ def rotation_power(r_init: tuple, rel: tuple, zeta: float) -> tuple:
 
     ``rel`` is log(R_target R_init^T), the whole way from R_init to R_target.
     """
-    if not 0.0 <= zeta <= 1.0:
-        raise ValueError(f"zeta must be in [0, 1], got {zeta}")
     if zeta == 0.0:
         return r_init
     return mat_mul(rotation_exp((zeta * rel[0], zeta * rel[1], zeta * rel[2])), r_init)

@@ -50,16 +50,12 @@ def _dot6(a: tuple, b: tuple) -> float:
 
 def valve_sigma(s_t: float, s_lower: float, eps: float) -> float:
     """0 at or below the lower limit, linear ramp of width eps, then 1."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    return float(min(max((s_t - s_lower) / eps, 0.0), 1.0))
+    return min(max((s_t - s_lower) / eps, 0.0), 1.0)
 
 
 def gate_beta(s_t: float, s_upper: float, eps: float) -> float:
     """1 well below the upper limit, ramping down to 0 at the limit."""
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
-    return float(min(max((s_upper - s_t) / eps, 0.0), 1.0))
+    return min(max((s_upper - s_t) / eps, 0.0), 1.0)
 
 
 def _integrate_energy(s: float, tank: TankConfig, power: float, dt: float) -> float:
@@ -78,8 +74,6 @@ def force_tank_step(
     sigma) while the demand is active. The damper power belongs to the
     impedance tank.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     p_force = _dot6(x_dot, f_f)
     power = lam * beta * -p_force - sigma * (1 - lam) * p_force
     return _integrate_energy(s, tank, power, dt)
@@ -96,8 +90,6 @@ def impedance_tank_step(
     -d * x_dot; f_var is the spring wrench -K_var x_tilde the command
     applied, so the tank books the power of that very wrench.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
     v0, v1, v2, v3, v4, v5 = x_dot
     d0, d1, d2, d3, d4, d5 = d
     p_damp = d0 * v0 * v0 + d1 * v1 * v1 + d2 * v2 * v2 + d3 * v3 * v3 + d4 * v4 * v4 + d5 * v5 * v5

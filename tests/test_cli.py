@@ -79,6 +79,16 @@ class TestRun:
         cfg.write_text("policy.force_z = 1000000\nrun.start_height = 0.4\nrun.duration = 2.0\n")
         assert main(["run", "--scenario", str(cfg), "--out", str(tmp_path / "o")]) == EXIT_ABORT
 
+    def test_unusable_out_exits_2_before_running(self, tmp_path, monkeypatch, capsys):
+        def no_run(scenario):
+            raise AssertionError("run_scenario called with an unusable --out")
+
+        monkeypatch.setattr("vauf.cli.run_scenario", no_run)
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x"
+        assert main(["run", "--scenario", REF, "--out", str(out)]) == EXIT_CONFIG
+        assert f"cannot create output directory {out}: " in capsys.readouterr().err
+
 
 class TestReport:
     def test_prints_sections(self, short_run, capsys):
@@ -122,6 +132,12 @@ class TestExportPlots:
         csv_copy = tmp_path / "telemetry.csv"
         csv_copy.write_bytes((short_run / "telemetry.csv").read_bytes())
         assert main(["export-plots", str(csv_copy)]) == EXIT_CONFIG
+
+    def test_unusable_out_exits_2(self, short_run, tmp_path, capsys):
+        (tmp_path / "afile").write_text("")
+        out = tmp_path / "afile" / "x"
+        assert main(["export-plots", str(short_run / "telemetry.csv"), "--out", str(out)]) == EXIT_CONFIG
+        assert f"cannot create output directory {out}: " in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["report", "export-plots"])
     def test_header_only_telemetry_exits_2(self, short_run, tmp_path, capsys, command):

@@ -21,6 +21,8 @@ INVALID_VALUES = [
     "surface.k_n=nan",
     "policy.frequency=inf",
     "run.dt_control=inf",
+    "run.dt_control=0",
+    "run.dt_control=-0.001",
     "controller.k_max=nan,1,1,1,1,1",
     "run.dt_perception=nan",
     "surface.period=0",
@@ -41,6 +43,9 @@ INVALID_VALUES = [
     "tanks.force.s_lower=3",
     "tanks.impedance.s_lower=-1",
     "tanks.impedance.ramp_eps=0",
+    "tanks.impedance.ramp_eps=-0.1",
+    "tanks.force.ramp_eps=0",
+    "tanks.force.ramp_eps=-0.1",
     "run.duration=0.0105",
     "run.start_x=0.5",
     "run.start_y=0.4",

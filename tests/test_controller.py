@@ -127,10 +127,6 @@ class TestForceWrench:
             last = force_wrench(15.0, 20.0, state, EYE, 1e-3, TABLE)[2]
         assert last < first
 
-    def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            force_wrench(0.0, 0.0, ControllerState(), EYE, 0.0, TABLE)
-
 
 def force_wrench_6d(f_d_ee, f_ext_ee, pi_integral, r_ee, dt, cfg):
     """The 6-axis PI the scalar force_wrench replaced; k_p and k_i repeat on every axis.
@@ -241,9 +237,18 @@ class TestOrientationFilter:
         orientation_filter(st, 1e-3, 0.5)
         assert st.t_filter == pytest.approx(1e-3)
 
-    def test_cached_log_matches_rotation_power_exactly(self):
+    def test_cached_log_matches_rotation_power_exactly(self, monkeypatch):
         # the log cached at restart must give the very bits rotation_power
-        # gives on the log of r_d r_init^T, at every clock value and horizon
+        # gives on the log of r_d r_init^T, at every clock value and horizon;
+        # rotation_power does not check zeta, so the filter must hand it 0.0
+        # first after each restart and stay below 1 after that
+        zetas = []
+
+        def recording_power(r_init, rel, zeta):
+            zetas.append(zeta)
+            return rotation_power(r_init, rel, zeta)
+
+        monkeypatch.setattr("vauf.controller.rotation_power", recording_power)
         rng = np.random.default_rng(3)
         for _ in range(40):
             r_init, r_d = random_rotation(rng), random_rotation(rng)
@@ -251,11 +256,14 @@ class TestOrientationFilter:
             for filter_time in (0.05, 0.3, 0.5, 1.7):
                 st = ControllerState()
                 restart_filter(st, r_init, r_d)
+                zetas.clear()
                 while st.t_filter < filter_time:
                     zeta = min(st.t_filter / filter_time, 1.0)
                     expect = rotation_power(r_init, rel, zeta)
                     assert np.array_equal(orientation_filter(st, 7e-3, filter_time), expect)
                 assert np.array_equal(orientation_filter(st, 7e-3, filter_time), r_d)
+                assert zetas[0] == 0.0
+                assert all(0.0 <= z < 1.0 for z in zetas)
 
 
 class TestComposeCommand:

@@ -1,4 +1,8 @@
-"""Smoke test: every demo script runs to completion from a clean directory."""
+"""Smoke test: every demo script runs to completion from a clean directory.
+
+Each demo runs under ``-W error``, the warning rule the in-process tests get
+from pyproject.toml, which does not reach a subprocess.
+"""
 
 import os
 import pathlib
@@ -19,7 +23,7 @@ def test_demos_found():
 def test_demo_exits_0(demo, tmp_path):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,

@@ -92,10 +92,6 @@ class TestRhoAlignStep:
             prev = rho
         assert rho > 0.99999 or rho == 1.0
 
-    def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            rho_align_step(0.5, 0.5, 0.0, TABLE)
-
 
 def clipped_rate_rho_align_step(rho_align, h, dt, rho_min):
     """The shaping step with the rate clipped at a saturated state, then clamped."""

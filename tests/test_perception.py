@@ -98,10 +98,6 @@ class TestPointNormals:
             expected = [at.get((i // 24 + dr, i % 24 + dc), len(kept)) for dr, dc in ring]
             assert sub[j].tolist() == expected
 
-    def test_k_larger_than_cloud(self):
-        with pytest.raises(ValueError):
-            estimate_point_normals(plane_cloud(n_side=3), k=10)
-
     def test_collinear_points_flagged(self):
         pts = np.column_stack([np.linspace(0, 1, 50), np.zeros(50), np.full(50, 0.3)])
         res = estimate_point_normals(pts, k=6)

@@ -1,5 +1,4 @@
 import numpy as np
-import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
@@ -68,10 +67,6 @@ class TestRotationPower:
         b = rotation_power(EYE, rel(EYE, r), 0.5)
         assert np.array_equal(a, b)
         assert is_rotation(a)
-
-    def test_zeta_out_of_range(self):
-        with pytest.raises(ValueError):
-            rotation_power(EYE, rel(EYE, EYE), 1.5)
 
 
 class TestRotateWrench:

@@ -68,12 +68,6 @@ class TestValves:
             assert abs(valve_sigma(s + eps, 1.0, 0.2) - valve_sigma(s, 1.0, 0.2)) <= eps / 0.2 + 1e-12
             assert abs(gate_beta(s + eps, 2.0, 0.2) - gate_beta(s, 2.0, 0.2)) <= eps / 0.2 + 1e-12
 
-    def test_bad_ramp(self):
-        with pytest.raises(ValueError):
-            valve_sigma(1.0, 1.0, 0.0)
-        with pytest.raises(ValueError):
-            gate_beta(1.0, 1.0, -0.1)
-
 
 class TestForceTankStep:
     def test_full_tank_passive_demand_stays_full(self):
@@ -114,10 +108,6 @@ class TestForceTankStep:
             if FORCE_TANK.s_lower < new < FORCE_TANK.s_upper:  # clamp not engaged
                 assert (new - s) / 1e-3 == pytest.approx(expect, abs=1e-9)
             s = new
-
-    def test_bad_dt(self):
-        with pytest.raises(ValueError):
-            force_tank_step(FORCE_TANK.s0, FORCE_TANK, np.zeros(6), wrench_z(0.0), 0, 1.0, 1.0, 0.0)
 
     def test_clamp_adds_an_overdrawn_payment(self):
         # 100 W paid through sigma = 0.5 over 1 ms books 0.95 J; the clamp returns 1.0 J

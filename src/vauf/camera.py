@@ -3,13 +3,15 @@
 The camera is rigidly mounted at the tool. By convention its optical axis
 (+z, out of the lens) points along the tool's -z axis, so with the tool
 aligned (z up, away from the surface) the camera looks straight down at the
-patch. Each ray is marched in z-depth only across the interval where its
-base-frame height lies in the surface's height band, with 25 samples of the
-gap to the unbounded sinusoid; the first sign change is bisected a fixed
-number of times, and the hit is kept only if the bisected point lies on the
-patch. Every camera draws range noise once per pixel and frame, +0.0 at
-sigma 0, so a pixel's noise does not depend on which other pixels hit. A
-frame is a plain (N, 3) float64 array of camera-frame points in meters.
+patch. Each ray is marched in z-depth from where its base-frame height enters
+the surface's height band, by conservative advancement (Hart's sphere
+tracing): a step of gap / L, with L a bound on |d gap / dz| for the unbounded
+sinusoid, cannot pass the first crossing. A step below 1e-7 m is a hit, kept
+only if it lies on the patch; a ray that starts under the surface, leaves the
+band or range, or still marches after 1000 passes is a miss. Every camera
+draws range noise once per pixel and frame, +0.0 at sigma 0, so a pixel's
+noise does not depend on which other pixels hit. A frame is a plain (N, 3)
+float64 array of camera-frame points in meters.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 import functools
 import logging
-import math
 
 import numpy as np
 
@@ -29,8 +30,9 @@ log = logging.getLogger(__name__)
 # tool -> camera rotation: camera +z looks along tool -z
 MOUNT_ROTATION = rotation_x(np.pi)
 
-_BAND_SAMPLES = 25
-_BISECT_TOL = 1e-6  # m, an order tighter than the advertised 1e-5
+_BAND_PAD = 1e-6  # m, so a ray enters the band above the surface
+_STOP_STEP = 1e-7  # m, a step this short is a hit
+_MAX_PASSES = 1000  # only grazing rays reach it; paper-surface frames need at most 26
 
 
 class EmptyViewError(RuntimeError):
@@ -83,11 +85,9 @@ def _ray_directions(fov_h: float, fov_v: float, cols: int, rows: int) -> np.ndar
 
 def camera_pose_from_tool(tool_pose: Pose, camera: CameraModel) -> Pose:
     """Camera pose in the base frame given the tool pose and the fixed mount."""
-    offset = np.asarray(camera.mount_offset, dtype=float)
-    return Pose(
-        rotation=tool_pose.rotation @ MOUNT_ROTATION,
-        position=tool_pose.position + tool_pose.rotation @ offset,
-    )
+    r, m, (o0, o1, o2) = tool_pose.rotation, MOUNT_ROTATION, camera.mount_offset
+    return Pose(r[:, :1] * m[0] + r[:, 1:2] * m[1] + r[:, 2:] * m[2],
+                tool_pose.position + (r[:, 0] * o0 + r[:, 1] * o1 + r[:, 2] * o2))
 
 
 def render(
@@ -104,42 +104,42 @@ def render(
     the working range.
     """
     dirs_cam = camera.ray_directions()
-    o = camera_pose_in_base.position
+    o, r = camera_pose_in_base.position, camera_pose_in_base.rotation
     dz = dirs_cam[:, 2]  # z-depth per unit ray length is dz (== 1/ray stretch)
     n_pix = len(dirs_cam)
     noise = rng.normal(0.0, camera.noise_sigma, n_pix)
     # base-frame displacement per unit z-depth: a ray's points are o + z * step
-    step = (dirs_cam / dz[:, None]) @ camera_pose_in_base.rotation.T
+    step = np.stack([(r[i, 0] * dirs_cam[:, 0] + r[i, 1] * dirs_cam[:, 1]) / dz + r[i, 2] for i in range(3)], axis=1)
 
-    # depth interval where each ray's height lies in the padded surface band,
-    # starting below the minimum range so too-close geometry is found and
-    # then dropped (with a warning) rather than silently missed
+    # depth interval where each ray's height lies in the padded surface band, starting below
+    # the minimum range so too-close geometry is found, then dropped with a warning
     lo, hi = surface.height_band()
     with np.errstate(divide="ignore", invalid="ignore"):  # level rays
-        z_a = (lo - _BISECT_TOL - o[2]) / step[:, 2]
-        z_b = (hi + _BISECT_TOL - o[2]) / step[:, 2]
+        z_a = (lo - _BAND_PAD - o[2]) / step[:, 2]
+        z_b = (hi + _BAND_PAD - o[2]) / step[:, 2]
+        # 1 / L, where L >= |d gap / dz|, so a step of gap / L cannot pass the first crossing
+        inv_lip = 1.0 / (np.abs(step[:, 2]) + surface.height_rate_bound(step[:, 0], step[:, 1]))
     z_near = np.maximum(np.minimum(z_a, z_b), min(0.01, camera.range_min))
     z_far = np.minimum(np.maximum(z_a, z_b), camera.range_max)
     ray = np.nonzero(z_near < z_far)[0]
 
-    # first sign change of the gap to the unbounded sinusoid
-    z = np.linspace(z_near[ray], z_far[ray], _BAND_SAMPLES, axis=1)
-    gap = _gap(surface, o, step[ray, None, :], z)
-    cross = (gap[:, :-1] > 0.0) & (gap[:, 1:] <= 0.0)
-    crossed = np.nonzero(cross.any(axis=1))[0]
-    first = np.argmax(cross[crossed], axis=1)
-    ray = ray[crossed]
-    z_lo = z[crossed, first]
-    z_hi = z[crossed, first + 1]
-
-    # a fixed number of halvings takes the widest bracket below tolerance
-    widest = max((z_hi - z_lo).max(initial=0.0), _BISECT_TOL)
-    for _ in range(math.ceil(math.log2(widest / _BISECT_TOL))):
-        z_mid = 0.5 * (z_lo + z_hi)
-        go_lo = _gap(surface, o, step[ray], z_mid) > 0.0
-        z_lo = np.where(go_lo, z_mid, z_lo)
-        z_hi = np.where(go_lo, z_hi, z_mid)
-    z_hit = 0.5 * (z_lo + z_hi)
+    z = z_near[ray]
+    gap = _gap(surface, o, step[ray], z)
+    outside = gap > 0.0  # else the ray starts inside the solid: a miss
+    ray, z, gap, hits = ray[outside], z[outside], gap[outside], []
+    for _ in range(_MAX_PASSES):
+        advance = gap * inv_lip[ray]
+        z = z + advance
+        stop = advance < _STOP_STEP
+        hits.append((ray[stop], z[stop]))
+        going = ~stop & (z < z_far[ray])
+        ray, z = ray[going], z[going]
+        if not len(ray):
+            break
+        gap = _gap(surface, o, step[ray], z)
+    else:
+        log.debug("camera: %d grazing rays still marching after %d passes, counted as misses", len(ray), _MAX_PASSES)
+    ray, z_hit = (np.concatenate(part) for part in zip(*hits))
 
     p = o + z_hit[:, None] * step[ray]
     on_patch = surface.in_domain(p[:, 0], p[:, 1])

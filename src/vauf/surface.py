@@ -61,6 +61,11 @@ class HeightField:
         """(lowest, highest) height of the unbounded sinusoid."""
         return self.offset - abs(self.amplitude), self.offset + abs(self.amplitude)
 
+    def height_rate_bound(self, dx, dy):
+        """Bound on |dh/ds| along (x, y) + s * (dx, dy); elementwise on
+        arrays. h does not vary with x, so dx does not enter."""
+        return abs(self.amplitude) * (np.pi / self.period) * np.abs(dy)
+
     def height_unchecked(self, x, y):
         """Vectorized h without domain checks (used by the renderer)."""
         return self.amplitude * np.sin(np.pi * y / self.period + self.phase) + self.offset

@@ -6,6 +6,12 @@ lie on the patch. Range noise is drawn per pixel, as `vauf.camera.render`
 draws it, so the two renderers can be compared pixel by pixel under noise.
 `march_render` returns the cloud and the pixel index of each of its points;
 the below-minimum-range warning is left out.
+
+Its samples lie about 1 cm of depth apart, so, unlike `render`, it misses a
+crest tip that a ray enters and leaves between two samples, and reports the
+next crossing instead. It is an oracle only where crossings lie farther apart
+than that, as on the paper surface; `test_thin_crest_between_band_samples_is_found`
+checks such a crest against a bisected crossing.
 """
 
 from __future__ import annotations

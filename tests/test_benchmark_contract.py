@@ -32,9 +32,9 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text()
 # reference wipe's telemetry file, the sweep's scenario distribution and the
 # 64x48, k=80 perception path; they depend on the numpy version (2.4.6).
 SMOKE_DIGESTS = {
-    "reference_wipe": "e8b2305359d163a9",
-    "random_sweep": "b3e06134476ce4e0",
-    "dense_perception": "eb214b29772a0419",
+    "reference_wipe": "4bc1445a5e912fd2",
+    "random_sweep": "1d3743c3b367dd90",
+    "dense_perception": "c43497dcf41d6ad9",
 }
 
 

@@ -1,4 +1,5 @@
 from dataclasses import replace
+import logging
 
 import numpy as np
 import pytest
@@ -71,8 +72,6 @@ class TestRender:
 
     def test_minimum_range_drops_logged(self, caplog):
         # surface closer than the minimum range: hits found, dropped, warned
-        import logging
-
         cam = CameraModel(cols=16, rows=16, range_min=0.3)
         pose = Pose(MOUNT_ROTATION, np.array([0.0, 0.0, 0.25]))
         with caplog.at_level(logging.WARNING, logger="vauf.camera"):
@@ -106,9 +105,8 @@ class TestRender:
 
 
 # Oblique view toward -x: EDGE_PIXEL's ray crosses the band's 4 cm of height
-# over 2.5 cm of x, so each of its 24 band steps spans 1.06 mm of x. A hit
-# 0.1 mm inside the +x edge then has the sample before its crossing off the
-# patch, and only the patch test on the bisected point keeps it.
+# over 2.5 cm of x, so it marches off the patch until just before a hit 0.1 mm
+# inside the +x edge, and only the patch test on the hit point keeps it.
 OBLIQUE = Pose(rotation_y(0.6) @ MOUNT_ROTATION, np.array([0.0, 0.05, 0.33]))
 EDGE_PIXEL = 8 * 16 + 8
 
@@ -174,8 +172,8 @@ class TestCameraModel:
         assert np.all(d[:, 2] > 0.0)
 
 
-# The renderer against the test-local oracle of the 97-sample march: the band
-# march loses no pixel, gains only pixels whose hit is within one march step
+# The renderer against the test-local oracle of the 97-sample march: the
+# renderer loses no pixel, gains only pixels whose hit is within one march step
 # of the patch edge (the march needs both bracketing samples on the patch),
 # and returns the same point on every pixel both hit.
 ORACLE_CAMERAS = {
@@ -219,3 +217,67 @@ def test_band_march_against_march_oracle(name, sigma):
         shared = new[order][np.isin(new_pix[order], old_pix)]
         assert np.abs(shared - old[np.argsort(old_pix)]).max() < 1e-6
     print(f"{name}, sigma {sigma}: {gained} pixels gained")
+
+
+# Crests 4 cm high and 24 mm apart, steeper than any view ray below: a ray can
+# leave the solid through one flank and meet the next.
+CRESTS = HeightField(amplitude=0.02, period=0.012, phase=np.pi / 2, offset=0.0, x_half=1.0, y_half=1.0)
+
+
+def ray_gaps(cam: CameraModel, pose: Pose, surface: HeightField, z: np.ndarray) -> np.ndarray:
+    """Height above the unbounded sinusoid of every ray (columns) at each z-depth in z (rows)."""
+    d = cam.ray_directions()
+    pts = pose.position + z[:, None, None] * ((d / d[:, 2:]) @ pose.rotation.T)
+    return pts[..., 2] - surface.height_unchecked(pts[..., 0], pts[..., 1])
+
+
+def test_ray_starting_inside_the_solid_is_a_miss():
+    # 1 mm under the crest at y = 0, looking down: the march starts at 5 mm depth
+    cam = CameraModel(cols=16, rows=16, fov_v=np.deg2rad(90.0), range_min=0.005)
+    pose = Pose(MOUNT_ROTATION, np.array([0.0, 0.0, CRESTS.height_band()[1] - 0.001]))
+    gap = ray_gaps(cam, pose, CRESTS, np.linspace(0.005, 0.1, 20_001))
+    inside = gap[0] <= 0.0
+    crossed = ((gap[:-1] > 0.0) & (gap[1:] <= 0.0)).any(axis=0)
+    assert (inside & crossed).sum() >= 32  # rays that leave the solid, then meet the next crest
+    cloud = render(cam, pose, CRESTS, rng=np.random.default_rng(0))
+    assert sorted(pixel_of(cloud, cam)) == list(np.nonzero(~inside & crossed)[0])
+
+
+def test_thin_crest_between_band_samples_is_found():
+    # the optical axis descends at 30 degrees along +y and dips 0.1 mm into
+    # the crest at y = 0, 0.3 m out, so it is inside the solid for 1.3 mm
+    s, c = 0.5, np.sqrt(0.75)
+    rotation = np.array([[1.0, 0.0, 0.0], [0.0, -s, c], [0.0, -c, -s]])  # camera z = (0, c, -s)
+    lo, hi = CRESTS.height_band()
+    o = np.array([0.0, -0.3 * c, hi - 1e-4 + 0.3 * s])
+
+    def gap(z):  # along the optical axis, pixel 40 of a 9x9 camera
+        return o[2] - z * s - CRESTS.height_unchecked(0.0, o[1] + z * c)
+
+    # the first crossing, where the gap falls monotonically toward the crest
+    z_lo, z_hi = (hi - o[2]) / -s, 0.3
+    for _ in range(60):
+        z_mid = 0.5 * (z_lo + z_hi)
+        z_lo, z_hi = (z_mid, z_hi) if gap(z_mid) > 0.0 else (z_lo, z_mid)
+    # a 25-sample march over the band finds both samples around the crest above
+    # the surface, so it sees no sign change there and skips the crest
+    samples = np.linspace((hi - o[2]) / -s, (lo - o[2]) / -s, 25)
+    assert samples[0] < z_lo < 0.3 < samples[1]
+    assert gap(samples[0]) > 0.0 and gap(0.3) < 0.0 and gap(samples[1]) > 0.0
+    cam = CameraModel(cols=9, rows=9)
+    cloud = render(cam, Pose(rotation, o), CRESTS, rng=np.random.default_rng(0))
+    (hit,) = cloud[pixel_of(cloud, cam) == 40]
+    assert abs(hit[2] - z_lo) < 1e-6 and np.abs(hit[:2]).max() < 1e-12
+
+
+def test_grazing_ray_reaches_the_pass_cap(caplog):
+    # a level camera 2e-8 m above a gentle crest line at y = 0: its middle row
+    # of level rays closes in on the crest without ever stepping below 1e-7 m
+    gentle = replace(CRESTS, period=1.0)
+    rotation = np.array([[-1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])  # camera z = base +y
+    pose = Pose(rotation, np.array([0.0, -0.3, gentle.height_band()[1] + 2e-8]))
+    cam = CameraModel(cols=9, rows=9)
+    with caplog.at_level(logging.DEBUG, logger="vauf.camera"):
+        cloud = render(cam, pose, gentle, rng=np.random.default_rng(0))
+    assert [r.message for r in caplog.records] == ["camera: 9 grazing rays still marching after 1000 passes, counted as misses"]
+    assert len(cloud) and not np.isin(pixel_of(cloud, cam), np.arange(36, 45)).any()

@@ -21,7 +21,6 @@ from vauf.runtime import (
     wiping_policy,
 )
 from vauf.spatial import rotation_log
-from vauf.surface import HeightField
 from vauf.telemetry import COLUMNS, rows_to_columns
 from conftest import flat
 

@@ -143,10 +143,10 @@ def noise_free_run(reference_scenario):
 # guards segmentation, which on clean clouds depends on the last bits of the
 # normal covariances.
 TELEMETRY_DIGESTS = {
-    "reference_run": "8efc2dbf3d78fe76",
-    "flat_run": "1d5e349585ff6e10",
-    "negative_run": "15983d5b885f349c",
-    "noise_free_run": "8a4f5155beabeafd",
+    "reference_run": "ba4a3862cadc1727",
+    "flat_run": "96ebf9915012c563",
+    "negative_run": "a3ff486956b9e5ef",
+    "noise_free_run": "c846899b8c76485c",
 }
 
 

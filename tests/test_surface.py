@@ -33,6 +33,18 @@ class TestHeight:
     def test_out_of_domain(self):
         with pytest.raises(DomainError):
             height(PAPER, 0.5, 0.0)
+
+    def test_rate_bound_holds_and_is_reached(self):
+        rng = np.random.default_rng(0)
+        x, y = rng.uniform(-0.13, 0.13, 1000), rng.uniform(-0.255, 0.255, 1000)
+        dx, dy = rng.normal(size=(2, 1000))
+        ds = 1e-7
+        rate = (PAPER.height_unchecked(x + ds * dx, y + ds * dy) - PAPER.height_unchecked(x, y)) / ds
+        bound = PAPER.height_rate_bound(dx, dy)
+        assert np.all(np.abs(rate) <= bound * (1.0 + 1e-6))
+        y_steep = -0.44 * 0.19 / np.pi  # sin argument 0: steepest rise
+        assert PAPER.height_rate_bound(0.3, 1.0) == pytest.approx(
+            (PAPER.height_unchecked(0.0, y_steep + 1e-8) - PAPER.height_unchecked(0.0, y_steep - 1e-8)) / 2e-8, rel=1e-6)
         with pytest.raises(DomainError):
             height(PAPER, 0.0, 0.3)
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from vauf import CameraModel, HeightField, PerceptionConfig, analytic_normal, perceive
 from vauf.camera import MOUNT_ROTATION, render
-from vauf.perception import estimate_point_normals, region_grow, segment_from_points, segment_pca
+from vauf.perception import estimate_point_normals, region_grow, segment_pca
 from vauf.spatial import Pose
 
 surf = HeightField()
@@ -39,7 +39,7 @@ print("\ncurvature ratio l_s for synthetic patches:")
 g = np.linspace(-0.05, 0.05, 30)
 xx, yy = np.meshgrid(g, g)
 plane = np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, 0.3)])
-print(f"  flat plane:            {segment_pca(segment_from_points(plane)).l_s:.2e}")
+print(f"  flat plane:            {segment_pca(plane).l_s:.2e}")
 rng = np.random.default_rng(0)
 for radius in (0.2, 0.1, 0.05):
     ap = np.arcsin(0.04 / radius)
@@ -49,4 +49,4 @@ for radius in (0.2, 0.1, 0.05):
     cap = np.column_stack(
         [radius * sin_t * np.cos(phi), radius * sin_t * np.sin(phi), 0.3 + radius * (1 - cos_t)]
     )
-    print(f"  sphere radius {radius:.2f} m:   {segment_pca(segment_from_points(cap)).l_s:.2e}")
+    print(f"  sphere radius {radius:.2f} m:   {segment_pca(cap).l_s:.2e}")

@@ -32,12 +32,10 @@ from .monitor import (
 from .perception import (
     PerceptionConfig,
     PerceptionResult,
-    Segment,
     estimate_point_normals,
     orientation_error,
     perceive,
     region_grow,
-    segment_from_points,
     segment_pca,
     select_working_segment,
 )

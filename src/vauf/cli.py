@@ -3,7 +3,7 @@
 Exit codes: 0 success, 2 configuration/parse error or an output directory
 that cannot be created, 3 simulation abort, 4 passivity-audit failure when
 --audit is requested. Log level comes from the VAUF_LOG_LEVEL environment
-variable (error, warn, info, debug).
+variable: error, warn, info or debug; any other value warns on stderr.
 """
 
 from __future__ import annotations
@@ -33,6 +33,8 @@ _LEVELS = {"error": logging.ERROR, "warn": logging.WARNING, "info": logging.INFO
 
 def _setup_logging():
     level = os.environ.get("VAUF_LOG_LEVEL", "warn").lower()
+    if level not in _LEVELS:
+        print(f"vauf: VAUF_LOG_LEVEL={level!r} is not one of {', '.join(_LEVELS)}; logging at warn", file=sys.stderr)
     logging.basicConfig(level=_LEVELS.get(level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
 
 

@@ -5,17 +5,17 @@ each point lies on the ray of one pixel of an evenly spaced pinhole grid, so
 its pixel is recovered from the ray slopes x/z and y/z. Per-point normals
 come from the covariance of the points in a square pixel window, oriented
 toward the camera origin. The window covariances are diagonalized in
-closed form, with no LAPACK call per point: the smallest eigenvalue from
-Smith's trigonometric formula (O. K. Smith, Comm. ACM 4(4), 1961), its
-eigenvector as the longest cross product of two rows of A - l0 I (J. Kopp,
+closed form, with no LAPACK call: the smallest eigenvalue from Smith's
+trigonometric formula (O. K. Smith, Comm. ACM 4(4), 1961), its eigenvector
+as the longest cross product of two rows of A - l0 I (J. Kopp,
 arXiv:physics/0610206), and the rank test on the sum of the principal 2x2
-minors; only a window whose two smallest eigenvalues nearly coincide takes
-LAPACK's pair. Region growing clusters points whose normals stay within an
-angular threshold of the region seed, over a pixel window one ring wider
-whose missing pixels hold the sentinel index N. The working segment's
-covariance eigenstructure (LAPACK eigh, one matrix per frame) yields the
-surface normal and the local-curvature ratio. Everything is deterministic
-for a given cloud.
+minors; a window whose two smallest eigenvalues nearly coincide is flagged
+like a collinear one. Region growing clusters points whose normals stay
+within an angular threshold of the region seed, over a pixel window one
+ring wider whose missing pixels hold the sentinel index N; a segment is its
+member indices. The working segment's covariance eigenstructure (LAPACK
+eigh, one matrix per frame) yields the surface normal and the
+local-curvature ratio. Everything is deterministic for a given cloud.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class PerceptionConfig:
 
 @dataclass(frozen=True)
 class PointNormals:
-    normals: np.ndarray  # (N, 3) unit, camera-facing
+    normals: np.ndarray  # (N, 3) unit where valid, camera-facing
     curvature: np.ndarray  # (N,) smallest-eigenvalue ratio of the window covariance
     valid: np.ndarray  # (N,) bool, False for degenerate neighborhoods
     # (N, m) growing graph: the points of each point's pixel window one ring
@@ -62,20 +62,9 @@ class PointNormals:
 
 
 @dataclass(frozen=True)
-class Segment:
-    indices: np.ndarray
-    centroid: np.ndarray
-    covariance: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class PerceptionResult:
     n_s_camera: np.ndarray  # unit surface normal, camera frame
-    eigenvalues: np.ndarray  # |l1| >= |l2| >= |l3|
+    eigenvalues: np.ndarray  # l1 >= l2 >= l3
     l_s: float  # |l3 / tr|
     theta: float  # rad, folded deviation from the camera axis
 
@@ -114,9 +103,8 @@ def _grid_index(slope: np.ndarray) -> np.ndarray:
     return index.astype(np.intp)
 
 
-# the six second moments x*x, x*y, x*z, y*y, y*z, z*z, and their places in a 3x3 matrix
+# the six second moments x*x, x*y, x*z, y*y, y*z, z*z
 _FIRST, _SECOND = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
-_SYMMETRIC = [0, 1, 2, 1, 3, 4, 2, 4, 5]
 
 
 def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
@@ -124,10 +112,10 @@ def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
 
     The window is the smallest odd square with at least k pixels, and a
     point's neighborhood is the cloud's points on it. A neighborhood of
-    fewer than 3 points or of rank below 2 (collinear) flags the point
-    invalid, and it takes no part in region growing. The growing graph is
-    the window one ring wider, with the sentinel N for a pixel that holds no
-    point.
+    fewer than 3 points, of rank below 2 (collinear) or with no defined
+    normal flags the point invalid, and it takes no part in region
+    growing. The growing graph is the window one ring wider, with the
+    sentinel N for a pixel that holds no point.
     """
     n = len(pts)
     row, col = pixel_index(pts)
@@ -151,16 +139,16 @@ def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
 
 
 def smallest_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smallest eigenvalue, a unit eigenvector of it, and a rank-2 flag, of symmetric 3x3 matrices.
+    """Smallest eigenvalue, an eigenvector of it, and a usable flag, of symmetric 3x3 matrices.
 
     cov is (6, N): the entries xx, xy, xz, yy, yz, zz of one matrix per
     column. The eigenvalues come from Smith's trigonometric formula and the
     eigenvector is the longest of the three row cross products of A - l0 I.
     Where that product is short against the rows, the two smallest
-    eigenvalues lie within about 1e-4 of the spread, and the formula's l0
-    and the product lose digits; those few matrices take LAPACK's pair. The
-    rank test reads the sum of the principal 2x2 minors, l0 l1 + l0 l2 + l1 l2,
-    against l2: the trigonometric l1 is too inexact on a rank-1 matrix.
+    eigenvalues lie within about 1e-4 of the spread: the normal is not
+    defined, and the flag is False, as on a rank-1 matrix. The rank test
+    reads the sum of the principal 2x2 minors, l0 l1 + l0 l2 + l1 l2, against
+    l2: the trigonometric l1 is too inexact on a rank-1 matrix.
     """
     xx, xy, xz, yy, yz, zz = cov
     trace = xx + yy + zz
@@ -188,10 +176,7 @@ def smallest_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     frobenius = a * a + d * d + f * f + 2.0 * (xy * xy + xz * xz + yz * yz)  # |A - l0 I|^2
     close = length[pick] <= (1e-4 * frobenius) ** 2
     vec = cross[pick[0], :, pick[1]] / np.sqrt(np.where(close, 1.0, length[pick]))[:, None]
-    if close.any():
-        vals, vecs = np.linalg.eigh(cov[:, close][_SYMMETRIC].T.reshape(-1, 3, 3))
-        low[close], vec[close] = vals[:, 0], vecs[:, :, 0]
-    return low, vec, rank2
+    return low, vec, rank2 & ~close
 
 
 def _box_sum(image: np.ndarray, half: int) -> np.ndarray:
@@ -218,7 +203,7 @@ def region_grow(
     normals: PointNormals,
     angle_thresh: float,
     min_segment_size: int,
-) -> list[Segment]:
+) -> list[np.ndarray]:
     """Cluster points whose normals stay within angle_thresh of the seed.
 
     The predicate is one batched row per seed, normals @ seed normal >=
@@ -229,13 +214,13 @@ def region_grow(
     A seed's admissible points are one mask, free: close enough to the seed
     and not yet in a segment, cleared level by level as the search reaches
     them; its padding entry keeps the graph's sentinel N out.
-    Segments below min_segment_size are dropped; the rest are sorted largest first.
+    Segments below min_segment_size are dropped; the rest, index arrays, are sorted largest first.
     """
     cos_thresh = np.cos(angle_thresh)
     nrm, nb = normals.normals, normals.neighbors
     visited = ~normals.valid
     first = np.full(len(pts), nb.size)  # never reset: a point is a candidate in one level only
-    segments: list[Segment] = []
+    segments: list[np.ndarray] = []
     for seed in np.argsort(normals.curvature, kind="stable").tolist():
         if visited[seed]:
             continue
@@ -252,48 +237,39 @@ def region_grow(
         members = np.concatenate(levels)
         visited[members] = True
         if len(members) >= min_segment_size:
-            segments.append(_make_segment(pts, members))
+            segments.append(members)
     if not segments:
         raise NoSegmentError("no segment above minimum size")
     return sorted(segments, key=lambda s: -s.size)
 
 
-def _make_segment(points: np.ndarray, indices: np.ndarray) -> Segment:
-    member = points[indices]
-    centroid = member.mean(axis=0)
-    centered = member - centroid
-    cov = centered.T @ centered / len(member)
-    return Segment(indices=indices, centroid=centroid, covariance=cov)
-
-
-def segment_from_points(points: np.ndarray) -> Segment:
-    """Build a segment directly from raw points (synthetic-cloud helper)."""
-    return _make_segment(np.asarray(points, dtype=float), np.arange(len(points)))
-
-
-def select_working_segment(segments: list[Segment]) -> Segment:
-    """Segment whose centroid lies closest to the camera axis; ties go to size."""
+def select_working_segment(pts: np.ndarray, segments: list[np.ndarray]) -> np.ndarray:
+    """Members of the segment whose centroid lies closest to the camera axis; ties go to size."""
     best = None
     best_dist = np.inf
     for seg in segments:  # already size-descending, so ties keep the larger
-        dist = float(np.hypot(seg.centroid[0], seg.centroid[1]))
+        centroid = pts[seg].mean(axis=0)
+        dist = float(np.hypot(centroid[0], centroid[1]))
         if dist < best_dist - 1e-12:
             best = seg
             best_dist = dist
     return best
 
 
-def segment_pca(segment: Segment) -> PerceptionResult:
-    """Eigenstructure of the segment covariance: normal and curvature ratio."""
-    trace = float(np.trace(segment.covariance))
+def segment_pca(points: np.ndarray) -> PerceptionResult:
+    """Eigenstructure of the covariance of a segment's points: normal and curvature ratio."""
+    centroid = points.mean(axis=0)
+    centered = points - centroid
+    cov = centered.T @ centered / len(points)
+    trace = float(np.trace(cov))
     if trace < 1e-12:
         raise DegenerateSegmentError("segment covariance trace below 1e-12")
-    vals, vecs = np.linalg.eigh(segment.covariance)
-    order = np.argsort(-np.abs(vals), kind="stable")  # |l1| >= |l2| >= |l3|
+    vals, vecs = np.linalg.eigh(cov)
+    order = [2, 1, 0]  # eigh ascends; a covariance of points is PSD, so l1 >= l2 >= l3
     vals = vals[order]
     vecs = vecs[:, order]
     n_s = vecs[:, 2]
-    if n_s @ segment.centroid > 0.0:  # camera-facing
+    if n_s @ centroid > 0.0:  # camera-facing
         n_s = -n_s
     l_s = abs(vals[2] / vals.sum())
     return PerceptionResult(
@@ -312,5 +288,4 @@ def perceive(pts: np.ndarray, cfg: PerceptionConfig) -> PerceptionResult:
         raise NoSegmentError(f"cloud too small ({len(pts)} points)")
     normals = estimate_point_normals(pts, cfg.k)
     segments = region_grow(pts, normals, cfg.angle_thresh, cfg.min_segment_size)
-    working = select_working_segment(segments)
-    return segment_pca(working)
+    return segment_pca(pts[select_working_segment(pts, segments)])

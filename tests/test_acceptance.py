@@ -11,7 +11,7 @@ import pytest
 
 import vauf
 from vauf.camera import CameraModel, MOUNT_ROTATION, render
-from vauf.perception import NoSegmentError, PerceptionConfig, perceive, segment_from_points, segment_pca
+from vauf.perception import NoSegmentError, PerceptionConfig, perceive, segment_pca
 from vauf.runtime import run_scenario
 from vauf.spatial import Pose
 from vauf.surface import HeightField, analytic_normal
@@ -201,13 +201,13 @@ def test_criterion_6_perception_accuracy():
     g = np.linspace(-0.1, 0.1, 40)
     xx, yy = np.meshgrid(g, g)
     plane = np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, 0.3)])
-    l_s_plane = segment_pca(segment_from_points(plane)).l_s
+    l_s_plane = segment_pca(plane).l_s
     rng = np.random.default_rng(7)
     cos_t = rng.uniform(np.cos(0.45), 1.0, 1500)
     sin_t = np.sqrt(1 - cos_t**2)
     phi = rng.uniform(0, 2 * np.pi, 1500)
     cap = np.column_stack([0.1 * sin_t * np.cos(phi), 0.1 * sin_t * np.sin(phi), 0.3 + 0.1 * (1 - cos_t)])
-    l_s_cap = segment_pca(segment_from_points(cap)).l_s
+    l_s_cap = segment_pca(cap).l_s
     cov = np.cov(cap.T, bias=True)
     vals = np.linalg.eigvalsh(cov)
     l_s_oracle = abs(vals[np.argmin(np.abs(vals))] / np.trace(cov))

@@ -30,7 +30,9 @@ PERFBENCH = ROOT / "perfbench"
 WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
 # Seed-1 smoke-size output digest prefixes. They pin the bytes of the
 # reference wipe's telemetry file, the sweep's scenario distribution and the
-# 64x48, k=80 perception path; they depend on the numpy version (2.4.6).
+# 64x48, k=80 perception path. They hold on one host class: x86-64, numpy
+# 2.4.6 with its AVX-512 loops, OpenBLAS 0.3.31 with its SkylakeX kernels,
+# and glibc 2.36 with its FMA libm variants.
 SMOKE_DIGESTS = {
     "reference_wipe": "4bc1445a5e912fd2",
     "random_sweep": "1d3743c3b367dd90",
@@ -78,6 +80,17 @@ def test_contact_report_has_in_contact():
     for z, touching in ((0.019, True), (0.03, False)):
         report = contact_wrench(surface, np.array([0.0, 0.0, z]), np.zeros(6), 0.02)
         assert report.in_contact is touching
+
+
+def test_working_segment_size_is_its_member_count():
+    # the traced run's working_frac counter reads .size off select_working_segment's result
+    g = np.linspace(-0.1, 0.1, 24)
+    xx, yy = np.meshgrid(g, g)
+    cloud = np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, 0.3)])
+    normals = vauf.perception.estimate_point_normals(cloud, 10)
+    segments = vauf.perception.region_grow(cloud, normals, np.deg2rad(8.0), 30)
+    working = vauf.perception.select_working_segment(cloud, segments)
+    assert working.size == len(np.unique(working)) > 0
 
 
 def test_run_rows_have_named_columns():

@@ -1,3 +1,5 @@
+import contextlib
+import logging
 import os
 import subprocess
 import sys
@@ -149,14 +151,33 @@ class TestExportPlots:
         assert "telemetry is empty" in capsys.readouterr().err
 
 
+@contextlib.contextmanager
+def fresh_root_logger():
+    """The root logger with no handlers, so basicConfig acts; its handlers and level restored on exit."""
+    root = logging.getLogger()
+    handlers, level = root.handlers[:], root.level
+    root.handlers.clear()
+    try:
+        yield root
+    finally:
+        root.handlers[:] = handlers
+        root.setLevel(level)
+
+
 class TestLogLevelEnv:
     def test_log_level_respected(self, short_run, monkeypatch):
-        import logging
-
         monkeypatch.setenv("VAUF_LOG_LEVEL", "debug")
-        logging.getLogger().handlers.clear()
-        assert main(["report", str(short_run / "telemetry.csv")]) == EXIT_OK
-        assert logging.getLogger().level in (logging.DEBUG, logging.WARNING)
+        with fresh_root_logger() as root:
+            assert main(["report", str(short_run / "telemetry.csv")]) == EXIT_OK
+            assert root.level == logging.DEBUG
+
+    def test_unknown_level_named_on_stderr(self, short_run, monkeypatch, capsys):
+        monkeypatch.setenv("VAUF_LOG_LEVEL", "verbose")
+        with fresh_root_logger() as root:
+            assert main(["report", str(short_run / "telemetry.csv")]) == EXIT_OK
+            assert root.level == logging.WARNING
+        err = capsys.readouterr().err
+        assert "'verbose'" in err and all(name in err for name in ("error", "warn", "info", "debug"))
 
 
 class TestModuleEntry:

@@ -11,13 +11,11 @@ from vauf.perception import (
     NoSegmentError,
     PerceptionConfig,
     PointNormals,
-    Segment,
     estimate_point_normals,
     orientation_error,
     perceive,
     pixel_index,
     region_grow,
-    segment_from_points,
     segment_pca,
     select_working_segment,
     smallest_eigenpairs,
@@ -118,20 +116,34 @@ class TestSmallestEigenpairs:
     @settings(max_examples=500, deadline=None)
     @given(PSD_MATRICES)
     def test_matches_eigh(self, m):
-        low, vec, rank2 = smallest_eigenpairs(m[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]][:, None])
+        low, vec, usable = smallest_eigenpairs(m[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]][:, None])
         low, vec = low[0], vec[0]
         vals, vecs = np.linalg.eigh(m)
         trace, gap, norm = vals.sum(), vals[1] - vals[0], np.abs(vals).max()
+        spread = vals[2] - vals[0]
+        # a pair within 1e-6 of the spread has no defined normal; the band
+        # up to 1e-3, where the cut at about 1e-4 falls, is assumed away
+        assume(not 1e-6 * spread < gap <= 1e-3 * spread)
+        if gap <= 1e-6 * spread:
+            assert not usable[0]
+            return
         # the minor sum over l2 lies in [l1, 3 l1]: away from the threshold
         # it flags what the rule l1 > 1e-12 trace on eigh's l1 flagged
         assume(not 0.3e-12 * trace < vals[1] <= 1.01e-12 * trace)
-        assert rank2[0] == (trace > 0.0 and vals[1] > 1e-12 * trace)
+        assert usable[0] == (trace > 0.0 and vals[1] > 1e-12 * trace)
         assert abs(np.linalg.norm(vec) - 1.0) <= 4 * EPS
-        # l0 and its vector lose at most the digits of a pair 1e-4 of the
-        # spread apart; closer pairs take eigh's
+        # l0 and its vector lose at most the digits of a pair 1e-3 of the
+        # spread apart
         assert np.linalg.norm(m @ vec - low * vec) <= 1e5 * EPS * norm
         if gap > 1e-6 * trace:
             assert np.linalg.norm(np.cross(vec, vecs[:, 0])) <= 1e5 * EPS * trace / gap
+
+    def test_close_smallest_pair_not_usable(self):
+        # the two smallest eigenvalues coincide: every unit vector of their
+        # plane is an eigenvector, so the window has no normal
+        m = np.diag([1e-3, 1e-3, 1.0])
+        _, _, usable = smallest_eigenpairs(m[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]][:, None])
+        assert not usable[0]
 
 
 class TestRegionGrow:
@@ -185,10 +197,7 @@ def assert_matches_oracle(cloud, normals, angle_thresh, min_segment_size):
     expected = region_grow_oracle(normals, angle_thresh, min_segment_size)
     assert len(segments) == len(expected)
     for seg, members in zip(segments, expected):
-        assert np.array_equal(seg.indices, members)  # order included
-        ref = segment_from_points(cloud[members])
-        assert seg.centroid.tobytes() == ref.centroid.tobytes()
-        assert seg.covariance.tobytes() == ref.covariance.tobytes()
+        assert np.array_equal(seg, members)  # order included
     return segments
 
 
@@ -247,7 +256,7 @@ class TestRegionGrowOracle:
         assert len(invalid) > 0
         assert np.isin(normals.neighbors[normals.valid], invalid).any()  # valid points border them
         segments = assert_matches_oracle(cloud, normals, np.deg2rad(8.0), 5)
-        assert not any(np.isin(seg.indices, invalid).any() for seg in segments)
+        assert not any(np.isin(seg, invalid).any() for seg in segments)
 
     def test_predicate_within_ulps_of_threshold(self):
         # a seed and neighbors whose per-pair dot product sits within a few
@@ -275,12 +284,12 @@ class TestRegionGrowOracle:
         normals = PointNormals(normals=nrm, curvature=curvature, valid=np.ones(n, dtype=bool), neighbors=neighbors)
         cloud = rng.normal(size=(n, 3))
         segments = assert_matches_oracle(cloud, normals, angle, 1)
-        from_seed = next(seg for seg in segments if seg.indices[0] == 0)
+        from_seed = next(seg for seg in segments if seg[0] == 0)
         batched_ok = np.flatnonzero((nrm @ seed)[1:] >= cos_thresh) + 1
         assert 0 < len(batched_ok) < n - 1
         scalar_ok = [j for j in range(1, n) if seed @ nrm[j] >= cos_thresh]
         assert batched_ok.tolist() != scalar_ok  # a per-pair re-check would move members
-        assert from_seed.indices.tolist() == [0, *batched_ok]
+        assert from_seed.tolist() == [0, *batched_ok]
 
 
 def camera_pixels(camera, cloud):
@@ -352,29 +361,33 @@ def estimate_dummy(cloud):
     )
 
 
-def covariance_segment(cov, centroid=(0.1, 0.1, 0.3)):
-    """A segment with the given covariance, off the axis of a camera at the origin."""
-    return Segment(indices=np.arange(3), centroid=np.array(centroid), covariance=np.array(cov, dtype=float))
+def axis_pairs(counts, centroid=(0.125, 0.125, 0.375)):
+    """Points c +- 3 e_i, counts[i] pairs along axis i, off the axis of a camera at the origin.
+
+    Every sum is exact, so the covariance is exactly 9 diag(counts) / sum(counts).
+    """
+    offsets = np.vstack([np.repeat(3.0 * np.eye(3), counts, axis=0)] * 2)
+    offsets[len(offsets) // 2 :] *= -1.0
+    return offsets + np.array(centroid)
 
 
 class TestSegmentPCA:
     def test_diagonal_covariance(self):
-        for diagonal, eigenvalues, axis in (
-            ([3.0, 2.0, 1.0], [3.0, 2.0, 1.0], 2),
-            ([1.0, 3.0, 2.0], [3.0, 2.0, 1.0], 0),
-            ([2.0, 1.0, 3.0], [3.0, 2.0, 1.0], 1),
-            ([1.0, -3.0, 4.0], [4.0, -3.0, 1.0], 0),  # descending |l|, not descending l
+        for counts, eigenvalues, axis in (
+            ([3, 2, 1], [4.5, 3.0, 1.5], 2),
+            ([1, 3, 2], [4.5, 3.0, 1.5], 0),
+            ([2, 1, 3], [4.5, 3.0, 1.5], 1),
         ):
-            res = segment_pca(covariance_segment(np.diag(diagonal)))
+            res = segment_pca(axis_pairs(counts))
             assert np.array_equal(res.eigenvalues, eigenvalues)
-            assert np.array_equal(res.n_s_camera, -np.eye(3)[axis])  # the smallest |l|, facing the camera
-            assert res.l_s == pytest.approx(abs(eigenvalues[2] / sum(eigenvalues)), rel=1e-15)
+            assert np.array_equal(res.n_s_camera, -np.eye(3)[axis])  # the smallest, facing the camera
+            assert res.l_s == pytest.approx(eigenvalues[2] / sum(eigenvalues), rel=1e-15)
 
     def test_isotropic_covariance(self):
-        res = segment_pca(covariance_segment(np.eye(3)))
-        assert np.allclose(res.eigenvalues, 1.0)
+        res = segment_pca(axis_pairs([1, 1, 1]))
+        assert np.allclose(res.eigenvalues, 3.0)
         assert abs(np.linalg.norm(res.n_s_camera) - 1.0) < 1e-12
-        assert res.n_s_camera @ np.array([0.1, 0.1, 0.3]) <= 0.0
+        assert res.n_s_camera @ np.array([0.125, 0.125, 0.375]) <= 0.0
         assert res.l_s == pytest.approx(1.0 / 3.0)
 
     def test_plane_samples_smallest_eigenvalue(self):
@@ -383,32 +396,29 @@ class TestSegmentPCA:
         pts = np.column_stack([rng.uniform(-1, 1, 1000), rng.uniform(-1, 1, 1000), np.zeros(1000)])
         centered = pts - pts.mean(axis=0)
         cov = centered.T @ centered / len(pts)
-        res = segment_pca(segment_from_points(pts))
+        res = segment_pca(pts)
         assert abs(res.eigenvalues[2]) < 1e-9 * np.trace(cov)
 
     def test_eigenpairs_of_random_symmetric_matrices(self):
         rng = np.random.default_rng(5)
         for _ in range(100):
-            a = rng.normal(size=(3, 3))
-            m = a + a.T
-            if np.trace(m) < 0.0:  # segment_pca rejects a trace below 1e-12
-                m = -m
-            res = segment_pca(covariance_segment(m))
+            pts = rng.normal(size=(20, 3)) @ rng.normal(size=(3, 3)) + np.array([0.0, 0.0, 0.3])
+            cov = np.cov(pts.T, bias=True)
+            res = segment_pca(pts)
             vals, n_s = res.eigenvalues, res.n_s_camera
-            assert np.all(np.abs(vals)[:-1] >= np.abs(vals)[1:])  # sorted |.| desc
-            assert np.abs(np.sort(vals) - np.linalg.eigvalsh(m)).max() < 1e-12 * np.abs(m).max()
-            assert np.abs(m @ n_s - vals[2] * n_s).max() < 1e-8 * np.abs(m).max()
+            assert np.all(vals[:-1] >= vals[1:])  # sorted descending
+            assert np.abs(np.sort(vals) - np.linalg.eigvalsh(cov)).max() < 1e-12 * np.abs(cov).max()
+            assert np.abs(cov @ n_s - vals[2] * n_s).max() < 1e-8 * np.abs(cov).max()
             assert abs(np.linalg.norm(n_s) - 1.0) < 1e-12
 
     def test_planar_segment(self):
-        seg = segment_from_points(plane_cloud())
-        res = segment_pca(seg)
+        res = segment_pca(plane_cloud())
         assert res.l_s < 1e-6
         assert np.allclose(res.n_s_camera, [0.0, 0.0, -1.0], atol=1e-9)
 
     def test_spherical_cap_matches_brute_force(self):
         pts = spherical_cap(radius=0.1)
-        res = segment_pca(segment_from_points(pts))
+        res = segment_pca(pts)
         # independent oracle: numpy covariance + eigvalsh
         cov = np.cov(pts.T, bias=True)
         vals = np.linalg.eigvalsh(cov)
@@ -416,13 +426,13 @@ class TestSegmentPCA:
         assert res.l_s == pytest.approx(l_s_ref, rel=1e-10)
 
     def test_curvature_monotone_in_radius(self):
-        ls = [segment_pca(segment_from_points(spherical_cap(r))).l_s for r in (0.05, 0.1, 0.2)]
+        ls = [segment_pca(spherical_cap(r)).l_s for r in (0.05, 0.1, 0.2)]
         assert ls[0] > ls[1] > ls[2]
 
     def test_degenerate_segment(self):
         pts = np.tile(np.array([0.0, 0.0, 0.3]), (40, 1))
         with pytest.raises(DegenerateSegmentError):
-            segment_pca(segment_from_points(pts))
+            segment_pca(pts)
 
 
 class TestOrientationError:
@@ -440,19 +450,23 @@ class TestOrientationError:
 
 class TestSelectWorkingSegment:
     def test_single(self):
-        seg = segment_from_points(plane_cloud())
-        assert select_working_segment([seg]) is seg
+        pts = plane_cloud()
+        seg = np.arange(len(pts))
+        assert select_working_segment(pts, [seg]) is seg
 
     def test_prefers_on_axis(self):
-        center = segment_from_points(plane_cloud(extent=0.1))
-        off = segment_from_points(plane_cloud(extent=0.1) + np.array([0.2, 0.0, 0.0]))
-        assert select_working_segment([off, center]) is center
+        plane = plane_cloud(extent=0.1)
+        pts = np.vstack([plane + np.array([0.2, 0.0, 0.0]), plane])
+        off, center = np.arange(len(plane)), np.arange(len(plane), len(pts))
+        assert select_working_segment(pts, [off, center]) is center
 
     def test_tie_broken_by_size(self):
-        big = segment_from_points(plane_cloud(n_side=23) + np.array([0.1, 0.0, 0.0]))
-        small = segment_from_points(plane_cloud(n_side=20) + np.array([-0.1, 0.0, 0.0]))
+        big_pts = plane_cloud(n_side=23) + np.array([0.1, 0.0, 0.0])
+        small_pts = plane_cloud(n_side=20) + np.array([-0.1, 0.0, 0.0])
+        pts = np.vstack([big_pts, small_pts])
+        big, small = np.arange(len(big_pts)), np.arange(len(big_pts), len(pts))
         # equal axis distance, larger segment wins; list arrives size-sorted
-        assert select_working_segment([big, small]) is big
+        assert select_working_segment(pts, [big, small]) is big
 
 
 class TestPipeline:

@@ -141,7 +141,9 @@ def noise_free_run(reference_scenario):
 # meant to be behaviour-neutral must leave these bytes alone; a change that
 # alters results on purpose re-pins them and says why. The noise-free run
 # guards segmentation, which on clean clouds depends on the last bits of the
-# normal covariances.
+# normal covariances. They hold on one host class: x86-64, numpy 2.4.6 with
+# its AVX-512 loops, OpenBLAS 0.3.31 with its SkylakeX kernels, and glibc
+# 2.36 with its FMA libm variants; other code paths move the last bits.
 TELEMETRY_DIGESTS = {
     "reference_run": "ba4a3862cadc1727",
     "flat_run": "96ebf9915012c563",

@@ -32,10 +32,12 @@ _LEVELS = {"error": logging.ERROR, "warn": logging.WARNING, "info": logging.INFO
 
 
 def _setup_logging():
-    level = os.environ.get("VAUF_LOG_LEVEL", "warn").lower()
-    if level not in _LEVELS:
-        print(f"vauf: VAUF_LOG_LEVEL={level!r} is not one of {', '.join(_LEVELS)}; logging at warn", file=sys.stderr)
-    logging.basicConfig(level=_LEVELS.get(level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
+    name = os.environ.get("VAUF_LOG_LEVEL", "warn").lower()
+    if name not in _LEVELS:
+        print(f"vauf: VAUF_LOG_LEVEL={name!r} is not one of {', '.join(_LEVELS)}; logging at warn", file=sys.stderr)
+    level = _LEVELS.get(name, logging.WARNING)
+    logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("vauf").setLevel(level)  # basicConfig does nothing once the root has a handler
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -12,10 +12,11 @@ arXiv:physics/0610206), and the rank test on the sum of the principal 2x2
 minors; a window whose two smallest eigenvalues nearly coincide is flagged
 like a collinear one. Region growing clusters points whose normals stay
 within an angular threshold of the region seed, over a pixel window one
-ring wider whose missing pixels hold the sentinel index N; a segment is its
-member indices. The working segment's covariance eigenstructure (LAPACK
-eigh, one matrix per frame) yields the surface normal and the
-local-curvature ratio. Everything is deterministic for a given cloud.
+ring wider, stepping through a raster padded by that window's reach where a
+missing or padding pixel is never free; a segment is its member indices.
+The working segment's covariance eigenstructure (LAPACK eigh, one matrix
+per frame) yields the surface normal and the local-curvature ratio.
+Everything is deterministic for a given cloud.
 """
 
 from __future__ import annotations
@@ -55,10 +56,10 @@ class PointNormals:
     normals: np.ndarray  # (N, 3) unit where valid, camera-facing
     curvature: np.ndarray  # (N,) smallest-eigenvalue ratio of the window covariance
     valid: np.ndarray  # (N,) bool, False for degenerate neighborhoods
-    # (N, m) growing graph: the points of each point's pixel window one ring
-    # wider than the normal window, ring by ring; a missing pixel holds the
-    # sentinel N, one past the last point
-    neighbors: np.ndarray
+    # growing graph: each point's address in the pixel raster padded by the growing
+    # reach, and the ring-ordered address steps to the window one ring wider
+    pixel: np.ndarray  # (N,)
+    offsets: np.ndarray  # (m,)
 
 
 @dataclass(frozen=True)
@@ -114,8 +115,8 @@ def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
     point's neighborhood is the cloud's points on it. A neighborhood of
     fewer than 3 points, of rank below 2 (collinear) or with no defined
     normal flags the point invalid, and it takes no part in region
-    growing. The growing graph is the window one ring wider, with the
-    sentinel N for a pixel that holds no point.
+    growing. The growing graph is the window one ring wider: addresses in
+    the raster padded by its reach, and ring-ordered steps between them.
     """
     n = len(pts)
     row, col = pixel_index(pts)
@@ -134,8 +135,10 @@ def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
     # camera-facing: flip normals pointing away from the origin
     flip = np.einsum("ni,ni->n", normals, pts) > 0.0
     normals = np.where(flip[:, None], -normals, normals)
-    neighbors = _window_neighbors(row, col, half + 1)
-    return PointNormals(normals=normals, curvature=curvature, valid=valid, neighbors=neighbors)
+    reach = half + 1
+    width = col.max() + 1 + 2 * reach
+    pixel = (row + reach) * width + col + reach
+    return PointNormals(normals, curvature, valid, pixel, _window_offsets(reach, width))
 
 
 def smallest_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -187,15 +190,11 @@ def _box_sum(image: np.ndarray, half: int) -> np.ndarray:
     return sum(band[:, j : j + cols] for j in range(2 * half + 1))
 
 
-def _window_neighbors(row: np.ndarray, col: np.ndarray, half: int) -> np.ndarray:
-    """Points on each point's square pixel window, ring by ring; a missing pixel is the sentinel N."""
-    n = len(row)
-    width = col.max() + 1 + 2 * half
-    index = np.full((row.max() + 1 + 2 * half, width), n)
-    index[row + half, col + half] = np.arange(n)
+def _window_offsets(half: int, width: int) -> np.ndarray:
+    """Address steps to the pixels of a square window, ring by ring, in a raster width pixels wide."""
     d_row, d_col = np.mgrid[-half : half + 1, -half : half + 1].reshape(2, -1)
     ring = np.argsort(np.maximum(abs(d_row), abs(d_col)), kind="stable")[1:]  # the centre pixel dropped
-    return index.ravel().take(((row + half) * width + col + half)[:, None] + (d_row * width + d_col)[ring])
+    return (d_row * width + d_col)[ring]
 
 
 def region_grow(
@@ -209,32 +208,36 @@ def region_grow(
     The predicate is one batched row per seed, normals @ seed normal >=
     cos(angle_thresh), evaluated once over the whole cloud. Seeds are taken
     at the lowest-curvature unvisited point and grow one BFS level of the
-    window graph per numpy step, keeping each admissible neighbor's first
-    occurrence, so members come in the order of a FIFO-queue search.
-    A seed's admissible points are one mask, free: close enough to the seed
-    and not yet in a segment, cleared level by level as the search reaches
-    them; its padding entry keeps the graph's sentinel N out.
+    window graph per numpy step: a level's pixel addresses plus the
+    ring-ordered steps, keeping each admissible candidate's first occurrence,
+    so members come in the order of a FIFO-queue search. A seed's admissible
+    pixels are one raster mask, free: a point close enough to the seed and
+    not yet in a segment, cleared level by level as the search reaches it; a
+    missing or padding pixel is never free.
     Segments below min_segment_size are dropped; the rest, index arrays, are sorted largest first.
     """
     cos_thresh = np.cos(angle_thresh)
-    nrm, nb = normals.normals, normals.neighbors
+    nrm, pixel, offsets = normals.normals, normals.pixel, normals.offsets
+    index = np.zeros(pixel.max(initial=0) + offsets.max() + 1, dtype=np.intp)  # the point at each pixel
+    index[pixel] = np.arange(len(pts))
+    free = np.zeros(index.size, dtype=bool)
+    first = np.full(index.size, pixel.size * offsets.size)  # never reset: a pixel is a candidate in one level only
     visited = ~normals.valid
-    first = np.full(len(pts), nb.size)  # never reset: a point is a candidate in one level only
     segments: list[np.ndarray] = []
     for seed in np.argsort(normals.curvature, kind="stable").tolist():
         if visited[seed]:
             continue
-        free = np.append((nrm @ nrm[seed] >= cos_thresh) & ~visited, False)
-        level, levels = np.array([seed]), []
+        free[pixel] = (nrm @ nrm[seed] >= cos_thresh) & ~visited
+        level, levels = pixel[seed : seed + 1], []
         while len(level):
             free[level] = False
             levels.append(level)
-            cand = nb[level]
+            cand = (level[:, None] + offsets).ravel()
             cand = cand[free[cand]]  # row-major: frontier order, then ring order
             pos = np.arange(len(cand))
             np.minimum.at(first, cand, pos)
             level = cand[first[cand] == pos]
-        members = np.concatenate(levels)
+        members = index[np.concatenate(levels)]
         visited[members] = True
         if len(members) >= min_segment_size:
             segments.append(members)

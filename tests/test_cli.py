@@ -171,6 +171,20 @@ class TestLogLevelEnv:
             assert main(["report", str(short_run / "telemetry.csv")]) == EXIT_OK
             assert root.level == logging.DEBUG
 
+    def test_log_level_respected_under_a_configured_root(self, short_run, monkeypatch):
+        # a process that configured logging first: basicConfig then does nothing
+        monkeypatch.setenv("VAUF_LOG_LEVEL", "debug")
+        vauf_log, app_handler = logging.getLogger("vauf"), logging.NullHandler()
+        vauf_level = vauf_log.level
+        with fresh_root_logger() as root:
+            root.addHandler(app_handler)
+            try:
+                assert main(["report", str(short_run / "telemetry.csv")]) == EXIT_OK
+                assert vauf_log.getEffectiveLevel() == logging.DEBUG
+                assert root.handlers == [app_handler]  # the app's handlers are kept
+            finally:
+                vauf_log.setLevel(vauf_level)
+
     def test_unknown_level_named_on_stderr(self, short_run, monkeypatch, capsys):
         monkeypatch.setenv("VAUF_LOG_LEVEL", "verbose")
         with fresh_root_logger() as root:

@@ -1,4 +1,5 @@
 from collections import deque
+import tracemalloc
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -62,6 +63,15 @@ def spherical_cap(radius, footprint=0.04, n=1200, center_depth=0.3):
     return pts
 
 
+def window_graph(normals):
+    """(N, m) table of each point's window points, ring by ring, read from the
+    raster addresses; a pixel that holds no point reads the sentinel N."""
+    n = len(normals.pixel)
+    index = np.full(normals.pixel.max() + normals.offsets.max() + 1, n)
+    index[normals.pixel] = np.arange(n)
+    return index[normals.pixel[:, None] + normals.offsets]
+
+
 class TestPointNormals:
     def test_plane_normals_face_camera(self):
         res = estimate_point_normals(plane_cloud(), k=10)
@@ -80,17 +90,17 @@ class TestPointNormals:
     @pytest.mark.parametrize("k, side", [(5, 3), (9, 3), (10, 5), (80, 9), (81, 9), (82, 11)])
     def test_window_is_smallest_odd_square_and_graph_one_ring_wider(self, k, side):
         cloud = plane_cloud()
-        res = estimate_point_normals(cloud, k=k)
+        graph = window_graph(estimate_point_normals(cloud, k=k))
         n = len(cloud)
-        assert res.neighbors.shape == (n, (side + 2) ** 2 - 1)
+        assert graph.shape == (n, (side + 2) ** 2 - 1)
         # the sentinel n exactly where the window pixel holds no point: off
         # the 24x24 grid, or on a pixel dropped from the cloud
-        assert res.neighbors.min() >= 0 and res.neighbors.max() == n
+        assert graph.min() >= 0 and graph.max() == n
         half = side // 2 + 1
         offsets = [(dr, dc) for dr in range(-half, half + 1) for dc in range(-half, half + 1)]
         ring = sorted(offsets, key=lambda o: max(abs(o[0]), abs(o[1])))[1:]  # stable: row-major per ring
         kept = np.delete(np.arange(n), [0, 100, 300])
-        sub = estimate_point_normals(cloud[kept], k=k).neighbors
+        sub = window_graph(estimate_point_normals(cloud[kept], k=k))
         at = {(i // 24, i % 24): j for j, i in enumerate(kept)}
         for j, i in enumerate(kept):
             expected = [at.get((i // 24 + dr, i % 24 + dc), len(kept)) for dr, dc in ring]
@@ -171,6 +181,7 @@ def region_grow_oracle(normals, angle_thresh, min_segment_size):
     """Member indices from a point-at-a-time FIFO search: the reference for region_grow."""
     cos_thresh = np.cos(angle_thresh)
     visited = ~normals.valid.copy()
+    graph = window_graph(normals)
     found = []
     for seed in np.argsort(normals.curvature, kind="stable"):
         if visited[seed]:
@@ -181,7 +192,7 @@ def region_grow_oracle(normals, angle_thresh, min_segment_size):
         queue = deque([int(seed)])
         while queue:
             i = queue.popleft()
-            for j in normals.neighbors[i]:
+            for j in graph[i]:
                 if j < len(visited) and not visited[j] and dots[j] >= cos_thresh:
                     visited[j] = True
                     members.append(int(j))
@@ -238,6 +249,20 @@ class TestRegionGrowOracle:
             normals = estimate_point_normals(cloud, cfg.k)
             assert_matches_oracle(cloud, normals, cfg.angle_thresh, cfg.min_segment_size)
 
+    def test_dense_frame_builds_no_window_table(self):
+        # an (N, m) growing graph on the 64x48, k=80 frame is about 2,900 x 120
+        # int64, 2.8 MB per table; growing on raster addresses holds arrays of
+        # the padded raster's 58 x 74 pixels instead
+        camera, cfg, height, n_frames = ORACLE_CASES["dense-64x48-k80"]
+        for cloud in rendered_clouds(camera, height, n_frames):
+            tracemalloc.start()
+            try:
+                perceive(cloud, cfg)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 4e6
+
     def test_invalid_points_never_join(self):
         camera = REFERENCE_CAMERA
         cloud = rendered_clouds(camera, 0.25, 1)[0]
@@ -254,7 +279,7 @@ class TestRegionGrowOracle:
         normals = estimate_point_normals(cloud, 10)
         invalid = np.flatnonzero(~normals.valid)
         assert len(invalid) > 0
-        assert np.isin(normals.neighbors[normals.valid], invalid).any()  # valid points border them
+        assert np.isin(window_graph(normals)[normals.valid], invalid).any()  # valid points border them
         segments = assert_matches_oracle(cloud, normals, np.deg2rad(8.0), 5)
         assert not any(np.isin(seg, invalid).any() for seg in segments)
 
@@ -278,10 +303,16 @@ class TestRegionGrowOracle:
         n = len(nrm)
         assert n > 200
         assert (np.abs(nrm @ seed - cos_thresh) <= 1e-12).sum() == n - 1
-        # every point neighbors all others; the seed has the lowest curvature
-        neighbors = np.array([np.delete(np.arange(n), i) for i in range(n)])
+        # every point neighbors all others, in ascending order: a raster row
+        # padded by n on each side and every nonzero step in (-n, n); the
+        # seed has the lowest curvature
+        pixel, offsets = n + np.arange(n), np.delete(np.arange(1 - n, n), n - 1)
         curvature = np.r_[0.0, np.ones(n - 1)]
-        normals = PointNormals(normals=nrm, curvature=curvature, valid=np.ones(n, dtype=bool), neighbors=neighbors)
+        normals = PointNormals(
+            normals=nrm, curvature=curvature, valid=np.ones(n, dtype=bool), pixel=pixel, offsets=offsets
+        )
+        graph = window_graph(normals)
+        assert all(np.array_equal(row[row < n], np.delete(np.arange(n), i)) for i, row in enumerate(graph))
         cloud = rng.normal(size=(n, 3))
         segments = assert_matches_oracle(cloud, normals, angle, 1)
         from_seed = next(seg for seg in segments if seg[0] == 0)
@@ -357,7 +388,8 @@ def estimate_dummy(cloud):
         normals=np.zeros((n, 3)),
         curvature=np.zeros(n),
         valid=np.zeros(n, dtype=bool),
-        neighbors=np.zeros((n, 1), dtype=int),
+        pixel=np.arange(1, n + 1),
+        offsets=np.array([-1, 1]),
     )
 
 

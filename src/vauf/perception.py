@@ -14,9 +14,9 @@ like a collinear one. Region growing clusters points whose normals stay
 within an angular threshold of the region seed, over a pixel window one
 ring wider, stepping through a raster padded by that window's reach where a
 missing or padding pixel is never free; a segment is its member indices.
-The working segment's covariance eigenstructure (LAPACK eigh, one matrix
-per frame) yields the surface normal and the local-curvature ratio.
-Everything is deterministic for a given cloud.
+The working segment's covariance goes through the same function as a
+window's for the surface normal and the local-curvature ratio, with no
+LAPACK call. Everything is deterministic for a given cloud.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class NoSegmentError(RuntimeError):
 
 
 class DegenerateSegmentError(RuntimeError):
-    """Segment covariance has (near-)zero trace."""
+    """Segment covariance has (near-)zero trace, or no defined normal (collinear or isotropic points)."""
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,8 @@ class PointNormals:
 @dataclass(frozen=True)
 class PerceptionResult:
     n_s_camera: np.ndarray  # unit surface normal, camera frame
-    eigenvalues: np.ndarray  # l1 >= l2 >= l3
-    l_s: float  # |l3 / tr|
+    eigenvalues: np.ndarray  # l1 >= l2 >= l3, with l2 = tr - l1 - l3
+    l_s: float  # |l3| / tr
     theta: float  # rad, folded deviation from the camera axis
 
 
@@ -128,21 +128,28 @@ def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
     count = sums[0]
     mean = sums[1:4] / count
     cov = sums[4:] / count - mean[_FIRST] * mean[_SECOND]  # xx, xy, xz, yy, yz, zz
-    low, normals, rank2 = smallest_eigenpairs(cov)
-    valid = (count >= 3) & rank2
-    trace = cov[0] + cov[3] + cov[5]
-    curvature = np.where(trace > 0.0, np.abs(low) / np.maximum(trace, 1e-300), np.inf)
-    # camera-facing: flip normals pointing away from the origin
-    flip = np.einsum("ni,ni->n", normals, pts) > 0.0
-    normals = np.where(flip[:, None], -normals, normals)
+    _, _, normals, curvature, usable = _facing_normals(cov, pts)
+    valid = (count >= 3) & usable
     reach = half + 1
     width = col.max() + 1 + 2 * reach
     pixel = (row + reach) * width + col + reach
     return PointNormals(normals, curvature, valid, pixel, _window_offsets(reach, width))
 
 
-def smallest_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Smallest eigenvalue, an eigenvector of it, and a usable flag, of symmetric 3x3 matrices.
+def _facing_normals(cov: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Largest and smallest eigenvalue, camera-facing normal, curvature |l0| / trace and usable flag.
+
+    cov is (6, N) as in smallest_eigenpairs, pts (N, 3) a camera-frame point of each; curvature is inf at trace <= 0.
+    """
+    low, high, normals, usable = smallest_eigenpairs(cov)
+    trace = cov[0] + cov[3] + cov[5]
+    curvature = np.where(trace > 0.0, np.abs(low) / np.maximum(trace, 1e-300), np.inf)
+    flip = np.einsum("ni,ni->n", normals, pts) > 0.0
+    return high, low, np.where(flip[:, None], -normals, normals), curvature, usable
+
+
+def smallest_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalues, an eigenvector of the smallest, and a usable flag, of symmetric 3x3 matrices.
 
     cov is (6, N): the entries xx, xy, xz, yy, yz, zz of one matrix per
     column. The eigenvalues come from Smith's trigonometric formula and the
@@ -179,7 +186,7 @@ def smallest_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     frobenius = a * a + d * d + f * f + 2.0 * (xy * xy + xz * xz + yz * yz)  # |A - l0 I|^2
     close = length[pick] <= (1e-4 * frobenius) ** 2
     vec = cross[pick[0], :, pick[1]] / np.sqrt(np.where(close, 1.0, length[pick]))[:, None]
-    return low, vec, rank2 & ~close
+    return low, high, vec, rank2 & ~close
 
 
 def _box_sum(image: np.ndarray, half: int) -> np.ndarray:
@@ -263,26 +270,17 @@ def segment_pca(points: np.ndarray) -> PerceptionResult:
     """Eigenstructure of the covariance of a segment's points: normal and curvature ratio."""
     centroid = points.mean(axis=0)
     centered = points - centroid
-    cov = centered.T @ centered / len(points)
-    trace = float(np.trace(cov))
-    if trace < 1e-12:
-        raise DegenerateSegmentError("segment covariance trace below 1e-12")
-    vals, vecs = np.linalg.eigh(cov)
-    order = [2, 1, 0]  # eigh ascends; a covariance of points is PSD, so l1 >= l2 >= l3
-    vals = vals[order]
-    vecs = vecs[:, order]
-    n_s = vecs[:, 2]
-    if n_s @ centroid > 0.0:  # camera-facing
-        n_s = -n_s
-    l_s = abs(vals[2] / vals.sum())
-    return PerceptionResult(
-        n_s_camera=n_s, eigenvalues=vals, l_s=float(l_s), theta=orientation_error(n_s)
-    )
+    cov = (centered[:, _FIRST] * centered[:, _SECOND]).mean(axis=0)[:, None]
+    (high,), (low,), (n_s,), (l_s,), (usable,) = _facing_normals(cov, centroid[None, :])
+    trace = float(cov[0, 0] + cov[3, 0] + cov[5, 0])
+    if trace < 1e-12 or not usable:
+        raise DegenerateSegmentError("segment trace below 1e-12" if trace < 1e-12 else "segment normal not defined")
+    return PerceptionResult(n_s, np.array([high, trace - high - low, low]), float(l_s), orientation_error(n_s))
 
 
 def orientation_error(n_s_camera: np.ndarray) -> float:
     """Folded angle between the surface normal and the camera axis, [0, pi/2]."""
-    return float(np.arccos(np.clip(abs(n_s_camera[2]), 0.0, 1.0)))
+    return math.acos(min(abs(float(n_s_camera[2])), 1.0))
 
 
 def perceive(pts: np.ndarray, cfg: PerceptionConfig) -> PerceptionResult:

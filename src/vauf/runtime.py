@@ -266,7 +266,8 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 cloud, r_cam = pending
                 try:
                     latched = perceive(cloud, sc.perception)
-                    n_cam = r_cam @ latched.n_s_camera
+                    n0, n1, n2 = latched.n_s_camera
+                    n_cam = r_cam[:, 0] * n0 + r_cam[:, 1] * n1 + r_cam[:, 2] * n2
                     if n_cam[2] < 0.0:
                         n_cam = -n_cam  # upward convention in the base frame
                     n_s_base = tuple(n_cam.tolist())

@@ -31,12 +31,12 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text()
 # Seed-1 smoke-size output digest prefixes. They pin the bytes of the
 # reference wipe's telemetry file, the sweep's scenario distribution and the
 # 64x48, k=80 perception path. They hold on one host class: x86-64, numpy
-# 2.4.6 with its AVX-512 loops, OpenBLAS 0.3.31 with its SkylakeX kernels,
-# and glibc 2.36 with its FMA libm variants.
+# 2.4.6 with its AVX-512 loops, and glibc 2.36 with its FMA libm variants;
+# the OpenBLAS kernel set does not move them (tests/test_dependencies.py).
 SMOKE_DIGESTS = {
-    "reference_wipe": "4bc1445a5e912fd2",
-    "random_sweep": "1d3743c3b367dd90",
-    "dense_perception": "c43497dcf41d6ad9",
+    "reference_wipe": "6cbdb2059b3e9ff8",
+    "random_sweep": "bb4e710c8452e15e",
+    "dense_perception": "045eabe2ab08a583",
 }
 
 

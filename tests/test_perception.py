@@ -126,11 +126,13 @@ class TestSmallestEigenpairs:
     @settings(max_examples=500, deadline=None)
     @given(PSD_MATRICES)
     def test_matches_eigh(self, m):
-        low, vec, usable = smallest_eigenpairs(m[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]][:, None])
-        low, vec = low[0], vec[0]
+        low, high, vec, usable = smallest_eigenpairs(m[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]][:, None])
+        low, high, vec = low[0], high[0], vec[0]
         vals, vecs = np.linalg.eigh(m)
         trace, gap, norm = vals.sum(), vals[1] - vals[0], np.abs(vals).max()
         spread = vals[2] - vals[0]
+        # where the two largest coincide, the trigonometric l2 keeps about half its digits
+        assert abs(high - vals[2]) <= 1e3 * EPS * norm + 2.0 * np.sqrt(EPS * norm * spread)
         # a pair within 1e-6 of the spread has no defined normal; the band
         # up to 1e-3, where the cut at about 1e-4 falls, is assumed away
         assume(not 1e-6 * spread < gap <= 1e-3 * spread)
@@ -152,7 +154,7 @@ class TestSmallestEigenpairs:
         # the two smallest eigenvalues coincide: every unit vector of their
         # plane is an eigenvector, so the window has no normal
         m = np.diag([1e-3, 1e-3, 1.0])
-        _, _, usable = smallest_eigenpairs(m[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]][:, None])
+        *_, usable = smallest_eigenpairs(m[[0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]][:, None])
         assert not usable[0]
 
 
@@ -411,16 +413,23 @@ class TestSegmentPCA:
             ([2, 1, 3], [4.5, 3.0, 1.5], 1),
         ):
             res = segment_pca(axis_pairs(counts))
-            assert np.array_equal(res.eigenvalues, eigenvalues)
+            assert np.allclose(res.eigenvalues, eigenvalues, rtol=1e-15, atol=0.0)  # the closed form's 1.5 is 1.5 + 4e-16
             assert np.array_equal(res.n_s_camera, -np.eye(3)[axis])  # the smallest, facing the camera
             assert res.l_s == pytest.approx(eigenvalues[2] / sum(eigenvalues), rel=1e-15)
 
     def test_isotropic_covariance(self):
-        res = segment_pca(axis_pairs([1, 1, 1]))
-        assert np.allclose(res.eigenvalues, 3.0)
-        assert abs(np.linalg.norm(res.n_s_camera) - 1.0) < 1e-12
-        assert res.n_s_camera @ np.array([0.125, 0.125, 0.375]) <= 0.0
-        assert res.l_s == pytest.approx(1.0 / 3.0)
+        # every direction is an eigenvector: the segment has no normal
+        with pytest.raises(DegenerateSegmentError):
+            segment_pca(axis_pairs([1, 1, 1]))
+
+    @pytest.mark.parametrize("shape", ["collinear", "isotropic"])
+    def test_segment_without_normal(self, shape):
+        if shape == "collinear":  # rank 1: a line has no plane normal
+            points = np.array([0.01, 0.02, 0.3]) + np.linspace(-0.05, 0.05, 40)[:, None] * np.array([0.6, 0.0, 0.8])
+        else:  # a cube's corners: every sum is exact, so the covariance is exactly I / 16
+            points = np.array(np.meshgrid(*[[-0.25, 0.25]] * 3)).reshape(3, -1).T + np.array([0.125, 0.125, 0.375])
+        with pytest.raises(DegenerateSegmentError):
+            segment_pca(points)
 
     def test_plane_samples_smallest_eigenvalue(self):
         # brute-force covariance of synthetic planar samples

@@ -142,13 +142,14 @@ def noise_free_run(reference_scenario):
 # alters results on purpose re-pins them and says why. The noise-free run
 # guards segmentation, which on clean clouds depends on the last bits of the
 # normal covariances. They hold on one host class: x86-64, numpy 2.4.6 with
-# its AVX-512 loops, OpenBLAS 0.3.31 with its SkylakeX kernels, and glibc
-# 2.36 with its FMA libm variants; other code paths move the last bits.
+# its AVX-512 loops, and glibc 2.36 with its FMA libm variants; other code
+# paths move the last bits. The OpenBLAS kernel set does not move them, which
+# tests/test_dependencies.py checks.
 TELEMETRY_DIGESTS = {
-    "reference_run": "ba4a3862cadc1727",
-    "flat_run": "96ebf9915012c563",
-    "negative_run": "a3ff486956b9e5ef",
-    "noise_free_run": "c846899b8c76485c",
+    "reference_run": "589c43306f7634e4",
+    "flat_run": "2f91b35a914e131d",
+    "negative_run": "9b382752cd3f924b",
+    "noise_free_run": "49e2fd768ae3957a",
 }
 
 

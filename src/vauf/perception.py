@@ -193,8 +193,13 @@ def _box_sum(image: np.ndarray, half: int) -> np.ndarray:
     """Sum of each channel over the square window around every pixel, zero off the image."""
     rows, cols = image.shape[:2]
     padded = np.pad(image, ((half, half), (half, half), (0, 0)))
-    band = sum(padded[i : i + rows] for i in range(2 * half + 1))
-    return sum(band[:, j : j + cols] for j in range(2 * half + 1))
+    band = np.zeros((rows,) + padded.shape[1:])
+    for i in range(2 * half + 1):
+        band += padded[i : i + rows]
+    out = np.zeros(image.shape)
+    for j in range(2 * half + 1):
+        out += band[:, j : j + cols]
+    return out
 
 
 def _window_offsets(half: int, width: int) -> np.ndarray:

@@ -3,7 +3,8 @@
 The plant is a free Cartesian rigid body (diagonal inertia, gravity
 pre-compensated) integrated semi-implicitly at the control rate. Perception
 runs on its own cadence with one full period of latency: the cloud rendered
-at one perception tick is processed at the next. The loop per control tick:
+at one perception tick is processed at the next, so the last perception
+tick of a run renders nothing. The loop per control tick:
 
     contact -> alignment monitor -> shaping -> realignment handling ->
     controller -> tanks -> composed command -> plant step -> telemetry row
@@ -275,13 +276,14 @@ def run_scenario(scenario: Scenario) -> RunResult:
                     fresh = 1.0
                 except (NoSegmentError, DegenerateSegmentError) as exc:
                     log.debug("perception failed at t=%.3f: %s", t, exc)
-            try:
-                cam_pose = camera_pose_from_tool(Pose(np.reshape(r_ee, (3, 3)), p_ee), sc.camera)
-                cloud = render(sc.camera, cam_pose, sc.surface, rng=rng)
-                pending = (cloud, cam_pose.rotation)
-            except EmptyViewError as exc:
-                log.debug("camera empty view at t=%.3f: %s", t, exc)
-                pending = None
+            pending = None
+            if k + stride < n_ticks:  # a frame rendered now is perceived one stride later
+                try:
+                    cam_pose = camera_pose_from_tool(Pose(np.reshape(r_ee, (3, 3)), p_ee), sc.camera)
+                    cloud = render(sc.camera, cam_pose, sc.surface, rng=rng)
+                    pending = (cloud, cam_pose.rotation)
+                except EmptyViewError as exc:
+                    log.debug("camera empty view at t=%.3f: %s", t, exc)
 
         # --- policy and desired pose
         offset, f_d_z = wiping_policy(t, sc.policy)

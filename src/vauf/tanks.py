@@ -9,8 +9,8 @@ a float. A step integrates S directly from the port powers, so the per-tick
 bookkeeping is exact, then clamps it to the band. The loop evaluates lam
 and the gates once per tick, from the pre-step state, and hands the same
 values to the command and to both tank steps. The steps run on the control
-tick in Python floats on 6-tuples; the audit is numpy over the whole
-telemetry table.
+tick in Python floats on 6-tuples; the audit is numpy over the telemetry
+table, one block of rows at a time.
 
 The audit replays a run's telemetry table against the scenario the run used
 (its mass, control period and tank start energies) and checks, tick by
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spatial import quaternion_to_rotation
-from .telemetry import rows_to_columns
+from .telemetry import BLOCK_ROWS, rows_to_columns
 
 AUDIT_TOL = 1e-4  # J per tick, the discretization slack the audit allows
 
@@ -118,31 +118,39 @@ def passivity_audit(table, scenario) -> AuditReport:
     the contact work (midpoint twist dotted with the external wrench, which
     is the exact work done on the semi-implicit plant) by more than AUDIT_TOL.
     Tank energies are logged post-update, so row k holds the storage at the
-    end of tick k.
+    end of tick k. The ticks are checked BLOCK_ROWS at a time; a block reads
+    one row past its last tick, and the storage its first tick starts from.
     """
     columns = rows_to_columns(table)
-    twist = np.stack([columns[c] for c in ("vx", "vy", "vz", "wx", "wy", "wz")], axis=1)
-    n = len(twist)
-    ke = 0.5 * np.sum(twist * twist * np.asarray(scenario.mass)[None, :], axis=1)
-
-    q = np.stack([columns[c] for c in ("qw", "qx", "qy", "qz")], axis=1)
-    f_ee = np.stack(
-        [columns[f"fext_ee_{c}"] for c in ("fx", "fy", "fz", "tx", "ty", "tz")], axis=1
-    )
-    f_base = np.empty_like(f_ee)
-    rot = quaternion_to_rotation(q)
-    f_base[:, :3] = np.einsum("nij,nj->ni", rot, f_ee[:, :3])
-    f_base[:, 3:] = np.einsum("nij,nj->ni", rot, f_ee[:, 3:])
-
-    s_i = np.concatenate([[scenario.tank_impedance.s0], columns["S_t_i"]])
-    s_f = np.concatenate([[scenario.tank_force.s0], columns["S_t_f"]])
-
-    v_mid = 0.5 * (twist[:-1] + twist[1:])
-    supplied = np.sum(v_mid * f_base[:-1], axis=1) * scenario.dt_control
-    d_storage = (ke[1:] - ke[:-1]) + np.diff(s_i)[: n - 1] + np.diff(s_f)[: n - 1]
+    n = len(columns["t"])
     # the trailing -inf is never a violation nor the worst of a checked tick:
     # a one-row run, with no tick to check, reports it at t[0]
-    excess = np.append(d_storage - supplied, -np.inf)
+    excess = np.full(n, -np.inf)
+    mass = np.asarray(scenario.mass)[None, :]
+    s_i, s_f = scenario.tank_impedance.s0, scenario.tank_force.s0  # the storage before the block
+    for start in range(0, n - 1, BLOCK_ROWS):
+        ticks = slice(start, min(start + BLOCK_ROWS, n - 1))
+        rows = slice(start, ticks.stop + 1)  # tick k also reads row k + 1
+        twist = np.stack([columns[c][rows] for c in ("vx", "vy", "vz", "wx", "wy", "wz")], axis=1)
+        ke = 0.5 * np.sum(twist * twist * mass, axis=1)
+
+        q = np.stack([columns[c][ticks] for c in ("qw", "qx", "qy", "qz")], axis=1)
+        f_ee = np.stack(
+            [columns[f"fext_ee_{c}"][ticks] for c in ("fx", "fy", "fz", "tx", "ty", "tz")], axis=1
+        )
+        f_base = np.empty_like(f_ee)
+        rot = quaternion_to_rotation(q)
+        f_base[:, :3] = np.einsum("nij,nj->ni", rot, f_ee[:, :3])
+        f_base[:, 3:] = np.einsum("nij,nj->ni", rot, f_ee[:, 3:])
+
+        tank_i = np.concatenate([[s_i], columns["S_t_i"][ticks]])
+        tank_f = np.concatenate([[s_f], columns["S_t_f"][ticks]])
+        s_i, s_f = tank_i[-1], tank_f[-1]
+
+        v_mid = 0.5 * (twist[:-1] + twist[1:])
+        supplied = np.sum(v_mid * f_base, axis=1) * scenario.dt_control
+        d_storage = (ke[1:] - ke[:-1]) + np.diff(tank_i) + np.diff(tank_f)
+        excess[ticks] = d_storage - supplied
 
     viol = excess > AUDIT_TOL
     worst_idx = int(np.argmax(excess))

@@ -5,6 +5,10 @@ float64 table; read_csv returns the same table. Floats are written with
 shortest round-trip precision so read(write(table)) == table exactly and two
 identical runs produce bit-identical files. Booleans and the passivity
 selector are stored as 0.0/1.0 for uniform parsing.
+
+Every pass over a finished table (the CSV write and read here, the passivity
+audit in `tanks`) walks it BLOCK_ROWS rows at a time, so a pass holds the
+table plus one block of temporaries, never a second table.
 """
 
 from __future__ import annotations
@@ -27,6 +31,8 @@ COLUMNS = (
     + ["xd_x", "xd_y", "xd_z"]
 )
 
+BLOCK_ROWS = 512  # rows per block of a pass over a table: 184 KB of float64
+
 TelemetryRow = NamedTuple("TelemetryRow", [(c, float) for c in COLUMNS])
 
 
@@ -39,18 +45,25 @@ def write_csv(table, path, header=COLUMNS) -> None:
     table = np.asarray(table, dtype=float)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), 1000):
-            lines = [",".join(map(repr, row)) for row in table[start : start + 1000].tolist()]
+        for start in range(0, len(table), BLOCK_ROWS):
+            lines = [",".join(map(repr, row)) for row in table[start : start + BLOCK_ROWS].tolist()]
             fh.write("\n".join(lines) + "\n")
 
 
 def read_csv(path) -> np.ndarray:
-    """The (n, len(COLUMNS)) float64 table of a telemetry CSV."""
-    rows = []
+    """The (n, len(COLUMNS)) float64 table of a telemetry CSV.
+
+    A first pass counts the rows, a second parses them a block at a time
+    into the preallocated table. Blank lines are skipped.
+    """
     with open(path) as fh:
         header = fh.readline().rstrip("\n")
         if header.split(",") != COLUMNS:
             raise ParseError("row 1: unexpected header")
+        table = np.empty((sum(line != "\n" for line in fh), len(COLUMNS)))
+        fh.seek(0)
+        fh.readline()
+        filled, block = 0, []
         for lineno, line in enumerate(fh, start=2):
             line = line.rstrip("\n")
             if not line:
@@ -59,10 +72,15 @@ def read_csv(path) -> np.ndarray:
             if len(parts) != len(COLUMNS):
                 raise ParseError(f"row {lineno}: expected {len(COLUMNS)} fields, got {len(parts)}")
             try:
-                rows.append([float(p) for p in parts])
+                block.append([float(p) for p in parts])
             except ValueError as exc:
                 raise ParseError(f"row {lineno}: {exc}") from exc
-    return np.array(rows, dtype=float).reshape(len(rows), len(COLUMNS))
+            if len(block) == BLOCK_ROWS:
+                table[filled : filled + BLOCK_ROWS] = block
+                filled, block = filled + BLOCK_ROWS, []
+        if block:
+            table[filled:] = block
+    return table
 
 
 def rows_to_columns(rows) -> dict:

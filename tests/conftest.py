@@ -1,4 +1,6 @@
 import pathlib
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,6 +47,13 @@ def flat_columns(flat_run):
 
 
 @pytest.fixture(scope="session")
+def noise_free_run(reference_scenario):
+    """reference.cfg with camera.noise_sigma = 0 and run.duration = 3."""
+    camera = replace(reference_scenario.camera, noise_sigma=0.0)
+    return run_scenario(replace(reference_scenario, camera=camera, duration=3.0))
+
+
+@pytest.fixture(scope="session")
 def negative_scenario():
     return parse_scenario(SCENARIO_DIR / "negative_control.cfg")
 
@@ -52,6 +61,17 @@ def negative_scenario():
 @pytest.fixture(scope="session")
 def negative_run(negative_scenario):
     return run_scenario(negative_scenario)
+
+
+def traced_peak(fn) -> int:
+    """Bytes that fn's allocations peak at above what is live before the call."""
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
 
 
 def flat(r) -> tuple:

@@ -196,7 +196,7 @@ class TestRunScenario:
         monkeypatch.setattr(vauf.runtime, "render", counted_render)
         sc = Scenario(camera=CameraModel(range_max=0.06), duration=1.0)
         res = run_scenario(sc)
-        assert len(raised) == 4  # the perception ticks at t = 0, 0.3, 0.6 and 0.9 s
+        assert len(raised) == 3  # the perception ticks at t = 0, 0.3 and 0.6 s; 0.9 s renders nothing
         assert res.completed
         assert res.table.shape == (1000, len(COLUMNS))
         c = rows_to_columns(res.table)
@@ -204,6 +204,25 @@ class TestRunScenario:
             assert not c[name].any(), name
         for col, tank in (("S_t_i", sc.tank_impedance), ("S_t_f", sc.tank_force)):
             assert tank.s_lower <= c[col].min() and c[col].max() <= tank.s_upper
+
+    def test_every_rendered_frame_is_perceived(self, reference_scenario, monkeypatch):
+        # the last perception tick renders no frame: no later tick would perceive it
+        calls = {"render": 0, "perceive": 0}
+
+        def counted(name):
+            original = getattr(vauf.runtime, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(vauf.runtime, name, call)
+
+        counted("render")
+        counted("perceive")
+        res = run_scenario(reference_scenario)
+        assert res.completed
+        assert calls["render"] == calls["perceive"] == len(res.table) // reference_scenario.perception_stride
 
     def test_divergence_aborts_with_reason(self):
         # absurd negative damping is not reachable via config; instead use a

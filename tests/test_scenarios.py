@@ -1,7 +1,6 @@
 """Closed-loop behavior of the shipped scenario configurations."""
 
 import hashlib
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -128,13 +127,6 @@ class TestTankLedger:
             assert np.array_equal(logged, s_out)
             assert np.array_equal(s_in, np.concatenate([[tank.s0], logged[:-1]]))
             assert np.array_equal(logged, np.minimum(np.maximum(s_in + power * dt, tank.s_lower), tank.s_upper))
-
-
-@pytest.fixture(scope="module")
-def noise_free_run(reference_scenario):
-    """reference.cfg with camera.noise_sigma = 0 and run.duration = 3."""
-    camera = replace(reference_scenario.camera, noise_sigma=0.0)
-    return run_scenario(replace(reference_scenario, camera=camera, duration=3.0))
 
 
 # SHA-256 prefixes of the shipped scenarios' telemetry.csv. A change that is

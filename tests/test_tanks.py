@@ -3,8 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
+from vauf import tanks
 from vauf.runtime import Scenario
+from vauf.spatial import quaternion_to_rotation
 from vauf.tanks import (
+    AUDIT_TOL,
+    AuditReport,
     TankConfig,
     _integrate_energy,
     force_tank_step,
@@ -14,7 +19,7 @@ from vauf.tanks import (
     passivity_audit,
     valve_sigma,
 )
-from vauf.telemetry import COLUMNS, ParseError, rows_to_columns
+from vauf.telemetry import BLOCK_ROWS, COLUMNS, ParseError, rows_to_columns
 
 FORCE_TANK = TankConfig(s0=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.2)
 IMP_TANK = TankConfig(s0=24.5, s_upper=32.0, s_lower=1.0, ramp_eps=0.2)
@@ -278,6 +283,128 @@ class TestPassivityAudit:
         assert rep.ok
         assert (rep.ticks_checked, rep.violation_count) == (0, 0)
         assert rep.worst_violation == -np.inf and rep.worst_time == 0.0
+
+
+def whole_table_audit(table, scenario) -> AuditReport:
+    """The passivity audit as one pass over the whole table, the blocked audit's oracle."""
+    columns = rows_to_columns(table)
+    twist = np.stack([columns[c] for c in ("vx", "vy", "vz", "wx", "wy", "wz")], axis=1)
+    n = len(twist)
+    ke = 0.5 * np.sum(twist * twist * np.asarray(scenario.mass)[None, :], axis=1)
+
+    q = np.stack([columns[c] for c in ("qw", "qx", "qy", "qz")], axis=1)
+    f_ee = np.stack(
+        [columns[f"fext_ee_{c}"] for c in ("fx", "fy", "fz", "tx", "ty", "tz")], axis=1
+    )
+    f_base = np.empty_like(f_ee)
+    rot = quaternion_to_rotation(q)
+    f_base[:, :3] = np.einsum("nij,nj->ni", rot, f_ee[:, :3])
+    f_base[:, 3:] = np.einsum("nij,nj->ni", rot, f_ee[:, 3:])
+
+    s_i = np.concatenate([[scenario.tank_impedance.s0], columns["S_t_i"]])
+    s_f = np.concatenate([[scenario.tank_force.s0], columns["S_t_f"]])
+
+    v_mid = 0.5 * (twist[:-1] + twist[1:])
+    supplied = np.sum(v_mid * f_base[:-1], axis=1) * scenario.dt_control
+    d_storage = (ke[1:] - ke[:-1]) + np.diff(s_i)[: n - 1] + np.diff(s_f)[: n - 1]
+    excess = np.append(d_storage - supplied, -np.inf)
+
+    worst_idx = int(np.argmax(excess))
+    return AuditReport(
+        ticks_checked=n - 1,
+        violation_count=int((excess > AUDIT_TOL).sum()),
+        worst_violation=float(excess[worst_idx]),
+        worst_time=float(columns["t"][worst_idx]),
+    )
+
+
+def bits(report: AuditReport) -> tuple:
+    """The report's fields, floats as their exact bit patterns."""
+    return (report.ticks_checked, report.violation_count, report.worst_violation.hex(), report.worst_time.hex())
+
+
+def random_table(n: int, seed: int = 0):
+    """A table of random unit quaternions, twists and wrenches, tanks drifting
+    by millijoules: some ticks violate, some do not."""
+    rng = np.random.default_rng(seed)
+    q = rng.normal(size=(n, 4))
+    table = synthetic_table(1e-3, 0.05 * rng.normal(size=(n, 6)), rng.normal(size=(n, 6)), 0.0, 0.0)
+    cols = rows_to_columns(table)
+    for i, name in enumerate(("qw", "qx", "qy", "qz")):
+        cols[name][:] = q[:, i] / np.linalg.norm(q, axis=1)
+    cols["S_t_i"][:] = 24.5 + np.cumsum(1e-3 * rng.normal(size=n))
+    cols["S_t_f"][:] = 2.0 - np.cumsum(1e-3 * rng.random(n))
+    return table
+
+
+def stepped_table(steps):
+    """Zero motion, and the impedance tank rising 1 J at each row in steps:
+    exactly the ticks in steps violate, each by 1 J."""
+    n = 2 * BLOCK_ROWS + 1
+    s_i = 24.5 + np.cumsum(np.isin(np.arange(n), steps))
+    return synthetic_table(1e-3, np.zeros((n, 6)), np.zeros((n, 6)), s_i, 2.0)
+
+
+class TestBlockedAudit:
+    """The audit walks the table BLOCK_ROWS ticks at a time; each block must
+    agree bit for bit with one pass over the whole table."""
+
+    SC = Scenario()
+    B = BLOCK_ROWS
+
+    @pytest.mark.parametrize("n", [1, 2, B - 1, B, B + 1, 2 * B, 2 * B + 1])
+    def test_random_tables_match_whole_table(self, n):
+        for seed in range(3):
+            table = random_table(n, seed)
+            rep = passivity_audit(table, self.SC)
+            assert bits(rep) == bits(whole_table_audit(table, self.SC))
+            if n > 2:
+                assert 0 < rep.violation_count < n - 1
+
+    @pytest.mark.parametrize(
+        "steps, violations", [([B - 1], 1), ([B], 1), ([B - 1, B], 2), ([2 * B - 1, 2 * B], 1)]
+    )
+    def test_violations_either_side_of_a_boundary(self, steps, violations):
+        # tick B - 1 ends the first block, and tick B starts the second from
+        # the storage the first block ended on; the last row, 2B, is no tick
+        table = stepped_table(steps)
+        rep = passivity_audit(table, self.SC)
+        assert bits(rep) == bits(whole_table_audit(table, self.SC))
+        assert (rep.violation_count, rep.worst_violation) == (violations, 1.0)
+        assert rep.worst_time == table[steps[0], 0]
+
+    def test_kinetic_energy_of_the_overlap_row(self):
+        # the first row of the second block is seen by the last tick of the first
+        n = 2 * self.B
+        v = np.zeros((n, 6))
+        v[self.B, 0] = 1.0
+        table = synthetic_table(1e-3, v, np.zeros((n, 6)), 24.5, 2.0)
+        rep = passivity_audit(table, self.SC)
+        assert bits(rep) == bits(whole_table_audit(table, self.SC))
+        assert (rep.violation_count, rep.worst_violation) == (1, 0.5 * self.SC.mass[0])
+        assert rep.worst_time == table[self.B - 1, 0]
+
+    def test_tied_worst_across_blocks_takes_the_first(self):
+        table = stepped_table([5, self.B + 5])
+        rep = passivity_audit(table, self.SC)
+        assert bits(rep) == bits(whole_table_audit(table, self.SC))
+        assert (rep.violation_count, rep.worst_violation) == (2, 1.0)
+        assert rep.worst_time == table[5, 0]
+
+    @pytest.mark.parametrize("run", ["reference_run", "flat_run", "noise_free_run", "negative_run"])
+    @pytest.mark.parametrize("block_rows", [BLOCK_ROWS, 7])
+    def test_shipped_runs_match_whole_table(self, run, block_rows, request, monkeypatch):
+        monkeypatch.setattr(tanks, "BLOCK_ROWS", block_rows)
+        result = request.getfixturevalue(run)
+        rep = passivity_audit(result.table, result.scenario)
+        assert bits(rep) == bits(whole_table_audit(result.table, result.scenario))
+        assert rep.ok == (run != "negative_run")
+
+    def test_holds_one_block_beside_the_table(self, reference_run):
+        # on the 20,000-row reference table one (n, 6) float64 stack takes
+        # 0.96 MB and the (n, 3, 3) rotations 1.44 MB: the bound holds no
+        # table-length stack beyond the (n,) excess vector
+        assert traced_peak(lambda: passivity_audit(reference_run.table, reference_run.scenario)) < 2e6
 
 
 class TestTankStateValidation:

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from vauf.telemetry import (
+    BLOCK_ROWS,
     COLUMNS,
     ParseError,
     TelemetryRow,
@@ -82,11 +84,45 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError, match="row 2"):
             read_csv(path)
 
+    @pytest.mark.parametrize("n", [BLOCK_ROWS - 1, BLOCK_ROWS, 2 * BLOCK_ROWS + 1])
+    def test_round_trip_across_blocks(self, n, tmp_path):
+        table = np.random.default_rng(n).normal(size=(n, len(COLUMNS)))
+        path = tmp_path / "t.csv"
+        write_csv(table, path)
+        assert path.read_text().count("\n") == n + 1
+        assert np.array_equal(read_csv(path), table)
+
+    def test_blank_lines_skipped_and_counted(self, tmp_path):
+        path = tmp_path / "t.csv"
+        write_csv(synthetic_rows(3), path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines[:2] + ["", ""] + lines[2:]) + "\n\n")
+        assert np.array_equal(read_csv(path), np.asarray(synthetic_rows(3)))
+        path.write_text("\n".join(lines[:2] + ["", "1,2"] + lines[2:]) + "\n")
+        with pytest.raises(ParseError, match="row 4: expected"):
+            read_csv(path)
+
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ParseError, match="row 1"):
             read_csv(path)
+
+
+class TestPassMemory:
+    """A pass over the 7 MB reference table holds one block of it at a time."""
+
+    def test_write_holds_one_block(self, reference_run, tmp_path):
+        # a row formatted as Python floats and a line takes about 2.9 KB:
+        # the bound holds about 700 rows, not thousands
+        assert traced_peak(lambda: write_csv(reference_run.table, tmp_path / "t.csv")) < 2e6
+
+    def test_read_fills_one_table(self, reference_run, tmp_path):
+        # the table plus one and a half of it; every row parsed into a list
+        # of Python floats before the table is built takes about five
+        path = tmp_path / "t.csv"
+        write_csv(reference_run.table, path)
+        assert traced_peak(lambda: read_csv(path)) < 2.5 * reference_run.table.nbytes
 
 
 class TestComputeMetrics:

@@ -2,9 +2,11 @@
 
 A cloud is a plain (N, 3) float64 array of camera-frame points, organized:
 each point lies on the ray of one pixel of an evenly spaced pinhole grid, so
-its pixel is recovered from the ray slopes x/z and y/z. Per-point normals
-come from the covariance of the points in a square pixel window, oriented
-toward the camera origin. The window covariances are diagonalized in
+its pixel is recovered from the ray slopes x/z and y/z, and its one address
+in the frame's one raster: the pixel grid padded by the reach of the
+region-growing window. Per-point normals come from the covariance of the
+points in a square pixel window, summed in that raster and oriented toward
+the camera origin. The window covariances are diagonalized in
 closed form, with no LAPACK call: the smallest eigenvalue from Smith's
 trigonometric formula (O. K. Smith, Comm. ACM 4(4), 1961), its eigenvector
 as the longest cross product of two rows of A - l0 I (J. Kopp,
@@ -12,8 +14,8 @@ arXiv:physics/0610206), and the rank test on the sum of the principal 2x2
 minors; a window whose two smallest eigenvalues nearly coincide is flagged
 like a collinear one. Region growing clusters points whose normals stay
 within an angular threshold of the region seed, over a pixel window one
-ring wider, stepping through a raster padded by that window's reach where a
-missing or padding pixel is never free; a segment is its member indices.
+ring wider, stepping through the same raster, where a missing or padding
+pixel is never free; a segment is its member indices.
 The working segment's covariance goes through the same function as a
 window's for the surface normal and the local-curvature ratio, with no
 LAPACK call. Everything is deterministic for a given cloud.
@@ -56,10 +58,8 @@ class PointNormals:
     normals: np.ndarray  # (N, 3) unit where valid, camera-facing
     curvature: np.ndarray  # (N,) smallest-eigenvalue ratio of the window covariance
     valid: np.ndarray  # (N,) bool, False for degenerate neighborhoods
-    # growing graph: each point's address in the pixel raster padded by the growing
-    # reach, and the ring-ordered address steps to the window one ring wider
-    pixel: np.ndarray  # (N,)
-    offsets: np.ndarray  # (m,)
+    pixel: np.ndarray  # (N,) each point's address in the frame's pixel raster, padded by the growing reach
+    offsets: np.ndarray  # (m,) ring-ordered address steps to the growing window, one ring wider than the normals'
 
 
 @dataclass(frozen=True)
@@ -115,24 +115,25 @@ def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
     point's neighborhood is the cloud's points on it. A neighborhood of
     fewer than 3 points, of rank below 2 (collinear) or with no defined
     normal flags the point invalid, and it takes no part in region
-    growing. The growing graph is the window one ring wider: addresses in
-    the raster padded by its reach, and ring-ordered steps between them.
+    growing. The growing graph is the window one ring wider, and the raster
+    is padded by its reach: each point's moments are summed there in place
+    and read back at the point's address, which the graph keeps.
     """
-    n = len(pts)
     row, col = pixel_index(pts)
     half = (math.isqrt(k - 1) + 1) // 2  # the smallest odd square with at least k pixels is 2 * half + 1 wide
+    reach = half + 1
+    height, width = row.max() + 1 + 2 * reach, col.max() + 1 + 2 * reach
+    pixel = (row + reach) * width + col + reach
     c = pts - pts.mean(axis=0)  # centred on the frame, so the window sums cancel less
-    moments = np.zeros((row.max() + 1, col.max() + 1, 10))
-    moments[row, col] = np.column_stack([np.ones(n), c, c[:, _FIRST] * c[:, _SECOND]])
-    sums = _box_sum(moments, half)[row, col].T
+    moments = np.zeros((height, width, 10))
+    moments.reshape(-1, 10)[pixel] = np.column_stack([np.ones(len(pts)), c, c[:, _FIRST] * c[:, _SECOND]])
+    _box_sum(moments, half)
+    sums = moments.reshape(-1, 10)[pixel].T
     count = sums[0]
     mean = sums[1:4] / count
     cov = sums[4:] / count - mean[_FIRST] * mean[_SECOND]  # xx, xy, xz, yy, yz, zz
     _, _, normals, curvature, usable = _facing_normals(cov, pts)
     valid = (count >= 3) & usable
-    reach = half + 1
-    width = col.max() + 1 + 2 * reach
-    pixel = (row + reach) * width + col + reach
     return PointNormals(normals, curvature, valid, pixel, _window_offsets(reach, width))
 
 
@@ -189,17 +190,15 @@ def smallest_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     return low, high, vec, rank2 & ~close
 
 
-def _box_sum(image: np.ndarray, half: int) -> np.ndarray:
-    """Sum of each channel over the square window around every pixel, zero off the image."""
-    rows, cols = image.shape[:2]
-    padded = np.pad(image, ((half, half), (half, half), (0, 0)))
-    band = np.zeros((rows,) + padded.shape[1:])
+def _box_sum(image: np.ndarray, half: int) -> None:
+    """Overwrite each channel of image by its sums over squares 2 half + 1 wide; the border half wide reads zero."""
+    rows, cols = image.shape[0] - 2 * half, image.shape[1] - 2 * half
+    band = np.zeros((rows,) + image.shape[1:])
     for i in range(2 * half + 1):
-        band += padded[i : i + rows]
-    out = np.zeros(image.shape)
+        band += image[i : i + rows]
+    image.fill(0.0)
     for j in range(2 * half + 1):
-        out += band[:, j : j + cols]
-    return out
+        image[half : half + rows, half : half + cols] += band[:, j : j + cols]
 
 
 def _window_offsets(half: int, width: int) -> np.ndarray:

@@ -317,7 +317,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
                 p_d = p_ee
                 ctrl.pi_integral = 0.0
                 trigger_armed = False
-                x_tilde = pose_error(r_ee, p_ee, r_input, p_d)
+                x_tilde = (0.0, 0.0, 0.0) + x_tilde[3:]  # pose_error at p_d = p_ee: x - x is +0.0
                 x_tilde_ee = rotate_wrench(r_ee_t, x_tilde)
         else:
             trigger_armed = True

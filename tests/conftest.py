@@ -46,11 +46,15 @@ def flat_columns(flat_run):
     return rows_to_columns(flat_run.table)
 
 
+def noise_free(scenario):
+    """scenario with camera.noise_sigma = 0 and run.duration = 3."""
+    return replace(scenario, camera=replace(scenario.camera, noise_sigma=0.0), duration=3.0)
+
+
 @pytest.fixture(scope="session")
 def noise_free_run(reference_scenario):
     """reference.cfg with camera.noise_sigma = 0 and run.duration = 3."""
-    camera = replace(reference_scenario.camera, noise_sigma=0.0)
-    return run_scenario(replace(reference_scenario, camera=camera, duration=3.0))
+    return run_scenario(noise_free(reference_scenario))
 
 
 @pytest.fixture(scope="session")

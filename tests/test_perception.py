@@ -1,4 +1,5 @@
 from collections import deque
+import math
 import tracemalloc
 
 from hypothesis import assume, given, settings
@@ -6,12 +7,15 @@ from hypothesis import strategies as st
 import numpy as np
 import pytest
 
+from vauf import perception
 from vauf.camera import MOUNT_ROTATION, CameraModel, EmptyViewError, render
 from vauf.perception import (
     DegenerateSegmentError,
     NoSegmentError,
     PerceptionConfig,
     PointNormals,
+    _box_sum,
+    _facing_normals,
     estimate_point_normals,
     orientation_error,
     perceive,
@@ -110,6 +114,81 @@ class TestPointNormals:
         pts = np.column_stack([np.linspace(0, 1, 50), np.zeros(50), np.full(50, 0.3)])
         res = estimate_point_normals(pts, k=6)
         assert not res.valid.any()
+
+
+# the six second moments x*x, x*y, x*z, y*y, y*z, z*z
+FIRST, SECOND = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
+
+
+def padded_copy_window_sums(pts, k):
+    """(N, 10) window sums of the moments at each point's pixel, the way an
+    unpadded moment image, its np.pad copy and a [row, col] gather gave them."""
+    row, col = pixel_index(pts)
+    half = (math.isqrt(k - 1) + 1) // 2
+    c = pts - pts.mean(axis=0)
+    image = np.zeros((row.max() + 1, col.max() + 1, 10))
+    image[row, col] = np.column_stack([np.ones(len(pts)), c, c[:, FIRST] * c[:, SECOND]])
+    rows, cols = image.shape[:2]
+    padded = np.pad(image, ((half, half), (half, half), (0, 0)))
+    band = np.zeros((rows,) + padded.shape[1:])
+    for i in range(2 * half + 1):
+        band += padded[i : i + rows]
+    out = np.zeros(image.shape)
+    for j in range(2 * half + 1):
+        out += band[:, j : j + cols]
+    return out[row, col]
+
+
+def random_organized_cloud(rng, rows, cols):
+    """Points at random depths on a random share of a rows x cols pinhole grid.
+    The four corner pixels always hold a point, so windows cross every edge."""
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    kept = rng.random(rows * cols) < rng.uniform(0.3, 1.0)
+    kept[[0, cols - 1, (rows - 1) * cols, rows * cols - 1]] = True
+    z = rng.uniform(0.2, 0.4, kept.sum())
+    return np.column_stack([(c[kept] - 0.5 * cols) * 0.01 * z, (r[kept] - 0.5 * rows) * 0.01 * z, z])
+
+
+class TestWindowSums:
+    """Window sums taken in the growing raster and read at each point's
+    address, against the padded-copy sums they replaced, bit for bit."""
+
+    @staticmethod
+    def assert_matches_padded_copy(cloud, k, monkeypatch):
+        rasters = []
+
+        def box_sum(image, half):
+            _box_sum(image, half)
+            rasters.append(image)
+
+        monkeypatch.setattr(perception, "_box_sum", box_sum)
+        normals = estimate_point_normals(cloud, k)
+        (raster,) = rasters
+        sums = raster.reshape(-1, 10)[normals.pixel]
+        expected = padded_copy_window_sums(cloud, k)
+        assert sums.tobytes() == expected.tobytes()
+        # the raster region growing walks: a window one ring wider stays inside it
+        assert normals.pixel.max() + normals.offsets.max() < raster.shape[0] * raster.shape[1]
+        assert normals.pixel.min() + normals.offsets.min() >= 0
+        count, mean = expected[:, 0], expected[:, 1:4] / expected[:, :1]
+        cov = (expected[:, 4:] / expected[:, :1] - mean[:, FIRST] * mean[:, SECOND]).T
+        _, _, oracle_normals, curvature, usable = _facing_normals(cov, cloud)
+        assert normals.normals.tobytes() == oracle_normals.tobytes()
+        assert normals.curvature.tobytes() == curvature.tobytes()
+        assert np.array_equal(normals.valid, (count >= 3) & usable)
+
+    @pytest.mark.parametrize("half", [1, 2, 3, 4, 5])
+    def test_random_organized_clouds(self, half, monkeypatch):
+        rng = np.random.default_rng(half)
+        for _ in range(8):
+            rows, cols = rng.integers(1, 3 * half + 9, size=2)
+            self.assert_matches_padded_copy(random_organized_cloud(rng, rows, cols), (2 * half + 1) ** 2, monkeypatch)
+
+    @pytest.mark.parametrize("case", ["reference", "dense-64x48-k80"])
+    def test_rendered_frames(self, case, monkeypatch):
+        camera, cfg, height, n_frames = ORACLE_CASES[case]
+        for cloud in rendered_clouds(camera, height, n_frames):
+            self.assert_matches_padded_copy(cloud, cfg.k, monkeypatch)
 
 
 # entries zero or at least 1e-30 in magnitude, so no product the closed form

@@ -1,13 +1,18 @@
 """Closed-loop behavior of the shipped scenario configurations."""
 
 import hashlib
+from itertools import zip_longest
+import json
+import pathlib
 
 import numpy as np
 import pytest
 
 from vauf import runtime, tanks
+from vauf.config import parse_scenario
 from vauf.runtime import run_scenario
 from vauf.telemetry import COLUMNS, compute_metrics, read_csv, rows_to_columns, write_csv
+from conftest import SCENARIO_DIR, noise_free
 
 
 class TestReferenceScenario:
@@ -145,8 +150,75 @@ TELEMETRY_DIGESTS = {
 }
 
 
+# Where a pinned table differs: SHA-256 prefixes of the float64 bytes of each
+# DIGEST_BLOCK_ROWS-row block and of each column of the four pinned runs.
+DIGEST_BLOCK_ROWS = 1000
+TABLE_DIGESTS_PATH = pathlib.Path(__file__).resolve().parent / "data" / "table_digests.json"
+TABLES_MATCH = "every block and column digest matches"
+
+
+def _sha(array) -> str:
+    return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()[:16]
+
+
+def table_digests(table) -> dict:
+    return {
+        "blocks": [_sha(table[i : i + DIGEST_BLOCK_ROWS]) for i in range(0, len(table), DIGEST_BLOCK_ROWS)],
+        "columns": {name: _sha(table[:, j]) for j, name in enumerate(COLUMNS)},
+    }
+
+
+def where_tables_differ(table, pinned: dict) -> str:
+    """The first block whose digest differs from the pinned one, as a tick range, and the columns that differ."""
+    got = table_digests(table)
+    blocks = [i for i, (a, b) in enumerate(zip_longest(got["blocks"], pinned["blocks"])) if a != b]
+    if not blocks:
+        return TABLES_MATCH
+    columns = [name for name in COLUMNS if got["columns"][name] != pinned["columns"].get(name)]
+    start = blocks[0] * DIGEST_BLOCK_ROWS
+    return f"first differing block: ticks {start} to {start + DIGEST_BLOCK_ROWS - 1}; columns: {', '.join(columns)}"
+
+
+def rewrite_table_digests() -> None:
+    """Rewrite TABLE_DIGESTS_PATH from fresh runs of the four pinned scenarios, after a re-pin.
+
+    From the repository root:
+    PYTHONPATH=src:tests python -c "import test_scenarios; test_scenarios.rewrite_table_digests()"
+    """
+    reference = parse_scenario(SCENARIO_DIR / "reference.cfg")
+    scenarios = {
+        "flat_run": parse_scenario(SCENARIO_DIR / "flat_steady.cfg"),
+        "negative_run": parse_scenario(SCENARIO_DIR / "negative_control.cfg"),
+        "noise_free_run": noise_free(reference),
+        "reference_run": reference,
+    }
+    about = (f"SHA-256 prefixes of the float64 bytes of each {DIGEST_BLOCK_ROWS:,}-row block and each column of the "
+             "telemetry tables that TELEMETRY_DIGESTS pins; written by tests/test_scenarios.py rewrite_table_digests.")
+    digests = {name: table_digests(run_scenario(sc).table) for name, sc in scenarios.items()}
+    TABLE_DIGESTS_PATH.write_text(json.dumps({"about": about, **digests}, indent=1) + "\n")
+
+
 @pytest.mark.parametrize("run", sorted(TELEMETRY_DIGESTS))
 def test_telemetry_digest_pinned(run, request, tmp_path):
+    """The whole-file digest is the gate. On a mismatch the message names the
+    first 1,000-row block that differs, as a tick range, and the columns that
+    differ, from tests/data/table_digests.json; after a re-pin,
+    rewrite_table_digests() rewrites that file."""
+    table = request.getfixturevalue(run).table
     path = tmp_path / "telemetry.csv"
-    write_csv(request.getfixturevalue(run).table, path)
-    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == TELEMETRY_DIGESTS[run]
+    write_csv(table, path)
+    where = where_tables_differ(table, json.loads(TABLE_DIGESTS_PATH.read_text())[run])
+    assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == TELEMETRY_DIGESTS[run], where
+    assert where == TABLES_MATCH, "tests/data/table_digests.json is stale: run rewrite_table_digests()"
+
+
+def test_digest_report_names_block_and_column(reference_run):
+    pinned = table_digests(reference_run.table)
+    assert where_tables_differ(reference_run.table, pinned) == TABLES_MATCH
+    table = reference_run.table.copy()
+    column = COLUMNS.index("C")
+    table[4321, column] = np.nextafter(table[4321, column], np.inf)
+    assert where_tables_differ(table, pinned) == "first differing block: ticks 4000 to 4999; columns: C"
+    assert where_tables_differ(reference_run.table[:19_500], pinned) == (
+        "first differing block: ticks 19000 to 19999; columns: " + ", ".join(COLUMNS)
+    )

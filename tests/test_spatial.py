@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -18,6 +20,11 @@ from conftest import flat, is_rotation, mat, random_rotation, rotation_z
 
 ROTATION_VECTORS = st.lists(st.floats(-np.pi, np.pi), min_size=3, max_size=3).map(tuple)
 EYE = flat(np.eye(3))
+# any finite coordinate, with both zeros and the largest magnitudes drawn often
+COORDINATES = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.7976931348623157e308, -1.7976931348623157e308, 5e-324]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 # |log(exp(w)) - w| / |w| for |w| in [1e-12, 1e-6]; 200,000 random draws
 # gave at most 5.6e-16
 SMALL_ANGLE_REL_TOL = 1e-15
@@ -162,6 +169,16 @@ class TestPoseError:
         err = pose_error(rotation_z(0.3), (0.0, 0.0, 0.0), rotation_z(0.5), (0.0, 0.0, 0.0))
         torque_z = -1.0 * err[5]
         assert torque_z > 0.0  # current is behind desired, torque increases yaw
+
+    @given(
+        st.tuples(*[COORDINATES] * 3), st.tuples(*[COORDINATES] * 3), ROTATION_VECTORS, ROTATION_VECTORS
+    )
+    def test_error_at_own_position_is_positive_zero_translation(self, p, p_d, w, w_d):
+        # run_scenario's realignment re-latches p_d = p and writes the pose
+        # error as this identity instead of calling pose_error again
+        r, r_d = rotation_exp(w), rotation_exp(w_d)
+        expected = (0.0, 0.0, 0.0) + pose_error(r, p, r_d, p_d)[3:]
+        assert struct.pack("6d", *pose_error(r, p, r_d, p)) == struct.pack("6d", *expected)
 
 
 class TestQuaternion:

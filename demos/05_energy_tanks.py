@@ -27,30 +27,23 @@ dt = 1e-3
 print("active force injection (tool moving with the push): the tank pays")
 x_dot = np.array([0.0, 0.0, -0.05, 0.0, 0.0, 0.0])  # descending
 f_push = np.array([0.0, 0.0, -15.0, 0.0, 0.0, 0.0])  # base frame, pressing down
-
-
-def gates(s):
-    return valve_sigma(s, tank.s_lower, tank.ramp_eps), gate_beta(s, tank.s_upper, tank.ramp_eps)
-
-
 lam = lambda_selector(x_dot, f_push)
 for k in range(1300):
-    sigma, beta = gates(s)
+    sigma, beta = valve_sigma(s, tank), gate_beta(s, tank)
     s = force_tank_step(s, tank, x_dot, f_push, lam, sigma, beta, dt)
     if k % 300 == 0:
         print(f"  t={k * dt:.2f} s  S={s:.3f} J  sigma={sigma:.2f}  lam={lam}")
 
-print(f"  ... depleted to S={s:.3f} J, valve sigma={valve_sigma(s, 1.0, 0.1):.2f}")
+print(f"  ... depleted to S={s:.3f} J, valve sigma={valve_sigma(s, tank):.2f}")
 
 print("\npassive phase (tool moving against the push): the tank refills")
 lam = lambda_selector(-x_dot, f_push)
 for k in range(1300):
-    sigma, beta = gates(s)
+    sigma, beta = valve_sigma(s, tank), gate_beta(s, tank)
     s = force_tank_step(s, tank, -x_dot, f_push, lam, sigma, beta, dt)
     if k % 300 == 0:
         print(f"  t={k * dt:.2f} s  S={s:.3f} J  beta={beta:.2f}  lam={lam}")
-print(f"  ... refilled to S={s:.3f} J (capped at {tank.s_upper} J, beta -> "
-      f"{gate_beta(s, tank.s_upper, tank.ramp_eps):.2f})")
+print(f"  ... refilled to S={s:.3f} J (capped at {tank.s_upper} J, beta -> {gate_beta(s, tank):.2f})")
 
 print("\npassivity audit on a synthetic log where kinetic energy appears from nowhere:")
 n = 400

@@ -12,7 +12,6 @@ from .config import ConfigError, parse_scenario, parse_scenario_text, scenario_t
 from .controller import (
     ControllerConfig,
     ControllerState,
-    compose_command,
     damping_matrix,
     desired_orientation,
     force_wrench,
@@ -59,6 +58,7 @@ from .surface import ContactReport, HeightField, analytic_normal, contact_wrench
 from .tanks import (
     AuditReport,
     TankConfig,
+    compose_command,
     force_tank_step,
     gate_beta,
     impedance_tank_step,

@@ -8,10 +8,11 @@ square-root design on the current stiffness and inertia with a floor so the
 fully compliant robot is still damped. The force path is a scalar PI
 controller on the tool-z reaction error with an anti-windup clamp. Desired
 orientations are rebuilt from the perceived surface normal and blended in
-via a geodesic low-pass filter. Everything here runs on the control tick in
-floats and tuples (rotations row-major 9-tuples, wrenches and twists
-6-tuples in the frame named by the argument: ``_ee`` tool frame, otherwise
-base); numpy only validates the configuration.
+via a geodesic low-pass filter. The wrenches built here are ungated: the
+tank layer (`vauf.tanks`) gates them and composes the command. Everything
+here runs on the control tick in floats and tuples (rotations row-major
+9-tuples, wrenches and twists 6-tuples in the frame named by the argument:
+``_ee`` tool frame, otherwise base); numpy only validates the configuration.
 """
 
 from __future__ import annotations
@@ -161,22 +162,3 @@ def orientation_filter(state: ControllerState, dt: float, filter_time: float) ->
     state.t_filter += dt
     return out
 
-
-def compose_command(
-    f_damp: tuple, f_var: tuple, f_frc: tuple, rho_frc: float, lam: int, sigma_f: float, sigma_i: float
-) -> tuple:
-    """Tank-gated control wrench.
-
-    f = f_damp + sigma_i * f_var + rho_frc * (lam + sigma_f * (1 - lam)) * f_frc
-    where f_damp is the ungated damping (plus any constant-stiffness) part
-    and f_var = -K_var x_tilde is the variable-stiffness spring. With every
-    gate open this is plain unified force-impedance control.
-    """
-    g = rho_frc * (lam + sigma_f * (1.0 - lam))
-    d0, d1, d2, d3, d4, d5 = f_damp
-    v0, v1, v2, v3, v4, v5 = f_var
-    f0, f1, f2, f3, f4, f5 = f_frc
-    return (
-        d0 + sigma_i * v0 + g * f0, d1 + sigma_i * v1 + g * f1, d2 + sigma_i * v2 + g * f2,
-        d3 + sigma_i * v3 + g * f3, d4 + sigma_i * v4 + g * f4, d5 + sigma_i * v5 + g * f5,
-    )

@@ -6,8 +6,8 @@ runs on its own cadence with one full period of latency: the cloud rendered
 at one perception tick is processed at the next, so the last perception
 tick of a run renders nothing. The loop per control tick:
 
-    contact -> alignment monitor -> shaping -> realignment handling ->
-    controller -> tanks -> composed command -> plant step -> telemetry row
+    contact -> alignment monitor -> shaping -> realignment -> controller ->
+    tank gates and command -> plant step -> tank steps -> telemetry row
 
 The tick is Python floats and tuples from contact to plant step: the plant
 state is (r_ee, p_ee, twist) with r_ee a row-major rotation 9-tuple, the
@@ -24,10 +24,11 @@ caller must pass dt > 0, eps > 0 and zeta in [0, 1].
 Force-path sign convention: the policy, monitor and PI controller work with
 the desired and measured tool-z *reactions* on the tool, one float each
 (pressing into the surface reads +z in the tool frame), so the thrust the
-robot must exert is the negated PI output. The force tank sees the
-rho_frc-shaped thrust (its actual gated port) and none of the damper power,
-which the impedance tank claims; routing the damper to both would count the
-same dissipation twice and break the energy ledger.
+robot must exert is the negated PI output. Shaped by rho_frc it is the
+force port, one tuple per tick that lam reads, the command gates and the
+force tank books. The force tank sees none of the damper power, which the
+impedance tank claims; routing the damper to both would count the same
+dissipation twice and break the energy ledger.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .camera import CameraModel, EmptyViewError, camera_pose_from_tool, render
 from .controller import (
     ControllerConfig,
     ControllerState,
-    compose_command,
     damping_matrix,
     desired_orientation,
     force_wrench,
@@ -75,6 +75,7 @@ from .spatial import (
 from .surface import HeightField, contact_wrench
 from .tanks import (
     TankConfig,
+    compose_command,
     force_tank_step,
     gate_beta,
     impedance_tank_step,
@@ -330,24 +331,21 @@ def run_scenario(scenario: Scenario) -> RunResult:
         v0, v1, v2, v3, v4, v5 = twist
         f_damp = (-d0 * v0, -d1 * v1, -d2 * v2, -d3 * v3, -d4 * v4, -d5 * v5)
         f_var = spring_wrench(k_var, x_tilde)
-        # the commanded thrust opposes the target reaction
+        # the force port: the commanded thrust opposes the target reaction, shaped by rho_frc
         a0, a1, a2, a3, a4, a5 = force_wrench(f_d_z, f_ext_ee[2], ctrl, r_ee, dt, sc.controller)
-        f_app = (-a0, -a1, -a2, -a3, -a4, -a5)
+        f_force = (-a0 * rho_f, -a1 * rho_f, -a2 * rho_f, -a3 * rho_f, -a4 * rho_f, -a5 * rho_f)
 
         # --- lam and the tank gates from the pre-step state drive this tick's
         # command and both tank steps; the tank energies themselves are
         # integrated after the plant step with the midpoint twist so the power
         # ledger matches the work actually done on the semi-implicit plant
-        f_tank = (-a0 * rho_f, -a1 * rho_f, -a2 * rho_f, -a3 * rho_f, -a4 * rho_f, -a5 * rho_f)
-        lam = lambda_selector(twist, f_tank)
-        sigma_f = valve_sigma(s_f, tank_f.s_lower, tank_f.ramp_eps)
-        beta_f = gate_beta(s_f, tank_f.s_upper, tank_f.ramp_eps)
-        sigma_i = valve_sigma(s_i, tank_i.s_lower, tank_i.ramp_eps)
-        beta_i = gate_beta(s_i, tank_i.s_upper, tank_i.ramp_eps)
+        lam = lambda_selector(twist, f_force)
+        sigma_f, beta_f = valve_sigma(s_f, tank_f), gate_beta(s_f, tank_f)
+        sigma_i, beta_i = valve_sigma(s_i, tank_i), gate_beta(s_i, tank_i)
         sigma_f_used = 1.0 if sc.valves_forced_open else sigma_f
         sigma_i_used = 1.0 if sc.valves_forced_open else sigma_i
 
-        f_cmd = compose_command(f_damp, f_var, f_app, rho_f, lam, sigma_f_used, sigma_i_used)
+        f_cmd = compose_command(f_damp, f_var, f_force, lam, sigma_f_used, sigma_i_used)
 
         try:
             r_next, p_next, twist_next = plant_step(r_ee, p_ee, twist, m_diag, f_cmd, f_ext_base, dt)
@@ -358,7 +356,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
         twist_mid = (
             0.5 * (v0 + n0), 0.5 * (v1 + n1), 0.5 * (v2 + n2), 0.5 * (v3 + n3), 0.5 * (v4 + n4), 0.5 * (v5 + n5)
         )
-        s_f = force_tank_step(s_f, tank_f, twist_mid, f_tank, lam, sigma_f, beta_f, dt)
+        s_f = force_tank_step(s_f, tank_f, twist_mid, f_force, lam, sigma_f, beta_f, dt)
         s_i = impedance_tank_step(s_i, tank_i, twist_mid, d, f_var, sigma_i, beta_i, dt)
 
         # --- telemetry row k, in COLUMNS order

@@ -3,14 +3,15 @@
 Each tank is a scalar storage exchanging power with its controller through a
 power-preserving interconnection: the valve sigma gates energy withdrawal
 (zero once the tank is depleted to its lower limit), the gate beta stops
-refilling at the upper limit. `TankConfig` holds a tank's start energy,
-band and ramp width, all in joules; the loop carries each tank's energy S as
-a float. A step integrates S directly from the port powers, so the per-tick
-bookkeeping is exact, then clamps it to the band. The loop evaluates lam
-and the gates once per tick, from the pre-step state, and hands the same
-values to the command and to both tank steps. The steps run on the control
-tick in Python floats on 6-tuples; the audit is numpy over the telemetry
-table, one block of rows at a time.
+refilling at the upper limit. `TankConfig` holds a tank's start energy, band
+and ramp width, all in joules; the gates and the steps read the band from it.
+A step integrates the tank energy S, a float the loop carries, directly from
+the port powers, then clamps it to the band. Each tick the loop hands one
+force-port tuple (the rho_frc-shaped thrust) to `lambda_selector`,
+`compose_command` and `force_tank_step`, and the same pre-step lam and gates
+to the command and both steps, so the ledger books the ports the command
+applied. All of it runs on the control tick in Python floats on 6-tuples;
+the audit is numpy over the telemetry table, one block of rows at a time.
 
 The audit replays a run's telemetry table against the scenario the run used
 (its mass, control period and tank start energies) and checks, tick by
@@ -48,14 +49,31 @@ def _dot6(a: tuple, b: tuple) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] + a[4] * b[4] + a[5] * b[5]
 
 
-def valve_sigma(s_t: float, s_lower: float, eps: float) -> float:
-    """0 at or below the lower limit, linear ramp of width eps, then 1."""
-    return min(max((s_t - s_lower) / eps, 0.0), 1.0)
+def valve_sigma(s_t: float, tank: TankConfig) -> float:
+    """0 at or below the tank's lower limit, linear ramp of width ramp_eps, then 1."""
+    return min(max((s_t - tank.s_lower) / tank.ramp_eps, 0.0), 1.0)
 
 
-def gate_beta(s_t: float, s_upper: float, eps: float) -> float:
-    """1 well below the upper limit, ramping down to 0 at the limit."""
-    return min(max((s_upper - s_t) / eps, 0.0), 1.0)
+def gate_beta(s_t: float, tank: TankConfig) -> float:
+    """1 well below the tank's upper limit, ramping down to 0 at the limit."""
+    return min(max((tank.s_upper - s_t) / tank.ramp_eps, 0.0), 1.0)
+
+
+def compose_command(f_damp: tuple, f_var: tuple, f_force: tuple, lam: int, sigma_f: float, sigma_i: float) -> tuple:
+    """Tank-gated control wrench f_damp + sigma_i * f_var + (lam + sigma_f * (1 - lam)) * f_force.
+
+    f_damp is the ungated damper part, f_var = -K_var x_tilde the variable
+    spring and f_force the force port. With every gate open this is plain
+    unified force-impedance control.
+    """
+    g = lam + sigma_f * (1.0 - lam)
+    d0, d1, d2, d3, d4, d5 = f_damp
+    v0, v1, v2, v3, v4, v5 = f_var
+    f0, f1, f2, f3, f4, f5 = f_force
+    return (
+        d0 + sigma_i * v0 + g * f0, d1 + sigma_i * v1 + g * f1, d2 + sigma_i * v2 + g * f2,
+        d3 + sigma_i * v3 + g * f3, d4 + sigma_i * v4 + g * f4, d5 + sigma_i * v5 + g * f5,
+    )
 
 
 def _integrate_energy(s: float, tank: TankConfig, power: float, dt: float) -> float:

@@ -104,7 +104,6 @@ class AxisStats:
 class RunMetrics:
     """Tracking metrics over the contact phase (rho_frc > 0.5)."""
 
-    applicable: bool
     contact_ticks: int
     position: tuple  # AxisStats per x, y, z
     force_z: AxisStats | None
@@ -112,6 +111,10 @@ class RunMetrics:
     tank_force_range: tuple
     rho_align_stats: tuple  # (min, max, mean)
     rho_frc_stats: tuple
+
+    @property
+    def applicable(self) -> bool:
+        return self.contact_ticks > 0
 
 
 def compute_metrics(columns: dict) -> RunMetrics:
@@ -133,7 +136,6 @@ def compute_metrics(columns: dict) -> RunMetrics:
         )
         force_z = _axis_stats(columns["fext_ee_fz"][mask] - rho_f[mask] * columns["fd_ee_z"][mask])
     return RunMetrics(
-        applicable=contact_ticks > 0,
         contact_ticks=contact_ticks,
         position=position,
         force_z=force_z,

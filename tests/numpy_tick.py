@@ -189,6 +189,7 @@ def orientation_filter(state, dt, filter_time):
 
 
 def compose_command(f_damp, f_var, f_frc, rho_frc, lam, sigma_f, sigma_i):
+    # the rho form: rho_frc scales the gate, and f_frc is the unshaped thrust
     return f_damp + sigma_i * f_var + rho_frc * (lam + sigma_f * (1.0 - lam)) * f_frc
 
 
@@ -305,10 +306,8 @@ def run_numpy_loop(sc):
         f_app = force_wrench(f_d_z, f_ext_ee[2], ctrl, r_ee, dt, sc.controller) * -1.0
         f_tank = f_app * rho_f
         lam = lambda_selector(twist, f_tank)
-        sigma_f = valve_sigma(s_f, tank_f.s_lower, tank_f.ramp_eps)
-        beta_f = gate_beta(s_f, tank_f.s_upper, tank_f.ramp_eps)
-        sigma_i = valve_sigma(s_i, tank_i.s_lower, tank_i.ramp_eps)
-        beta_i = gate_beta(s_i, tank_i.s_upper, tank_i.ramp_eps)
+        sigma_f, beta_f = valve_sigma(s_f, tank_f), gate_beta(s_f, tank_f)
+        sigma_i, beta_i = valve_sigma(s_i, tank_i), gate_beta(s_i, tank_i)
         sigma_f_used = 1.0 if sc.valves_forced_open else sigma_f
         sigma_i_used = 1.0 if sc.valves_forced_open else sigma_i
         f_cmd = compose_command(f_damp, f_var, f_app, rho_f, lam, sigma_f_used, sigma_i_used)

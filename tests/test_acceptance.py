@@ -243,8 +243,9 @@ def test_criterion_7_example_oracles():
     # force shaping cosine midpoint
     checks.append(abs(vauf.rho_frc(15.0, 0.02, 0.04) - 0.5) < 1e-12)
     # valve/gate ramp midpoints and the passivity selector boundary
-    checks.append(vauf.valve_sigma(1.1, 1.0, 0.2) == pytest.approx(0.5))
-    checks.append(vauf.gate_beta(1.9, 2.0, 0.2) == pytest.approx(0.5))
+    tank = vauf.TankConfig(s0=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.2)
+    checks.append(vauf.valve_sigma(1.1, tank) == pytest.approx(0.5))
+    checks.append(vauf.gate_beta(1.9, tank) == pytest.approx(0.5))
     checks.append(vauf.lambda_selector(np.array([1.0, 0, 0, 0, 0, 0]), np.zeros(6)) == 0)
     ok = all(checks)
     report("7 example-oracles", ok, f"{sum(checks)}/{len(checks)} spot checks (full suite enforces the rest)")

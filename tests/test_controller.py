@@ -5,7 +5,6 @@ from vauf.controller import (
     ControllerConfig,
     ControllerState,
     D_FLOOR,
-    compose_command,
     damping_matrix,
     desired_orientation,
     force_wrench,
@@ -264,53 +263,6 @@ class TestOrientationFilter:
                 assert np.array_equal(orientation_filter(st, 7e-3, filter_time), r_d)
                 assert zetas[0] == 0.0
                 assert all(0.0 <= z < 1.0 for z in zetas)
-
-
-class TestComposeCommand:
-    def _parts(self):
-        f_damp = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
-        f_var = (0.0, -2.0, 0.0, 0.0, 0.0, 0.0)
-        f_frc = (0.0, 0.0, -15.0, 0.0, 0.0, 0.0)
-        return f_damp, f_var, f_frc
-
-    def test_all_gates_open_is_plain_sum(self):
-        f_damp, f_var, f_frc = self._parts()
-        out = compose_command(f_damp, f_var, f_frc, 1.0, 1, 1.0, 1.0)
-        assert np.allclose(out, np.add(f_damp, f_var) + f_frc)
-
-    def test_depleted_force_tank_blocks_active_force(self):
-        f_damp, f_var, f_frc = self._parts()
-        out = compose_command(f_damp, f_var, f_frc, 1.0, 0, 0.0, 1.0)
-        assert np.allclose(out, np.add(f_damp, f_var))
-
-    def test_contact_loss_gives_pure_impedance(self):
-        f_damp, f_var, f_frc = self._parts()
-        out = compose_command(f_damp, f_var, f_frc, 0.0, 1, 1.0, 1.0)
-        assert np.allclose(out, np.add(f_damp, f_var))
-
-    def test_passive_demand_bypasses_the_valve(self):
-        # with lam = 1 the force path is applied directly; sigma_f is moot
-        f_damp, f_var, f_frc = self._parts()
-        gated = compose_command(f_damp, f_var, f_frc, 1.0, 1, 0.0, 1.0)
-        open_valve = compose_command(f_damp, f_var, f_frc, 1.0, 1, 1.0, 1.0)
-        assert np.allclose(gated, open_valve)
-
-    def test_linearity_in_each_gate(self):
-        rng = np.random.default_rng(2)
-        f_damp, f_var, f_frc = (rng.normal(size=6) for _ in range(3))
-
-        def f(rho, lam, sf, si):
-            return compose_command(f_damp, f_var, f_frc, rho, lam, sf, si)
-
-        base = f(0.0, 0, 0.0, 0.0)
-        mid = f(0.5, 0, 0.5, 0.5)
-        # linear in sigma_i
-        assert np.allclose(np.subtract(f(0.5, 0, 0.5, 1.0), mid), np.subtract(mid, f(0.5, 0, 0.5, 0.0)))
-        # linear in rho_frc
-        assert np.allclose(np.subtract(f(1.0, 0, 0.5, 0.5), mid), np.subtract(mid, f(0.0, 0, 0.5, 0.5)))
-        # linear in sigma_f at lam = 0
-        assert np.allclose(np.subtract(f(0.5, 0, 1.0, 0.5), mid), np.subtract(mid, f(0.5, 0, 0.0, 0.5)))
-        assert base is not None
 
 
 class TestFreeSpaceDissipativity:

@@ -24,7 +24,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import numpy_tick as oracle
-from vauf import perception, runtime
+from vauf import perception, runtime, tanks
 from vauf.controller import ControllerConfig, damping_matrix, spring_wrench, variable_stiffness
 from vauf.spatial import pose_error, rotate_wrench, rotation_exp, rotation_to_quaternion
 from vauf.surface import SLIP_SPEED_EPS, HeightField, contact_wrench
@@ -39,6 +39,11 @@ WRENCHES = st.tuples(*[st.floats(-100.0, 100.0)] * 6)
 
 def rotations():
     return VECTOR3.map(rotation_exp)
+
+
+def normal_floats(lo, hi):
+    """0 or at least 1e-100 in magnitude: products of three stay normal floats, where ulp bounds hold."""
+    return st.floats(lo, hi).filter(lambda x: x == 0.0 or abs(x) >= 1e-100)
 
 
 class TestHelpersAgainstNumpy:
@@ -77,6 +82,25 @@ class TestHelpersAgainstNumpy:
         assert np.abs(np.subtract(d, d_ref)).max() <= 1e-12
         spring_ref = -k_ref @ np.array(x_tilde)
         assert np.abs(np.subtract(spring_wrench(k_var, x_tilde), spring_ref)).max() <= 1e-11
+
+    @given(
+        st.tuples(WRENCHES, WRENCHES, st.tuples(*[normal_floats(-100.0, 100.0)] * 6)),
+        normal_floats(0.0, 1.0), st.sampled_from([0, 1]), normal_floats(0.0, 1.0), UNIT.map(abs),
+    )
+    def test_compose_command_port_form(self, wrenches, rho, lam, sigma_f, sigma_i):
+        # the loop's force port is the thrust times rho; the numpy command
+        # scales the gate by rho instead: (rho G) f against G (f rho)
+        f_damp, f_var, f_app = wrenches
+        port = tuple(c * rho for c in f_app)
+        got = np.array(tanks.compose_command(f_damp, f_var, port, lam, sigma_f, sigma_i))
+        ref = oracle.compose_command(np.array(f_damp), np.array(f_var), np.array(f_app), rho, lam, sigma_f, sigma_i)
+        if lam == 1 or sigma_f in (0.0, 1.0) or rho in (0.0, 1.0):
+            assert got.tobytes() == ref.tobytes()
+        # the gated port alone: two roundings on each side, at most 2 ulp apart
+        zero = (0.0,) * 6
+        got = tanks.compose_command(zero, zero, port, lam, sigma_f, sigma_i)
+        ref = oracle.compose_command(np.zeros(6), np.zeros(6), np.array(f_app), rho, lam, sigma_f, sigma_i)
+        assert all(abs(a - b) <= 2 * math.ulp(max(abs(a), abs(b))) for a, b in zip(got, ref.tolist()))
 
 
 def assert_contact_matches(surface, position, twist, radius=0.02):

@@ -71,14 +71,28 @@ def ledger_run(scenario):
 
     The force tank's entries also carry the lam it booked. Each power is
     recomputed from the step's own arguments, as the port power the ledger
-    must book with the gates it was handed.
+    must book with the gates it was handed. `lambda_selector` and
+    `compose_command` are wrapped too: calls["port"] holds, per force-tank
+    step, whether the selector, the command and the step of that tick
+    received the very same force-port tuple object.
     """
-    calls = {"f": [], "i": []}
+    calls = {"f": [], "i": [], "port": []}
+    ports = []  # the force ports the tick's selector and command received
+    selector, command = runtime.lambda_selector, runtime.compose_command
+
+    def selector_spy(x_dot, f_f):
+        ports[:] = [f_f]
+        return selector(x_dot, f_f)
+
+    def command_spy(f_damp, f_var, f_force, *gates):
+        ports.append(f_force)
+        return command(f_damp, f_var, f_force, *gates)
 
     def dot(a, b):  # left to right, as the float tick sums
         return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] + a[4] * b[4] + a[5] * b[5]
 
     def force(s, tank, x_dot, f_f, lam, sigma, beta, dt):
+        calls["port"].append(len(ports) == 2 and ports[0] is ports[1] is f_f)
         out = tanks.force_tank_step(s, tank, x_dot, f_f, lam, sigma, beta, dt)
         p_force = dot(x_dot, f_f)
         calls["f"].append((s, lam * beta * -p_force - sigma * (1 - lam) * p_force, out, lam))
@@ -91,6 +105,8 @@ def ledger_run(scenario):
         return out
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(runtime, "lambda_selector", selector_spy)
+        mp.setattr(runtime, "compose_command", command_spy)
         mp.setattr(runtime, "force_tank_step", force)
         mp.setattr(runtime, "impedance_tank_step", impedance)
         result = run_scenario(scenario)
@@ -117,6 +133,14 @@ class TestTankLedger:
         lam = rows_to_columns(result.table)["lam"]
         assert len(calls["f"]) == len(lam)
         assert np.count_nonzero(calls["f"][:, 3] != lam) == 0
+
+    @pytest.mark.parametrize("scenario", ["reference_scenario", "flat_scenario", "negative_scenario"])
+    def test_one_force_port_per_tick(self, scenario, ledger):
+        # lam, the command and the force tank read the same tuple: the ledger
+        # books the very port the command applied
+        result, calls = ledger(scenario)
+        assert len(calls["port"]) == len(result.table)
+        assert calls["port"].all()
 
     def test_per_tank_identity_exact_on_reference(self, ledger, reference_scenario, reference_run):
         result, calls = ledger("reference_scenario")

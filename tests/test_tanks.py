@@ -12,6 +12,7 @@ from vauf.tanks import (
     AuditReport,
     TankConfig,
     _integrate_energy,
+    compose_command,
     force_tank_step,
     gate_beta,
     impedance_tank_step,
@@ -27,11 +28,6 @@ IMP_TANK = TankConfig(s0=24.5, s_upper=32.0, s_lower=1.0, ramp_eps=0.2)
 
 def wrench_z(fz):
     return np.array([0.0, 0.0, fz, 0.0, 0.0, 0.0])
-
-
-def gates(s, tank):
-    """(sigma, beta) of a tank at energy s, as the loop computes them."""
-    return valve_sigma(s, tank.s_lower, tank.ramp_eps), gate_beta(s, tank.s_upper, tank.ramp_eps)
 
 
 class TestLambdaSelector:
@@ -50,35 +46,82 @@ class TestLambdaSelector:
 
 class TestValves:
     def test_sigma_at_lower_limit(self):
-        assert valve_sigma(1.0, 1.0, 0.2) == 0.0
+        assert valve_sigma(1.0, FORCE_TANK) == 0.0
 
     def test_sigma_mid_ramp(self):
-        assert valve_sigma(1.1, 1.0, 0.2) == pytest.approx(0.5)
+        assert valve_sigma(1.1, FORCE_TANK) == pytest.approx(0.5)
 
     def test_sigma_saturated(self):
-        assert valve_sigma(5.0, 1.0, 0.2) == 1.0
+        assert valve_sigma(5.0, FORCE_TANK) == 1.0
 
     def test_beta_at_upper_limit(self):
-        assert gate_beta(2.0, 2.0, 0.2) == 0.0
+        assert gate_beta(2.0, FORCE_TANK) == 0.0
 
     def test_beta_mid_ramp(self):
-        assert gate_beta(1.9, 2.0, 0.2) == pytest.approx(0.5)
+        assert gate_beta(1.9, FORCE_TANK) == pytest.approx(0.5)
 
     def test_beta_far_below(self):
-        assert gate_beta(0.5, 2.0, 0.2) == 1.0
+        assert gate_beta(0.5, FORCE_TANK) == 1.0
 
     def test_continuity(self):
         eps = 1e-6
         for s in np.linspace(0.8, 2.2, 500):
-            assert abs(valve_sigma(s + eps, 1.0, 0.2) - valve_sigma(s, 1.0, 0.2)) <= eps / 0.2 + 1e-12
-            assert abs(gate_beta(s + eps, 2.0, 0.2) - gate_beta(s, 2.0, 0.2)) <= eps / 0.2 + 1e-12
+            assert abs(valve_sigma(s + eps, FORCE_TANK) - valve_sigma(s, FORCE_TANK)) <= eps / 0.2 + 1e-12
+            assert abs(gate_beta(s + eps, FORCE_TANK) - gate_beta(s, FORCE_TANK)) <= eps / 0.2 + 1e-12
+
+
+class TestComposeCommand:
+    # the force port arrives shaped: rho_frc * thrust, as the loop builds it
+    def _parts(self):
+        f_damp = (0.0, 0.0, -1.0, 0.0, 0.0, 0.0)
+        f_var = (0.0, -2.0, 0.0, 0.0, 0.0, 0.0)
+        f_force = (0.0, 0.0, -15.0, 0.0, 0.0, 0.0)
+        return f_damp, f_var, f_force
+
+    def test_all_gates_open_is_plain_sum(self):
+        f_damp, f_var, f_force = self._parts()
+        out = compose_command(f_damp, f_var, f_force, 1, 1.0, 1.0)
+        assert np.allclose(out, np.add(f_damp, f_var) + f_force)
+
+    def test_depleted_force_tank_blocks_active_force(self):
+        f_damp, f_var, f_force = self._parts()
+        out = compose_command(f_damp, f_var, f_force, 0, 0.0, 1.0)
+        assert np.allclose(out, np.add(f_damp, f_var))
+
+    def test_contact_loss_gives_pure_impedance(self):
+        # rho_frc = 0 shapes the force port to zero
+        f_damp, f_var, f_force = self._parts()
+        out = compose_command(f_damp, f_var, tuple(0.0 * c for c in f_force), 1, 1.0, 1.0)
+        assert np.allclose(out, np.add(f_damp, f_var))
+
+    def test_passive_demand_bypasses_the_valve(self):
+        # with lam = 1 the force port is applied directly; sigma_f is moot
+        f_damp, f_var, f_force = self._parts()
+        gated = compose_command(f_damp, f_var, f_force, 1, 0.0, 1.0)
+        open_valve = compose_command(f_damp, f_var, f_force, 1, 1.0, 1.0)
+        assert np.allclose(gated, open_valve)
+
+    def test_linearity_in_each_gate(self):
+        rng = np.random.default_rng(2)
+        f_damp, f_var, f_force = (rng.normal(size=6) for _ in range(3))
+
+        def f(scale, lam, sf, si):  # scale stands in for rho_frc, folded into the port
+            return compose_command(f_damp, f_var, tuple(scale * f_force), lam, sf, si)
+
+        mid = f(0.5, 0, 0.5, 0.5)
+        # linear in sigma_i
+        assert np.allclose(np.subtract(f(0.5, 0, 0.5, 1.0), mid), np.subtract(mid, f(0.5, 0, 0.5, 0.0)))
+        # linear in the port's scale
+        assert np.allclose(np.subtract(f(1.0, 0, 0.5, 0.5), mid), np.subtract(mid, f(0.0, 0, 0.5, 0.5)))
+        # linear in sigma_f at lam = 0
+        assert np.allclose(np.subtract(f(0.5, 0, 1.0, 0.5), mid), np.subtract(mid, f(0.5, 0, 0.0, 0.5)))
 
 
 class TestForceTankStep:
     def test_full_tank_passive_demand_stays_full(self):
         # beta = 0 at the upper limit: no refill, and lam = 1 blocks withdrawal
         x_dot = np.array([0.0, 0.0, 0.5, 0.0, 0.0, 0.0])
-        sigma, beta = gates(FORCE_TANK.s0, FORCE_TANK)
+        sigma, beta = valve_sigma(FORCE_TANK.s0, FORCE_TANK), gate_beta(FORCE_TANK.s0, FORCE_TANK)
         lam = lambda_selector(x_dot, wrench_z(-10.0))
         assert lam == 1 and beta == 0.0
         new = force_tank_step(FORCE_TANK.s0, FORCE_TANK, x_dot, wrench_z(-10.0), lam, sigma, beta, 1e-3)
@@ -88,7 +131,7 @@ class TestForceTankStep:
         # 1 W injected with sigma = 1: tank pays ~1 mJ over the tick
         s = 1.6
         x_dot = np.array([0.0, 0.0, 0.1, 0.0, 0.0, 0.0])
-        sigma, beta = gates(s, FORCE_TANK)
+        sigma, beta = valve_sigma(s, FORCE_TANK), gate_beta(s, FORCE_TANK)
         lam = lambda_selector(x_dot, wrench_z(10.0))
         assert lam == 0 and sigma == 1.0
         new = force_tank_step(s, FORCE_TANK, x_dot, wrench_z(10.0), lam, sigma, beta, 1e-3)
@@ -96,7 +139,8 @@ class TestForceTankStep:
 
     def test_zero_twist_unchanged(self):
         s = FORCE_TANK.s0
-        new = force_tank_step(s, FORCE_TANK, np.zeros(6), wrench_z(-10.0), 0, *gates(s, FORCE_TANK), 1e-3)
+        sigma, beta = valve_sigma(s, FORCE_TANK), gate_beta(s, FORCE_TANK)
+        new = force_tank_step(s, FORCE_TANK, np.zeros(6), wrench_z(-10.0), 0, sigma, beta, 1e-3)
         assert new == s
 
     def test_power_bookkeeping_exact(self):
@@ -106,7 +150,7 @@ class TestForceTankStep:
             x_dot = rng.normal(0, 0.05, 6)
             f = np.concatenate([rng.normal(0, 5, 3), rng.normal(0, 1, 3)])
             lam = lambda_selector(x_dot, f)
-            sigma, beta = gates(s, FORCE_TANK)
+            sigma, beta = valve_sigma(s, FORCE_TANK), gate_beta(s, FORCE_TANK)
             p_force = float(x_dot @ f)
             expect = -lam * beta * p_force - sigma * (1 - lam) * p_force
             new = force_tank_step(s, FORCE_TANK, x_dot, f, lam, sigma, beta, 1e-3)
@@ -131,7 +175,7 @@ class TestForceTankStep:
 class TestImpedanceTankStep:
     def test_zero_twist_unchanged(self):
         s = IMP_TANK.s0
-        sigma, beta = gates(s, IMP_TANK)
+        sigma, beta = valve_sigma(s, IMP_TANK), gate_beta(s, IMP_TANK)
         new = impedance_tank_step(s, IMP_TANK, np.zeros(6), np.ones(6), -np.ones(6), sigma, beta, 1e-3)
         assert new == s
 
@@ -141,7 +185,7 @@ class TestImpedanceTankStep:
         x_dot = np.array([0.1, 0, 0, 0, 0, 0])
         assert (x_dot * d) @ x_dot == pytest.approx(2.0)
         s = IMP_TANK.s0
-        sigma, beta = gates(s, IMP_TANK)
+        sigma, beta = valve_sigma(s, IMP_TANK), gate_beta(s, IMP_TANK)
         assert beta == 1.0
         new = impedance_tank_step(s, IMP_TANK, x_dot, d, np.zeros(6), sigma, beta, 1e-3)
         assert new - s == pytest.approx(2e-3, abs=1e-12)
@@ -154,7 +198,7 @@ class TestImpedanceTankStep:
         s = 32.0
         d = np.array([200.0, 0, 0, 0, 0, 0])
         x_dot = np.array([0.5, 0, 0, 0, 0, 0])
-        sigma, beta = gates(s, IMP_TANK)
+        sigma, beta = valve_sigma(s, IMP_TANK), gate_beta(s, IMP_TANK)
         assert beta == 0.0
         new = impedance_tank_step(s, IMP_TANK, x_dot, d, np.zeros(6), sigma, beta, 1e-3)
         assert new <= 32.0 + 1e-9
@@ -181,8 +225,10 @@ class TestBandInvariant:
             f = np.concatenate([rng.normal(0, 20, 3), rng.normal(0, 5, 3)])
             d = rng.uniform(0, 120, 6)
             k = np.diag(rng.uniform(0, 1000, 6))
-            sf = force_tank_step(sf, FORCE_TANK, x_dot, f, lambda_selector(x_dot, f), *gates(sf, FORCE_TANK), 1e-3)
-            si = impedance_tank_step(si, IMP_TANK, x_dot, d, -k @ x_tilde, *gates(si, IMP_TANK), 1e-3)
+            gates_f = valve_sigma(sf, FORCE_TANK), gate_beta(sf, FORCE_TANK)
+            gates_i = valve_sigma(si, IMP_TANK), gate_beta(si, IMP_TANK)
+            sf = force_tank_step(sf, FORCE_TANK, x_dot, f, lambda_selector(x_dot, f), *gates_f, 1e-3)
+            si = impedance_tank_step(si, IMP_TANK, x_dot, d, -k @ x_tilde, *gates_i, 1e-3)
             assert 1.0 - 1e-9 <= sf <= 2.0 + 1e-9
             assert 1.0 - 1e-9 <= si <= 32.0 + 1e-9
 

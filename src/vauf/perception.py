@@ -16,6 +16,10 @@ like a collinear one. Region growing clusters points whose normals stay
 within an angular threshold of the region seed, over a pixel window one
 ring wider, stepping through the same raster, where a missing or padding
 pixel is never free; a segment is its member indices.
+The raster's moments and the band its box sums pass through are two
+process-wide buffers, grown to the largest frame seen and zeroed on each
+frame, so a stream of frames keeps one steady working set: shared state,
+for single-threaded use.
 The working segment's covariance goes through the same function as a
 window's for the surface normal and the local-curvature ratio, with no
 LAPACK call. Everything is deterministic for a given cloud.
@@ -125,16 +129,37 @@ def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
     height, width = row.max() + 1 + 2 * reach, col.max() + 1 + 2 * reach
     pixel = (row + reach) * width + col + reach
     c = pts - pts.mean(axis=0)  # centred on the frame, so the window sums cancel less
-    moments = np.zeros((height, width, 10))
-    moments.reshape(-1, 10)[pixel] = np.column_stack([np.ones(len(pts)), c, c[:, _FIRST] * c[:, _SECOND]])
+    moments = _workspace("moments", (height, width, 10))
+    channels = moments.reshape(-1, 10).T  # count, x, y, z, then the six second moments, each a view of the raster
+    channels[0][pixel] = 1.0
+    for i in range(3):
+        channels[1 + i][pixel] = c[:, i]
+    for m, (i, j) in enumerate(zip(_FIRST, _SECOND), 4):
+        channels[m][pixel] = c[:, i] * c[:, j]
     _box_sum(moments, half)
-    sums = moments.reshape(-1, 10)[pixel].T
-    count = sums[0]
-    mean = sums[1:4] / count
-    cov = sums[4:] / count - mean[_FIRST] * mean[_SECOND]  # xx, xy, xz, yy, yz, zz
+    count = channels[0][pixel]
+    mean = [channels[1 + i][pixel] / count for i in range(3)]
+    cov = np.empty((6, len(pts)))  # xx, xy, xz, yy, yz, zz
+    for m, (i, j) in enumerate(zip(_FIRST, _SECOND)):
+        cov[m] = channels[m + 4][pixel] / count - mean[i] * mean[j]
     _, _, normals, curvature, usable = _facing_normals(cov, pts)
     valid = (count >= 3) & usable
     return PointNormals(normals, curvature, valid, pixel, _window_offsets(reach, width))
+
+
+# The moments raster and _box_sum's band, kept for the process: a stream of
+# frames does not hand them back to the allocator and fault them in again
+_WORKSPACE = {"moments": np.empty(0), "band": np.empty(0)}
+
+
+def _workspace(name: str, shape: tuple) -> np.ndarray:
+    """The named workspace buffer as a zeroed float64 array of this shape."""
+    size = math.prod(shape)
+    if _WORKSPACE[name].size < size:
+        _WORKSPACE[name] = np.empty(size)
+    buffer = _WORKSPACE[name][:size].reshape(shape)
+    buffer.fill(0.0)
+    return buffer
 
 
 def _facing_normals(cov: np.ndarray, pts: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -161,6 +186,13 @@ def smallest_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     reads the sum of the principal 2x2 minors, l0 l1 + l0 l2 + l1 l2, against
     l2: the trigonometric l1 is too inexact on a rank-1 matrix.
     """
+    low, high, rank2 = _smith_eigenvalues(cov)
+    vec, close = _kopp_eigenvectors(cov, low)
+    return low, high, vec, rank2 & ~close
+
+
+def _smith_eigenvalues(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue by Smith's formula, and the rank-2 test on the principal minors."""
     xx, xy, xz, yy, yz, zz = cov
     trace = xx + yy + zz
     q = trace / 3.0
@@ -173,27 +205,30 @@ def smallest_eigenpairs(cov: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nda
     high = q + 2.0 * p * np.cos(phi)
     low = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
     minors = xx * yy - xy * xy + xx * zz - xz * xz + yy * zz - yz * yz
-    rank2 = (trace > 0.0) & (minors > 1e-12 * trace * high)
+    return low, high, (trace > 0.0) & (minors > 1e-12 * trace * high)
+
+
+def _kopp_eigenvectors(cov: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit eigenvector of each smallest eigenvalue, (N, 3), and where its longest cross product is too short."""
+    xx, xy, xz, yy, yz, zz = cov
     a, d, f = xx - low, yy - low, zz - low
     # the rows of A - l0 I are (a, xy, xz), (xy, d, yz), (xz, yz, f); their
     # cross products r1 x r2, r2 x r0 and r0 x r1, each (3, N)
-    cross = np.array([
-        [d * f - yz * yz, yz * xz - xy * f, xy * yz - d * xz],
-        [xz * yz - xy * f, a * f - xz * xz, xz * xy - a * yz],
-        [xy * yz - xz * d, xz * xy - a * yz, a * d - xy * xy],
-    ])
+    cross = np.empty((3, 3, len(low)))
+    cross[0, 0], cross[0, 1], cross[0, 2] = d * f - yz * yz, yz * xz - xy * f, xy * yz - d * xz
+    cross[1, 0], cross[1, 1], cross[1, 2] = xz * yz - xy * f, a * f - xz * xz, xz * xy - a * yz
+    cross[2, 0], cross[2, 1], cross[2, 2] = xy * yz - xz * d, xz * xy - a * yz, a * d - xy * xy
     length = np.einsum("kin,kin->kn", cross, cross)
-    pick = length.argmax(axis=0), np.arange(len(q))
+    pick = length.argmax(axis=0), np.arange(len(low))
     frobenius = a * a + d * d + f * f + 2.0 * (xy * xy + xz * xz + yz * yz)  # |A - l0 I|^2
     close = length[pick] <= (1e-4 * frobenius) ** 2
-    vec = cross[pick[0], :, pick[1]] / np.sqrt(np.where(close, 1.0, length[pick]))[:, None]
-    return low, high, vec, rank2 & ~close
+    return cross[pick[0], :, pick[1]] / np.sqrt(np.where(close, 1.0, length[pick]))[:, None], close
 
 
 def _box_sum(image: np.ndarray, half: int) -> None:
     """Overwrite each channel of image by its sums over squares 2 half + 1 wide; the border half wide reads zero."""
     rows, cols = image.shape[0] - 2 * half, image.shape[1] - 2 * half
-    band = np.zeros((rows,) + image.shape[1:])
+    band = _workspace("band", (rows,) + image.shape[1:])
     for i in range(2 * half + 1):
         band += image[i : i + rows]
     image.fill(0.0)

@@ -57,6 +57,17 @@ def noise_free_run(reference_scenario):
     return run_scenario(noise_free(reference_scenario))
 
 
+def force_ramp(scenario):
+    """scenario with tanks.force.s0 = 1.1 and run.duration = 2: the force tank starts on its valve ramp."""
+    return replace(scenario, tank_force=replace(scenario.tank_force, s0=1.1), duration=2.0)
+
+
+@pytest.fixture(scope="session")
+def force_ramp_run(reference_scenario):
+    """reference.cfg with tanks.force.s0 = 1.1 and run.duration = 2."""
+    return run_scenario(force_ramp(reference_scenario))
+
+
 @pytest.fixture(scope="session")
 def negative_scenario():
     return parse_scenario(SCENARIO_DIR / "negative_control.cfg")

@@ -27,6 +27,7 @@ from vauf.perception import (
 )
 from vauf.spatial import Pose
 from vauf.surface import HeightField
+from conftest import traced_peak
 
 
 def plane_cloud(n_side=24, z=0.3, extent=0.2, jitter=None, seed=0):
@@ -402,6 +403,44 @@ class TestRegionGrowOracle:
         scalar_ok = [j for j in range(1, n) if seed @ nrm[j] >= cos_thresh]
         assert batched_ok.tolist() != scalar_ok  # a per-pair re-check would move members
         assert from_seed.tolist() == [0, *batched_ok]
+
+
+def frame_bytes(cloud, cfg):
+    """Every array estimate_point_normals returns for the cloud, and its perceive result, as bytes."""
+    normals = estimate_point_normals(cloud, cfg.k)
+    result = perceive(cloud, cfg)
+    return b"".join(
+        a.tobytes() for a in (*vars(normals).values(), result.n_s_camera, result.eigenvalues, np.array([result.l_s, result.theta]))
+    )
+
+
+class TestFrameWorkspace:
+    """The moments raster and _box_sum's band are kept across calls."""
+
+    def test_no_value_leaks_between_frames(self, monkeypatch):
+        camera, dense_cfg, height, _ = ORACLE_CASES["dense-64x48-k80"]
+        dense = rendered_clouds(camera, height, 1)[0]
+        row, _ = pixel_index(dense)
+        cropped = dense[row < row.max() - 3]  # the bottom rows missed: a shorter raster
+        reference = rendered_clouds(REFERENCE_CAMERA, 0.25, 1)[0]
+        calls = [(dense, dense_cfg), (reference, PerceptionConfig()), (cropped, dense_cfg), (dense, dense_cfg)]
+        assert len({pixel_index(cloud)[0].max() for cloud, _ in calls}) == 3
+        in_turn = [frame_bytes(cloud, cfg) for cloud, cfg in calls]
+        fresh = []
+        for cloud, cfg in calls:  # each call as the first of a process
+            monkeypatch.setattr(perception, "_WORKSPACE", {"moments": np.empty(0), "band": np.empty(0)})
+            fresh.append(frame_bytes(cloud, cfg))
+        assert in_turn == fresh
+
+    def test_warm_dense_frame_holds_only_its_temporaries(self):
+        # the traced peak of a warm call above the live heap: 2.05-2.09 MB when
+        # both rasters were allocated anew and the eigensolver held all its
+        # temporaries to the end, 1.11-1.13 MB with the rasters kept and the
+        # solver's halves freeing theirs on return
+        camera, cfg, height, n_frames = ORACLE_CASES["dense-64x48-k80"]
+        for cloud in rendered_clouds(camera, height, n_frames):
+            estimate_point_normals(cloud, cfg.k)
+            assert traced_peak(lambda: estimate_point_normals(cloud, cfg.k)) < 1.5e6
 
 
 def camera_pixels(camera, cloud):

@@ -12,7 +12,7 @@ from vauf import runtime, tanks
 from vauf.config import parse_scenario
 from vauf.runtime import run_scenario
 from vauf.telemetry import COLUMNS, compute_metrics, read_csv, rows_to_columns, write_csv
-from conftest import SCENARIO_DIR, noise_free
+from conftest import SCENARIO_DIR, force_ramp, noise_free
 
 
 class TestReferenceScenario:
@@ -162,20 +162,22 @@ class TestTankLedger:
 # meant to be behaviour-neutral must leave these bytes alone; a change that
 # alters results on purpose re-pins them and says why. The noise-free run
 # guards segmentation, which on clean clouds depends on the last bits of the
-# normal covariances. They hold on one host class: x86-64, numpy 2.4.6 with
-# its AVX-512 loops, and glibc 2.36 with its FMA libm variants; other code
-# paths move the last bits. The OpenBLAS kernel set does not move them, which
+# normal covariances; the force-ramp run guards the force valve's ramp
+# (0 < sigma_f < 1), which the other four never reach. They hold on one host
+# class: x86-64, numpy 2.4.6 with its AVX-512 loops, and glibc 2.36 with its
+# FMA libm variants; other code paths move the last bits. The OpenBLAS kernel set does not move them, which
 # tests/test_dependencies.py checks.
 TELEMETRY_DIGESTS = {
     "reference_run": "589c43306f7634e4",
     "flat_run": "2f91b35a914e131d",
     "negative_run": "9b382752cd3f924b",
     "noise_free_run": "49e2fd768ae3957a",
+    "force_ramp_run": "7cccdfded8ec8fee",
 }
 
 
 # Where a pinned table differs: SHA-256 prefixes of the float64 bytes of each
-# DIGEST_BLOCK_ROWS-row block and of each column of the four pinned runs.
+# DIGEST_BLOCK_ROWS-row block and of each column of the five pinned runs.
 DIGEST_BLOCK_ROWS = 1000
 TABLE_DIGESTS_PATH = pathlib.Path(__file__).resolve().parent / "data" / "table_digests.json"
 TABLES_MATCH = "every block and column digest matches"
@@ -204,7 +206,7 @@ def where_tables_differ(table, pinned: dict) -> str:
 
 
 def rewrite_table_digests() -> None:
-    """Rewrite TABLE_DIGESTS_PATH from fresh runs of the four pinned scenarios, after a re-pin.
+    """Rewrite TABLE_DIGESTS_PATH from fresh runs of the five pinned scenarios, after a re-pin.
 
     From the repository root:
     PYTHONPATH=src:tests python -c "import test_scenarios; test_scenarios.rewrite_table_digests()"
@@ -212,6 +214,7 @@ def rewrite_table_digests() -> None:
     reference = parse_scenario(SCENARIO_DIR / "reference.cfg")
     scenarios = {
         "flat_run": parse_scenario(SCENARIO_DIR / "flat_steady.cfg"),
+        "force_ramp_run": force_ramp(reference),
         "negative_run": parse_scenario(SCENARIO_DIR / "negative_control.cfg"),
         "noise_free_run": noise_free(reference),
         "reference_run": reference,
@@ -234,6 +237,16 @@ def test_telemetry_digest_pinned(run, request, tmp_path):
     where = where_tables_differ(table, json.loads(TABLE_DIGESTS_PATH.read_text())[run])
     assert hashlib.sha256(path.read_bytes()).hexdigest()[:16] == TELEMETRY_DIGESTS[run], where
     assert where == TABLES_MATCH, "tests/data/table_digests.json is stale: run rewrite_table_digests()"
+
+
+def test_force_ramp_run_rides_the_valve_ramp(force_ramp_run):
+    # its digest pins the ramped force term: sigma_f strictly inside (0, 1)
+    # on ticks where the force tank is not extracting (lam = 0)
+    assert force_ramp_run.completed
+    c = rows_to_columns(force_ramp_run.table)
+    ramp = (c["sigma_f"] > 0.0) & (c["sigma_f"] < 1.0)
+    assert np.count_nonzero(ramp) > 1000
+    assert np.count_nonzero(ramp & (c["lam"] == 0)) > 1000
 
 
 def test_digest_report_names_block_and_column(reference_run):

@@ -97,7 +97,7 @@ def pixel_index(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _grid_index(slope: np.ndarray) -> np.ndarray:
     """Place of each slope on the evenly spaced grid through all of them."""
     lo = slope.min()
-    gaps = np.diff(np.unique(slope))
+    gaps = np.diff(np.sort(slope))
     gaps = gaps[gaps > 1e-9 * (slope.max() - lo)]  # closer slopes are one grid value, apart by rounding
     if not len(gaps):
         return np.zeros(len(slope), dtype=np.intp)
@@ -218,7 +218,8 @@ def _kopp_eigenvectors(cov: np.ndarray, low: np.ndarray) -> tuple[np.ndarray, np
     cross[0, 0], cross[0, 1], cross[0, 2] = d * f - yz * yz, yz * xz - xy * f, xy * yz - d * xz
     cross[1, 0], cross[1, 1], cross[1, 2] = xz * yz - xy * f, a * f - xz * xz, xz * xy - a * yz
     cross[2, 0], cross[2, 1], cross[2, 2] = xy * yz - xz * d, xz * xy - a * yz, a * d - xy * xy
-    length = np.einsum("kin,kin->kn", cross, cross)
+    c0, c1, c2 = cross[:, 0], cross[:, 1], cross[:, 2]  # written out: einsum rounds one column unlike a batch
+    length = c0 * c0 + c1 * c1 + c2 * c2
     pick = length.argmax(axis=0), np.arange(len(low))
     frobenius = a * a + d * d + f * f + 2.0 * (xy * xy + xz * xz + yz * yz)  # |A - l0 I|^2
     close = length[pick] <= (1e-4 * frobenius) ** 2

@@ -26,9 +26,9 @@ the desired and measured tool-z *reactions* on the tool, one float each
 (pressing into the surface reads +z in the tool frame), so the thrust the
 robot must exert is the negated PI output. Shaped by rho_frc it is the
 force port, one tuple per tick that lam reads, the command gates and the
-force tank books. The force tank sees none of the damper power, which the
-impedance tank claims; routing the damper to both would count the same
-dissipation twice and break the energy ledger.
+force tank books; the damper wrench -d * v_k, built only here, is one tuple
+that the command applies and the impedance tank books. Routing the damper to
+both tanks would count the same dissipation twice and break the ledger.
 """
 
 from __future__ import annotations
@@ -357,7 +357,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
             0.5 * (v0 + n0), 0.5 * (v1 + n1), 0.5 * (v2 + n2), 0.5 * (v3 + n3), 0.5 * (v4 + n4), 0.5 * (v5 + n5)
         )
         s_f = force_tank_step(s_f, tank_f, twist_mid, f_force, lam, sigma_f, beta_f, dt)
-        s_i = impedance_tank_step(s_i, tank_i, twist_mid, d, f_var, sigma_i, beta_i, dt)
+        s_i = impedance_tank_step(s_i, tank_i, twist_mid, f_damp, f_var, sigma_i, beta_i, dt)
 
         # --- telemetry row k, in COLUMNS order
         table[k] = (

@@ -8,10 +8,13 @@ and ramp width, all in joules; the gates and the steps read the band from it.
 A step integrates the tank energy S, a float the loop carries, directly from
 the port powers, then clamps it to the band. Each tick the loop hands one
 force-port tuple (the rho_frc-shaped thrust) to `lambda_selector`,
-`compose_command` and `force_tank_step`, and the same pre-step lam and gates
-to the command and both steps, so the ledger books the ports the command
-applied. All of it runs on the control tick in Python floats on 6-tuples;
-the audit is numpy over the telemetry table, one block of rows at a time.
+`compose_command` and `force_tank_step`, one damper-wrench tuple to
+`compose_command` and `impedance_tank_step`, and the same pre-step lam and
+gates to the command and both steps. A step books the power of the wrench
+it is handed, gated as the command gated it, so only the loop knows the
+damper law; beta throttles only a refill, never a payment. All of it runs on
+the control tick in Python floats on 6-tuples; the audit is numpy over the
+telemetry table, one block of rows at a time.
 
 The audit replays a run's telemetry table against the scenario the run used
 (its mass, control period and tank start energies) and checks, tick by
@@ -87,33 +90,28 @@ def force_tank_step(
 ) -> float:
     """Force-controller tank energy after one tick with the command's lam, sigma and beta.
 
-    Refills (through beta) with the extracted force power while the force
-    demand is passive (lam = 1); pays the injected force power (through
-    sigma) while the demand is active. The damper power belongs to the
+    Books the power of the port the command applied, p = x_dot . f_f: in
+    full while the demand is passive (lam = 1), through sigma while it is
+    active, as the command gated it. beta throttles only a refill, the power
+    a passive port extracts (p < 0). The damper power belongs to the
     impedance tank.
     """
     p_force = _dot6(x_dot, f_f)
-    power = lam * beta * -p_force - sigma * (1 - lam) * p_force
-    return _integrate_energy(s, tank, power, dt)
+    return _integrate_energy(s, tank, -p_force * ((beta if p_force < 0.0 else 1.0) * lam + sigma * (1 - lam)), dt)
 
 
 def impedance_tank_step(
-    s: float, tank: TankConfig, x_dot: tuple, d: tuple, f_var: tuple, sigma: float, beta: float, dt: float
+    s: float, tank: TankConfig, x_dot: tuple, f_damp: tuple, f_var: tuple, sigma: float, beta: float, dt: float
 ) -> float:
     """Variable-stiffness tank energy after one tick with the tick's gates sigma and beta.
 
-    Harvests the damper dissipation (through beta) and exchanges the
-    variable-spring power through the valve that also gates the spring in
-    the control law. d is the diagonal damping, as in the damper wrench
-    -d * x_dot; f_var is the spring wrench -K_var x_tilde the command
-    applied, so the tank books the power of that very wrench.
+    Books the power of the two wrenches the command applied: the damper
+    wrench f_damp, ungated, and the spring wrench f_var = -K_var x_tilde
+    through the valve sigma that also gates it in the control law. beta
+    throttles only a refill, the damper power dissipated (p_damp > 0).
     """
-    v0, v1, v2, v3, v4, v5 = x_dot
-    d0, d1, d2, d3, d4, d5 = d
-    p_damp = d0 * v0 * v0 + d1 * v1 * v1 + d2 * v2 * v2 + d3 * v3 * v3 + d4 * v4 * v4 + d5 * v5 * v5
-    p_spring = -_dot6(f_var, x_dot)
-    power = beta * p_damp + sigma * p_spring
-    return _integrate_energy(s, tank, power, dt)
+    p_damp = -_dot6(f_damp, x_dot)
+    return _integrate_energy(s, tank, (beta if p_damp > 0.0 else 1.0) * p_damp - sigma * _dot6(f_var, x_dot), dt)
 
 
 @dataclass(frozen=True)

@@ -69,6 +69,12 @@ def force_ramp_run(reference_scenario):
 
 
 @pytest.fixture(scope="session")
+def flat_ramp_run(flat_scenario):
+    """flat_steady.cfg with tanks.force.s0 = 1.1 and run.duration = 2."""
+    return run_scenario(force_ramp(flat_scenario))
+
+
+@pytest.fixture(scope="session")
 def negative_scenario():
     return parse_scenario(SCENARIO_DIR / "negative_control.cfg")
 

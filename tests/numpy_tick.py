@@ -211,13 +211,13 @@ def lambda_selector(x_dot, f_f):
 
 def force_tank_step(s, tank, x_dot, f_f, lam, sigma, beta, dt):
     p_force = float(x_dot @ f_f)
-    return _integrate_energy(s, tank, lam * beta * -p_force - sigma * (1 - lam) * p_force, dt)
+    return _integrate_energy(s, tank, -p_force * ((beta if p_force < 0.0 else 1.0) * lam + sigma * (1 - lam)), dt)
 
 
-def impedance_tank_step(s, tank, x_dot, d, f_var, sigma, beta, dt):
-    p_damp = float((x_dot * d) @ x_dot)
+def impedance_tank_step(s, tank, x_dot, f_damp, f_var, sigma, beta, dt):
+    p_damp = -float(f_damp @ x_dot)
     p_spring = -float(f_var @ x_dot)
-    return _integrate_energy(s, tank, beta * p_damp + sigma * p_spring, dt)
+    return _integrate_energy(s, tank, (beta if p_damp > 0.0 else 1.0) * p_damp + sigma * p_spring, dt)
 
 
 # --- plant and loop
@@ -315,7 +315,7 @@ def run_numpy_loop(sc):
         r_next, p_next, twist_next = stepped or (r_ee, p_ee, twist)
         twist_mid = 0.5 * (twist + twist_next)
         s_f = force_tank_step(s_f, tank_f, twist_mid, f_tank, lam, sigma_f, beta_f, dt)
-        s_i = impedance_tank_step(s_i, tank_i, twist_mid, d, f_var, sigma_i, beta_i, dt)
+        s_i = impedance_tank_step(s_i, tank_i, twist_mid, f_damp, f_var, sigma_i, beta_i, dt)
         np.concatenate(
             (
                 (t,), p_ee, rotation_to_quaternion(r_ee), twist, f_cmd, f_ext_ee,

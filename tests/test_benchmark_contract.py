@@ -34,8 +34,8 @@ WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text()
 # 2.4.6 with its AVX-512 loops, and glibc 2.36 with its FMA libm variants;
 # the OpenBLAS kernel set does not move them (tests/test_dependencies.py).
 SMOKE_DIGESTS = {
-    "reference_wipe": "6cbdb2059b3e9ff8",
-    "random_sweep": "bb4e710c8452e15e",
+    "reference_wipe": "4329231ab59f578e",
+    "random_sweep": "7477d44c1820b590",
     "dense_perception": "045eabe2ab08a583",
 }
 

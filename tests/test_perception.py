@@ -230,6 +230,18 @@ class TestSmallestEigenpairs:
         if gap > 1e-6 * trace:
             assert np.linalg.norm(np.cross(vec, vecs[:, 0])) <= 1e5 * EPS * trace / gap
 
+    @pytest.mark.parametrize("n", [2, 7, 300])
+    def test_one_column_matches_its_batch(self, n):
+        # segment_pca solves one matrix and estimate_point_normals thousands:
+        # a matrix gets the same bits alone as inside a batch
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=(n, 3, 3))
+        cov = np.einsum("nij,nkj->nik", a, a)[:, [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]].T.copy()
+        batch = smallest_eigenpairs(cov)
+        for j in range(n):
+            alone = smallest_eigenpairs(cov[:, j : j + 1])
+            assert all(got.tobytes() == whole[j : j + 1].tobytes() for got, whole in zip(alone, batch))
+
     def test_close_smallest_pair_not_usable(self):
         # the two smallest eigenvalues coincide: every unit vector of their
         # plane is an eigenvector, so the window has no normal

@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import traced_peak
 from vauf import tanks
-from vauf.runtime import Scenario
+from vauf.runtime import Scenario, plant_step
 from vauf.spatial import quaternion_to_rotation
 from vauf.tanks import (
     AUDIT_TOL,
@@ -158,6 +158,19 @@ class TestForceTankStep:
                 assert (new - s) / 1e-3 == pytest.approx(expect, abs=1e-9)
             s = new
 
+    def test_passive_port_injecting_pays_in_full(self):
+        # lam = 1 chosen on the pre-step twist, but the port injects 1 W at the
+        # midpoint: a full tank (beta = 0) still pays the 1 mJ the command applied
+        x_dot = (0.0, 0.0, -0.1, 0.0, 0.0, 0.0)
+        new = force_tank_step(FORCE_TANK.s0, FORCE_TANK, x_dot, wrench_z(-10.0), 1, 1.0, 0.0, 1e-3)
+        assert new - FORCE_TANK.s0 == pytest.approx(-1e-3, abs=1e-12)
+
+    def test_beta_throttles_only_the_refill(self):
+        # lam = 1 and the port extracts 1 W: beta = 0.5 books half of it
+        x_dot = (0.0, 0.0, 0.1, 0.0, 0.0, 0.0)
+        new = force_tank_step(1.5, FORCE_TANK, x_dot, wrench_z(-10.0), 1, 1.0, 0.5, 1e-3)
+        assert new - 1.5 == pytest.approx(0.5e-3, abs=1e-12)
+
     def test_clamp_adds_an_overdrawn_payment(self):
         # 100 W paid through sigma = 0.5 over 1 ms books 0.95 J; the clamp returns 1.0 J
         tank = TankConfig(s0=1.05, s_upper=2.0, s_lower=1.0, ramp_eps=0.1)
@@ -173,22 +186,37 @@ class TestForceTankStep:
 
 
 class TestImpedanceTankStep:
+    # the damper port arrives as the wrench the command applied, -d * v at the pre-step twist
     def test_zero_twist_unchanged(self):
         s = IMP_TANK.s0
         sigma, beta = valve_sigma(s, IMP_TANK), gate_beta(s, IMP_TANK)
-        new = impedance_tank_step(s, IMP_TANK, np.zeros(6), np.ones(6), -np.ones(6), sigma, beta, 1e-3)
+        new = impedance_tank_step(s, IMP_TANK, np.zeros(6), -np.ones(6), -np.ones(6), sigma, beta, 1e-3)
         assert new == s
 
     def test_dissipation_refills(self):
         # 2 W of damper power with beta = 1: +2 mJ over a 1 ms tick
-        d = np.array([200.0, 0, 0, 0, 0, 0])
         x_dot = np.array([0.1, 0, 0, 0, 0, 0])
-        assert (x_dot * d) @ x_dot == pytest.approx(2.0)
+        f_damp = -200.0 * x_dot
+        assert -f_damp @ x_dot == pytest.approx(2.0)
         s = IMP_TANK.s0
         sigma, beta = valve_sigma(s, IMP_TANK), gate_beta(s, IMP_TANK)
         assert beta == 1.0
-        new = impedance_tank_step(s, IMP_TANK, x_dot, d, np.zeros(6), sigma, beta, 1e-3)
+        new = impedance_tank_step(s, IMP_TANK, x_dot, f_damp, np.zeros(6), sigma, beta, 1e-3)
         assert new - s == pytest.approx(2e-3, abs=1e-12)
+
+    def test_books_the_wrench_at_the_midpoint_twist(self):
+        # the damper wrench from v_k = 0.2 m/s, booked at v_mid = 0.1 m/s: 4 W, not 200 * 0.1^2 = 2 W
+        f_damp = (-200.0 * 0.2, 0.0, 0.0, 0.0, 0.0, 0.0)
+        new = impedance_tank_step(IMP_TANK.s0, IMP_TANK, (0.1, 0, 0, 0, 0, 0), f_damp, np.zeros(6), 1.0, 1.0, 1e-3)
+        assert new - IMP_TANK.s0 == pytest.approx(4e-3, abs=1e-12)
+
+    def test_damper_injecting_pays_in_full(self):
+        # the twist reverses within the tick: the damper wrench injects 1 W at
+        # the midpoint, which a full tank (beta = 0) pays in full
+        f_damp = (-10.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+        x_dot = (-0.1, 0.0, 0.0, 0.0, 0.0, 0.0)
+        new = impedance_tank_step(31.0, IMP_TANK, x_dot, f_damp, np.zeros(6), 1.0, 0.0, 1e-3)
+        assert new - 31.0 == pytest.approx(-1e-3, abs=1e-12)
 
     def test_initial_energy_inside_band(self):
         assert IMP_TANK.s0 == pytest.approx(24.5)
@@ -196,12 +224,43 @@ class TestImpedanceTankStep:
 
     def test_refill_capped_at_upper_limit(self):
         s = 32.0
-        d = np.array([200.0, 0, 0, 0, 0, 0])
         x_dot = np.array([0.5, 0, 0, 0, 0, 0])
         sigma, beta = valve_sigma(s, IMP_TANK), gate_beta(s, IMP_TANK)
         assert beta == 0.0
-        new = impedance_tank_step(s, IMP_TANK, x_dot, d, np.zeros(6), sigma, beta, 1e-3)
+        new = impedance_tank_step(s, IMP_TANK, x_dot, -200.0 * x_dot, np.zeros(6), sigma, beta, 1e-3)
         assert new <= 32.0 + 1e-9
+
+
+TWISTS = st.tuples(*[st.floats(-0.5, 0.5)] * 6)
+WRENCHES = st.tuples(*[st.floats(-100.0, 100.0)] * 6)
+GATES = st.tuples(*[st.floats(0.0, 1.0)] * 4)
+
+
+class TestOneTickLedger:
+    @settings(deadline=None, max_examples=300)
+    @given(
+        TWISTS, st.tuples(*[st.floats(0.0, 200.0)] * 6), WRENCHES, WRENCHES, WRENCHES, GATES,
+        st.floats(FORCE_TANK.s_lower, FORCE_TANK.s_upper), st.floats(IMP_TANK.s_lower, IMP_TANK.s_upper),
+    )
+    def test_storage_gains_no_more_than_the_contact_work(self, v, d, f_var, f_force, f_ext, gates, s_f, s_i):
+        # one plant step under the gated command, then both tank steps at the
+        # midpoint twist, with any gates: kinetic energy plus both tanks gain
+        # at most the contact work f_ext . v_mid dt, unless a clamp acted
+        sigma_f, beta_f, sigma_i, beta_i = gates
+        mass, dt = (5.0, 5.0, 5.0, 0.3, 0.3, 0.3), 1e-3
+        f_damp = tuple(-c * x for c, x in zip(d, v))
+        lam = lambda_selector(v, f_force)
+        f_cmd = compose_command(f_damp, f_var, f_force, lam, sigma_f, sigma_i)
+        identity = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0)
+        v_next = plant_step(identity, (0.0, 0.0, 0.0), v, mass, f_cmd, f_ext, dt)[2]
+        v_mid = tuple(0.5 * (a + b) for a, b in zip(v, v_next))
+        new_f = force_tank_step(s_f, FORCE_TANK, v_mid, f_force, lam, sigma_f, beta_f, dt)
+        new_i = impedance_tank_step(s_i, IMP_TANK, v_mid, f_damp, f_var, sigma_i, beta_i, dt)
+        assume(FORCE_TANK.s_lower < new_f < FORCE_TANK.s_upper and IMP_TANK.s_lower < new_i < IMP_TANK.s_upper)
+        ke, ke_next = (0.5 * sum(m * x * x for m, x in zip(mass, w)) for w in (v, v_next))
+        work = sum(f * x for f, x in zip(f_ext, v_mid)) * dt
+        excess = (ke_next - ke) + (new_i - s_i) + (new_f - s_f) - work
+        assert excess <= 1e-12 * (ke + ke_next + s_i + s_f + abs(work))
 
 
 class TestBandInvariant:
@@ -228,7 +287,7 @@ class TestBandInvariant:
             gates_f = valve_sigma(sf, FORCE_TANK), gate_beta(sf, FORCE_TANK)
             gates_i = valve_sigma(si, IMP_TANK), gate_beta(si, IMP_TANK)
             sf = force_tank_step(sf, FORCE_TANK, x_dot, f, lambda_selector(x_dot, f), *gates_f, 1e-3)
-            si = impedance_tank_step(si, IMP_TANK, x_dot, d, -k @ x_tilde, *gates_i, 1e-3)
+            si = impedance_tank_step(si, IMP_TANK, x_dot, -d * x_dot, -k @ x_tilde, *gates_i, 1e-3)
             assert 1.0 - 1e-9 <= sf <= 2.0 + 1e-9
             assert 1.0 - 1e-9 <= si <= 32.0 + 1e-9
 
@@ -248,7 +307,7 @@ class TestBandInvariant:
         for v, f, d, q, sigma, beta in steps:
             x_dot = wrench_z(v)
             sf = force_tank_step(sf, tank, x_dot, wrench_z(f), lambda_selector(x_dot, wrench_z(f)), sigma, beta, 1e-3)
-            si = impedance_tank_step(si, tank, x_dot, np.full(6, abs(d)), wrench_z(-q), sigma, beta, 1e-3)
+            si = impedance_tank_step(si, tank, x_dot, wrench_z(-abs(d) * v), wrench_z(-q), sigma, beta, 1e-3)
             for s in (sf, si):
                 assert s_lower * (1 - 1e-12) <= s <= s_upper * (1 + 1e-12)
 

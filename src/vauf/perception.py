@@ -15,11 +15,11 @@ minors; a window whose two smallest eigenvalues nearly coincide is flagged
 like a collinear one. Region growing clusters points whose normals stay
 within an angular threshold of the region seed, over a pixel window one
 ring wider, stepping through the same raster, where a missing or padding
-pixel is never free; a segment is its member indices.
-The raster's moments and the band its box sums pass through are two
-process-wide buffers, grown to the largest frame seen and zeroed on each
-frame, so a stream of frames keeps one steady working set: shared state,
-for single-threaded use.
+pixel is never free; a segment is its member indices. Growing stops when
+too few points are left to make a kept segment, so no output moves. The
+raster's moments and the band its box sums pass through are two process-wide
+buffers, grown to the largest frame seen and zeroed on each frame, so frames
+keep one steady working set: shared state, for single-threaded use.
 The working segment's covariance goes through the same function as a
 window's for the surface normal and the local-curvature ratio, with no
 LAPACK call. Everything is deterministic for a given cloud.
@@ -260,8 +260,10 @@ def region_grow(
     so members come in the order of a FIFO-queue search. A seed's admissible
     pixels are one raster mask, free: a point close enough to the seed and
     not yet in a segment, cleared level by level as the search reaches it; a
-    missing or padding pixel is never free.
-    Segments below min_segment_size are dropped; the rest, index arrays, are sorted largest first.
+    missing or padding pixel is never free. Segments below min_segment_size
+    are dropped, the rest sorted largest first. Growing stops once fewer
+    valid points are left outside all segments: each later one, drawn from
+    them, would be dropped, and the points it took move no kept one.
     """
     cos_thresh = np.cos(angle_thresh)
     nrm, pixel, offsets = normals.normals, normals.pixel, normals.offsets
@@ -270,8 +272,11 @@ def region_grow(
     free = np.zeros(index.size, dtype=bool)
     first = np.full(index.size, pixel.size * offsets.size)  # never reset: a pixel is a candidate in one level only
     visited = ~normals.valid
+    left = np.count_nonzero(normals.valid)  # valid points no segment holds yet
     segments: list[np.ndarray] = []
     for seed in np.argsort(normals.curvature, kind="stable").tolist():
+        if left < min_segment_size:
+            break
         if visited[seed]:
             continue
         free[pixel] = (nrm @ nrm[seed] >= cos_thresh) & ~visited
@@ -286,6 +291,7 @@ def region_grow(
             level = cand[first[cand] == pos]
         members = index[np.concatenate(levels)]
         visited[members] = True
+        left -= len(members)
         if len(members) >= min_segment_size:
             segments.append(members)
     if not segments:

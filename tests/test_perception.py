@@ -150,6 +150,18 @@ def random_organized_cloud(rng, rows, cols):
     return np.column_stack([(c[kept] - 0.5 * cols) * 0.01 * z, (r[kept] - 0.5 * rows) * 0.01 * z, z])
 
 
+def creased_cloud(rng, rows, cols, bend, sigma):
+    """Points on a random share of a rows x cols pinhole grid, on a surface
+    creased down the middle column by bend, with depth noise sigma. The four
+    corner pixels always hold a point."""
+    r, c = np.divmod(np.arange(rows * cols), cols)
+    kept = rng.random(rows * cols) < rng.uniform(0.3, 1.0)
+    kept[[0, cols - 1, (rows - 1) * cols, rows * cols - 1]] = True
+    r, c = r[kept], c[kept]
+    z = 0.3 + 0.01 * bend * np.abs(c - 0.5 * cols) + rng.normal(0.0, sigma, len(c))
+    return np.column_stack([(c - 0.5 * cols) * 0.01 * z, (r - 0.5 * rows) * 0.01 * z, z])
+
+
 class TestWindowSums:
     """Window sums taken in the growing raster and read at each point's
     address, against the padded-copy sums they replaced, bit for bit."""
@@ -316,6 +328,8 @@ ORACLE_CASES = {
     "noisy-2mm-32x24": (NOISY_32_CAMERA, PerceptionConfig(), 0.25, 8),
     "dense-64x48-k80": (DENSE_CAMERA, PerceptionConfig(k=80, angle_thresh=np.deg2rad(4.0), min_segment_size=60), 0.3, 3),
     "noise-free-survey": (SURVEY_CAMERA, PerceptionConfig(k=10, angle_thresh=np.deg2rad(3.0), min_segment_size=30), 0.3, 4),
+    # growing stops after 17, 7 and 8 of the frames' 85, 94 and 73 seeds
+    "dense-64x48-k80-min600": (DENSE_CAMERA, PerceptionConfig(k=80, angle_thresh=np.deg2rad(4.0), min_segment_size=600), 0.3, 3),
 }
 
 
@@ -342,6 +356,30 @@ class TestRegionGrowOracle:
         for cloud in rendered_clouds(camera, height, n_frames):
             normals = estimate_point_normals(cloud, cfg.k)
             assert_matches_oracle(cloud, normals, cfg.angle_thresh, cfg.min_segment_size)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 10),
+        cols=st.integers(1, 10),
+        k=st.sampled_from([5, 9, 25]),
+        bend=st.floats(0.0, 1.0),
+        sigma=st.sampled_from([0.0, 1e-4, 1e-3]),
+        angle_deg=st.floats(1.0, 60.0),
+        data=st.data(),
+    )
+    def test_stop_keeps_every_segment(self, seed, rows, cols, k, bend, sigma, angle_deg, data):
+        # min_segment_size from 1, where growing runs to the last seed, to
+        # N + 1, where it stops before the first: the same segments, in the
+        # same order, or NoSegmentError from both
+        cloud = creased_cloud(np.random.default_rng(seed), rows, cols, bend, sigma)
+        normals = estimate_point_normals(cloud, k)
+        angle, min_segment_size = np.deg2rad(angle_deg), data.draw(st.integers(1, len(cloud) + 1))
+        if region_grow_oracle(normals, angle, min_segment_size):
+            assert_matches_oracle(cloud, normals, angle, min_segment_size)
+        else:
+            with pytest.raises(NoSegmentError):
+                region_grow(cloud, normals, angle, min_segment_size)
 
     def test_dense_frame_builds_no_window_table(self):
         # an (N, m) growing graph on the 64x48, k=80 frame is about 2,900 x 120

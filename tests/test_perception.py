@@ -153,10 +153,14 @@ def random_organized_cloud(rng, rows, cols):
 def creased_cloud(rng, rows, cols, bend, sigma):
     """Points on a random share of a rows x cols pinhole grid, on a surface
     creased down the middle column by bend, with depth noise sigma. The four
-    corner pixels always hold a point."""
+    corner pixels always hold a point, and so do the two next to the first:
+    without an adjacent pair, kept columns 0, 3 and 5 would read as a grid
+    of pitch 2 with a point off it, and pixel_index rejects the cloud."""
     r, c = np.divmod(np.arange(rows * cols), cols)
     kept = rng.random(rows * cols) < rng.uniform(0.3, 1.0)
     kept[[0, cols - 1, (rows - 1) * cols, rows * cols - 1]] = True
+    grid = kept.reshape(rows, cols)
+    grid[0, :2] = grid[:2, 0] = True
     r, c = r[kept], c[kept]
     z = 0.3 + 0.01 * bend * np.abs(c - 0.5 * cols) + rng.normal(0.0, sigma, len(c))
     return np.column_stack([(c - 0.5 * cols) * 0.01 * z, (r - 0.5 * rows) * 0.01 * z, z])

@@ -82,6 +82,8 @@ from .tanks import (
     lambda_selector,
     valve_sigma,
 )
+# TelemetryRow stays a global here for the traced benchmark run, which wraps
+# it; rows are built by telemetry.TelemetryRows, so the wrapper is not reached
 from .telemetry import COLUMNS, TelemetryRow
 
 log = logging.getLogger(__name__)
@@ -206,15 +208,13 @@ class RunResult:
         return self.abort_reason is None
 
     @property
-    def rows(self) -> list[TelemetryRow]:
-        """The table as TelemetryRow tuples of Python floats.
+    def rows(self) -> telemetry.TelemetryRows:
+        """A read-only view of the table as a sequence of TelemetryRow tuples.
 
-        Built on each access and not cached: a cached copy would keep a
-        second, larger copy of the telemetry alive next to the table.
+        numpy reads the table itself through the view, with no copy; a row
+        of Python floats is built only when indexed or iterated.
         """
-        # the class is looked up on its own module: the traced benchmark run
-        # replaces this module's TelemetryRow name with a timing wrapper
-        return list(map(telemetry.TelemetryRow._make, self.table.tolist()))
+        return telemetry.TelemetryRows(self.table)
 
 
 def start_pose(scenario: Scenario) -> Pose:

@@ -8,11 +8,13 @@ selector are stored as 0.0/1.0 for uniform parsing.
 
 Every pass over a finished table (the CSV write and read here, the passivity
 audit in `tanks`) walks it BLOCK_ROWS rows at a time, so a pass holds the
-table plus one block of temporaries, never a second table.
+table plus one block of temporaries, never a second table. Iterating
+`RunResult.rows`, a TelemetryRows view of the table, is one more such pass.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -34,6 +36,35 @@ COLUMNS = (
 BLOCK_ROWS = 512  # rows per block of a pass over a table: 184 KB of float64
 
 TelemetryRow = NamedTuple("TelemetryRow", [(c, float) for c in COLUMNS])
+
+
+class TelemetryRows:
+    """A read-only sequence view of a telemetry table, one TelemetryRow per tick.
+
+    numpy reads the table itself through ``__array__``, so ``np.asarray``,
+    ``rows_to_columns`` and ``write_csv`` copy nothing; a row is built only
+    when it is indexed or iterated.
+    """
+
+    __slots__ = ("_table",)
+
+    def __init__(self, table: np.ndarray):
+        table = table.view()
+        table.flags.writeable = False
+        self._table = table
+
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self._table, dtype=dtype, copy=copy)
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, i) -> TelemetryRow:
+        return TelemetryRow._make(self._table[operator.index(i)].tolist())
+
+    def __iter__(self):
+        for start in range(0, len(self._table), BLOCK_ROWS):
+            yield from map(TelemetryRow._make, self._table[start : start + BLOCK_ROWS].tolist())
 
 
 class ParseError(ValueError):

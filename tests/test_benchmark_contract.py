@@ -12,6 +12,7 @@ workloads also call the program directly (``cli.main``,
 import importlib
 import json
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ import vauf.controller
 import vauf.perception
 import vauf.runtime
 from vauf.surface import HeightField, contact_wrench
-from vauf.telemetry import COLUMNS
+from vauf.telemetry import BLOCK_ROWS, COLUMNS, rows_to_columns, write_csv
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
@@ -101,6 +102,44 @@ def test_run_rows_have_named_columns():
     assert [getattr(result.rows[-1], n) for n in names] == [result.table[-1, COLUMNS.index(n)] for n in names]
 
 
+@pytest.fixture(scope="module")
+def sweep_result(perfbench, tmp_path_factory):
+    """The run of the first scenario of perfbench's random_sweep at seed 1."""
+    workloads = perfbench["workloads"]
+    scenario = workloads.RandomSweep(1, tmp_path_factory.mktemp("sweep"), False).scenarios[0]
+    return vauf.runtime.run_scenario(scenario)
+
+
+def test_run_rows_are_a_view_of_the_table(sweep_result, tmp_path):
+    result = sweep_result
+    assert len(result.rows) == len(result.table) > 2 * BLOCK_ROWS  # iteration crosses blocks
+    assert np.shares_memory(np.asarray(result.rows, dtype=float), result.table)
+    copied = np.array(result.rows, copy=True)
+    assert not np.shares_memory(copied, result.table) and np.array_equal(copied, result.table)
+    rows = list(result.rows)
+    assert [list(row) for row in rows] == result.table.tolist()
+    assert all(row._fields == tuple(COLUMNS) for row in rows)
+    write_csv(result.rows, tmp_path / "rows.csv")
+    write_csv(result.table, tmp_path / "table.csv")
+    assert (tmp_path / "rows.csv").read_bytes() == (tmp_path / "table.csv").read_bytes()
+
+
+def test_sweep_reads_of_rows_copy_no_table(sweep_result):
+    result = sweep_result
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        # the three reads of rows that perfbench's RandomSweep.op makes per scenario
+        table = np.asarray(result.rows, dtype=float)
+        ticks = len(result.rows)
+        columns = rows_to_columns(result.rows)
+        peak = tracemalloc.get_traced_memory()[1] - live
+    finally:
+        tracemalloc.stop()
+    assert ticks == 1500 and table.shape == result.table.shape and len(columns) == len(COLUMNS)
+    assert peak <= 64 * 1024, f"three reads of a 1,500-tick run's rows peaked at {peak / 1024:.0f} KB"
+
+
 @pytest.mark.parametrize("name", WORKLOADS)
 def test_workload_runs_at_smoke_size(perfbench, name, tmp_path):
     layers, tracing, workloads = (perfbench[m] for m in ("layers", "tracing", "workloads"))
@@ -128,7 +167,7 @@ def test_workload_runs_at_smoke_size(perfbench, name, tmp_path):
 # per-layer metric silently reads 0.
 UNREACHED_BY_TICK = {
     (vauf.runtime, "run_scenario"): "the loop itself; the CLI calls it through vauf.cli.run_scenario",
-    (vauf.runtime, "TelemetryRow"): "the tick writes table rows; RunResult.rows builds rows via telemetry.TelemetryRow",
+    (vauf.runtime, "TelemetryRow"): "the tick writes table rows; the RunResult.rows view makes rows on access through telemetry.TelemetryRow",
 }
 
 

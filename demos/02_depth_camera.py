@@ -1,6 +1,6 @@
 """Synthetic depth camera over the curved patch.
 
-Renders noise-free and noisy clouds from a flange-mounted camera looking
+Renders noise-free and noisy frames from a flange-mounted camera looking
 down at the surface and reports how well the returns sit on the true
 geometry.
 """
@@ -15,17 +15,17 @@ surf = HeightField()
 pose = Pose(MOUNT_ROTATION, np.array([0.0, 0.05, 0.33]))  # straight down from 0.33 m
 
 cam = CameraModel(cols=48, rows=36, noise_sigma=0.0)
-cloud = render(cam, pose, surf, rng=np.random.default_rng(0))
-pts_base = cloud @ pose.rotation.T + pose.position
+frame = render(cam, pose, surf, rng=np.random.default_rng(0))
+pts_base = frame.points @ pose.rotation.T + pose.position
 resid = pts_base[:, 2] - surf.height_unchecked(pts_base[:, 0], pts_base[:, 1])
-print(f"noise-free render: {len(cloud)} returns, worst surface residual {np.abs(resid).max():.2e} m")
+print(f"noise-free render: {len(frame)} returns, worst surface residual {np.abs(resid).max():.2e} m")
 
 noisy = render(CameraModel(cols=48, rows=36, noise_sigma=0.002), pose, surf, rng=np.random.default_rng(0))
-pts_base = noisy @ pose.rotation.T + pose.position
+pts_base = noisy.points @ pose.rotation.T + pose.position
 resid = pts_base[:, 2] - surf.height_unchecked(pts_base[:, 0], pts_base[:, 1])
 print(f"2 mm noise:        {len(noisy)} returns, residual std {resid.std() * 1000:.2f} mm")
 
-# determinism: same seed, same cloud
+# determinism: same seed, same frame
 a = render(CameraModel(noise_sigma=0.002), pose, surf, rng=np.random.default_rng(5))
 b = render(CameraModel(noise_sigma=0.002), pose, surf, rng=np.random.default_rng(5))
-print("bit-identical repeat render:", np.array_equal(a, b))
+print("bit-identical repeat render:", np.array_equal(a.points, b.points))

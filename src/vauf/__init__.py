@@ -7,7 +7,7 @@ online alignment monitor shapes stiffness and force, and virtual energy
 tanks keep the time-varying controller passive.
 """
 
-from .camera import CameraModel, camera_pose_from_tool, render
+from .camera import CameraModel, Frame, camera_pose_from_tool, render
 from .config import ConfigError, parse_scenario, parse_scenario_text, scenario_to_text
 from .controller import (
     ControllerConfig,

@@ -10,8 +10,9 @@ sinusoid, cannot pass the first crossing. A step below 1e-7 m is a hit, kept
 only if it lies on the patch; a ray that starts under the surface, leaves the
 band or range, or still marches after 1000 passes is a miss. Every camera
 draws range noise once per pixel and frame, +0.0 at sigma 0, so a pixel's
-noise does not depend on which other pixels hit. A frame is a plain (N, 3)
-float64 array of camera-frame points in meters.
+noise does not depend on which other pixels hit. `render` returns a `Frame`:
+the (N, 3) float64 camera-frame points in meters and each point's pixel row
+and column, so perception reads the pixel grid the rays were cast from.
 """
 
 from __future__ import annotations
@@ -36,7 +37,26 @@ _MAX_PASSES = 1000  # only grazing rays reach it; paper-surface frames need at m
 
 
 class EmptyViewError(RuntimeError):
-    """Fewer than 10% of pixels returned a surface hit."""
+    """Fewer than 10% of pixels returned a surface hit inside the working range."""
+
+
+@dataclass(frozen=True)
+class Frame:
+    """One depth frame: (N, 3) camera-frame points and the (N,) row and column of each point's pixel."""
+
+    points: np.ndarray
+    row: np.ndarray
+    col: np.ndarray
+
+    def __post_init__(self):
+        if not len(self.row) == len(self.col) == len(self.points):
+            raise ValueError(f"frame arrays differ in length: {len(self.points)} points, "
+                             f"{len(self.row)} rows, {len(self.col)} columns")
+        if np.bincount(self.row * (self.col.max(initial=0) + 1) + self.col).max(initial=0) > 1:
+            raise ValueError("frame has two points on one pixel")
+
+    def __len__(self) -> int:
+        return len(self.points)
 
 
 @dataclass(frozen=True)
@@ -95,8 +115,8 @@ def render(
     camera_pose_in_base: Pose,
     surface: HeightField,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Render one depth frame as an (N, 3) point cloud in the camera frame.
+) -> Frame:
+    """Render one depth frame: the camera-frame points and each one's pixel.
 
     Deterministic given the state of rng, from which every camera draws one
     range-noise sample per pixel each frame, hit or not, also at sigma 0. Raises
@@ -144,8 +164,6 @@ def render(
     p = o + z_hit[:, None] * step[ray]
     on_patch = surface.in_domain(p[:, 0], p[:, 1])
     hit_idx = ray[on_patch]
-    if len(hit_idx) < 0.10 * n_pix:
-        raise EmptyViewError(f"{len(hit_idx)}/{n_pix} pixels returned")
 
     dz_hit = dz[hit_idx]
     ray_len = z_hit[on_patch] / dz_hit + noise[hit_idx]
@@ -155,8 +173,12 @@ def render(
     if below_min.sum() > 0.5 * n_pix:
         log.warning("camera: %d/%d returns below minimum range", int(below_min.sum()), n_pix)
     keep = (~below_min) & (z_noisy <= camera.range_max)
+    pixel = hit_idx[keep]
+    if len(pixel) < 0.10 * n_pix:
+        raise EmptyViewError(f"{len(pixel)}/{n_pix} pixels returned inside the working range")
 
-    return ray_len[keep, None] * dirs_cam[hit_idx[keep]]
+    row, col = np.divmod(pixel, camera.cols)
+    return Frame(ray_len[keep, None] * dirs_cam[pixel], row, col)
 
 
 def _gap(surface: HeightField, o: np.ndarray, step: np.ndarray, z: np.ndarray) -> np.ndarray:

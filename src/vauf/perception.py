@@ -1,9 +1,8 @@
 """Point-cloud pipeline: per-point normals, region growing, segment PCA.
 
-A cloud is a plain (N, 3) float64 array of camera-frame points, organized:
-each point lies on the ray of one pixel of an evenly spaced pinhole grid, so
-its pixel is recovered from the ray slopes x/z and y/z, and its one address
-in the frame's one raster: the pixel grid padded by the reach of the
+The input is a camera `Frame`: (N, 3) float64 camera-frame points, each
+with the row and column of its pixel, which give it its one address in the
+frame's one raster: the pixel grid padded by the reach of the
 region-growing window. Per-point normals come from the covariance of the
 points in a square pixel window, summed in that raster and oriented toward
 the camera origin. The window covariances are diagonalized in
@@ -22,7 +21,7 @@ buffers, grown to the largest frame seen and zeroed on each frame, so frames
 keep one steady working set: shared state, for single-threaded use.
 The working segment's covariance goes through the same function as a
 window's for the surface normal and the local-curvature ratio, with no
-LAPACK call. Everything is deterministic for a given cloud.
+LAPACK call. Everything is deterministic for a given frame.
 """
 
 from __future__ import annotations
@@ -31,6 +30,8 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
+
+from .camera import Frame
 
 
 class NoSegmentError(RuntimeError):
@@ -74,56 +75,22 @@ class PerceptionResult:
     theta: float  # rad, folded deviation from the camera axis
 
 
-def pixel_index(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, col) of each point's pixel, recovered from the ray slopes y/z and x/z.
-
-    The slopes of a rendered frame lie on an evenly spaced grid up to
-    rounding; its pitch is the smallest gap between distinct slopes. Raises
-    ValueError when the cloud is not organized: a point lies more than 1e-6
-    pitch off the grid, two points land on one pixel, or the grid has more
-    than 100 pixels per point (a rational off-grid slope makes a finer grid
-    that holds every point, and its images would not fit in memory).
-    """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        row, col = (_grid_index(pts[:, axis] / pts[:, 2]) for axis in (1, 0))
-    n_rows, n_cols = row.max() + 1, col.max() + 1
-    if n_rows * n_cols > 100 * len(pts):
-        raise ValueError(f"cloud is not organized: {len(pts)} points span a {n_rows}x{n_cols} pixel grid")
-    if np.bincount(row * n_cols + col).max() > 1:
-        raise ValueError("cloud is not organized: two points land on one pixel")
-    return row, col
-
-
-def _grid_index(slope: np.ndarray) -> np.ndarray:
-    """Place of each slope on the evenly spaced grid through all of them."""
-    lo = slope.min()
-    gaps = np.diff(np.sort(slope))
-    gaps = gaps[gaps > 1e-9 * (slope.max() - lo)]  # closer slopes are one grid value, apart by rounding
-    if not len(gaps):
-        return np.zeros(len(slope), dtype=np.intp)
-    steps = (slope - lo) / gaps.min()
-    index = np.rint(steps)
-    if not np.all(np.abs(steps - index) <= 1e-6):  # also false on a NaN slope
-        raise ValueError("cloud is not organized: a point lies off the pixel grid")
-    return index.astype(np.intp)
-
-
 # the six second moments x*x, x*y, x*z, y*y, y*z, z*z
 _FIRST, _SECOND = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
 
 
-def estimate_point_normals(pts: np.ndarray, k: int) -> PointNormals:
+def estimate_point_normals(frame: Frame, k: int) -> PointNormals:
     """Per-point unit normals from pixel-window covariance, oriented toward the camera.
 
     The window is the smallest odd square with at least k pixels, and a
-    point's neighborhood is the cloud's points on it. A neighborhood of
+    point's neighborhood is the frame's points on it. A neighborhood of
     fewer than 3 points, of rank below 2 (collinear) or with no defined
     normal flags the point invalid, and it takes no part in region
     growing. The growing graph is the window one ring wider, and the raster
     is padded by its reach: each point's moments are summed there in place
     and read back at the point's address, which the graph keeps.
     """
-    row, col = pixel_index(pts)
+    pts, row, col = frame.points, frame.row, frame.col
     half = (math.isqrt(k - 1) + 1) // 2  # the smallest odd square with at least k pixels is 2 * half + 1 wide
     reach = half + 1
     height, width = row.max() + 1 + 2 * reach, col.max() + 1 + 2 * reach
@@ -329,10 +296,11 @@ def orientation_error(n_s_camera: np.ndarray) -> float:
     return math.acos(min(abs(float(n_s_camera[2])), 1.0))
 
 
-def perceive(pts: np.ndarray, cfg: PerceptionConfig) -> PerceptionResult:
-    """Full pipeline on an (N, 3) cloud: normals -> region growing -> working segment -> PCA."""
+def perceive(frame: Frame, cfg: PerceptionConfig) -> PerceptionResult:
+    """Full pipeline on a camera frame: normals -> region growing -> working segment -> PCA."""
+    pts = frame.points
     if len(pts) < cfg.k:
-        raise NoSegmentError(f"cloud too small ({len(pts)} points)")
-    normals = estimate_point_normals(pts, cfg.k)
+        raise NoSegmentError(f"frame too small ({len(pts)} points)")
+    normals = estimate_point_normals(frame, cfg.k)
     segments = region_grow(pts, normals, cfg.angle_thresh, cfg.min_segment_size)
     return segment_pca(pts[select_working_segment(pts, segments)])

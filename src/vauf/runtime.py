@@ -2,7 +2,7 @@
 
 The plant is a free Cartesian rigid body (diagonal inertia, gravity
 pre-compensated) integrated semi-implicitly at the control rate. Perception
-runs on its own cadence with one full period of latency: the cloud rendered
+runs on its own cadence with one full period of latency: the frame rendered
 at one perception tick is processed at the next, so the last perception
 tick of a run renders nothing. The loop per control tick:
 
@@ -251,7 +251,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     s_f, s_i = tank_f.s0, tank_i.s0  # J, the tank energies the loop carries
     task_origin = p_ee
     theta = l_s = 0.0  # the latched perception estimate's visual terms
-    pending: tuple | None = None  # (cloud, camera rotation at render time)
+    pending: tuple | None = None  # (frame, camera rotation at render time)
     trigger_armed = True
     events: list[float] = []
     table = np.empty((n_ticks, len(COLUMNS)))
@@ -265,9 +265,9 @@ def run_scenario(scenario: Scenario) -> RunResult:
         fresh = 0.0
         if k % stride == 0:
             if pending is not None:
-                cloud, r_cam = pending
+                frame, r_cam = pending
                 try:
-                    latched = perceive(cloud, sc.perception)
+                    latched = perceive(frame, sc.perception)
                     n0, n1, n2 = latched.n_s_camera
                     n_cam = r_cam[:, 0] * n0 + r_cam[:, 1] * n1 + r_cam[:, 2] * n2
                     if n_cam[2] < 0.0:
@@ -281,8 +281,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
             if k + stride < n_ticks:  # a frame rendered now is perceived one stride later
                 try:
                     cam_pose = camera_pose_from_tool(Pose(np.reshape(r_ee, (3, 3)), p_ee), sc.camera)
-                    cloud = render(sc.camera, cam_pose, sc.surface, rng=rng)
-                    pending = (cloud, cam_pose.rotation)
+                    pending = (render(sc.camera, cam_pose, sc.surface, rng=rng), cam_pose.rotation)
                 except EmptyViewError as exc:
                     log.debug("camera empty view at t=%.3f: %s", t, exc)
 

@@ -262,9 +262,9 @@ def run_numpy_loop(sc):
         fresh = 0.0
         if k % stride == 0:
             if pending is not None:
-                cloud, r_cam = pending
+                frame, r_cam = pending
                 try:
-                    latched = perceive(cloud, sc.perception)
+                    latched = perceive(frame, sc.perception)
                     n_cam = r_cam @ latched.n_s_camera
                     n_s_base = -n_cam if n_cam[2] < 0.0 else n_cam
                     fresh = 1.0

@@ -87,10 +87,11 @@ def test_working_segment_size_is_its_member_count():
     # the traced run's working_frac counter reads .size off select_working_segment's result
     g = np.linspace(-0.1, 0.1, 24)
     xx, yy = np.meshgrid(g, g)
-    cloud = np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, 0.3)])
-    normals = vauf.perception.estimate_point_normals(cloud, 10)
-    segments = vauf.perception.region_grow(cloud, normals, np.deg2rad(8.0), 30)
-    working = vauf.perception.select_working_segment(cloud, segments)
+    row, col = np.divmod(np.arange(xx.size), 24)
+    frame = vauf.Frame(np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, 0.3)]), row, col)
+    normals = vauf.perception.estimate_point_normals(frame, 10)
+    segments = vauf.perception.region_grow(frame.points, normals, np.deg2rad(8.0), 30)
+    working = vauf.perception.select_working_segment(frame.points, segments)
     assert working.size == len(np.unique(working)) > 0
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from march_render import MARCH_STEPS, march_render
-from vauf.camera import CameraModel, EmptyViewError, MOUNT_ROTATION, camera_pose_from_tool, render
+from vauf.camera import CameraModel, EmptyViewError, Frame, MOUNT_ROTATION, camera_pose_from_tool, render
 from vauf.spatial import Pose, rotation_exp, rotation_x
 from vauf.surface import HeightField
 
@@ -22,15 +22,15 @@ def rotation_y(angle: float) -> np.ndarray:
 class TestRender:
     def test_flat_plane_depth(self):
         cam = CameraModel(cols=16, rows=16, noise_sigma=0.0)
-        cloud = render(cam, DOWN, FLAT, rng=np.random.default_rng(0))
-        assert len(cloud) == 256
-        assert np.abs(cloud[:, 2] - 0.3).max() < 2e-5
+        frame = render(cam, DOWN, FLAT, rng=np.random.default_rng(0))
+        assert len(frame) == 256
+        assert np.abs(frame.points[:, 2] - 0.3).max() < 2e-5
 
     def test_pixel_count_bound(self):
         cam = CameraModel(cols=32, rows=32)
-        cloud = render(cam, DOWN, FLAT, rng=np.random.default_rng(0))
-        assert len(cloud) <= 1024
-        z = cloud[:, 2]
+        frame = render(cam, DOWN, FLAT, rng=np.random.default_rng(0))
+        assert len(frame) <= 1024
+        z = frame.points[:, 2]
         assert np.all((z >= cam.range_min) & (z <= cam.range_max))
 
     def test_noise_statistics(self):
@@ -39,8 +39,8 @@ class TestRender:
         noisy = render(cam, DOWN, FLAT, rng=np.random.default_rng(0))
         assert len(noisy) >= 10_000
         # ray-depth residuals: distance along each ray vs the clean render
-        d_clean = np.linalg.norm(clean, axis=1)
-        d_noisy = np.linalg.norm(noisy, axis=1)
+        d_clean = np.linalg.norm(clean.points, axis=1)
+        d_noisy = np.linalg.norm(noisy.points, axis=1)
         resid = d_noisy - d_clean[: len(d_noisy)]
         assert 0.0018 <= resid.std() <= 0.0022
 
@@ -48,13 +48,13 @@ class TestRender:
         cam = CameraModel(cols=24, rows=16, noise_sigma=0.002)
         a = render(cam, DOWN, PAPER, rng=np.random.default_rng(7))
         b = render(cam, DOWN, PAPER, rng=np.random.default_rng(7))
-        assert np.array_equal(a, b)
+        assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in ("points", "row", "col"))
 
     def test_noise_free_points_lie_on_surface(self):
         cam = CameraModel(cols=32, rows=24, noise_sigma=0.0)
         pose = Pose(MOUNT_ROTATION, np.array([0.0, 0.05, 0.33]))
-        cloud = render(cam, pose, PAPER, rng=np.random.default_rng(0))
-        pts_base = cloud @ pose.rotation.T + pose.position
+        frame = render(cam, pose, PAPER, rng=np.random.default_rng(0))
+        pts_base = frame.points @ pose.rotation.T + pose.position
         h = PAPER.height_unchecked(pts_base[:, 0], pts_base[:, 1])
         assert np.abs(pts_base[:, 2] - h).max() < 2e-5
 
@@ -67,17 +67,24 @@ class TestRender:
     def test_tilted_view_still_returns(self):
         cam = CameraModel(cols=24, rows=18)
         pose = Pose(rotation_x(np.deg2rad(20.0)) @ MOUNT_ROTATION, np.array([0.0, 0.05, 0.33]))
-        cloud = render(cam, pose, PAPER, rng=np.random.default_rng(0))
-        assert len(cloud) > 0.5 * 24 * 18
+        frame = render(cam, pose, PAPER, rng=np.random.default_rng(0))
+        assert len(frame) > 0.5 * 24 * 18
 
     def test_minimum_range_drops_logged(self, caplog):
         # surface closer than the minimum range: hits found, dropped, warned
         cam = CameraModel(cols=16, rows=16, range_min=0.3)
         pose = Pose(MOUNT_ROTATION, np.array([0.0, 0.0, 0.25]))
-        with caplog.at_level(logging.WARNING, logger="vauf.camera"):
-            cloud = render(cam, pose, FLAT, rng=np.random.default_rng(0))
+        with caplog.at_level(logging.WARNING, logger="vauf.camera"), pytest.raises(EmptyViewError):
+            render(cam, pose, FLAT, rng=np.random.default_rng(0))
         assert any("minimum range" in r.message for r in caplog.records)
-        assert len(cloud) == 0
+
+    @pytest.mark.parametrize("range_min", [0.225, 0.3])
+    def test_range_gated_view_is_empty(self, range_min):
+        # from 0.2 m above the paper surface every pixel hits it, but at
+        # most 32 of the 768 returns lie beyond range_min: fewer than 10%
+        pose = Pose(MOUNT_ROTATION, np.array([0.0, 0.0, PAPER.height_unchecked(0.0, 0.0) + 0.2]))
+        with pytest.raises(EmptyViewError, match="working range"):
+            render(CameraModel(range_min=range_min), pose, PAPER, rng=np.random.default_rng(0))
 
     def test_noise_drawn_per_pixel(self):
         cam = CameraModel(cols=16, rows=16, noise_sigma=0.002)
@@ -85,7 +92,7 @@ class TestRender:
         noisy = render(cam, DOWN, FLAT, rng=np.random.default_rng(3))
         assert len(clean) == len(noisy) == 256
         twin = np.random.default_rng(3).normal(0.0, 0.002, 256)
-        resid = np.linalg.norm(noisy, axis=1) - np.linalg.norm(clean, axis=1)
+        resid = np.linalg.norm(noisy.points, axis=1) - np.linalg.norm(clean.points, axis=1)
         assert np.abs(resid - twin).max() < 1e-12
 
     def test_noise_free_camera_draws_as_a_noisy_one(self):
@@ -96,7 +103,7 @@ class TestRender:
         assert clean_rng.bit_generator.state == noisy_rng.bit_generator.state
         # the +0.0 samples leave every point's bits independent of the generator
         other = render(replace(cam, noise_sigma=0.0), DOWN, PAPER, rng=np.random.default_rng(0))
-        assert clean.tobytes() == other.tobytes()
+        assert clean.points.tobytes() == other.points.tobytes()
 
     def test_band_beyond_range_max_is_empty(self):
         deep = HeightField(offset=-1.0, x_half=1.0, y_half=1.0)  # band 1.28-1.32 m below the camera
@@ -116,28 +123,25 @@ def edge_view(inside: float) -> tuple[Pose, np.ndarray]:
     `inside` metres inside the patch's +x edge; returns the pose and that point."""
     cam = CameraModel(cols=16, rows=16)
     wide = render(cam, OBLIQUE, replace(PAPER, x_half=1.0, y_half=1.0), rng=np.random.default_rng(0))
-    (point,) = wide[pixel_of(wide, cam) == EDGE_PIXEL]
+    (point,) = wide.points[pixel_of(wide, cam) == EDGE_PIXEL]
     hit = OBLIQUE.rotation @ point + OBLIQUE.position
     shift = np.array([PAPER.x_half - inside - hit[0], 0.0, 0.0])
     return Pose(OBLIQUE.rotation, OBLIQUE.position + shift), hit + shift
 
 
-def pixel_of(cloud: np.ndarray, cam: CameraModel) -> np.ndarray:
-    """Pixel index of each point, from its ray slopes x/z and y/z."""
-    tan_h, tan_v = np.tan(0.5 * cam.fov_h), np.tan(0.5 * cam.fov_v)
-    col = np.rint((cloud[:, 0] / cloud[:, 2] / tan_h + 1.0) * 0.5 * cam.cols - 0.5).astype(int)
-    row = np.rint((cloud[:, 1] / cloud[:, 2] / tan_v + 1.0) * 0.5 * cam.rows - 0.5).astype(int)
-    return row * cam.cols + col
+def pixel_of(frame: Frame, cam: CameraModel) -> np.ndarray:
+    """Row-major pixel index of each point of the frame."""
+    return frame.row * cam.cols + frame.col
 
 
 class TestPatchEdge:
     def test_hit_just_inside_the_edge_is_kept(self):
         cam = CameraModel(cols=16, rows=16)
         pose, expected = edge_view(inside=1e-4)
-        cloud = render(cam, pose, PAPER, rng=np.random.default_rng(0))
-        pix = pixel_of(cloud, cam)
+        frame = render(cam, pose, PAPER, rng=np.random.default_rng(0))
+        pix = pixel_of(frame, cam)
         assert EDGE_PIXEL in pix
-        hit = pose.rotation @ cloud[pix == EDGE_PIXEL][0] + pose.position
+        hit = pose.rotation @ frame.points[pix == EDGE_PIXEL][0] + pose.position
         assert np.abs(hit - expected).max() < 2e-5
         assert abs(hit[2] - PAPER.height_unchecked(hit[0], hit[1])) < 2e-5
         assert 0.0 < PAPER.x_half - hit[0] < 2e-4
@@ -145,8 +149,8 @@ class TestPatchEdge:
     def test_crossing_just_outside_the_edge_is_no_hit(self):
         cam = CameraModel(cols=16, rows=16)
         pose, _ = edge_view(inside=-1e-4)
-        cloud = render(cam, pose, PAPER, rng=np.random.default_rng(0))
-        assert EDGE_PIXEL not in pixel_of(cloud, cam)
+        frame = render(cam, pose, PAPER, rng=np.random.default_rng(0))
+        assert EDGE_PIXEL not in pixel_of(frame, cam)
 
 
 class TestCameraModel:
@@ -204,9 +208,8 @@ def test_band_march_against_march_oracle(name, sigma):
     gained = 0
     for i, pose in enumerate(oracle_poses()):
         old, old_pix = march_render(cam, pose, PAPER, np.random.default_rng(i))
-        new = render(cam, pose, PAPER, rng=np.random.default_rng(i))
-        new_pix = pixel_of(new, cam)
-        assert len(np.unique(new_pix)) == len(new_pix)
+        frame = render(cam, pose, PAPER, rng=np.random.default_rng(i))
+        new, new_pix = frame.points, pixel_of(frame, cam)
         assert np.isin(old_pix, new_pix).all(), f"pose {i}: pixels lost"
         extra = ~np.isin(new_pix, old_pix)
         gained += extra.sum()
@@ -239,8 +242,8 @@ def test_ray_starting_inside_the_solid_is_a_miss():
     inside = gap[0] <= 0.0
     crossed = ((gap[:-1] > 0.0) & (gap[1:] <= 0.0)).any(axis=0)
     assert (inside & crossed).sum() >= 32  # rays that leave the solid, then meet the next crest
-    cloud = render(cam, pose, CRESTS, rng=np.random.default_rng(0))
-    assert sorted(pixel_of(cloud, cam)) == list(np.nonzero(~inside & crossed)[0])
+    frame = render(cam, pose, CRESTS, rng=np.random.default_rng(0))
+    assert sorted(pixel_of(frame, cam)) == list(np.nonzero(~inside & crossed)[0])
 
 
 def test_thin_crest_between_band_samples_is_found():
@@ -265,8 +268,8 @@ def test_thin_crest_between_band_samples_is_found():
     assert samples[0] < z_lo < 0.3 < samples[1]
     assert gap(samples[0]) > 0.0 and gap(0.3) < 0.0 and gap(samples[1]) > 0.0
     cam = CameraModel(cols=9, rows=9)
-    cloud = render(cam, Pose(rotation, o), CRESTS, rng=np.random.default_rng(0))
-    (hit,) = cloud[pixel_of(cloud, cam) == 40]
+    frame = render(cam, Pose(rotation, o), CRESTS, rng=np.random.default_rng(0))
+    (hit,) = frame.points[pixel_of(frame, cam) == 40]
     assert abs(hit[2] - z_lo) < 1e-6 and np.abs(hit[:2]).max() < 1e-12
 
 
@@ -278,6 +281,6 @@ def test_grazing_ray_reaches_the_pass_cap(caplog):
     pose = Pose(rotation, np.array([0.0, -0.3, gentle.height_band()[1] + 2e-8]))
     cam = CameraModel(cols=9, rows=9)
     with caplog.at_level(logging.DEBUG, logger="vauf.camera"):
-        cloud = render(cam, pose, gentle, rng=np.random.default_rng(0))
+        frame = render(cam, pose, gentle, rng=np.random.default_rng(0))
     assert [r.message for r in caplog.records] == ["camera: 9 grazing rays still marching after 1000 passes, counted as misses"]
-    assert len(cloud) and not np.isin(pixel_of(cloud, cam), np.arange(36, 45)).any()
+    assert len(frame) and not np.isin(pixel_of(frame, cam), np.arange(36, 45)).any()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from vauf import perception
-from vauf.camera import MOUNT_ROTATION, CameraModel, EmptyViewError, render
+from vauf.camera import MOUNT_ROTATION, CameraModel, EmptyViewError, Frame, render
 from vauf.perception import (
     DegenerateSegmentError,
     NoSegmentError,
@@ -19,7 +19,6 @@ from vauf.perception import (
     estimate_point_normals,
     orientation_error,
     perceive,
-    pixel_index,
     region_grow,
     segment_pca,
     select_working_segment,
@@ -30,24 +29,32 @@ from vauf.surface import HeightField
 from conftest import traced_peak
 
 
-def plane_cloud(n_side=24, z=0.3, extent=0.2, jitter=None, seed=0):
+def grid_frame(points, cols):
+    """Frame of points given row by row over a full pixel grid cols wide."""
+    row, col = np.divmod(np.arange(len(points)), cols)
+    return Frame(points, row, col)
+
+
+def subset(frame, index):
+    """The frame's points at index (a mask or indices), each on its own pixel."""
+    return Frame(frame.points[index], frame.row[index], frame.col[index])
+
+
+def plane_frame(n_side=24, z=0.3, extent=0.2):
     """Grid on the plane z=const in the camera frame (camera at the origin)."""
     g = np.linspace(-extent / 2, extent / 2, n_side)
     xx, yy = np.meshgrid(g, g)
-    pts = np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, z)])
-    if jitter:
-        pts += np.random.default_rng(seed).normal(0, jitter, pts.shape)
-    return pts
+    return grid_frame(np.column_stack([xx.ravel(), yy.ravel(), np.full(xx.size, z)]), n_side)
 
 
-def two_plane_cloud(cols=40, rows=24):
+def two_plane_frame(cols=40, rows=24):
     """An L shape seen from the origin: pinhole rays cast against the floor
     z = 0.3 and the wall x = -0.05, keeping the nearer hit."""
     u, v = np.meshgrid((np.arange(cols) + 0.5) / cols - 0.5, 0.8 * ((np.arange(rows) + 0.5) / rows - 0.5))
     rays = np.column_stack([u.ravel(), v.ravel(), np.ones(u.size)])
     with np.errstate(divide="ignore"):
         wall_depth = np.where(rays[:, 0] < 0.0, -0.05 / rays[:, 0], np.inf)
-    return rays * np.minimum(0.3, wall_depth)[:, None]
+    return grid_frame(rays * np.minimum(0.3, wall_depth)[:, None], cols)
 
 
 def spherical_cap(radius, footprint=0.04, n=1200, center_depth=0.3):
@@ -79,13 +86,12 @@ def window_graph(normals):
 
 class TestPointNormals:
     def test_plane_normals_face_camera(self):
-        res = estimate_point_normals(plane_cloud(), k=10)
+        res = estimate_point_normals(plane_frame(), k=10)
         assert np.all(res.valid)
         assert np.abs(res.normals - np.array([0.0, 0.0, -1.0])).max() < 1e-9
 
     def test_two_plane_populations(self):
-        cloud = two_plane_cloud()
-        res = estimate_point_normals(cloud, k=8)
+        res = estimate_point_normals(two_plane_frame(), k=8)
         dots = np.abs(res.normals[res.valid] @ np.array([0.0, 0.0, 1.0]))
         near_floor = (dots > 0.95).sum()
         near_wall = (dots < 0.05).sum()
@@ -94,9 +100,9 @@ class TestPointNormals:
 
     @pytest.mark.parametrize("k, side", [(5, 3), (9, 3), (10, 5), (80, 9), (81, 9), (82, 11)])
     def test_window_is_smallest_odd_square_and_graph_one_ring_wider(self, k, side):
-        cloud = plane_cloud()
-        graph = window_graph(estimate_point_normals(cloud, k=k))
-        n = len(cloud)
+        frame = plane_frame()
+        graph = window_graph(estimate_point_normals(frame, k=k))
+        n = len(frame)
         assert graph.shape == (n, (side + 2) ** 2 - 1)
         # the sentinel n exactly where the window pixel holds no point: off
         # the 24x24 grid, or on a pixel dropped from the cloud
@@ -105,7 +111,7 @@ class TestPointNormals:
         offsets = [(dr, dc) for dr in range(-half, half + 1) for dc in range(-half, half + 1)]
         ring = sorted(offsets, key=lambda o: max(abs(o[0]), abs(o[1])))[1:]  # stable: row-major per ring
         kept = np.delete(np.arange(n), [0, 100, 300])
-        sub = window_graph(estimate_point_normals(cloud[kept], k=k))
+        sub = window_graph(estimate_point_normals(subset(frame, kept), k=k))
         at = {(i // 24, i % 24): j for j, i in enumerate(kept)}
         for j, i in enumerate(kept):
             expected = [at.get((i // 24 + dr, i % 24 + dc), len(kept)) for dr, dc in ring]
@@ -113,7 +119,7 @@ class TestPointNormals:
 
     def test_collinear_points_flagged(self):
         pts = np.column_stack([np.linspace(0, 1, 50), np.zeros(50), np.full(50, 0.3)])
-        res = estimate_point_normals(pts, k=6)
+        res = estimate_point_normals(grid_frame(pts, 50), k=6)
         assert not res.valid.any()
 
 
@@ -121,14 +127,14 @@ class TestPointNormals:
 FIRST, SECOND = [0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2]
 
 
-def padded_copy_window_sums(pts, k):
+def padded_copy_window_sums(frame, k):
     """(N, 10) window sums of the moments at each point's pixel, the way an
     unpadded moment image, its np.pad copy and a [row, col] gather gave them."""
-    row, col = pixel_index(pts)
+    row, col = frame.row, frame.col
     half = (math.isqrt(k - 1) + 1) // 2
-    c = pts - pts.mean(axis=0)
+    c = frame.points - frame.points.mean(axis=0)
     image = np.zeros((row.max() + 1, col.max() + 1, 10))
-    image[row, col] = np.column_stack([np.ones(len(pts)), c, c[:, FIRST] * c[:, SECOND]])
+    image[row, col] = np.column_stack([np.ones(len(c)), c, c[:, FIRST] * c[:, SECOND]])
     rows, cols = image.shape[:2]
     padded = np.pad(image, ((half, half), (half, half), (0, 0)))
     band = np.zeros((rows,) + padded.shape[1:])
@@ -140,30 +146,27 @@ def padded_copy_window_sums(pts, k):
     return out[row, col]
 
 
-def random_organized_cloud(rng, rows, cols):
+def random_organized_frame(rng, rows, cols):
     """Points at random depths on a random share of a rows x cols pinhole grid.
     The four corner pixels always hold a point, so windows cross every edge."""
     r, c = np.divmod(np.arange(rows * cols), cols)
     kept = rng.random(rows * cols) < rng.uniform(0.3, 1.0)
     kept[[0, cols - 1, (rows - 1) * cols, rows * cols - 1]] = True
-    z = rng.uniform(0.2, 0.4, kept.sum())
-    return np.column_stack([(c[kept] - 0.5 * cols) * 0.01 * z, (r[kept] - 0.5 * rows) * 0.01 * z, z])
+    r, c = r[kept], c[kept]
+    z = rng.uniform(0.2, 0.4, len(c))
+    return Frame(np.column_stack([(c - 0.5 * cols) * 0.01 * z, (r - 0.5 * rows) * 0.01 * z, z]), r, c)
 
 
-def creased_cloud(rng, rows, cols, bend, sigma):
+def creased_frame(rng, rows, cols, bend, sigma):
     """Points on a random share of a rows x cols pinhole grid, on a surface
     creased down the middle column by bend, with depth noise sigma. The four
-    corner pixels always hold a point, and so do the two next to the first:
-    without an adjacent pair, kept columns 0, 3 and 5 would read as a grid
-    of pitch 2 with a point off it, and pixel_index rejects the cloud."""
+    corner pixels always hold a point."""
     r, c = np.divmod(np.arange(rows * cols), cols)
     kept = rng.random(rows * cols) < rng.uniform(0.3, 1.0)
     kept[[0, cols - 1, (rows - 1) * cols, rows * cols - 1]] = True
-    grid = kept.reshape(rows, cols)
-    grid[0, :2] = grid[:2, 0] = True
     r, c = r[kept], c[kept]
     z = 0.3 + 0.01 * bend * np.abs(c - 0.5 * cols) + rng.normal(0.0, sigma, len(c))
-    return np.column_stack([(c - 0.5 * cols) * 0.01 * z, (r - 0.5 * rows) * 0.01 * z, z])
+    return Frame(np.column_stack([(c - 0.5 * cols) * 0.01 * z, (r - 0.5 * rows) * 0.01 * z, z]), r, c)
 
 
 class TestWindowSums:
@@ -171,7 +174,7 @@ class TestWindowSums:
     address, against the padded-copy sums they replaced, bit for bit."""
 
     @staticmethod
-    def assert_matches_padded_copy(cloud, k, monkeypatch):
+    def assert_matches_padded_copy(frame, k, monkeypatch):
         rasters = []
 
         def box_sum(image, half):
@@ -179,17 +182,17 @@ class TestWindowSums:
             rasters.append(image)
 
         monkeypatch.setattr(perception, "_box_sum", box_sum)
-        normals = estimate_point_normals(cloud, k)
+        normals = estimate_point_normals(frame, k)
         (raster,) = rasters
         sums = raster.reshape(-1, 10)[normals.pixel]
-        expected = padded_copy_window_sums(cloud, k)
+        expected = padded_copy_window_sums(frame, k)
         assert sums.tobytes() == expected.tobytes()
         # the raster region growing walks: a window one ring wider stays inside it
         assert normals.pixel.max() + normals.offsets.max() < raster.shape[0] * raster.shape[1]
         assert normals.pixel.min() + normals.offsets.min() >= 0
         count, mean = expected[:, 0], expected[:, 1:4] / expected[:, :1]
         cov = (expected[:, 4:] / expected[:, :1] - mean[:, FIRST] * mean[:, SECOND]).T
-        _, _, oracle_normals, curvature, usable = _facing_normals(cov, cloud)
+        _, _, oracle_normals, curvature, usable = _facing_normals(cov, frame.points)
         assert normals.normals.tobytes() == oracle_normals.tobytes()
         assert normals.curvature.tobytes() == curvature.tobytes()
         assert np.array_equal(normals.valid, (count >= 3) & usable)
@@ -199,13 +202,13 @@ class TestWindowSums:
         rng = np.random.default_rng(half)
         for _ in range(8):
             rows, cols = rng.integers(1, 3 * half + 9, size=2)
-            self.assert_matches_padded_copy(random_organized_cloud(rng, rows, cols), (2 * half + 1) ** 2, monkeypatch)
+            self.assert_matches_padded_copy(random_organized_frame(rng, rows, cols), (2 * half + 1) ** 2, monkeypatch)
 
     @pytest.mark.parametrize("case", ["reference", "dense-64x48-k80"])
     def test_rendered_frames(self, case, monkeypatch):
         camera, cfg, height, n_frames = ORACLE_CASES[case]
-        for cloud in rendered_clouds(camera, height, n_frames):
-            self.assert_matches_padded_copy(cloud, cfg.k, monkeypatch)
+        for frame in rendered_frames(camera, height, n_frames):
+            self.assert_matches_padded_copy(frame, cfg.k, monkeypatch)
 
 
 # entries zero or at least 1e-30 in magnitude, so no product the closed form
@@ -268,16 +271,16 @@ class TestSmallestEigenpairs:
 
 class TestRegionGrow:
     def test_single_plane_single_segment(self):
-        cloud = plane_cloud()
-        res = estimate_point_normals(cloud, k=10)
-        segs = region_grow(cloud, res, np.deg2rad(8.0), 30)
+        frame = plane_frame()
+        res = estimate_point_normals(frame, k=10)
+        segs = region_grow(frame.points, res, np.deg2rad(8.0), 30)
         assert len(segs) == 1
         assert segs[0].size >= 0.95 * res.valid.sum()
 
     def test_two_planes_two_segments(self):
-        cloud = two_plane_cloud()
-        res = estimate_point_normals(cloud, k=8)
-        segs = region_grow(cloud, res, np.deg2rad(8.0), 30)
+        frame = two_plane_frame()
+        res = estimate_point_normals(frame, k=8)
+        segs = region_grow(frame.points, res, np.deg2rad(8.0), 30)
         assert len(segs) == 2
 
     def test_empty_cloud(self):
@@ -313,8 +316,8 @@ def region_grow_oracle(normals, angle_thresh, min_segment_size):
     return found
 
 
-def assert_matches_oracle(cloud, normals, angle_thresh, min_segment_size):
-    segments = region_grow(cloud, normals, angle_thresh, min_segment_size)
+def assert_matches_oracle(points, normals, angle_thresh, min_segment_size):
+    segments = region_grow(points, normals, angle_thresh, min_segment_size)
     expected = region_grow_oracle(normals, angle_thresh, min_segment_size)
     assert len(segments) == len(expected)
     for seg, members in zip(segments, expected):
@@ -337,29 +340,29 @@ ORACLE_CASES = {
 }
 
 
-def rendered_clouds(camera, height, n_frames, seed=0):
+def rendered_frames(camera, height, n_frames, seed=0):
     """Frames over the wiping patch, from views tilted up to about 17 degrees."""
     rng = np.random.default_rng(seed)
-    clouds = []
-    while len(clouds) < n_frames:
+    frames = []
+    while len(frames) < n_frames:
         x, y, tilt = rng.uniform(-0.06, 0.06), rng.uniform(-0.2, 0.2), rng.uniform(-0.3, 0.3)
         c, s = np.cos(tilt), np.sin(tilt)
         r = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]) @ MOUNT_ROTATION
         pose = Pose(r, np.array([x, y, float(SURFACE.height_unchecked(x, y)) + height]))
         try:
-            clouds.append(render(camera, pose, SURFACE, rng=rng))
+            frames.append(render(camera, pose, SURFACE, rng=rng))
         except EmptyViewError:
             continue
-    return clouds
+    return frames
 
 
 class TestRegionGrowOracle:
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_rendered_frames_match_fifo_search(self, case):
         camera, cfg, height, n_frames = ORACLE_CASES[case]
-        for cloud in rendered_clouds(camera, height, n_frames):
-            normals = estimate_point_normals(cloud, cfg.k)
-            assert_matches_oracle(cloud, normals, cfg.angle_thresh, cfg.min_segment_size)
+        for frame in rendered_frames(camera, height, n_frames):
+            normals = estimate_point_normals(frame, cfg.k)
+            assert_matches_oracle(frame.points, normals, cfg.angle_thresh, cfg.min_segment_size)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -376,24 +379,24 @@ class TestRegionGrowOracle:
         # min_segment_size from 1, where growing runs to the last seed, to
         # N + 1, where it stops before the first: the same segments, in the
         # same order, or NoSegmentError from both
-        cloud = creased_cloud(np.random.default_rng(seed), rows, cols, bend, sigma)
-        normals = estimate_point_normals(cloud, k)
-        angle, min_segment_size = np.deg2rad(angle_deg), data.draw(st.integers(1, len(cloud) + 1))
+        frame = creased_frame(np.random.default_rng(seed), rows, cols, bend, sigma)
+        normals = estimate_point_normals(frame, k)
+        angle, min_segment_size = np.deg2rad(angle_deg), data.draw(st.integers(1, len(frame) + 1))
         if region_grow_oracle(normals, angle, min_segment_size):
-            assert_matches_oracle(cloud, normals, angle, min_segment_size)
+            assert_matches_oracle(frame.points, normals, angle, min_segment_size)
         else:
             with pytest.raises(NoSegmentError):
-                region_grow(cloud, normals, angle, min_segment_size)
+                region_grow(frame.points, normals, angle, min_segment_size)
 
     def test_dense_frame_builds_no_window_table(self):
         # an (N, m) growing graph on the 64x48, k=80 frame is about 2,900 x 120
         # int64, 2.8 MB per table; growing on raster addresses holds arrays of
         # the padded raster's 58 x 74 pixels instead
         camera, cfg, height, n_frames = ORACLE_CASES["dense-64x48-k80"]
-        for cloud in rendered_clouds(camera, height, n_frames):
+        for frame in rendered_frames(camera, height, n_frames):
             tracemalloc.start()
             try:
-                perceive(cloud, cfg)
+                perceive(frame, cfg)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -401,22 +404,25 @@ class TestRegionGrowOracle:
 
     def test_invalid_points_never_join(self):
         camera = REFERENCE_CAMERA
-        cloud = rendered_clouds(camera, 0.25, 1)[0]
+        frame = rendered_frames(camera, 0.25, 1)[0]
         # an organized rank-deficient strip: one pixel row of collinear points
         # 1 cm in front of the surface, three rows from the nearest kept row:
         # one more than the normal window's half-width (k=10: 5x5), so strip
         # windows hold strip points only, and within the growing graph's (7x7)
         strip_row = camera.rows // 2
         rays = camera.ray_directions()[strip_row * camera.cols : (strip_row + 1) * camera.cols]
-        slope, pitch = rays[0, 1] / rays[0, 2], 2.0 * np.tan(0.5 * camera.fov_v) / camera.rows
-        cloud = cloud[np.abs(cloud[:, 1] / cloud[:, 2] - slope) > 2.5 * pitch]
-        strip = rays / rays[:, 2:] * (np.median(cloud[:, 2]) - 0.01)
-        cloud = np.vstack([cloud, strip])
-        normals = estimate_point_normals(cloud, 10)
+        frame = subset(frame, np.abs(frame.row - strip_row) >= 3)
+        strip = rays / rays[:, 2:] * (np.median(frame.points[:, 2]) - 0.01)
+        frame = Frame(
+            np.vstack([frame.points, strip]),
+            np.r_[frame.row, np.full(camera.cols, strip_row)],
+            np.r_[frame.col, np.arange(camera.cols)],
+        )
+        normals = estimate_point_normals(frame, 10)
         invalid = np.flatnonzero(~normals.valid)
         assert len(invalid) > 0
         assert np.isin(window_graph(normals)[normals.valid], invalid).any()  # valid points border them
-        segments = assert_matches_oracle(cloud, normals, np.deg2rad(8.0), 5)
+        segments = assert_matches_oracle(frame.points, normals, np.deg2rad(8.0), 5)
         assert not any(np.isin(seg, invalid).any() for seg in segments)
 
     def test_predicate_within_ulps_of_threshold(self):
@@ -459,10 +465,10 @@ class TestRegionGrowOracle:
         assert from_seed.tolist() == [0, *batched_ok]
 
 
-def frame_bytes(cloud, cfg):
-    """Every array estimate_point_normals returns for the cloud, and its perceive result, as bytes."""
-    normals = estimate_point_normals(cloud, cfg.k)
-    result = perceive(cloud, cfg)
+def frame_bytes(frame, cfg):
+    """Every array estimate_point_normals returns for the frame, and its perceive result, as bytes."""
+    normals = estimate_point_normals(frame, cfg.k)
+    result = perceive(frame, cfg)
     return b"".join(
         a.tobytes() for a in (*vars(normals).values(), result.n_s_camera, result.eigenvalues, np.array([result.l_s, result.theta]))
     )
@@ -473,17 +479,16 @@ class TestFrameWorkspace:
 
     def test_no_value_leaks_between_frames(self, monkeypatch):
         camera, dense_cfg, height, _ = ORACLE_CASES["dense-64x48-k80"]
-        dense = rendered_clouds(camera, height, 1)[0]
-        row, _ = pixel_index(dense)
-        cropped = dense[row < row.max() - 3]  # the bottom rows missed: a shorter raster
-        reference = rendered_clouds(REFERENCE_CAMERA, 0.25, 1)[0]
+        dense = rendered_frames(camera, height, 1)[0]
+        cropped = subset(dense, dense.row < dense.row.max() - 3)  # the bottom rows missed: a shorter raster
+        reference = rendered_frames(REFERENCE_CAMERA, 0.25, 1)[0]
         calls = [(dense, dense_cfg), (reference, PerceptionConfig()), (cropped, dense_cfg), (dense, dense_cfg)]
-        assert len({pixel_index(cloud)[0].max() for cloud, _ in calls}) == 3
-        in_turn = [frame_bytes(cloud, cfg) for cloud, cfg in calls]
+        assert len({frame.row.max() for frame, _ in calls}) == 3
+        in_turn = [frame_bytes(frame, cfg) for frame, cfg in calls]
         fresh = []
-        for cloud, cfg in calls:  # each call as the first of a process
+        for frame, cfg in calls:  # each call as the first of a process
             monkeypatch.setattr(perception, "_WORKSPACE", {"moments": np.empty(0), "band": np.empty(0)})
-            fresh.append(frame_bytes(cloud, cfg))
+            fresh.append(frame_bytes(frame, cfg))
         assert in_turn == fresh
 
     def test_warm_dense_frame_holds_only_its_temporaries(self):
@@ -492,32 +497,24 @@ class TestFrameWorkspace:
         # temporaries to the end, 1.11-1.13 MB with the rasters kept and the
         # solver's halves freeing theirs on return
         camera, cfg, height, n_frames = ORACLE_CASES["dense-64x48-k80"]
-        for cloud in rendered_clouds(camera, height, n_frames):
-            estimate_point_normals(cloud, cfg.k)
-            assert traced_peak(lambda: estimate_point_normals(cloud, cfg.k)) < 1.5e6
+        for frame in rendered_frames(camera, height, n_frames):
+            estimate_point_normals(frame, cfg.k)
+            assert traced_peak(lambda: estimate_point_normals(frame, cfg.k)) < 1.5e6
 
 
-def camera_pixels(camera, cloud):
-    """(row, col) of each point's pixel from the camera's own ray grid."""
-    tan_h, tan_v = np.tan(0.5 * camera.fov_h), np.tan(0.5 * camera.fov_v)
-    col = np.rint((cloud[:, 0] / cloud[:, 2] / tan_h + 1.0) * camera.cols / 2 - 0.5).astype(int)
-    row = np.rint((cloud[:, 1] / cloud[:, 2] / tan_v + 1.0) * camera.rows / 2 - 0.5).astype(int)
-    return row, col
-
-
-def assert_pixels_recovered(camera, cloud):
-    row, col = pixel_index(cloud)
-    true_row, true_col = camera_pixels(camera, cloud)
-    assert np.array_equal(row, true_row - true_row.min())
-    assert np.array_equal(col, true_col - true_col.min())
+def assert_on_own_pixel_rays(camera, frame):
+    rays = camera.ray_directions()[frame.row * camera.cols + frame.col]
+    assert np.abs(frame.points / np.linalg.norm(frame.points, axis=1, keepdims=True) - rays).max() <= 1e-12
 
 
 class TestPixelIndex:
+    """The pixel a frame gives each point: the pixel whose ray the point lies on, one point per pixel."""
+
     @pytest.mark.parametrize("case", ORACLE_CASES)
     def test_exact_on_rendered_frames(self, case):
         camera, _, height, n_frames = ORACLE_CASES[case]
-        for cloud in rendered_clouds(camera, height, n_frames):
-            assert_pixels_recovered(camera, cloud)
+        for frame in rendered_frames(camera, height, n_frames):
+            assert_on_own_pixel_rays(camera, frame)
 
     def test_exact_on_reference_run_frames(self, reference_scenario, monkeypatch):
         from vauf import runtime
@@ -532,26 +529,19 @@ class TestPixelIndex:
         monkeypatch.setattr(runtime, "render", render)
         runtime.run_scenario(reference_scenario)
         assert len(frames) == 66  # the perception ticks but the last, t = 0 to 19.5 s
-        for cloud in frames:
-            assert_pixels_recovered(reference_scenario.camera, cloud)
+        for frame in frames:
+            assert_on_own_pixel_rays(reference_scenario.camera, frame)
 
-    @pytest.mark.parametrize("shift", [np.sqrt(2.0) * 1e-5, 0.3, 1e-3])
-    def test_off_grid_point_raises(self, shift):
-        # 1.4e-5 and 0.3 pitch leave the point off every grid through the
-        # other slopes; 1e-3 pitch makes a grid 1,000 times finer that holds
-        # every point but is far too large for the cloud
-        camera = REFERENCE_CAMERA
-        cloud = rendered_clouds(camera, 0.25, 1)[0]
-        pitch = 2.0 * np.tan(0.5 * camera.fov_h) / camera.cols
-        cloud[7, 0] += shift * pitch * cloud[7, 2]
-        with pytest.raises(ValueError, match="organized"):
-            pixel_index(cloud)
+    def test_arrays_of_different_lengths_raise(self):
+        frame = rendered_frames(REFERENCE_CAMERA, 0.25, 1)[0]
+        with pytest.raises(ValueError, match="differ in length"):
+            Frame(frame.points, frame.row[:-1], frame.col)
 
     def test_two_points_on_one_pixel_raise(self):
-        cloud = rendered_clouds(REFERENCE_CAMERA, 0.25, 1)[0]
-        cloud = np.vstack([cloud, 1.01 * cloud[7]])  # same ray, 1% deeper
-        with pytest.raises(ValueError, match="organized"):
-            pixel_index(cloud)
+        frame = rendered_frames(REFERENCE_CAMERA, 0.25, 1)[0]
+        points = np.vstack([frame.points, 1.01 * frame.points[7]])  # same ray, 1% deeper
+        with pytest.raises(ValueError, match="two points on one pixel"):
+            Frame(points, np.r_[frame.row, frame.row[7]], np.r_[frame.col, frame.col[7]])
 
 
 def estimate_dummy(cloud):
@@ -625,7 +615,7 @@ class TestSegmentPCA:
             assert abs(np.linalg.norm(n_s) - 1.0) < 1e-12
 
     def test_planar_segment(self):
-        res = segment_pca(plane_cloud())
+        res = segment_pca(plane_frame().points)
         assert res.l_s < 1e-6
         assert np.allclose(res.n_s_camera, [0.0, 0.0, -1.0], atol=1e-9)
 
@@ -663,19 +653,19 @@ class TestOrientationError:
 
 class TestSelectWorkingSegment:
     def test_single(self):
-        pts = plane_cloud()
+        pts = plane_frame().points
         seg = np.arange(len(pts))
         assert select_working_segment(pts, [seg]) is seg
 
     def test_prefers_on_axis(self):
-        plane = plane_cloud(extent=0.1)
+        plane = plane_frame(extent=0.1).points
         pts = np.vstack([plane + np.array([0.2, 0.0, 0.0]), plane])
         off, center = np.arange(len(plane)), np.arange(len(plane), len(pts))
         assert select_working_segment(pts, [off, center]) is center
 
     def test_tie_broken_by_size(self):
-        big_pts = plane_cloud(n_side=23) + np.array([0.1, 0.0, 0.0])
-        small_pts = plane_cloud(n_side=20) + np.array([-0.1, 0.0, 0.0])
+        big_pts = plane_frame(n_side=23).points + np.array([0.1, 0.0, 0.0])
+        small_pts = plane_frame(n_side=20).points + np.array([-0.1, 0.0, 0.0])
         pts = np.vstack([big_pts, small_pts])
         big, small = np.arange(len(big_pts)), np.arange(len(big_pts), len(pts))
         # equal axis distance, larger segment wins; list arrives size-sorted
@@ -684,13 +674,13 @@ class TestSelectWorkingSegment:
 
 class TestPipeline:
     def test_perceive_plane(self):
-        res = perceive(plane_cloud(), PerceptionConfig())
+        res = perceive(plane_frame(), PerceptionConfig())
         assert res.theta < 1e-6
         assert res.l_s < 1e-6
 
     def test_perceive_small_cloud(self):
         with pytest.raises(NoSegmentError):
-            perceive(np.zeros((3, 3)), PerceptionConfig())
+            perceive(grid_frame(np.zeros((3, 3)), 3), PerceptionConfig())
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,10 @@
 """Command-line entry point: run scenarios, report metrics, export plot data.
 
-Exit codes: 0 success, 2 configuration/parse error or an output directory
-that cannot be created, 3 simulation abort, 4 passivity-audit failure when
---audit is requested. Log level comes from the VAUF_LOG_LEVEL environment
-variable: error, warn, info or debug; any other value warns on stderr.
+Exit codes: 0 success, 2 configuration/parse error, an output directory
+that cannot be created or an output file that cannot be written, 3
+simulation abort, 4 passivity-audit failure when --audit is requested. Log
+level comes from the VAUF_LOG_LEVEL environment variable: error, warn, info
+or debug; any other value warns on stderr.
 """
 
 from __future__ import annotations
@@ -76,8 +77,13 @@ def cmd_run(args) -> int:
 
     result = run_scenario(scenario)
     table = result.table
-    write_csv(table, out / "telemetry.csv")
-    (out / "scenario.cfg").write_text(scenario_to_text(scenario))
+    path = out / "telemetry.csv"
+    try:
+        write_csv(table, path)
+        path = out / "scenario.cfg"
+        path.write_text(scenario_to_text(scenario))
+    except OSError as exc:
+        return _cannot_write(path, exc)
 
     audit = passivity_audit(table, scenario) if args.audit else None
     metrics = compute_metrics(rows_to_columns(table))
@@ -90,7 +96,11 @@ def cmd_run(args) -> int:
     if not result.completed:
         stats["abort"] = result.abort_reason
     report = format_report(metrics, audit, stats)
-    (out / "report.txt").write_text(report)
+    path = out / "report.txt"
+    try:
+        path.write_text(report)
+    except OSError as exc:
+        return _cannot_write(path, exc)
     print(report, end="")
 
     if not result.completed:
@@ -100,6 +110,11 @@ def cmd_run(args) -> int:
         print("passivity audit failed", file=sys.stderr)
         return EXIT_AUDIT
     return EXIT_OK
+
+
+def _cannot_write(path, exc) -> int:
+    print(f"cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_CONFIG
 
 
 def _read_telemetry(path):
@@ -153,7 +168,11 @@ def cmd_export_plots(args) -> int:
         ("force", ["t", "fd_shaped_z", "fext_ee_fz", "fcmd_fz"]),
         ("tanks", ["t", "S_t_i", "S_t_f", "sigma_i", "sigma_f", "beta_i", "beta_f", "lam"]),
     ):
-        write_csv(np.column_stack([c[h] for h in header]), out / f"{name}.csv", header)
+        path = out / f"{name}.csv"
+        try:
+            write_csv(np.column_stack([c[h] for h in header]), path, header)
+        except OSError as exc:
+            return _cannot_write(path, exc)
     print(f"wrote 4 plot tables to {out}")
     return EXIT_OK
 

@@ -10,11 +10,26 @@ Every pass over a finished table (the CSV write and read here, the passivity
 audit in `tanks`) walks it BLOCK_ROWS rows at a time, so a pass holds the
 table plus one block of temporaries, never a second table. Iterating
 `RunResult.rows`, a TelemetryRows view of the table, is one more such pass.
+
+The CSV write of a table of two blocks or more runs in two processes at
+once; the simulation loop itself stays single-threaded. The rows split at
+the block boundary nearest the middle, mid = len(table) // (2 * BLOCK_ROWS)
+* BLOCK_ROWS: this process writes the header and rows [:mid], an os.fork()ed
+child formats rows [mid:] with the same per-block code into an unnamed
+temporary file, and this process appends those bytes after reaping the
+child, so the file is byte-identical to a one-process write. A shorter table
+is written in this process alone. os.fork makes the writer POSIX-only, and
+Python 3.12 and later warn (DeprecationWarning) when a process with threads
+forks; OpenBLAS's thread pool counts, so CI pins Python 3.11 with one BLAS
+thread.
 """
 
 from __future__ import annotations
 
 import operator
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -72,13 +87,44 @@ class ParseError(ValueError):
 
 
 def write_csv(table, path, header=COLUMNS) -> None:
-    """Write a float table (or a sequence of rows), one column per header name, as CSV."""
+    """Write a float table (or a sequence of rows), one column per header name, as CSV.
+
+    A table of two blocks or more is formatted by two processes at once:
+    this one writes rows [:mid], a forked child formats rows [mid:] into an
+    unnamed temporary file, and this one appends them once the child exits.
+    """
     table = np.asarray(table, dtype=float)
+    mid = len(table) // (2 * BLOCK_ROWS) * BLOCK_ROWS
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(table), BLOCK_ROWS):
-            lines = [",".join(map(repr, row)) for row in table[start : start + BLOCK_ROWS].tolist()]
-            fh.write("\n".join(lines) + "\n")
+        if not mid:
+            _write_rows(fh, table)
+            return
+        with tempfile.TemporaryFile("w+") as tail:
+            pid = os.fork()
+            if pid == 0:  # the child leaves only through os._exit, running no cleanup of this process
+                status = 1
+                try:
+                    _write_rows(tail, table[mid:])
+                    tail.flush()
+                    status = 0
+                finally:
+                    os._exit(status)
+            try:
+                _write_rows(fh, table[:mid])
+            finally:
+                _, status = os.waitpid(pid, 0)
+            if status:
+                code = os.waitstatus_to_exitcode(status)
+                raise OSError(f"the child formatting rows {mid}: of {path} exited with status {code}")
+            tail.seek(0)
+            shutil.copyfileobj(tail, fh)
+
+
+def _write_rows(fh, table) -> None:
+    for start in range(0, len(table), BLOCK_ROWS):
+        lines = [",".join(map(repr, row)) for row in table[start : start + BLOCK_ROWS].tolist()]
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_csv(path) -> np.ndarray:

@@ -91,6 +91,14 @@ class TestRun:
         assert main(["run", "--scenario", REF, "--out", str(out)]) == EXIT_CONFIG
         assert f"cannot create output directory {out}: " in capsys.readouterr().err
 
+    def test_unwritable_telemetry_exits_2(self, tmp_path, capsys):
+        (tmp_path / "telemetry.csv").mkdir()
+        code = main(["run", "--scenario", REF, "--duration", "0.05", "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"cannot write {tmp_path / 'telemetry.csv'}: " in err
+        assert "Traceback" not in err
+
 
 class TestReport:
     def test_prints_sections(self, short_run, capsys):
@@ -140,6 +148,14 @@ class TestExportPlots:
         out = tmp_path / "afile" / "x"
         assert main(["export-plots", str(short_run / "telemetry.csv"), "--out", str(out)]) == EXIT_CONFIG
         assert f"cannot create output directory {out}: " in capsys.readouterr().err
+
+    def test_unwritable_table_exits_2(self, short_run, tmp_path, capsys):
+        (tmp_path / "force.csv").mkdir()
+        code = main(["export-plots", str(short_run / "telemetry.csv"), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == EXIT_CONFIG
+        assert f"cannot write {tmp_path / 'force.csv'}: " in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["report", "export-plots"])
     def test_header_only_telemetry_exits_2(self, short_run, tmp_path, capsys, command):

@@ -1,7 +1,10 @@
+import os
+
 import numpy as np
 import pytest
 
 from conftest import traced_peak
+from vauf import telemetry
 from vauf.telemetry import (
     BLOCK_ROWS,
     COLUMNS,
@@ -107,6 +110,88 @@ class TestCsvRoundTrip:
         path.write_text("a,b,c\n1,2,3\n")
         with pytest.raises(ParseError, match="row 1"):
             read_csv(path)
+
+
+def one_process_csv(table, header=COLUMNS) -> bytes:
+    """The CSV text of a table, formatted row by row in this process."""
+    lines = [",".join(header)] + [",".join(map(repr, row)) for row in np.asarray(table).tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+SPECIALS = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1.7976931348623157e308]
+
+
+def special_table(n, width=len(COLUMNS)):
+    """n rows of normal draws with every value of SPECIALS in both halves of the split."""
+    table = np.random.default_rng(n).normal(size=(n, width))
+    table.flat[::7] = np.resize(SPECIALS, table.flat[::7].shape)
+    return table
+
+
+class TestSplitWrite:
+    """write_csv formats a table of two blocks or more in two processes."""
+
+    @pytest.mark.parametrize("n", [0, 1, 511, 512, 1023, 1024, 1025, 1536, 2049])
+    def test_byte_identical_to_one_process(self, n, tmp_path):
+        table = special_table(n)
+        write_csv(table, tmp_path / "t.csv")
+        assert (tmp_path / "t.csv").read_bytes() == one_process_csv(table)
+        assert_no_child()
+
+    def test_custom_header(self, tmp_path):
+        table = special_table(3 * BLOCK_ROWS, width=3)
+        write_csv(table, tmp_path / "t.csv", ["a", "b", "c"])
+        assert (tmp_path / "t.csv").read_bytes() == one_process_csv(table, ["a", "b", "c"])
+        assert_no_child()
+
+    @pytest.mark.parametrize("n, forks", [(2 * BLOCK_ROWS - 1, 0), (2 * BLOCK_ROWS, 1)])
+    def test_fork_only_from_two_blocks(self, n, forks, tmp_path, monkeypatch):
+        calls = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+        write_csv(special_table(n), tmp_path / "t.csv")
+        assert len(calls) == forks
+
+    def test_failed_child_raises(self, tmp_path, monkeypatch):
+        n = 3 * BLOCK_ROWS  # the parent formats one block, the child two
+        write_rows = telemetry._write_rows
+
+        def fail_on_tail(fh, rows):
+            if len(rows) == 2 * BLOCK_ROWS:
+                raise RuntimeError("tail")
+            write_rows(fh, rows)
+
+        monkeypatch.setattr(telemetry, "_write_rows", fail_on_tail)
+        with pytest.raises(OSError, match="exited with status 1"):
+            write_csv(special_table(n), tmp_path / "t.csv")
+        assert_no_child()
+
+    def test_failed_parent_reaps_child(self, tmp_path, monkeypatch):
+        write_rows = telemetry._write_rows
+
+        def fail_on_head(fh, rows):
+            if len(rows) == BLOCK_ROWS:
+                raise RuntimeError("head")
+            write_rows(fh, rows)
+
+        monkeypatch.setattr(telemetry, "_write_rows", fail_on_head)
+        with pytest.raises(RuntimeError, match="head"):
+            write_csv(special_table(3 * BLOCK_ROWS), tmp_path / "t.csv")
+        assert_no_child()
+
+    def test_missing_directory_raises_before_fork(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked before the destination opened")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        with pytest.raises(FileNotFoundError):
+            write_csv(special_table(2 * BLOCK_ROWS), tmp_path / "missing" / "t.csv")
+        assert_no_child()
 
 
 class TestPassMemory:

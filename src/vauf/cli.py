@@ -1,10 +1,10 @@
 """Command-line entry point: run scenarios, report metrics, export plot data.
 
-Exit codes: 0 success, 2 configuration/parse error, an output directory
-that cannot be created or an output file that cannot be written, 3
-simulation abort, 4 passivity-audit failure when --audit is requested. Log
-level comes from the VAUF_LOG_LEVEL environment variable: error, warn, info
-or debug; any other value warns on stderr.
+Exit codes: 0 success, 2 configuration/parse error or an output directory
+or file that cannot be created or written (`run` checks each before it
+simulates), 3 simulation abort, 4 passivity-audit failure when --audit is
+requested. Log level comes from the VAUF_LOG_LEVEL environment variable:
+error, warn, info or debug; any other value warns on stderr.
 """
 
 from __future__ import annotations
@@ -74,16 +74,20 @@ def cmd_run(args) -> int:
     except OSError as exc:
         print(f"cannot create output directory {out}: {exc.strerror}", file=sys.stderr)
         return EXIT_CONFIG
-
-    result = run_scenario(scenario)
-    table = result.table
-    path = out / "telemetry.csv"
-    try:
-        write_csv(table, path)
+    try:  # open every output before the run; append mode truncates nothing
+        for path in (out / "telemetry.csv", out / "report.txt"):
+            open(path, "a").close()
         path = out / "scenario.cfg"
         path.write_text(scenario_to_text(scenario))
     except OSError as exc:
         return _cannot_write(path, exc)
+
+    result = run_scenario(scenario)
+    table = result.table
+    try:
+        write_csv(table, out / "telemetry.csv")
+    except OSError as exc:
+        return _cannot_write(out / "telemetry.csv", exc)
 
     audit = passivity_audit(table, scenario) if args.audit else None
     metrics = compute_metrics(rows_to_columns(table))
@@ -96,11 +100,10 @@ def cmd_run(args) -> int:
     if not result.completed:
         stats["abort"] = result.abort_reason
     report = format_report(metrics, audit, stats)
-    path = out / "report.txt"
     try:
-        path.write_text(report)
+        (out / "report.txt").write_text(report)
     except OSError as exc:
-        return _cannot_write(path, exc)
+        return _cannot_write(out / "report.txt", exc)
     print(report, end="")
 
     if not result.completed:

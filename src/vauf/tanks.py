@@ -20,7 +20,8 @@ The audit replays a run's telemetry table against the scenario the run used
 (its mass, control period and tank start energies) and checks, tick by
 tick, that the total storage (kinetic energy plus both tanks) never grows
 faster than the power supplied through the contact, within AUDIT_TOL per
-tick. A one-row table has no tick to check and passes.
+tick. A one-row table has no tick to check and passes. It reads its four runs
+of adjacent columns by slice, in place in the table's own memory layout.
 """
 
 from __future__ import annotations
@@ -30,9 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spatial import quaternion_to_rotation
-from .telemetry import BLOCK_ROWS, rows_to_columns
+from .telemetry import BLOCK_ROWS, COLUMNS, ParseError
 
 AUDIT_TOL = 1e-4  # J per tick, the discretization slack the audit allows
+
+
+# the audit's columns: the twist, the quaternion, the tool-frame wrench and both tank energies
+_TWIST, _QUAT, _F_EE, _TANKS = (slice(COLUMNS.index(a), COLUMNS.index(b) + 1) for a, b in (
+    ("vx", "wz"), ("qw", "qz"), ("fext_ee_fx", "fext_ee_tz"), ("S_t_i", "S_t_f")))
 
 
 @dataclass(frozen=True)
@@ -137,36 +143,26 @@ def passivity_audit(table, scenario) -> AuditReport:
     end of tick k. The ticks are checked BLOCK_ROWS at a time; a block reads
     one row past its last tick, and the storage its first tick starts from.
     """
-    columns = rows_to_columns(table)
-    n = len(columns["t"])
+    table = np.asarray(table, dtype=float)
+    if table.ndim != 2 or table.shape[1] != len(COLUMNS):
+        raise ParseError("telemetry rows have the wrong shape")
+    n = len(table)
     # the trailing -inf is never a violation nor the worst of a checked tick:
     # a one-row run, with no tick to check, reports it at t[0]
     excess = np.full(n, -np.inf)
     mass = np.asarray(scenario.mass)[None, :]
-    s_i, s_f = scenario.tank_impedance.s0, scenario.tank_force.s0  # the storage before the block
+    storage = np.array([[scenario.tank_impedance.s0, scenario.tank_force.s0]])  # before the block
     for start in range(0, n - 1, BLOCK_ROWS):
-        ticks = slice(start, min(start + BLOCK_ROWS, n - 1))
-        rows = slice(start, ticks.stop + 1)  # tick k also reads row k + 1
-        twist = np.stack([columns[c][rows] for c in ("vx", "vy", "vz", "wx", "wy", "wz")], axis=1)
+        stop = min(start + BLOCK_ROWS, n - 1)
+        twist = table[start : stop + 1, _TWIST]  # tick k also reads row k + 1
         ke = 0.5 * np.sum(twist * twist * mass, axis=1)
-
-        q = np.stack([columns[c][ticks] for c in ("qw", "qx", "qy", "qz")], axis=1)
-        f_ee = np.stack(
-            [columns[f"fext_ee_{c}"][ticks] for c in ("fx", "fy", "fz", "tx", "ty", "tz")], axis=1
-        )
-        f_base = np.empty_like(f_ee)
-        rot = quaternion_to_rotation(q)
-        f_base[:, :3] = np.einsum("nij,nj->ni", rot, f_ee[:, :3])
-        f_base[:, 3:] = np.einsum("nij,nj->ni", rot, f_ee[:, 3:])
-
-        tank_i = np.concatenate([[s_i], columns["S_t_i"][ticks]])
-        tank_f = np.concatenate([[s_f], columns["S_t_f"][ticks]])
-        s_i, s_f = tank_i[-1], tank_f[-1]
-
+        rot = quaternion_to_rotation(table[start:stop, _QUAT])  # turns the force and the torque to the base
+        f_base = np.einsum("nij,nkj->nki", rot, table[start:stop, _F_EE].reshape(-1, 2, 3)).reshape(-1, 6)
+        s_tanks = np.concatenate([storage, table[start:stop, _TANKS]])
+        storage, ds = s_tanks[-1:], np.diff(s_tanks, axis=0)
         v_mid = 0.5 * (twist[:-1] + twist[1:])
         supplied = np.sum(v_mid * f_base, axis=1) * scenario.dt_control
-        d_storage = (ke[1:] - ke[:-1]) + np.diff(tank_i) + np.diff(tank_f)
-        excess[ticks] = d_storage - supplied
+        excess[start:stop] = ((ke[1:] - ke[:-1]) + ds[:, 0] + ds[:, 1]) - supplied
 
     viol = excess > AUDIT_TOL
     worst_idx = int(np.argmax(excess))
@@ -174,5 +170,5 @@ def passivity_audit(table, scenario) -> AuditReport:
         ticks_checked=n - 1,
         violation_count=int(viol.sum()),
         worst_violation=float(excess[worst_idx]),
-        worst_time=float(columns["t"][worst_idx]),
+        worst_time=float(table[worst_idx, COLUMNS.index("t")]),
     )

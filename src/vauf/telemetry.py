@@ -13,8 +13,8 @@ table plus one block of temporaries, never a second table. Iterating
 
 The CSV write of a table of two blocks or more runs in two processes at
 once; the simulation loop itself stays single-threaded. The rows split at
-the block boundary nearest the middle, mid = len(table) // (2 * BLOCK_ROWS)
-* BLOCK_ROWS: this process writes the header and rows [:mid], an os.fork()ed
+the middle row, mid = (len(table) + 1) // 2, so this process, which starts
+first, takes the odd row: it writes the header and rows [:mid], an os.fork()ed
 child formats rows [mid:] with the same per-block code into an unnamed
 temporary file, and this process appends those bytes after reaping the
 child, so the file is byte-identical to a one-process write. A shorter table
@@ -94,7 +94,7 @@ def write_csv(table, path, header=COLUMNS) -> None:
     unnamed temporary file, and this one appends them once the child exits.
     """
     table = np.asarray(table, dtype=float)
-    mid = len(table) // (2 * BLOCK_ROWS) * BLOCK_ROWS
+    mid = (len(table) + 1) // 2 if len(table) >= 2 * BLOCK_ROWS else 0
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         if not mid:

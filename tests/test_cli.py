@@ -99,6 +99,18 @@ class TestRun:
         assert f"cannot write {tmp_path / 'telemetry.csv'}: " in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", ["telemetry.csv", "report.txt"])
+    def test_unwritable_output_exits_2_before_running(self, name, tmp_path, monkeypatch, capsys):
+        def no_run(scenario):
+            raise AssertionError(f"run_scenario called with an unwritable {name}")
+
+        monkeypatch.setattr("vauf.cli.run_scenario", no_run)
+        (tmp_path / name).mkdir()
+        assert main(["run", "--scenario", REF, "--out", str(tmp_path)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"cannot write {tmp_path / name}: " in err
+        assert "Traceback" not in err
+
 
 class TestReport:
     def test_prints_sections(self, short_run, capsys):

@@ -20,7 +20,7 @@ from vauf.tanks import (
     passivity_audit,
     valve_sigma,
 )
-from vauf.telemetry import BLOCK_ROWS, COLUMNS, ParseError, rows_to_columns
+from vauf.telemetry import BLOCK_ROWS, COLUMNS, ParseError, TelemetryRows, rows_to_columns
 
 FORCE_TANK = TankConfig(s0=2.0, s_upper=2.0, s_lower=1.0, ramp_eps=0.2)
 IMP_TANK = TankConfig(s0=24.5, s_upper=32.0, s_lower=1.0, ramp_eps=0.2)
@@ -510,6 +510,26 @@ class TestBlockedAudit:
         # 0.96 MB and the (n, 3, 3) rotations 1.44 MB: the bound holds no
         # table-length stack beyond the (n,) excess vector
         assert traced_peak(lambda: passivity_audit(reference_run.table, reference_run.scenario)) < 2e6
+
+
+class TestAuditInputs:
+    """The audit reads the table's columns in place, whatever its memory layout."""
+
+    @pytest.mark.parametrize("source", ["reference_run", "random_table"])
+    def test_layouts_give_one_report(self, source, request):
+        if source == "reference_run":
+            run = request.getfixturevalue(source)
+            table, sc, rows = run.table, run.scenario, run.rows
+        else:
+            table, sc = random_table(2 * BLOCK_ROWS + 1), Scenario()
+            rows = TelemetryRows(table)
+        wide = np.full((len(table), len(COLUMNS) + 3), np.nan)  # a column read past the table poisons the report
+        wide[:, : len(COLUMNS)] = table
+        fortran, strided = np.asfortranarray(table), wide[:, : len(COLUMNS)]
+        assert table.flags.c_contiguous
+        assert not (fortran.flags.c_contiguous or strided.flags.c_contiguous)
+        reports = [bits(passivity_audit(x, sc)) for x in (table, fortran, rows, strided)]
+        assert reports == [reports[0]] * 4
 
 
 class TestTankStateValidation:

@@ -157,12 +157,28 @@ class TestSplitWrite:
         write_csv(special_table(n), tmp_path / "t.csv")
         assert len(calls) == forks
 
+    @pytest.mark.parametrize("n, head", [(2049, 1025), (20_000, 10_000)])
+    def test_split_at_the_middle_row(self, n, head, tmp_path, monkeypatch):
+        parent, heads = os.getpid(), []
+        write_rows = telemetry._write_rows
+
+        def record_head(fh, rows):
+            if os.getpid() == parent:  # the child's list is its own copy
+                heads.append(len(rows))
+            write_rows(fh, rows)
+
+        monkeypatch.setattr(telemetry, "_write_rows", record_head)
+        write_csv(special_table(n, width=3), tmp_path / "t.csv", ["a", "b", "c"])
+        assert heads == [head]
+        assert_no_child()
+
     def test_failed_child_raises(self, tmp_path, monkeypatch):
-        n = 3 * BLOCK_ROWS  # the parent formats one block, the child two
+        n = 3 * BLOCK_ROWS  # the parent formats rows [:768], the child [768:]
+        parent = os.getpid()
         write_rows = telemetry._write_rows
 
         def fail_on_tail(fh, rows):
-            if len(rows) == 2 * BLOCK_ROWS:
+            if os.getpid() != parent:
                 raise RuntimeError("tail")
             write_rows(fh, rows)
 
@@ -172,10 +188,11 @@ class TestSplitWrite:
         assert_no_child()
 
     def test_failed_parent_reaps_child(self, tmp_path, monkeypatch):
+        parent = os.getpid()
         write_rows = telemetry._write_rows
 
         def fail_on_head(fh, rows):
-            if len(rows) == BLOCK_ROWS:
+            if os.getpid() == parent:
                 raise RuntimeError("head")
             write_rows(fh, rows)
 

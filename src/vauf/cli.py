@@ -95,6 +95,7 @@ def cmd_run(args) -> int:
         "ticks": len(table),
         "wall time [s]": f"{result.wall_time:.2f}",
         "realignment events": len(result.realignment_events),
+        "perception outcomes": ", ".join(f"{name} {n}" for name, n in result.perception_outcomes.items()),
         "completed": result.completed,
     }
     if not result.completed:

@@ -9,6 +9,25 @@ tick of a run renders nothing. The loop per control tick:
     contact -> alignment monitor -> shaping -> realignment -> controller ->
     tank gates and command -> plant step -> tank steps -> telemetry row
 
+Where perception runs: at each perception tick the loop latches the outcome
+of the frame sent one stride earlier and sends the camera pose of the next.
+One function, `_estimate`, renders a frame, perceives it and turns the
+normal into the base frame. A run that renders at least WORKER_MIN_FRAMES
+frames runs it in one forked worker (`forked.Forked`), which owns the
+camera rng and works while the loop runs the stride that waits for the
+result; a shorter run calls it in this process as each pose is sent. Both
+stay bit-exact: nothing else draws from the camera rng, so the worker draws
+the same noise in the same order; the pose goes down a pipe and the normal,
+theta and l_s come back as packed float64, which round-trips every bit; and
+the loop latches each outcome on the tick it always did. The worker's fork
+makes a long run POSIX-only, and on a host with one CPU it only adds the
+fork. The worker looks up `render` and `perceive` in this module too, so a
+wrapper installed before the run is called there, and whatever it records
+stays in the worker (perfbench's traced camera and perception layers read 0
+on such a run). `RunResult.perception_outcomes` counts the outcomes by
+reason in this process, on both paths, and a failed frame's DEBUG line
+carries the failure's text from either.
+
 The tick is Python floats and tuples from contact to plant step: the plant
 state is (r_ee, p_ee, twist) with r_ee a row-major rotation 9-tuple, the
 desired pose is the filtered rotation plus a position p_d, and wrenches,
@@ -35,6 +54,8 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import struct
 import time
 from dataclasses import dataclass, field
 
@@ -53,6 +74,7 @@ from .controller import (
     spring_wrench,
     variable_stiffness,
 )
+from .forked import Forked
 from .monitor import (
     MonitorConfig,
     alignment_metric,
@@ -89,6 +111,15 @@ from .telemetry import COLUMNS, TelemetryRow
 log = logging.getLogger(__name__)
 
 TWIST_LIMIT = 10.0  # m/s equivalent norm; beyond this the plant has diverged
+# a run that renders this many frames or more renders and perceives them in a
+# forked worker. In alternating pairs of reference-scenario runs on a 2-vCPU
+# x86-64 host, the worker lost at 1 and 2 frames (+23% and +5%, 1 and 7 wins
+# of 21): the fork and the worker's copy-on-write faults cost more than the
+# frames it overlaps. At 3 frames (1.2 s) and 4 it won 19 of 21 (-7%, -10%),
+# and from 8 to 33 frames 13 to 15 of 15 (-14% to -19%)
+WORKER_MIN_FRAMES = 3
+# how a frame's perception ended: a surface estimate, or the failure that stopped it
+OUTCOMES = ("fresh", "EmptyViewError", "NoSegmentError", "DegenerateSegmentError")
 
 
 class SimulationDiverged(RuntimeError):
@@ -201,6 +232,7 @@ class RunResult:
     abort_reason: str | None
     wall_time: float
     realignment_events: list
+    perception_outcomes: dict  # OUTCOMES name -> count of perceived frames that ended so
     scenario: Scenario
 
     @property
@@ -229,6 +261,125 @@ def start_pose(scenario: Scenario) -> Pose:
     )
 
 
+def _estimate(sc: Scenario, rng: np.random.Generator, cam_pose: Pose) -> tuple[str, tuple | str]:
+    """Render and perceive one frame: its OUTCOMES name and (base-frame normal, theta, l_s), or the failure's text."""
+    try:
+        latched = perceive(render(sc.camera, cam_pose, sc.surface, rng=rng), sc.perception)
+    except (EmptyViewError, NoSegmentError, DegenerateSegmentError) as exc:
+        return type(exc).__name__, str(exc)
+    n0, n1, n2 = latched.n_s_camera
+    r_cam = cam_pose.rotation
+    n_cam = r_cam[:, 0] * n0 + r_cam[:, 1] * n1 + r_cam[:, 2] * n2
+    if n_cam[2] < 0.0:
+        n_cam = -n_cam  # upward convention in the base frame
+    return "fresh", (tuple(n_cam.tolist()), float(latched.theta), float(latched.l_s))
+
+
+class _InProcess:
+    """The loop's frames estimated in this process, each as its camera pose is sent."""
+
+    def __init__(self, sc: Scenario):
+        self._sc, self._rng = sc, np.random.default_rng(sc.seed)
+
+    def send(self, cam_pose: Pose, t_render: float) -> None:
+        self._outcome = _estimate(self._sc, self._rng, cam_pose)
+
+    def receive(self, t_render: float) -> tuple[str, tuple | str]:
+        return self._outcome
+
+    def __enter__(self) -> _InProcess:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+
+_POSE = struct.Struct("=12d")  # a camera pose: row-major rotation, then position
+# an OUTCOMES index, the byte length of a failure's text that follows, then a fresh estimate's normal, theta and l_s
+_OUTCOME = struct.Struct("=BH5d")
+_REASON_MAX = 1024  # bytes of a failure's text the worker sends; the loop only logs it
+
+
+def _read(fd: int, size: int) -> bytes:
+    """size bytes from a pipe, or fewer if its writer closes it first."""
+    data = b""
+    while len(data) < size and (chunk := os.read(fd, size - len(data))):
+        data += chunk
+    return data
+
+
+class _Worker(Forked):
+    """The loop's frames estimated in a forked worker that owns the camera rng.
+
+    The loop sends each camera pose as floats and receives the outcome one
+    stride later; the worker renders and perceives the frame in between. The
+    request pipe closes after the last pose, so the worker exits while the
+    last stride runs; leaving the ``with`` block closes both pipes and reaps it.
+    """
+
+    def __init__(self, sc: Scenario, n_frames: int):
+        self._unsent = n_frames
+        poses, self._poses = os.pipe()
+        self._outcomes, outcomes = os.pipe()
+
+        def serve():
+            os.close(self._poses)
+            os.close(self._outcomes)
+            rng = np.random.default_rng(sc.seed)
+            while len(request := _read(poses, _POSE.size)) == _POSE.size:
+                p = _POSE.unpack(request)
+                outcome, estimate = _estimate(sc, rng, Pose(np.reshape(p[:9], (3, 3)), np.array(p[9:])))
+                if outcome == "fresh":
+                    (n_s, theta, l_s), reason = estimate, b""
+                else:
+                    (n_s, theta, l_s), reason = ((0.0, 0.0, 0.0), 0.0, 0.0), estimate.encode()[:_REASON_MAX]
+                try:
+                    os.write(outcomes, _OUTCOME.pack(OUTCOMES.index(outcome), len(reason), *n_s, theta, l_s) + reason)
+                except BrokenPipeError:  # the loop ended before this frame's tick
+                    return
+
+        try:
+            super().__init__("the perception worker", serve)
+        except BaseException:  # no worker to serve: close this process's ends too
+            os.close(self._poses)
+            os.close(self._outcomes)
+            raise
+        finally:
+            os.close(poses)
+            os.close(outcomes)
+
+    def send(self, cam_pose: Pose, t_render: float) -> None:
+        try:
+            os.write(self._poses, _POSE.pack(*cam_pose.rotation.ravel().tolist(), *cam_pose.position.tolist()))
+        except BrokenPipeError:
+            raise self._failure(t_render) from None
+        self._unsent -= 1
+        if not self._unsent:
+            self._close_poses()
+
+    def receive(self, t_render: float) -> tuple[str, tuple | str]:
+        reply = _read(self._outcomes, _OUTCOME.size)
+        if len(reply) < _OUTCOME.size:
+            raise self._failure(t_render)
+        index, size, n0, n1, n2, theta, l_s = _OUTCOME.unpack(reply)
+        if len(reason := _read(self._outcomes, size)) < size:
+            raise self._failure(t_render)
+        return OUTCOMES[index], ((n0, n1, n2), theta, l_s) if index == 0 else reason.decode(errors="replace")
+
+    def _failure(self, t_render: float) -> ChildProcessError:
+        return self.failure(f" before answering for the frame rendered at t={t_render:.3f} s")
+
+    def _close_poses(self) -> None:
+        if self._poses is not None:
+            os.close(self._poses)
+            self._poses = None
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self._close_poses()
+        os.close(self._outcomes)
+        super().__exit__(exc_type, exc, tb)
+
+
 def run_scenario(scenario: Scenario) -> RunResult:
     """Run the closed loop and return the full per-tick telemetry."""
     t_start = time.perf_counter()
@@ -239,7 +390,7 @@ def run_scenario(scenario: Scenario) -> RunResult:
     m_diag = tuple(map(float, sc.mass))
     damping_coeffs = tuple(map(float, sc.controller.damping_coeffs))
     filter_time = sc.controller.filter_time
-    rng = np.random.default_rng(sc.seed)
+    n_frames = (n_ticks - 1) // stride  # the perception ticks k with k + stride < n_ticks
 
     pose0 = start_pose(sc)
     # plant state, base frame: row-major rotation 9-tuple, position, twist
@@ -251,126 +402,121 @@ def run_scenario(scenario: Scenario) -> RunResult:
     s_f, s_i = tank_f.s0, tank_i.s0  # J, the tank energies the loop carries
     task_origin = p_ee
     theta = l_s = 0.0  # the latched perception estimate's visual terms
-    pending: tuple | None = None  # (frame, camera rotation at render time)
+    rendered_at: float | None = None  # t of the frame in flight, perceived one stride later
+    outcomes = dict.fromkeys(OUTCOMES, 0)
     trigger_armed = True
     events: list[float] = []
     table = np.empty((n_ticks, len(COLUMNS)))
     abort_reason = None
 
-    for k in range(n_ticks):
-        t = k * dt
+    frames = _Worker(sc, n_frames) if n_frames >= WORKER_MIN_FRAMES else _InProcess(sc)
+    with frames:
+        for k in range(n_ticks):
+            t = k * dt
 
-        # --- perception cadence: process last frame, render the next one;
-        # the only place the tick meets numpy arrays
-        fresh = 0.0
-        if k % stride == 0:
-            if pending is not None:
-                frame, r_cam = pending
-                try:
-                    latched = perceive(frame, sc.perception)
-                    n0, n1, n2 = latched.n_s_camera
-                    n_cam = r_cam[:, 0] * n0 + r_cam[:, 1] * n1 + r_cam[:, 2] * n2
-                    if n_cam[2] < 0.0:
-                        n_cam = -n_cam  # upward convention in the base frame
-                    n_s_base = tuple(n_cam.tolist())
-                    theta, l_s = float(latched.theta), float(latched.l_s)
-                    fresh = 1.0
-                except (NoSegmentError, DegenerateSegmentError) as exc:
-                    log.debug("perception failed at t=%.3f: %s", t, exc)
-            pending = None
-            if k + stride < n_ticks:  # a frame rendered now is perceived one stride later
-                try:
-                    cam_pose = camera_pose_from_tool(Pose(np.reshape(r_ee, (3, 3)), p_ee), sc.camera)
-                    pending = (render(sc.camera, cam_pose, sc.surface, rng=rng), cam_pose.rotation)
-                except EmptyViewError as exc:
-                    log.debug("camera empty view at t=%.3f: %s", t, exc)
+            # --- perception cadence: latch the estimate of the frame rendered one
+            # stride ago, send the camera pose of the next one
+            fresh = 0.0
+            if k % stride == 0:
+                if rendered_at is not None:
+                    outcome, estimate = frames.receive(rendered_at)
+                    outcomes[outcome] += 1
+                    if outcome == "fresh":
+                        n_s_base, theta, l_s = estimate
+                        fresh = 1.0
+                    else:
+                        log.debug("perception of the frame rendered at t=%.3f failed: %s: %s", rendered_at, outcome, estimate)
+                rendered_at = None
+                if k + stride < n_ticks:  # a frame rendered now is perceived one stride later
+                    frames.send(camera_pose_from_tool(Pose(np.reshape(r_ee, (3, 3)), p_ee), sc.camera), t)
+                    rendered_at = t
 
-        # --- policy and desired pose
-        offset, f_d_z = wiping_policy(t, sc.policy)
-        r_input = orientation_filter(ctrl, dt, filter_time)
-        p_d = (task_origin[0] + offset[0], task_origin[1] + offset[1], task_origin[2])
+            # --- policy and desired pose
+            offset, f_d_z = wiping_policy(t, sc.policy)
+            r_input = orientation_filter(ctrl, dt, filter_time)
+            p_d = (task_origin[0] + offset[0], task_origin[1] + offset[1], task_origin[2])
 
-        # --- contact and frame-local errors
-        f_ext_base = contact_wrench(sc.surface, p_ee, twist, sc.tool_radius).wrench
-        r_ee_t = transpose(r_ee)
-        f_ext_ee = rotate_wrench(r_ee_t, f_ext_base)
-        x_tilde = pose_error(r_ee, p_ee, r_input, p_d)
-        x_tilde_ee = rotate_wrench(r_ee_t, x_tilde)
+            # --- contact and frame-local errors
+            f_ext_base = contact_wrench(sc.surface, p_ee, twist, sc.tool_radius).wrench
+            r_ee_t = transpose(r_ee)
+            f_ext_ee = rotate_wrench(r_ee_t, f_ext_base)
+            x_tilde = pose_error(r_ee, p_ee, r_input, p_d)
+            x_tilde_ee = rotate_wrench(r_ee_t, x_tilde)
 
-        # --- alignment monitor and shaping
-        c_val = alignment_metric(f_ext_ee, x_tilde_ee, theta, l_s, sc.monitor)
-        h_val = normalized_coefficient(c_val, sc.monitor.c_margin)
-        rho_align = rho_align_step(rho_align, h_val, dt, sc.monitor)
+            # --- alignment monitor and shaping
+            c_val = alignment_metric(f_ext_ee, x_tilde_ee, theta, l_s, sc.monitor)
+            h_val = normalized_coefficient(c_val, sc.monitor.c_margin)
+            rho_align = rho_align_step(rho_align, h_val, dt, sc.monitor)
 
-        # --- orientation: each fresh surface estimate restarts the low-pass
-        # filter from the current attitude, so the tool normal keeps tracking
-        # the curvature as the wipe advances
-        if fresh:
-            restart_filter(ctrl, r_ee, desired_orientation(n_s_base, r_ee))
+            # --- orientation: each fresh surface estimate restarts the low-pass
+            # filter from the current attitude, so the tool normal keeps tracking
+            # the curvature as the wipe advances
+            if fresh:
+                restart_filter(ctrl, r_ee, desired_orientation(n_s_base, r_ee))
 
-        # --- realignment: at full compliance, re-latch the desired translation
-        # onto the actual pose and re-engage the force controller cleanly
-        if realignment_trigger(rho_align, sc.monitor.rho_trigger):
-            if trigger_armed:
-                events.append(t)
-                task_origin = (p_ee[0] - offset[0], p_ee[1] - offset[1], p_ee[2])
-                p_d = p_ee
-                ctrl.pi_integral = 0.0
-                trigger_armed = False
-                x_tilde = (0.0, 0.0, 0.0) + x_tilde[3:]  # pose_error at p_d = p_ee: x - x is +0.0
-                x_tilde_ee = rotate_wrench(r_ee_t, x_tilde)
-        else:
-            trigger_armed = True
-        rho_f = rho_frc(f_d_z, x_tilde_ee[2], sc.monitor.delta_c)
+            # --- realignment: at full compliance, re-latch the desired translation
+            # onto the actual pose and re-engage the force controller cleanly
+            if realignment_trigger(rho_align, sc.monitor.rho_trigger):
+                if trigger_armed:
+                    events.append(t)
+                    task_origin = (p_ee[0] - offset[0], p_ee[1] - offset[1], p_ee[2])
+                    p_d = p_ee
+                    ctrl.pi_integral = 0.0
+                    trigger_armed = False
+                    x_tilde = (0.0, 0.0, 0.0) + x_tilde[3:]  # pose_error at p_d = p_ee: x - x is +0.0
+                    x_tilde_ee = rotate_wrench(r_ee_t, x_tilde)
+            else:
+                trigger_armed = True
+            rho_f = rho_frc(f_d_z, x_tilde_ee[2], sc.monitor.delta_c)
 
-        # --- controller
-        k_var = variable_stiffness(rho_align, r_ee, sc.controller)
-        d = damping_matrix(k_var, m_diag, damping_coeffs)
-        d0, d1, d2, d3, d4, d5 = d
-        v0, v1, v2, v3, v4, v5 = twist
-        f_damp = (-d0 * v0, -d1 * v1, -d2 * v2, -d3 * v3, -d4 * v4, -d5 * v5)
-        f_var = spring_wrench(k_var, x_tilde)
-        # the force port: the commanded thrust opposes the target reaction, shaped by rho_frc
-        a0, a1, a2, a3, a4, a5 = force_wrench(f_d_z, f_ext_ee[2], ctrl, r_ee, dt, sc.controller)
-        f_force = (-a0 * rho_f, -a1 * rho_f, -a2 * rho_f, -a3 * rho_f, -a4 * rho_f, -a5 * rho_f)
+            # --- controller
+            k_var = variable_stiffness(rho_align, r_ee, sc.controller)
+            d = damping_matrix(k_var, m_diag, damping_coeffs)
+            d0, d1, d2, d3, d4, d5 = d
+            v0, v1, v2, v3, v4, v5 = twist
+            f_damp = (-d0 * v0, -d1 * v1, -d2 * v2, -d3 * v3, -d4 * v4, -d5 * v5)
+            f_var = spring_wrench(k_var, x_tilde)
+            # the force port: the commanded thrust opposes the target reaction, shaped by rho_frc
+            a0, a1, a2, a3, a4, a5 = force_wrench(f_d_z, f_ext_ee[2], ctrl, r_ee, dt, sc.controller)
+            f_force = (-a0 * rho_f, -a1 * rho_f, -a2 * rho_f, -a3 * rho_f, -a4 * rho_f, -a5 * rho_f)
 
-        # --- lam and the tank gates from the pre-step state drive this tick's
-        # command and both tank steps; the tank energies themselves are
-        # integrated after the plant step with the midpoint twist so the power
-        # ledger matches the work actually done on the semi-implicit plant
-        lam = lambda_selector(twist, f_force)
-        sigma_f, beta_f = valve_sigma(s_f, tank_f), gate_beta(s_f, tank_f)
-        sigma_i, beta_i = valve_sigma(s_i, tank_i), gate_beta(s_i, tank_i)
-        sigma_f_used = 1.0 if sc.valves_forced_open else sigma_f
-        sigma_i_used = 1.0 if sc.valves_forced_open else sigma_i
+            # --- lam and the tank gates from the pre-step state drive this tick's
+            # command and both tank steps; the tank energies themselves are
+            # integrated after the plant step with the midpoint twist so the power
+            # ledger matches the work actually done on the semi-implicit plant
+            lam = lambda_selector(twist, f_force)
+            sigma_f, beta_f = valve_sigma(s_f, tank_f), gate_beta(s_f, tank_f)
+            sigma_i, beta_i = valve_sigma(s_i, tank_i), gate_beta(s_i, tank_i)
+            sigma_f_used = 1.0 if sc.valves_forced_open else sigma_f
+            sigma_i_used = 1.0 if sc.valves_forced_open else sigma_i
 
-        f_cmd = compose_command(f_damp, f_var, f_force, lam, sigma_f_used, sigma_i_used)
+            f_cmd = compose_command(f_damp, f_var, f_force, lam, sigma_f_used, sigma_i_used)
 
-        try:
-            r_next, p_next, twist_next = plant_step(r_ee, p_ee, twist, m_diag, f_cmd, f_ext_base, dt)
-        except SimulationDiverged as exc:
-            abort_reason = f"{exc} at t={t:.3f} s"
-            r_next, p_next, twist_next = r_ee, p_ee, twist
-        n0, n1, n2, n3, n4, n5 = twist_next
-        twist_mid = (
-            0.5 * (v0 + n0), 0.5 * (v1 + n1), 0.5 * (v2 + n2), 0.5 * (v3 + n3), 0.5 * (v4 + n4), 0.5 * (v5 + n5)
-        )
-        s_f = force_tank_step(s_f, tank_f, twist_mid, f_force, lam, sigma_f, beta_f, dt)
-        s_i = impedance_tank_step(s_i, tank_i, twist_mid, f_damp, f_var, sigma_i, beta_i, dt)
+            try:
+                r_next, p_next, twist_next = plant_step(r_ee, p_ee, twist, m_diag, f_cmd, f_ext_base, dt)
+            except SimulationDiverged as exc:
+                abort_reason = f"{exc} at t={t:.3f} s"
+                r_next, p_next, twist_next = r_ee, p_ee, twist
+            n0, n1, n2, n3, n4, n5 = twist_next
+            twist_mid = (
+                0.5 * (v0 + n0), 0.5 * (v1 + n1), 0.5 * (v2 + n2), 0.5 * (v3 + n3), 0.5 * (v4 + n4), 0.5 * (v5 + n5)
+            )
+            s_f = force_tank_step(s_f, tank_f, twist_mid, f_force, lam, sigma_f, beta_f, dt)
+            s_i = impedance_tank_step(s_i, tank_i, twist_mid, f_damp, f_var, sigma_i, beta_i, dt)
 
-        # --- telemetry row k, in COLUMNS order
-        table[k] = (
-            t, *p_ee, *rotation_to_quaternion(r_ee), *twist, *f_cmd, *f_ext_ee,
-            f_d_z, rho_align, rho_f, c_val, h_val, theta, l_s,
-            s_i, s_f, sigma_i_used, sigma_f_used, lam, beta_i, beta_f, fresh, *p_d,
-        )
-        if abort_reason is None and math.hypot(*twist_next) > TWIST_LIMIT:
-            abort_reason = f"twist norm {math.hypot(*twist_next):.2f} exceeded {TWIST_LIMIT} at t={t:.3f} s"
-        if abort_reason is not None:
-            log.error("simulation aborted: %s", abort_reason)
-            table = table[: k + 1]
-            break
-        r_ee, p_ee, twist = r_next, p_next, twist_next
+            # --- telemetry row k, in COLUMNS order
+            table[k] = (
+                t, *p_ee, *rotation_to_quaternion(r_ee), *twist, *f_cmd, *f_ext_ee,
+                f_d_z, rho_align, rho_f, c_val, h_val, theta, l_s,
+                s_i, s_f, sigma_i_used, sigma_f_used, lam, beta_i, beta_f, fresh, *p_d,
+            )
+            if abort_reason is None and math.hypot(*twist_next) > TWIST_LIMIT:
+                abort_reason = f"twist norm {math.hypot(*twist_next):.2f} exceeded {TWIST_LIMIT} at t={t:.3f} s"
+            if abort_reason is not None:
+                log.error("simulation aborted: %s", abort_reason)
+                table = table[: k + 1]
+                break
+            r_ee, p_ee, twist = r_next, p_next, twist_next
 
     wall = time.perf_counter() - t_start
     log.info("scenario finished: %d ticks, %d realignment events, %.2f s wall", len(table), len(events), wall)
@@ -379,5 +525,6 @@ def run_scenario(scenario: Scenario) -> RunResult:
         abort_reason=abort_reason,
         wall_time=wall,
         realignment_events=events,
+        perception_outcomes=outcomes,
         scenario=scenario,
     )

@@ -14,26 +14,25 @@ table plus one block of temporaries, never a second table. Iterating
 The CSV write of a table of two blocks or more runs in two processes at
 once; the simulation loop itself stays single-threaded. The rows split at
 the middle row, mid = (len(table) + 1) // 2, so this process, which starts
-first, takes the odd row: it writes the header and rows [:mid], an os.fork()ed
-child formats rows [mid:] with the same per-block code into an unnamed
-temporary file, and this process appends those bytes after reaping the
-child, so the file is byte-identical to a one-process write. A shorter table
-is written in this process alone. os.fork makes the writer POSIX-only, and
-Python 3.12 and later warn (DeprecationWarning) when a process with threads
-forks; OpenBLAS's thread pool counts, so CI pins Python 3.11 with one BLAS
-thread.
+first, takes the odd row: it writes the header and rows [:mid], a child
+forked through `forked.Forked` formats rows [mid:] with the same per-block
+code into an unnamed temporary file, and this process appends those bytes
+after reaping the child, so the file is byte-identical to a one-process
+write. A shorter table is written in this process alone. The fork makes the
+writer POSIX-only.
 """
 
 from __future__ import annotations
 
 import operator
-import os
 import shutil
 import tempfile
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+
+from .forked import Forked
 
 COLUMNS = (
     ["t"]
@@ -101,22 +100,12 @@ def write_csv(table, path, header=COLUMNS) -> None:
             _write_rows(fh, table)
             return
         with tempfile.TemporaryFile("w+") as tail:
-            pid = os.fork()
-            if pid == 0:  # the child leaves only through os._exit, running no cleanup of this process
-                status = 1
-                try:
-                    _write_rows(tail, table[mid:])
-                    tail.flush()
-                    status = 0
-                finally:
-                    os._exit(status)
-            try:
+            def write_tail():
+                _write_rows(tail, table[mid:])
+                tail.flush()
+
+            with Forked(f"the child formatting rows {mid}: of {path}", write_tail):
                 _write_rows(fh, table[:mid])
-            finally:
-                _, status = os.waitpid(pid, 0)
-            if status:
-                code = os.waitstatus_to_exitcode(status)
-                raise OSError(f"the child formatting rows {mid}: of {path} exited with status {code}")
             tail.seek(0)
             shutil.copyfileobj(tail, fh)
 

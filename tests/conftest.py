@@ -1,3 +1,5 @@
+import mmap
+import os
 import pathlib
 import tracemalloc
 from dataclasses import replace
@@ -10,6 +12,23 @@ from vauf.runtime import run_scenario
 from vauf.telemetry import rows_to_columns
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """After every test, this process has no child: none running, none unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def shared_counts(n: int) -> np.ndarray:
+    """n int64 counters in memory shared with forked children.
+
+    A long run renders and perceives in a forked worker, where a closure's
+    own counter is the worker's copy; these count the calls made there too.
+    """
+    return np.frombuffer(mmap.mmap(-1, 8 * n), dtype=np.int64)
 
 
 @pytest.fixture(scope="session")

@@ -11,6 +11,7 @@ workloads also call the program directly (``cli.main``,
 
 import importlib
 import json
+import os
 import sys
 import tracemalloc
 from pathlib import Path
@@ -170,6 +171,16 @@ UNREACHED_BY_TICK = {
     (vauf.runtime, "run_scenario"): "the loop itself; the CLI calls it through vauf.cli.run_scenario",
     (vauf.runtime, "TelemetryRow"): "the tick writes table rows; the RunResult.rows view makes rows on access through telemetry.TelemetryRow",
 }
+
+
+def test_smoke_op_forks_no_perception_worker(perfbench, tmp_path, monkeypatch):
+    # the guard below sees render and perceive on vauf.runtime only while the
+    # smoke op's frames are perceived in this process, below WORKER_MIN_FRAMES
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    record = perfbench["workloads"].WORKLOADS["reference_wipe"](1, tmp_path, True).op()
+    assert record.failed == 0 and not forks
 
 
 def test_traced_smoke_op_reaches_every_patched_global(perfbench, tmp_path):

@@ -33,6 +33,11 @@ class TestRun:
         assert (short_run / "scenario.cfg").exists()
         assert len(read_csv(short_run / "telemetry.csv")) == 1500
 
+    def test_report_counts_perception_outcomes(self, short_run):
+        # 1.5 s: the frames rendered at t = 0, 0.3, 0.6 and 0.9 s are perceived
+        lines = (short_run / "report.txt").read_text().splitlines()
+        assert "perception outcomes: fresh 4, EmptyViewError 0, NoSegmentError 0, DegenerateSegmentError 0" in lines
+
     def test_missing_scenario_exits_2(self, capsys):
         assert main(["run", "--scenario", "/tmp/nope.cfg", "--out", "/tmp/x"]) == EXIT_CONFIG
         assert "nope.cfg" in capsys.readouterr().err

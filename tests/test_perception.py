@@ -26,7 +26,7 @@ from vauf.perception import (
 )
 from vauf.spatial import Pose
 from vauf.surface import HeightField
-from conftest import traced_peak
+from conftest import shared_counts, traced_peak
 
 
 def grid_frame(points, cols):
@@ -519,18 +519,21 @@ class TestPixelIndex:
     def test_exact_on_reference_run_frames(self, reference_scenario, monkeypatch):
         from vauf import runtime
 
-        frames = []
+        # the frames are rendered in the run's perception worker: each is
+        # checked there, and a failed check fails the worker and so the run
+        frames = shared_counts(1)
 
         def render(*args, **kwargs):
-            frames.append(runtime_render(*args, **kwargs))
-            return frames[-1]
+            frame = runtime_render(*args, **kwargs)
+            assert_on_own_pixel_rays(reference_scenario.camera, frame)
+            frames[0] += 1
+            return frame
 
         runtime_render = runtime.render
         monkeypatch.setattr(runtime, "render", render)
-        runtime.run_scenario(reference_scenario)
-        assert len(frames) == 66  # the perception ticks but the last, t = 0 to 19.5 s
-        for frame in frames:
-            assert_on_own_pixel_rays(reference_scenario.camera, frame)
+        res = runtime.run_scenario(reference_scenario)
+        assert frames[0] == 66  # the perception ticks but the last, t = 0 to 19.5 s
+        assert sum(res.perception_outcomes.values()) == 66
 
     def test_arrays_of_different_lengths_raise(self):
         frame = rendered_frames(REFERENCE_CAMERA, 0.25, 1)[0]

@@ -1,5 +1,11 @@
+import itertools
+import logging
 import math
+import os
+import re
+import signal
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +28,7 @@ from vauf.runtime import (
 )
 from vauf.spatial import rotation_log
 from vauf.telemetry import COLUMNS, rows_to_columns
-from conftest import flat
+from conftest import flat, shared_counts
 
 POLICY = PolicyConfig()
 
@@ -184,19 +190,20 @@ class TestRunScenario:
 
     def test_camera_that_never_sees_the_patch(self, monkeypatch):
         # 6 cm of range from a camera mounted above the tool: every frame is an empty view
-        raised = []
+        raised = shared_counts(1)  # the three frames render in the perception worker
 
         def counted_render(*args, **kwargs):
             try:
                 return render(*args, **kwargs)
-            except EmptyViewError as exc:
-                raised.append(exc)
+            except EmptyViewError:
+                raised[0] += 1
                 raise
 
         monkeypatch.setattr(vauf.runtime, "render", counted_render)
         sc = Scenario(camera=CameraModel(range_max=0.06), duration=1.0)
         res = run_scenario(sc)
-        assert len(raised) == 3  # the perception ticks at t = 0, 0.3 and 0.6 s; 0.9 s renders nothing
+        assert raised[0] == 3  # the perception ticks at t = 0, 0.3 and 0.6 s; 0.9 s renders nothing
+        assert res.perception_outcomes["EmptyViewError"] == 3
         assert res.completed
         assert res.table.shape == (1000, len(COLUMNS))
         c = rows_to_columns(res.table)
@@ -207,22 +214,24 @@ class TestRunScenario:
 
     def test_every_rendered_frame_is_perceived(self, reference_scenario, monkeypatch):
         # the last perception tick renders no frame: no later tick would perceive it
-        calls = {"render": 0, "perceive": 0}
+        calls = shared_counts(2)  # render, perceive
 
-        def counted(name):
+        def counted(name, i):
             original = getattr(vauf.runtime, name)
 
             def call(*args, **kwargs):
-                calls[name] += 1
+                calls[i] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(vauf.runtime, name, call)
 
-        counted("render")
-        counted("perceive")
+        counted("render", 0)
+        counted("perceive", 1)
         res = run_scenario(reference_scenario)
         assert res.completed
-        assert calls["render"] == calls["perceive"] == len(res.table) // reference_scenario.perception_stride
+        frames = len(res.table) // reference_scenario.perception_stride
+        assert frames >= vauf.runtime.WORKER_MIN_FRAMES  # the calls run in the perception worker
+        assert calls[0] == calls[1] == frames == sum(res.perception_outcomes.values())
 
     def test_divergence_aborts_with_reason(self):
         # absurd negative damping is not reachable via config; instead use a
@@ -231,3 +240,105 @@ class TestRunScenario:
         res = run_scenario(sc)
         assert not res.completed
         assert "twist norm" in res.abort_reason or "non-finite" in res.abort_reason
+
+
+def perception_cases(reference):
+    """Short scenarios whose frames end in every outcome a run can latch, and one that aborts mid-stride."""
+    mixed = replace(reference.perception, min_segment_size=150, angle_thresh=0.06)
+    return {
+        "noisy": (replace(reference, duration=1.5), None),  # fresh frames from the camera's noise stream
+        "mixed": (replace(reference, duration=3.0, perception=mixed), None),  # fresh and NoSegmentError
+        "blind": (Scenario(camera=CameraModel(range_max=0.06), duration=1.0), None),  # EmptyViewError
+        "aborting": (replace(reference, duration=3.0), 1450),  # aborts with the frame of t = 1.2 s in flight
+    }
+
+
+class TestPerceptionWorker:
+    """A run that forks a perception worker gives what it gives in one process."""
+
+    def run(self, sc, abort_tick, min_frames):
+        """The run of sc with WORKER_MIN_FRAMES = min_frames, and how often it forked."""
+        forks = []
+        fork = os.fork
+        step = vauf.runtime.plant_step
+        ticks = itertools.count()
+
+        def diverging_step(*args):
+            if next(ticks) == abort_tick:
+                raise SimulationDiverged("diverged on purpose")
+            return step(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "fork", lambda: forks.append(1) or fork())
+            mp.setattr(vauf.runtime, "WORKER_MIN_FRAMES", min_frames)
+            mp.setattr(vauf.runtime, "plant_step", diverging_step)
+            return run_scenario(sc), len(forks)
+
+    @pytest.mark.parametrize("case", ["noisy", "mixed", "blind", "aborting"])
+    def test_worker_matches_in_process(self, case, reference_scenario):
+        sc, abort_tick = perception_cases(reference_scenario)[case]
+        alone, forks_alone = self.run(sc, abort_tick, 10**9)
+        forked, forks = self.run(sc, abort_tick, 1)
+        assert (forks_alone, forks) == (0, 1)
+        assert forked.table.tobytes() == alone.table.tobytes()
+        assert forked.abort_reason == alone.abort_reason
+        assert forked.perception_outcomes == alone.perception_outcomes
+        assert forked.realignment_events == alone.realignment_events
+        assert alone.completed == (abort_tick is None)
+        if abort_tick is not None:
+            assert alone.abort_reason == "diverged on purpose at t=1.450 s"
+            assert alone.perception_outcomes["fresh"] == 4  # t = 0 to 0.9 s; the frame of t = 1.2 s was in flight
+
+    def test_failed_frames_logged_with_their_reason(self, reference_scenario, caplog):
+        sc, _ = perception_cases(reference_scenario)["mixed"]
+        logged = {}
+        for min_frames in (10**9, 1):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="vauf.runtime"):
+                self.run(sc, None, min_frames)
+            logged[min_frames] = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
+        assert logged[1] == logged[10**9]
+        assert logged[1] and all(re.search(r"t=\d\.\d{3} failed: NoSegmentError: \w", m) for m in logged[1])
+
+    def test_outcomes_cover_every_reason(self, reference_scenario):
+        seen = {name for sc, _ in perception_cases(reference_scenario).values()
+                for name, n in run_scenario(sc).perception_outcomes.items() if n}
+        assert seen == {"fresh", "NoSegmentError", "EmptyViewError"}  # no short run gives a degenerate segment
+
+    @pytest.mark.parametrize("how, status", [("raises", 1), ("killed", -signal.SIGKILL), ("exits", 0)])
+    def test_failed_worker_raises(self, how, status, reference_scenario, monkeypatch, capfd):
+        perceive = vauf.runtime.perceive
+        calls = []
+
+        def perceive_once(*args):  # the worker's own copy of calls: the second frame fails
+            calls.append(1)
+            if len(calls) == 2:
+                if how == "raises":
+                    raise RuntimeError("perceive failed")
+                if how == "killed":
+                    os.kill(os.getpid(), signal.SIGKILL)
+                os._exit(0)
+            return perceive(*args)
+
+        monkeypatch.setattr(vauf.runtime, "WORKER_MIN_FRAMES", 1)
+        monkeypatch.setattr(vauf.runtime, "perceive", perceive_once)
+        message = f"the perception worker exited with status {status} before answering for the frame rendered at t=0.300 s"
+        with pytest.raises(ChildProcessError, match=re.escape(message)):
+            run_scenario(replace(reference_scenario, duration=1.5))
+        assert ("RuntimeError: perceive failed" in capfd.readouterr().err) == (status == 1)
+
+    def test_interrupt_reaps_worker_quietly(self, reference_scenario, monkeypatch, capfd):
+        # interrupted while the worker perceives the frame of t = 0.3 s: it
+        # finds the loop gone, and exits without a traceback
+        policy = vauf.runtime.wiping_policy
+
+        def interrupted(t, cfg):
+            if t >= 0.301:
+                raise KeyboardInterrupt
+            return policy(t, cfg)
+
+        monkeypatch.setattr(vauf.runtime, "WORKER_MIN_FRAMES", 1)
+        monkeypatch.setattr(vauf.runtime, "wiping_policy", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_scenario(replace(reference_scenario, duration=1.5))
+        assert capfd.readouterr().err == ""

@@ -17,16 +17,18 @@ frames runs it in one forked worker (`forked.Forked`), which owns the
 camera rng and works while the loop runs the stride that waits for the
 result; a shorter run calls it in this process as each pose is sent. Both
 stay bit-exact: nothing else draws from the camera rng, so the worker draws
-the same noise in the same order; the pose goes down a pipe and the normal,
-theta and l_s come back as packed float64, which round-trips every bit; and
-the loop latches each outcome on the tick it always did. The worker's fork
-makes a long run POSIX-only, and on a host with one CPU it only adds the
-fork. The worker looks up `render` and `perceive` in this module too, so a
-wrapper installed before the run is called there, and whatever it records
-stays in the worker (perfbench's traced camera and perception layers read 0
-on such a run). `RunResult.perception_outcomes` counts the outcomes by
-reason in this process, on both paths, and a failed frame's DEBUG line
-carries the failure's text from either.
+the same noise in the same order; the pose goes down a pipe pickled and
+what `_estimate` returns comes back pickled, and pickle stores each float as
+its 8 raw bytes, so the worker sees the same pose and `receive` gives the
+same value on both paths; and the loop latches each outcome on the tick it
+always did. The worker's fork makes a long run POSIX-only, and on a host
+with one CPU it only adds the fork. The worker looks up `render` and
+`perceive` in this module too, so a wrapper installed before the run is
+called there, and whatever it records stays in the worker (perfbench's
+traced camera and perception layers read 0 on such a run).
+`RunResult.perception_outcomes` counts the outcomes by reason in this
+process, on both paths, and a failed frame's DEBUG line carries the
+failure's whole text from either.
 
 The tick is Python floats and tuples from contact to plant step: the plant
 state is (r_ee, p_ee, twist) with r_ee a row-major rotation 9-tuple, the
@@ -55,7 +57,7 @@ from __future__ import annotations
 import logging
 import math
 import os
-import struct
+import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -294,89 +296,67 @@ class _InProcess:
         pass
 
 
-_POSE = struct.Struct("=12d")  # a camera pose: row-major rotation, then position
-# an OUTCOMES index, the byte length of a failure's text that follows, then a fresh estimate's normal, theta and l_s
-_OUTCOME = struct.Struct("=BH5d")
-_REASON_MAX = 1024  # bytes of a failure's text the worker sends; the loop only logs it
-
-
-def _read(fd: int, size: int) -> bytes:
-    """size bytes from a pipe, or fewer if its writer closes it first."""
-    data = b""
-    while len(data) < size and (chunk := os.read(fd, size - len(data))):
-        data += chunk
-    return data
-
-
 class _Worker(Forked):
     """The loop's frames estimated in a forked worker that owns the camera rng.
 
-    The loop sends each camera pose as floats and receives the outcome one
-    stride later; the worker renders and perceives the frame in between. The
-    request pipe closes after the last pose, so the worker exits while the
-    last stride runs; leaving the ``with`` block closes both pipes and reaps it.
+    The loop pickles each camera pose's rotation and position down one
+    pipe and, one stride later, unpickles the (outcome, estimate) that
+    `_estimate` returned in the worker from the other. This process's ends
+    are file objects, whose close may be called again. The request pipe
+    closes after the last pose, so the worker exits while the last stride
+    runs; leaving the ``with`` block closes both pipes and reaps it.
     """
 
     def __init__(self, sc: Scenario, n_frames: int):
         self._unsent = n_frames
-        poses, self._poses = os.pipe()
-        self._outcomes, outcomes = os.pipe()
+        poses, outcomes = os.pipe(), os.pipe()
+        # unbuffered writers, so close holds no bytes to flush into a pipe whose
+        # reader is gone; each write is whole: a pickled pose fits in PIPE_BUF,
+        # and the worker, SIGINT ignored, runs no handler to cut its write short
+        self._poses, self._outcomes = open(poses[1], "wb", buffering=0), open(outcomes[0], "rb")
 
         def serve():
-            os.close(self._poses)
-            os.close(self._outcomes)
+            self._poses.close()
+            self._outcomes.close()
             rng = np.random.default_rng(sc.seed)
-            while len(request := _read(poses, _POSE.size)) == _POSE.size:
-                p = _POSE.unpack(request)
-                outcome, estimate = _estimate(sc, rng, Pose(np.reshape(p[:9], (3, 3)), np.array(p[9:])))
-                if outcome == "fresh":
-                    (n_s, theta, l_s), reason = estimate, b""
-                else:
-                    (n_s, theta, l_s), reason = ((0.0, 0.0, 0.0), 0.0, 0.0), estimate.encode()[:_REASON_MAX]
+            with open(poses[0], "rb") as requests, open(outcomes[1], "wb", buffering=0) as replies:
                 try:
-                    os.write(outcomes, _OUTCOME.pack(OUTCOMES.index(outcome), len(reason), *n_s, theta, l_s) + reason)
-                except BrokenPipeError:  # the loop ended before this frame's tick
-                    return
+                    while True:
+                        pickle.dump(_estimate(sc, rng, Pose(*pickle.load(requests))), replies)
+                except (EOFError, BrokenPipeError):  # the loop sent its last pose, or ended before this frame's tick
+                    pass
 
         try:
             super().__init__("the perception worker", serve)
         except BaseException:  # no worker to serve: close this process's ends too
-            os.close(self._poses)
-            os.close(self._outcomes)
+            self._poses.close()
+            self._outcomes.close()
             raise
         finally:
-            os.close(poses)
-            os.close(outcomes)
+            os.close(poses[0])
+            os.close(outcomes[1])
 
     def send(self, cam_pose: Pose, t_render: float) -> None:
-        try:
-            os.write(self._poses, _POSE.pack(*cam_pose.rotation.ravel().tolist(), *cam_pose.position.tolist()))
+        try:  # as float lists: pickling its two arrays cost 45 us more per send (2-vCPU x86-64)
+            pickle.dump((cam_pose.rotation.tolist(), cam_pose.position.tolist()), self._poses)
         except BrokenPipeError:
             raise self._failure(t_render) from None
         self._unsent -= 1
         if not self._unsent:
-            self._close_poses()
+            self._poses.close()
 
     def receive(self, t_render: float) -> tuple[str, tuple | str]:
-        reply = _read(self._outcomes, _OUTCOME.size)
-        if len(reply) < _OUTCOME.size:
-            raise self._failure(t_render)
-        index, size, n0, n1, n2, theta, l_s = _OUTCOME.unpack(reply)
-        if len(reason := _read(self._outcomes, size)) < size:
-            raise self._failure(t_render)
-        return OUTCOMES[index], ((n0, n1, n2), theta, l_s) if index == 0 else reason.decode(errors="replace")
+        try:
+            return pickle.load(self._outcomes)
+        except (EOFError, pickle.UnpicklingError):  # the worker ended before or while it answered
+            raise self._failure(t_render) from None
 
     def _failure(self, t_render: float) -> ChildProcessError:
         return self.failure(f" before answering for the frame rendered at t={t_render:.3f} s")
 
-    def _close_poses(self) -> None:
-        if self._poses is not None:
-            os.close(self._poses)
-            self._poses = None
-
     def __exit__(self, exc_type, exc, tb) -> None:
-        self._close_poses()
-        os.close(self._outcomes)
+        self._poses.close()
+        self._outcomes.close()
         super().__exit__(exc_type, exc, tb)
 
 

@@ -2,9 +2,11 @@ import itertools
 import logging
 import math
 import os
+import pickle
 import re
 import signal
 import sys
+import types
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +19,7 @@ import vauf.spatial
 import vauf.surface
 import vauf.tanks
 from vauf.camera import CameraModel, EmptyViewError, render
+from vauf.perception import NoSegmentError
 from vauf.runtime import (
     PolicyConfig,
     Scenario,
@@ -258,6 +261,7 @@ class TestPerceptionWorker:
 
     def run(self, sc, abort_tick, min_frames):
         """The run of sc with WORKER_MIN_FRAMES = min_frames, and how often it forked."""
+        fds = len(os.listdir("/proc/self/fd"))
         forks = []
         fork = os.fork
         step = vauf.runtime.plant_step
@@ -272,7 +276,9 @@ class TestPerceptionWorker:
             mp.setattr(os, "fork", lambda: forks.append(1) or fork())
             mp.setattr(vauf.runtime, "WORKER_MIN_FRAMES", min_frames)
             mp.setattr(vauf.runtime, "plant_step", diverging_step)
-            return run_scenario(sc), len(forks)
+            res = run_scenario(sc)
+        assert len(os.listdir("/proc/self/fd")) == fds  # no pipe end outlives the run
+        return res, len(forks)
 
     @pytest.mark.parametrize("case", ["noisy", "mixed", "blind", "aborting"])
     def test_worker_matches_in_process(self, case, reference_scenario):
@@ -289,43 +295,77 @@ class TestPerceptionWorker:
             assert alone.abort_reason == "diverged on purpose at t=1.450 s"
             assert alone.perception_outcomes["fresh"] == 4  # t = 0 to 0.9 s; the frame of t = 1.2 s was in flight
 
-    def test_failed_frames_logged_with_their_reason(self, reference_scenario, caplog):
-        sc, _ = perception_cases(reference_scenario)["mixed"]
-        logged = {}
-        for min_frames in (10**9, 1):
-            caplog.clear()
-            with caplog.at_level(logging.DEBUG, logger="vauf.runtime"):
-                self.run(sc, None, min_frames)
-            logged[min_frames] = [r.getMessage() for r in caplog.records if "failed" in r.getMessage()]
-        assert logged[1] == logged[10**9]
-        assert logged[1] and all(re.search(r"t=\d\.\d{3} failed: NoSegmentError: \w", m) for m in logged[1])
+    def test_failed_frames_logged_with_their_reason(self, reference_scenario, caplog, monkeypatch):
+        calls = []
+
+        def failures(sc):
+            """The failed frames' DEBUG lines of sc's run, the same in this process and in a worker."""
+            logged = []
+            for min_frames in (10**9, 1):
+                caplog.clear()
+                calls.clear()
+                with caplog.at_level(logging.DEBUG, logger="vauf.runtime"):
+                    self.run(sc, None, min_frames)
+                logged.append([r.getMessage() for r in caplog.records if "failed" in r.getMessage()])
+            assert logged[1] == logged[0]
+            return logged[1]
+
+        lines = failures(perception_cases(reference_scenario)["mixed"][0])
+        assert lines and all(re.search(r"t=\d\.\d{3} failed: NoSegmentError: \w", m) for m in lines)
+
+        # a failure text longer than the 64 KiB pipe buffer comes back whole: the
+        # worker's write blocks until the loop reads it, one stride later
+        perceive = vauf.runtime.perceive
+
+        def perceive_long_failure(*args):  # each process counts its own calls: the second frame fails
+            calls.append(1)
+            if len(calls) == 2:
+                raise NoSegmentError("x" * 100_000)
+            return perceive(*args)
+
+        monkeypatch.setattr(vauf.runtime, "perceive", perceive_long_failure)
+        assert failures(perception_cases(reference_scenario)["noisy"][0]) == [
+            "perception of the frame rendered at t=0.300 failed: NoSegmentError: " + "x" * 100_000
+        ]
 
     def test_outcomes_cover_every_reason(self, reference_scenario):
         seen = {name for sc, _ in perception_cases(reference_scenario).values()
                 for name, n in run_scenario(sc).perception_outcomes.items() if n}
         assert seen == {"fresh", "NoSegmentError", "EmptyViewError"}  # no short run gives a degenerate segment
 
-    @pytest.mark.parametrize("how, status", [("raises", 1), ("killed", -signal.SIGKILL), ("exits", 0)])
+    @pytest.mark.parametrize(
+        "how, status", [("raises", 1), ("killed", -signal.SIGKILL), ("exits", 0), ("cut", -signal.SIGKILL)]
+    )
     def test_failed_worker_raises(self, how, status, reference_scenario, monkeypatch, capfd):
-        perceive = vauf.runtime.perceive
+        estimate = vauf.runtime._estimate
         calls = []
 
-        def perceive_once(*args):  # the worker's own copy of calls: the second frame fails
+        def dump_half(obj, file):  # the worker dies halfway through writing its reply
+            data = pickle.dumps(obj)
+            file.write(data[: len(data) // 2])
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        def estimate_once(*args):  # the worker's own copy of calls: the second frame fails
             calls.append(1)
+            if how == "cut" and len(calls) == 1:  # in the worker: this reply's dump is looked up, so the next is cut
+                monkeypatch.setattr(vauf.runtime, "pickle", types.SimpleNamespace(load=pickle.load, dump=dump_half))
             if len(calls) == 2:
                 if how == "raises":
-                    raise RuntimeError("perceive failed")
+                    raise RuntimeError("estimate failed")
                 if how == "killed":
                     os.kill(os.getpid(), signal.SIGKILL)
-                os._exit(0)
-            return perceive(*args)
+                if how == "exits":
+                    os._exit(0)
+            return estimate(*args)
 
         monkeypatch.setattr(vauf.runtime, "WORKER_MIN_FRAMES", 1)
-        monkeypatch.setattr(vauf.runtime, "perceive", perceive_once)
+        monkeypatch.setattr(vauf.runtime, "_estimate", estimate_once)
         message = f"the perception worker exited with status {status} before answering for the frame rendered at t=0.300 s"
+        fds = len(os.listdir("/proc/self/fd"))
         with pytest.raises(ChildProcessError, match=re.escape(message)):
             run_scenario(replace(reference_scenario, duration=1.5))
-        assert ("RuntimeError: perceive failed" in capfd.readouterr().err) == (status == 1)
+        assert len(os.listdir("/proc/self/fd")) == fds  # no pipe end outlives the failed run
+        assert ("RuntimeError: estimate failed" in capfd.readouterr().err) == (status == 1)
 
     def test_interrupt_reaps_worker_quietly(self, reference_scenario, monkeypatch, capfd):
         # interrupted while the worker perceives the frame of t = 0.3 s: it

@@ -3,8 +3,10 @@
 Exit codes: 0 success, 2 configuration/parse error or an output directory
 or file that cannot be created or written (`run` checks each before it
 simulates), 3 simulation abort, 4 passivity-audit failure when --audit is
-requested. Log level comes from the VAUF_LOG_LEVEL environment variable:
-error, warn, info or debug; any other value warns on stderr.
+requested. `run` hands the telemetry path to `run_scenario`, which formats
+the CSV while the loop runs. Log level comes from the VAUF_LOG_LEVEL
+environment variable: error, warn, info or debug; any other value warns on
+stderr.
 """
 
 from __future__ import annotations
@@ -82,12 +84,13 @@ def cmd_run(args) -> int:
     except OSError as exc:
         return _cannot_write(path, exc)
 
-    result = run_scenario(scenario)
-    table = result.table
     try:
-        write_csv(table, out / "telemetry.csv")
+        result = run_scenario(scenario, out / "telemetry.csv")
+    except ChildProcessError:  # a failed perception worker or CSV writer is a fault, not an unwritable path
+        raise
     except OSError as exc:
         return _cannot_write(out / "telemetry.csv", exc)
+    table = result.table
 
     audit = passivity_audit(table, scenario) if args.audit else None
     metrics = compute_metrics(rows_to_columns(table))

@@ -1,7 +1,7 @@
 """One job in an os.fork()ed child: the package's one fork, reap and failure path.
 
-`telemetry.write_csv` formats the second half of a long table in a child,
-and `runtime.run_scenario` renders and perceives a long run's frames in one.
+`telemetry.CsvWriter` formats the head of a long table in a child, and
+`runtime.run_scenario` renders and perceives a long run's frames in one.
 Both go through `Forked`:
 
 - the child runs on the CPUs the parent may use, less the one the parent
@@ -18,7 +18,9 @@ Both go through `Forked`:
 - the parent reaps the child once, in `reap`, however often it is asked;
 - a failed child becomes a `ChildProcessError` naming the job and its exit
   status, from `failure`; leaving a ``with Forked(...)`` block reaps the
-  child and raises that error if the block itself did not raise.
+  child and raises that error if the block itself did not raise. A block
+  that raised kills the child first: its job is moot, and the wait cannot
+  hang on a child that waits for its parent.
 
 os.fork makes this POSIX-only, and Python 3.12 and later warn
 (DeprecationWarning) when a process with threads forks; OpenBLAS's thread
@@ -80,6 +82,8 @@ class Forked:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None and self._code is None:
+            os.kill(self.pid, signal.SIGKILL)  # the block failed, so the job is moot; the wait below cannot hang
         if self.reap() and exc_type is None:
             raise self.failure()
 

@@ -30,6 +30,12 @@ traced camera and perception layers read 0 on such a run).
 process, on both paths, and a failed frame's DEBUG line carries the
 failure's whole text from either.
 
+Where the telemetry is written: given a path, a run writes its table there
+through `telemetry.CsvWriter`, which opens the file before the first tick.
+A run of two blocks or more fills a table from `telemetry.new_table` and
+hands the writer's forked child the rows finished so far at each
+perception tick.
+
 The tick is Python floats and tuples from contact to plant step: the plant
 state is (r_ee, p_ee, twist) with r_ee a row-major rotation 9-tuple, the
 desired pose is the filtered rotation plus a position p_d, and wrenches,
@@ -296,6 +302,22 @@ class _InProcess:
         pass
 
 
+class _NoFile:
+    """The CSV writer of a run given no telemetry path: it writes nothing."""
+
+    def hand(self, n_rows: int) -> None:
+        pass
+
+    def finish(self, n_rows: int) -> None:
+        pass
+
+    def __enter__(self) -> _NoFile:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+
 class _Worker(Forked):
     """The loop's frames estimated in a forked worker that owns the camera rng.
 
@@ -360,8 +382,8 @@ class _Worker(Forked):
         super().__exit__(exc_type, exc, tb)
 
 
-def run_scenario(scenario: Scenario) -> RunResult:
-    """Run the closed loop and return the full per-tick telemetry."""
+def run_scenario(scenario: Scenario, telemetry_path=None) -> RunResult:
+    """Run the closed loop and return the full per-tick telemetry; given a path, also write it there as CSV."""
     t_start = time.perf_counter()
     sc = scenario
     dt = sc.dt_control
@@ -386,117 +408,125 @@ def run_scenario(scenario: Scenario) -> RunResult:
     outcomes = dict.fromkeys(OUTCOMES, 0)
     trigger_armed = True
     events: list[float] = []
-    table = np.empty((n_ticks, len(COLUMNS)))
+    table = np.empty((n_ticks, len(COLUMNS))) if telemetry_path is None else telemetry.new_table(n_ticks)
     abort_reason = None
 
-    frames = _Worker(sc, n_frames) if n_frames >= WORKER_MIN_FRAMES else _InProcess(sc)
-    with frames:
-        for k in range(n_ticks):
-            t = k * dt
+    # the writer forks first and finishes once the worker is reaped: a live
+    # worker holds a copy of the writer's input open
+    writer = _NoFile() if telemetry_path is None else telemetry.CsvWriter(table, telemetry_path)
+    with writer:
+        frames = _Worker(sc, n_frames) if n_frames >= WORKER_MIN_FRAMES else _InProcess(sc)
+        with frames:
+            for k in range(n_ticks):
+                t = k * dt
 
-            # --- perception cadence: latch the estimate of the frame rendered one
-            # stride ago, send the camera pose of the next one
-            fresh = 0.0
-            if k % stride == 0:
-                if rendered_at is not None:
-                    outcome, estimate = frames.receive(rendered_at)
-                    outcomes[outcome] += 1
-                    if outcome == "fresh":
-                        n_s_base, theta, l_s = estimate
-                        fresh = 1.0
-                    else:
-                        log.debug("perception of the frame rendered at t=%.3f failed: %s: %s", rendered_at, outcome, estimate)
-                rendered_at = None
-                if k + stride < n_ticks:  # a frame rendered now is perceived one stride later
-                    frames.send(camera_pose_from_tool(Pose(np.reshape(r_ee, (3, 3)), p_ee), sc.camera), t)
-                    rendered_at = t
+                # --- perception cadence: latch the estimate of the frame rendered one
+                # stride ago, send the camera pose of the next one
+                fresh = 0.0
+                if k % stride == 0:
+                    if rendered_at is not None:
+                        outcome, estimate = frames.receive(rendered_at)
+                        outcomes[outcome] += 1
+                        if outcome == "fresh":
+                            n_s_base, theta, l_s = estimate
+                            fresh = 1.0
+                        else:
+                            log.debug(
+                                "perception of the frame rendered at t=%.3f failed: %s: %s", rendered_at, outcome, estimate
+                            )
+                    rendered_at = None
+                    if k + stride < n_ticks:  # a frame rendered now is perceived one stride later
+                        frames.send(camera_pose_from_tool(Pose(np.reshape(r_ee, (3, 3)), p_ee), sc.camera), t)
+                        rendered_at = t
+                    writer.hand(k)  # rows [:k] are finished
 
-            # --- policy and desired pose
-            offset, f_d_z = wiping_policy(t, sc.policy)
-            r_input = orientation_filter(ctrl, dt, filter_time)
-            p_d = (task_origin[0] + offset[0], task_origin[1] + offset[1], task_origin[2])
+                # --- policy and desired pose
+                offset, f_d_z = wiping_policy(t, sc.policy)
+                r_input = orientation_filter(ctrl, dt, filter_time)
+                p_d = (task_origin[0] + offset[0], task_origin[1] + offset[1], task_origin[2])
 
-            # --- contact and frame-local errors
-            f_ext_base = contact_wrench(sc.surface, p_ee, twist, sc.tool_radius).wrench
-            r_ee_t = transpose(r_ee)
-            f_ext_ee = rotate_wrench(r_ee_t, f_ext_base)
-            x_tilde = pose_error(r_ee, p_ee, r_input, p_d)
-            x_tilde_ee = rotate_wrench(r_ee_t, x_tilde)
+                # --- contact and frame-local errors
+                f_ext_base = contact_wrench(sc.surface, p_ee, twist, sc.tool_radius).wrench
+                r_ee_t = transpose(r_ee)
+                f_ext_ee = rotate_wrench(r_ee_t, f_ext_base)
+                x_tilde = pose_error(r_ee, p_ee, r_input, p_d)
+                x_tilde_ee = rotate_wrench(r_ee_t, x_tilde)
 
-            # --- alignment monitor and shaping
-            c_val = alignment_metric(f_ext_ee, x_tilde_ee, theta, l_s, sc.monitor)
-            h_val = normalized_coefficient(c_val, sc.monitor.c_margin)
-            rho_align = rho_align_step(rho_align, h_val, dt, sc.monitor)
+                # --- alignment monitor and shaping
+                c_val = alignment_metric(f_ext_ee, x_tilde_ee, theta, l_s, sc.monitor)
+                h_val = normalized_coefficient(c_val, sc.monitor.c_margin)
+                rho_align = rho_align_step(rho_align, h_val, dt, sc.monitor)
 
-            # --- orientation: each fresh surface estimate restarts the low-pass
-            # filter from the current attitude, so the tool normal keeps tracking
-            # the curvature as the wipe advances
-            if fresh:
-                restart_filter(ctrl, r_ee, desired_orientation(n_s_base, r_ee))
+                # --- orientation: each fresh surface estimate restarts the low-pass
+                # filter from the current attitude, so the tool normal keeps tracking
+                # the curvature as the wipe advances
+                if fresh:
+                    restart_filter(ctrl, r_ee, desired_orientation(n_s_base, r_ee))
 
-            # --- realignment: at full compliance, re-latch the desired translation
-            # onto the actual pose and re-engage the force controller cleanly
-            if realignment_trigger(rho_align, sc.monitor.rho_trigger):
-                if trigger_armed:
-                    events.append(t)
-                    task_origin = (p_ee[0] - offset[0], p_ee[1] - offset[1], p_ee[2])
-                    p_d = p_ee
-                    ctrl.pi_integral = 0.0
-                    trigger_armed = False
-                    x_tilde = (0.0, 0.0, 0.0) + x_tilde[3:]  # pose_error at p_d = p_ee: x - x is +0.0
-                    x_tilde_ee = rotate_wrench(r_ee_t, x_tilde)
-            else:
-                trigger_armed = True
-            rho_f = rho_frc(f_d_z, x_tilde_ee[2], sc.monitor.delta_c)
+                # --- realignment: at full compliance, re-latch the desired translation
+                # onto the actual pose and re-engage the force controller cleanly
+                if realignment_trigger(rho_align, sc.monitor.rho_trigger):
+                    if trigger_armed:
+                        events.append(t)
+                        task_origin = (p_ee[0] - offset[0], p_ee[1] - offset[1], p_ee[2])
+                        p_d = p_ee
+                        ctrl.pi_integral = 0.0
+                        trigger_armed = False
+                        x_tilde = (0.0, 0.0, 0.0) + x_tilde[3:]  # pose_error at p_d = p_ee: x - x is +0.0
+                        x_tilde_ee = rotate_wrench(r_ee_t, x_tilde)
+                else:
+                    trigger_armed = True
+                rho_f = rho_frc(f_d_z, x_tilde_ee[2], sc.monitor.delta_c)
 
-            # --- controller
-            k_var = variable_stiffness(rho_align, r_ee, sc.controller)
-            d = damping_matrix(k_var, m_diag, damping_coeffs)
-            d0, d1, d2, d3, d4, d5 = d
-            v0, v1, v2, v3, v4, v5 = twist
-            f_damp = (-d0 * v0, -d1 * v1, -d2 * v2, -d3 * v3, -d4 * v4, -d5 * v5)
-            f_var = spring_wrench(k_var, x_tilde)
-            # the force port: the commanded thrust opposes the target reaction, shaped by rho_frc
-            a0, a1, a2, a3, a4, a5 = force_wrench(f_d_z, f_ext_ee[2], ctrl, r_ee, dt, sc.controller)
-            f_force = (-a0 * rho_f, -a1 * rho_f, -a2 * rho_f, -a3 * rho_f, -a4 * rho_f, -a5 * rho_f)
+                # --- controller
+                k_var = variable_stiffness(rho_align, r_ee, sc.controller)
+                d = damping_matrix(k_var, m_diag, damping_coeffs)
+                d0, d1, d2, d3, d4, d5 = d
+                v0, v1, v2, v3, v4, v5 = twist
+                f_damp = (-d0 * v0, -d1 * v1, -d2 * v2, -d3 * v3, -d4 * v4, -d5 * v5)
+                f_var = spring_wrench(k_var, x_tilde)
+                # the force port: the commanded thrust opposes the target reaction, shaped by rho_frc
+                a0, a1, a2, a3, a4, a5 = force_wrench(f_d_z, f_ext_ee[2], ctrl, r_ee, dt, sc.controller)
+                f_force = (-a0 * rho_f, -a1 * rho_f, -a2 * rho_f, -a3 * rho_f, -a4 * rho_f, -a5 * rho_f)
 
-            # --- lam and the tank gates from the pre-step state drive this tick's
-            # command and both tank steps; the tank energies themselves are
-            # integrated after the plant step with the midpoint twist so the power
-            # ledger matches the work actually done on the semi-implicit plant
-            lam = lambda_selector(twist, f_force)
-            sigma_f, beta_f = valve_sigma(s_f, tank_f), gate_beta(s_f, tank_f)
-            sigma_i, beta_i = valve_sigma(s_i, tank_i), gate_beta(s_i, tank_i)
-            sigma_f_used = 1.0 if sc.valves_forced_open else sigma_f
-            sigma_i_used = 1.0 if sc.valves_forced_open else sigma_i
+                # --- lam and the tank gates from the pre-step state drive this tick's
+                # command and both tank steps; the tank energies themselves are
+                # integrated after the plant step with the midpoint twist so the power
+                # ledger matches the work actually done on the semi-implicit plant
+                lam = lambda_selector(twist, f_force)
+                sigma_f, beta_f = valve_sigma(s_f, tank_f), gate_beta(s_f, tank_f)
+                sigma_i, beta_i = valve_sigma(s_i, tank_i), gate_beta(s_i, tank_i)
+                sigma_f_used = 1.0 if sc.valves_forced_open else sigma_f
+                sigma_i_used = 1.0 if sc.valves_forced_open else sigma_i
 
-            f_cmd = compose_command(f_damp, f_var, f_force, lam, sigma_f_used, sigma_i_used)
+                f_cmd = compose_command(f_damp, f_var, f_force, lam, sigma_f_used, sigma_i_used)
 
-            try:
-                r_next, p_next, twist_next = plant_step(r_ee, p_ee, twist, m_diag, f_cmd, f_ext_base, dt)
-            except SimulationDiverged as exc:
-                abort_reason = f"{exc} at t={t:.3f} s"
-                r_next, p_next, twist_next = r_ee, p_ee, twist
-            n0, n1, n2, n3, n4, n5 = twist_next
-            twist_mid = (
-                0.5 * (v0 + n0), 0.5 * (v1 + n1), 0.5 * (v2 + n2), 0.5 * (v3 + n3), 0.5 * (v4 + n4), 0.5 * (v5 + n5)
-            )
-            s_f = force_tank_step(s_f, tank_f, twist_mid, f_force, lam, sigma_f, beta_f, dt)
-            s_i = impedance_tank_step(s_i, tank_i, twist_mid, f_damp, f_var, sigma_i, beta_i, dt)
+                try:
+                    r_next, p_next, twist_next = plant_step(r_ee, p_ee, twist, m_diag, f_cmd, f_ext_base, dt)
+                except SimulationDiverged as exc:
+                    abort_reason = f"{exc} at t={t:.3f} s"
+                    r_next, p_next, twist_next = r_ee, p_ee, twist
+                n0, n1, n2, n3, n4, n5 = twist_next
+                twist_mid = (
+                    0.5 * (v0 + n0), 0.5 * (v1 + n1), 0.5 * (v2 + n2), 0.5 * (v3 + n3), 0.5 * (v4 + n4), 0.5 * (v5 + n5)
+                )
+                s_f = force_tank_step(s_f, tank_f, twist_mid, f_force, lam, sigma_f, beta_f, dt)
+                s_i = impedance_tank_step(s_i, tank_i, twist_mid, f_damp, f_var, sigma_i, beta_i, dt)
 
-            # --- telemetry row k, in COLUMNS order
-            table[k] = (
-                t, *p_ee, *rotation_to_quaternion(r_ee), *twist, *f_cmd, *f_ext_ee,
-                f_d_z, rho_align, rho_f, c_val, h_val, theta, l_s,
-                s_i, s_f, sigma_i_used, sigma_f_used, lam, beta_i, beta_f, fresh, *p_d,
-            )
-            if abort_reason is None and math.hypot(*twist_next) > TWIST_LIMIT:
-                abort_reason = f"twist norm {math.hypot(*twist_next):.2f} exceeded {TWIST_LIMIT} at t={t:.3f} s"
-            if abort_reason is not None:
-                log.error("simulation aborted: %s", abort_reason)
-                table = table[: k + 1]
-                break
-            r_ee, p_ee, twist = r_next, p_next, twist_next
+                # --- telemetry row k, in COLUMNS order
+                table[k] = (
+                    t, *p_ee, *rotation_to_quaternion(r_ee), *twist, *f_cmd, *f_ext_ee,
+                    f_d_z, rho_align, rho_f, c_val, h_val, theta, l_s,
+                    s_i, s_f, sigma_i_used, sigma_f_used, lam, beta_i, beta_f, fresh, *p_d,
+                )
+                if abort_reason is None and math.hypot(*twist_next) > TWIST_LIMIT:
+                    abort_reason = f"twist norm {math.hypot(*twist_next):.2f} exceeded {TWIST_LIMIT} at t={t:.3f} s"
+                if abort_reason is not None:
+                    log.error("simulation aborted: %s", abort_reason)
+                    table = table[: k + 1]
+                    break
+                r_ee, p_ee, twist = r_next, p_next, twist_next
+        writer.finish(len(table))
 
     wall = time.perf_counter() - t_start
     log.info("scenario finished: %d ticks, %d realignment events, %.2f s wall", len(table), len(events), wall)

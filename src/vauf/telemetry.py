@@ -12,19 +12,25 @@ table plus one block of temporaries, never a second table. Iterating
 `RunResult.rows`, a TelemetryRows view of the table, is one more such pass.
 
 The CSV write of a table of two blocks or more runs in two processes at
-once; the simulation loop itself stays single-threaded. The rows split at
-the middle row, mid = (len(table) + 1) // 2, so this process, which starts
-first, takes the odd row: it writes the header and rows [:mid], a child
-forked through `forked.Forked` formats rows [mid:] with the same per-block
-code into an unnamed temporary file, and this process appends those bytes
-after reaping the child, so the file is byte-identical to a one-process
-write. A shorter table is written in this process alone. The fork makes the
-writer POSIX-only.
+once, through one writer, `CsvWriter`; the simulation loop itself stays
+single-threaded. A child forked through `forked.Forked` formats the head of
+the table straight into the file while this process formats the rest into
+an unnamed temporary file and appends those bytes after reaping the child,
+so the file is byte-identical to a one-process write. A run given a path
+forks the writer before its first tick and hands it the rows finished so
+far at each perception tick, never more than one block beyond what the
+child has formatted; when the loop ends, the child takes half of the rows
+neither process has formatted. `write_csv` is the same writer on a finished
+table, split at the middle row, mid = (len(table) + 1) // 2, the child
+taking rows [:mid]. A shorter table is written in this process alone. The
+fork makes the writer POSIX-only.
 """
 
 from __future__ import annotations
 
+import mmap
 import operator
+import os
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -85,29 +91,110 @@ class ParseError(ValueError):
     """Malformed telemetry CSV; the message names the offending row."""
 
 
+def new_table(n_rows: int) -> np.ndarray:
+    """An unfilled (n_rows, len(COLUMNS)) table for a CsvWriter to format while it is filled.
+
+    A table long enough for the writer to fork lives in a shared anonymous
+    mapping, so the child sees the rows filled after the fork; a shorter
+    one is np.empty's.
+    """
+    shape = (n_rows, len(COLUMNS))
+    if n_rows < 2 * BLOCK_ROWS:
+        return np.empty(shape)
+    return np.frombuffer(mmap.mmap(-1, n_rows * len(COLUMNS) * 8)).reshape(shape)
+
+
+class CsvWriter:
+    """A table's CSV text, header first, formatted while the table's rows are finished.
+
+    The destination opens, and the header is written, before anything else.
+    For a table of two blocks or more a forked child formats the rows up to
+    each limit `hand` gives it straight into the file; `finish(n)` gives it
+    half of the rows [:n] that neither process has formatted and formats
+    the rest itself. Rows filled after the fork reach the child only in a
+    table from `new_table`. Leaving the ``with`` block closes the file; if
+    the block raised, it ends the child first.
+    """
+
+    def __init__(self, table: np.ndarray, path, header=COLUMNS):
+        self._table, self._child, self._limits = table, None, None
+        self._fh = open(path, "w")
+        try:
+            self._fh.write(",".join(header) + "\n")
+            if len(table) >= 2 * BLOCK_ROWS:
+                self._fh.flush()  # so the child's copy of the file object holds nothing to write twice
+                self._handed, self._formatted = 0, np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
+                limits, write_end = os.pipe()
+                self._limits = open(write_end, "wb", buffering=0)  # each 8-byte limit goes out whole
+                try:
+                    self._child = Forked(f"the CSV writer of {path}", lambda: self._serve(limits))
+                finally:
+                    os.close(limits)
+        except BaseException as exc:
+            self.__exit__(type(exc), exc, exc.__traceback__)
+            raise
+
+    def _serve(self, limits: int) -> None:
+        """The child: format rows up to each limit read from the pipe, until it closes."""
+        self._limits.close()
+        done = 0
+        with open(limits, "rb") as pipe:
+            while limit := pipe.read(8):
+                limit = int.from_bytes(limit, "little")
+                _write_rows(self._fh, self._table[done:limit])
+                self._formatted[0] = done = limit
+        self._fh.flush()
+
+    def hand(self, n_rows: int) -> None:
+        """Let the child format rows [:n_rows], or up to one block beyond the rows it has formatted."""
+        if self._child is not None:
+            self._send(min(n_rows, int(self._formatted[0]) + BLOCK_ROWS))
+
+    def _send(self, n_rows: int) -> None:
+        if n_rows > self._handed:
+            try:
+                self._limits.write(n_rows.to_bytes(8, "little"))
+            except BrokenPipeError:
+                raise self._child.failure(f" before formatting rows {self._handed}:{n_rows}") from None
+            self._handed = n_rows
+
+    def finish(self, n_rows: int) -> None:
+        """Write rows [:n_rows]: the child formats half of those neither process has formatted yet."""
+        if self._child is None:
+            _write_rows(self._fh, self._table[:n_rows])
+            return
+        self._send((int(self._formatted[0]) + n_rows + 1) // 2)
+        self._limits.close()
+        with tempfile.TemporaryFile("w+") as tail:
+            _write_rows(tail, self._table[self._handed : n_rows])
+            if self._child.reap():
+                raise self._child.failure()
+            tail.seek(0)
+            shutil.copyfileobj(tail, self._fh)  # at the file offset the child moved past its rows
+
+    def __enter__(self) -> CsvWriter:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if self._limits is not None:
+                self._limits.close()  # the child's input ends; close may be called again
+            if self._child is not None:
+                self._child.__exit__(exc_type, exc, tb)
+        finally:
+            self._fh.close()
+
+
 def write_csv(table, path, header=COLUMNS) -> None:
     """Write a float table (or a sequence of rows), one column per header name, as CSV.
 
-    A table of two blocks or more is formatted by two processes at once:
-    this one writes rows [:mid], a forked child formats rows [mid:] into an
-    unnamed temporary file, and this one appends them once the child exits.
+    A CsvWriter with every row already finished: a table of two blocks or
+    more is split at its middle row, mid = (len(table) + 1) // 2, a forked
+    child formatting rows [:mid] while this process formats rows [mid:].
     """
     table = np.asarray(table, dtype=float)
-    mid = (len(table) + 1) // 2 if len(table) >= 2 * BLOCK_ROWS else 0
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        if not mid:
-            _write_rows(fh, table)
-            return
-        with tempfile.TemporaryFile("w+") as tail:
-            def write_tail():
-                _write_rows(tail, table[mid:])
-                tail.flush()
-
-            with Forked(f"the child formatting rows {mid}: of {path}", write_tail):
-                _write_rows(fh, table[:mid])
-            tail.seek(0)
-            shutil.copyfileobj(tail, fh)
+    with CsvWriter(table, path, header) as writer:
+        writer.finish(len(table))
 
 
 def _write_rows(fh, table) -> None:

@@ -1,6 +1,7 @@
 import mmap
 import os
 import pathlib
+import signal
 import tracemalloc
 from dataclasses import replace
 
@@ -12,6 +13,31 @@ from vauf.runtime import run_scenario
 from vauf.telemetry import rows_to_columns
 
 SCENARIO_DIR = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+
+
+TEST_BOUND_S = 60  # per test; the slowest takes about 8 s on a 2-core x86-64 host
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Fail a test that runs longer than TEST_BOUND_S, such as one waiting on a hung child, rather than stall the suite.
+
+    The bound covers the test's setup too, so a session fixture's run counts
+    against the first test that requests it. The alarm's handler raises, so
+    it also ends a wait in os.waitpid or a blocking pipe read (PEP 475
+    retries such a call only when the handler returns), and leaving a
+    `Forked` block on that error kills the child.
+    """
+    def expire(signum, frame):
+        pytest.fail(f"{item.nodeid} ran longer than {TEST_BOUND_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_BOUND_S)
+    try:
+        return (yield)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(autouse=True)

@@ -1,4 +1,5 @@
 import os
+import signal
 import warnings
 from dataclasses import replace
 
@@ -38,6 +39,18 @@ class TestForked:
         with pytest.raises(ChildProcessError, match="^the job exited with status 1$"):
             with Forked("the job", lambda: 1 / 0):
                 pass
+
+    def test_failed_block_kills_the_child(self):
+        # the child waits on a pipe this process holds open: only the kill ends it
+        read_end, write_end = os.pipe()
+        try:
+            with pytest.raises(RuntimeError, match="block failed"):
+                with Forked("the job", lambda: os.read(read_end, 1)) as job:
+                    raise RuntimeError("block failed")
+        finally:
+            os.close(read_end)
+            os.close(write_end)
+        assert job.reap() == -signal.SIGKILL
 
     def test_refused_pin_runs_the_job(self, tmp_path, monkeypatch):
         # the pin is a hint: where the host refuses it, the job still runs

@@ -18,6 +18,7 @@ import vauf.runtime
 import vauf.spatial
 import vauf.surface
 import vauf.tanks
+import vauf.telemetry
 from vauf.camera import CameraModel, EmptyViewError, render
 from vauf.perception import NoSegmentError
 from vauf.runtime import (
@@ -30,7 +31,7 @@ from vauf.runtime import (
     wiping_policy,
 )
 from vauf.spatial import rotation_log
-from vauf.telemetry import COLUMNS, rows_to_columns
+from vauf.telemetry import BLOCK_ROWS, COLUMNS, rows_to_columns, write_csv
 from conftest import flat, shared_counts
 
 POLICY = PolicyConfig()
@@ -368,8 +369,8 @@ class TestPerceptionWorker:
         assert ("RuntimeError: estimate failed" in capfd.readouterr().err) == (status == 1)
 
     def test_interrupt_reaps_worker_quietly(self, reference_scenario, monkeypatch, capfd):
-        # interrupted while the worker perceives the frame of t = 0.3 s: it
-        # finds the loop gone, and exits without a traceback
+        # interrupted while the worker perceives the frame of t = 0.3 s: the
+        # loop's exit kills it, so it prints no traceback
         policy = vauf.runtime.wiping_policy
 
         def interrupted(t, cfg):
@@ -382,3 +383,122 @@ class TestPerceptionWorker:
         with pytest.raises(KeyboardInterrupt):
             run_scenario(replace(reference_scenario, duration=1.5))
         assert capfd.readouterr().err == ""
+
+
+class TestStreamedTelemetry:
+    """A run given a path writes there what write_csv writes of its table, formatting it while the loop runs."""
+
+    def run(self, sc, path, abort_tick=None):
+        """The run of sc writing its telemetry to path, and the jobs of the CSV writers it forked."""
+        fds = len(os.listdir("/proc/self/fd"))
+        writers = []
+        forked = vauf.telemetry.Forked
+        step = vauf.runtime.plant_step
+        ticks = itertools.count()
+
+        def diverging_step(*args):
+            if next(ticks) == abort_tick:
+                raise SimulationDiverged("diverged on purpose")
+            return step(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(vauf.telemetry, "Forked", lambda job, target: writers.append(job) or forked(job, target))
+            mp.setattr(vauf.runtime, "plant_step", diverging_step)
+            res = run_scenario(sc, path)
+        assert len(os.listdir("/proc/self/fd")) == fds  # no pipe end or file outlives the run
+        write_csv(res.table, path.with_name("expected.csv"))
+        assert path.read_bytes() == path.with_name("expected.csv").read_bytes()
+        return res, writers
+
+    def test_reference_run(self, reference_scenario, reference_run, tmp_path, monkeypatch):
+        path, chunks = tmp_path / "t.csv", shared_counts(1)
+        write_rows = vauf.telemetry._write_rows
+
+        def counted(fh, rows):
+            if fh.name == str(path):  # the run's writer child, not the parent's share or write_csv's child
+                chunks[0] += 1
+            write_rows(fh, rows)
+
+        monkeypatch.setattr(vauf.telemetry, "_write_rows", counted)
+        res, writers = self.run(reference_scenario, path)
+        assert writers == [f"the CSV writer of {path}"]
+        assert res.table.tobytes() == reference_run.table.tobytes()
+        assert chunks[0] >= 2  # handed rows during the loop, then its share of the rest
+
+    def test_abort_mid_block(self, reference_scenario, tmp_path):
+        sc, abort_tick = perception_cases(reference_scenario)["aborting"]
+        res, writers = self.run(sc, tmp_path / "t.csv", abort_tick)
+        assert res.abort_reason == "diverged on purpose at t=1.450 s"
+        assert len(res.table) == 1451 and len(res.table) % BLOCK_ROWS and len(writers) == 1
+
+    @pytest.mark.parametrize("ticks, writers", [(2 * BLOCK_ROWS, 1), (2 * BLOCK_ROWS - 1, 0)])
+    def test_writer_forked_from_two_blocks(self, ticks, writers, reference_scenario, tmp_path):
+        sc = replace(reference_scenario, duration=ticks * reference_scenario.dt_control)
+        res, jobs = self.run(sc, tmp_path / "t.csv")
+        assert len(res.table) == ticks and len(jobs) == writers
+
+    def test_run_that_perceives_no_frame(self, reference_scenario, tmp_path):
+        res, writers = self.run(replace(reference_scenario, duration=1.5, dt_perception=1.5), tmp_path / "t.csv")
+        assert not any(res.perception_outcomes.values()) and len(writers) == 1
+
+    def test_unwritable_path_raises_before_the_run(self, reference_scenario, tmp_path, monkeypatch):
+        def no_tick(*args):
+            raise AssertionError("a tick ran before the telemetry file opened")
+
+        monkeypatch.setattr(vauf.runtime, "wiping_policy", no_tick)
+        monkeypatch.setattr(os, "fork", no_tick)
+        with pytest.raises(FileNotFoundError):
+            run_scenario(replace(reference_scenario, duration=1.5), tmp_path / "missing" / "t.csv")
+
+    @pytest.mark.parametrize("how, status", [("raises", 1), ("killed", -signal.SIGKILL)])
+    def test_failed_writer_raises(self, how, status, reference_scenario, tmp_path, monkeypatch, capfd):
+        parent = os.getpid()
+        write_rows = vauf.telemetry._write_rows
+
+        def fail_in_child(fh, rows):
+            if os.getpid() != parent:
+                if how == "raises":
+                    raise RuntimeError("writer failed")
+                os.kill(os.getpid(), signal.SIGKILL)
+            write_rows(fh, rows)
+
+        monkeypatch.setattr(vauf.telemetry, "_write_rows", fail_in_child)
+        path = tmp_path / "t.csv"
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(ChildProcessError, match=re.escape(f"the CSV writer of {path} exited with status {status}")):
+            run_scenario(replace(reference_scenario, duration=3.0), path)
+        assert len(os.listdir("/proc/self/fd")) == fds
+        assert ("RuntimeError: writer failed" in capfd.readouterr().err) == (status == 1)
+
+    @pytest.mark.parametrize(
+        "fault, error, match",
+        [("worker", ChildProcessError, "the perception worker"), ("interrupt", KeyboardInterrupt, None)],
+    )
+    def test_failed_run_ends_the_writer(self, fault, error, match, reference_scenario, tmp_path, monkeypatch, capfd):
+        # the frame of t = 0.3 s fails in the perception worker, or the loop is
+        # interrupted at t = 0.301 s, after it handed the writer its first rows
+        estimate, policy = vauf.runtime._estimate, vauf.runtime.wiping_policy
+        calls = []
+
+        def estimate_once(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("estimate failed")
+            return estimate(*args)
+
+        def interrupted(t, cfg):
+            if t >= 0.301:
+                raise KeyboardInterrupt
+            return policy(t, cfg)
+
+        monkeypatch.setattr(vauf.runtime, "WORKER_MIN_FRAMES", 1)
+        if fault == "worker":
+            monkeypatch.setattr(vauf.runtime, "_estimate", estimate_once)
+        else:
+            monkeypatch.setattr(vauf.runtime, "wiping_policy", interrupted)
+        fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(error, match=match):
+            run_scenario(replace(reference_scenario, duration=1.5), tmp_path / "t.csv")
+        assert len(os.listdir("/proc/self/fd")) == fds
+        err = capfd.readouterr().err
+        assert "CSV writer" not in err and ("RuntimeError: estimate failed" in err) == (fault == "worker")

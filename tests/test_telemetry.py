@@ -3,7 +3,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import traced_peak
+from conftest import shared_counts, traced_peak
 from vauf import telemetry
 from vauf.telemetry import (
     BLOCK_ROWS,
@@ -159,21 +159,21 @@ class TestSplitWrite:
 
     @pytest.mark.parametrize("n, head", [(2049, 1025), (20_000, 10_000)])
     def test_split_at_the_middle_row(self, n, head, tmp_path, monkeypatch):
-        parent, heads = os.getpid(), []
+        parent, heads = os.getpid(), shared_counts(2)  # the child formats the head: its calls and rows
         write_rows = telemetry._write_rows
 
         def record_head(fh, rows):
-            if os.getpid() == parent:  # the child's list is its own copy
-                heads.append(len(rows))
+            if os.getpid() != parent:
+                heads[:] += (1, len(rows))
             write_rows(fh, rows)
 
         monkeypatch.setattr(telemetry, "_write_rows", record_head)
         write_csv(special_table(n, width=3), tmp_path / "t.csv", ["a", "b", "c"])
-        assert heads == [head]
+        assert heads.tolist() == [1, head]
         assert_no_child()
 
     def test_failed_child_raises(self, tmp_path, monkeypatch):
-        n = 3 * BLOCK_ROWS  # the parent formats rows [:768], the child [768:]
+        n = 3 * BLOCK_ROWS  # the child formats rows [:768], the parent [768:]
         parent = os.getpid()
         write_rows = telemetry._write_rows
 
@@ -209,6 +209,55 @@ class TestSplitWrite:
         with pytest.raises(FileNotFoundError):
             write_csv(special_table(2 * BLOCK_ROWS), tmp_path / "missing" / "t.csv")
         assert_no_child()
+
+
+class TestCsvWriter:
+    """A CsvWriter formats a table while it is filled, byte-identical to one process."""
+
+    @pytest.mark.parametrize(
+        "n, end", [(2 * BLOCK_ROWS, None), (3 * BLOCK_ROWS + 7, None), (20_000, None), (3000, 1451)]
+    )
+    def test_rows_handed_while_filled(self, n, end, tmp_path):
+        table, filled = special_table(n), telemetry.new_table(n)
+        end = n if end is None else end  # a run that ends early finishes fewer rows than it allocated
+        with telemetry.CsvWriter(filled, tmp_path / "t.csv") as writer:
+            for k in range(0, end, 300):
+                filled[k : k + 300] = table[k : k + 300]
+                writer.hand(min(k + 300, end))
+            writer.finish(end)
+        assert (tmp_path / "t.csv").read_bytes() == one_process_csv(table[:end])
+        assert_no_child()
+
+    def test_handed_one_block_beyond_the_formatted_rows(self, tmp_path, monkeypatch):
+        parent, chunks = os.getpid(), shared_counts(3)  # the child's calls, then the rows of each
+        write_rows = telemetry._write_rows
+
+        def record_chunk(fh, rows):
+            if os.getpid() != parent:
+                calls = int(chunks[0])
+                chunks[0] += 1
+                chunks[1 + min(calls, 1)] += len(rows)
+            write_rows(fh, rows)
+
+        monkeypatch.setattr(telemetry, "_write_rows", record_chunk)
+        table = special_table(4 * BLOCK_ROWS)
+        with telemetry.CsvWriter(table, tmp_path / "t.csv") as writer:
+            writer.hand(len(table))  # the child has formatted nothing yet
+            writer.finish(len(table))
+        assert chunks[1] == BLOCK_ROWS and sum(chunks[1:]) <= (len(table) + BLOCK_ROWS + 1) // 2
+        assert (tmp_path / "t.csv").read_bytes() == one_process_csv(table)
+
+    def test_short_table_forks_no_child(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked for a table of less than two blocks")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        table = telemetry.new_table(2 * BLOCK_ROWS - 1)
+        table[:] = special_table(len(table))
+        with telemetry.CsvWriter(table, tmp_path / "t.csv") as writer:
+            writer.hand(BLOCK_ROWS)
+            writer.finish(len(table))
+        assert (tmp_path / "t.csv").read_bytes() == one_process_csv(table)
 
 
 class TestPassMemory:

@@ -86,7 +86,7 @@ def cmd_run(args) -> int:
 
     try:
         result = run_scenario(scenario, out / "telemetry.csv")
-    except ChildProcessError:  # a failed perception worker or CSV writer is a fault, not an unwritable path
+    except ChildProcessError:  # a perception worker or CSV writer that failed or could not start is a fault, not an unwritable path
         raise
     except OSError as exc:
         return _cannot_write(out / "telemetry.csv", exc)
@@ -178,6 +178,8 @@ def cmd_export_plots(args) -> int:
         path = out / f"{name}.csv"
         try:
             write_csv(np.column_stack([c[h] for h in header]), path, header)
+        except ChildProcessError:  # a CSV writer that failed or could not start is a fault, not an unwritable path
+            raise
         except OSError as exc:
             return _cannot_write(path, exc)
     print(f"wrote 4 plot tables to {out}")

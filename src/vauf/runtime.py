@@ -10,21 +10,20 @@ tick of a run renders nothing. The loop per control tick:
     tank gates and command -> plant step -> tank steps -> telemetry row
 
 Where perception runs: at each perception tick the loop latches the outcome
-of the frame sent one stride earlier and sends the camera pose of the next.
-One function, `_estimate`, renders a frame, perceives it and turns the
-normal into the base frame. A run that renders at least WORKER_MIN_FRAMES
-frames runs it in one forked worker (`forked.Forked`), which owns the
-camera rng and works while the loop runs the stride that waits for the
-result; a shorter run calls it in this process as each pose is sent. Both
+of the frame sent one stride earlier and sends the tool pose of the next,
+the (r_ee, p_ee) tuples it already holds. One function, `_estimate`, places
+the camera on the tool, renders a frame, perceives it and turns the normal
+into the base frame. A run that renders at least WORKER_MIN_FRAMES frames
+calls it in a `forked.Forked` worker, which owns a copy of the camera rng
+and works while the loop runs the stride that waits for the result; a
+shorter run calls it through `forked.InProcess` as each pose is sent. Both
 stay bit-exact: nothing else draws from the camera rng, so the worker draws
-the same noise in the same order; the pose goes down a pipe pickled and
-what `_estimate` returns comes back pickled, and pickle stores each float as
-its 8 raw bytes, so the worker sees the same pose and `receive` gives the
-same value on both paths; and the loop latches each outcome on the tick it
-always did. The worker's fork makes a long run POSIX-only, and on a host
-with one CPU it only adds the fork. The worker looks up `render` and
-`perceive` in this module too, so a wrapper installed before the run is
-called there, and whatever it records stays in the worker (perfbench's
+the same noise in the same order; `Forked`'s pickles keep every float's
+bits; and the loop latches each outcome on the tick it always did. The
+worker's fork makes a long run POSIX-only, and on a host with one CPU it
+only adds the fork. The worker looks up `camera_pose_from_tool`, `render`
+and `perceive` in this module too, so a wrapper installed before the run
+is called there, and whatever it records stays in the worker (perfbench's
 traced camera and perception layers read 0 on such a run).
 `RunResult.perception_outcomes` counts the outcomes by reason in this
 process, on both paths, and a failed frame's DEBUG line carries the
@@ -32,16 +31,16 @@ failure's whole text from either.
 
 Where the telemetry is written: given a path, a run writes its table there
 through `telemetry.CsvWriter`, which opens the file before the first tick.
-A run of two blocks or more fills a table from `telemetry.new_table` and
-hands the writer's forked child the rows finished so far at each
-perception tick.
+Such a run fills a table from `telemetry.new_table`, and the writer's
+forked child, if the writer forks one, is handed the rows finished so far
+at each perception tick.
 
 The tick is Python floats and tuples from contact to plant step: the plant
 state is (r_ee, p_ee, twist) with r_ee a row-major rotation 9-tuple, the
 desired pose is the filtered rotation plus a position p_d, and wrenches,
-twists and pose errors are 6-tuples. numpy is met only on perception ticks,
-where the camera gets a `Pose` and the perceived normal comes back as a
-float tuple. Each tick writes one row of a preallocated (n_ticks,
+twists and pose errors are 6-tuples. A perception tick builds no numpy
+object either: it sends the pose tuples and latches the perceived normal
+as a float tuple. Each tick writes one row of a preallocated (n_ticks,
 len(COLUMNS)) telemetry table in one assignment: the pre-step pose and
 twist, the post-step tank energies. Every collaborator is called through
 its module global, looked up at call time. The collaborators take a
@@ -62,8 +61,6 @@ from __future__ import annotations
 
 import logging
 import math
-import os
-import pickle
 import time
 from dataclasses import dataclass, field
 
@@ -82,7 +79,7 @@ from .controller import (
     spring_wrench,
     variable_stiffness,
 )
-from .forked import Forked
+from .forked import Forked, InProcess
 from .monitor import (
     MonitorConfig,
     alignment_metric,
@@ -269,8 +266,15 @@ def start_pose(scenario: Scenario) -> Pose:
     )
 
 
-def _estimate(sc: Scenario, rng: np.random.Generator, cam_pose: Pose) -> tuple[str, tuple | str]:
-    """Render and perceive one frame: its OUTCOMES name and (base-frame normal, theta, l_s), or the failure's text."""
+def _estimate(sc: Scenario, rng: np.random.Generator, r_ee: tuple, p_ee: tuple) -> tuple[str, tuple | str]:
+    """Render and perceive the frame of the camera on the tool at (r_ee, p_ee).
+
+    Returns its OUTCOMES name and (base-frame normal, theta, l_s), or the
+    failure's text. The loop sends the worker the tool pose as the float
+    tuples it holds: pickling the camera Pose's two arrays instead cost 45 us
+    more per send (2-vCPU x86-64).
+    """
+    cam_pose = camera_pose_from_tool(Pose(np.reshape(r_ee, (3, 3)), p_ee), sc.camera)
     try:
         latched = perceive(render(sc.camera, cam_pose, sc.surface, rng=rng), sc.perception)
     except (EmptyViewError, NoSegmentError, DegenerateSegmentError) as exc:
@@ -281,25 +285,6 @@ def _estimate(sc: Scenario, rng: np.random.Generator, cam_pose: Pose) -> tuple[s
     if n_cam[2] < 0.0:
         n_cam = -n_cam  # upward convention in the base frame
     return "fresh", (tuple(n_cam.tolist()), float(latched.theta), float(latched.l_s))
-
-
-class _InProcess:
-    """The loop's frames estimated in this process, each as its camera pose is sent."""
-
-    def __init__(self, sc: Scenario):
-        self._sc, self._rng = sc, np.random.default_rng(sc.seed)
-
-    def send(self, cam_pose: Pose, t_render: float) -> None:
-        self._outcome = _estimate(self._sc, self._rng, cam_pose)
-
-    def receive(self, t_render: float) -> tuple[str, tuple | str]:
-        return self._outcome
-
-    def __enter__(self) -> _InProcess:
-        return self
-
-    def __exit__(self, *exc) -> None:
-        pass
 
 
 class _NoFile:
@@ -316,70 +301,6 @@ class _NoFile:
 
     def __exit__(self, *exc) -> None:
         pass
-
-
-class _Worker(Forked):
-    """The loop's frames estimated in a forked worker that owns the camera rng.
-
-    The loop pickles each camera pose's rotation and position down one
-    pipe and, one stride later, unpickles the (outcome, estimate) that
-    `_estimate` returned in the worker from the other. This process's ends
-    are file objects, whose close may be called again. The request pipe
-    closes after the last pose, so the worker exits while the last stride
-    runs; leaving the ``with`` block closes both pipes and reaps it.
-    """
-
-    def __init__(self, sc: Scenario, n_frames: int):
-        self._unsent = n_frames
-        poses, outcomes = os.pipe(), os.pipe()
-        # unbuffered writers, so close holds no bytes to flush into a pipe whose
-        # reader is gone; each write is whole: a pickled pose fits in PIPE_BUF,
-        # and the worker, SIGINT ignored, runs no handler to cut its write short
-        self._poses, self._outcomes = open(poses[1], "wb", buffering=0), open(outcomes[0], "rb")
-
-        def serve():
-            self._poses.close()
-            self._outcomes.close()
-            rng = np.random.default_rng(sc.seed)
-            with open(poses[0], "rb") as requests, open(outcomes[1], "wb", buffering=0) as replies:
-                try:
-                    while True:
-                        pickle.dump(_estimate(sc, rng, Pose(*pickle.load(requests))), replies)
-                except (EOFError, BrokenPipeError):  # the loop sent its last pose, or ended before this frame's tick
-                    pass
-
-        try:
-            super().__init__("the perception worker", serve)
-        except BaseException:  # no worker to serve: close this process's ends too
-            self._poses.close()
-            self._outcomes.close()
-            raise
-        finally:
-            os.close(poses[0])
-            os.close(outcomes[1])
-
-    def send(self, cam_pose: Pose, t_render: float) -> None:
-        try:  # as float lists: pickling its two arrays cost 45 us more per send (2-vCPU x86-64)
-            pickle.dump((cam_pose.rotation.tolist(), cam_pose.position.tolist()), self._poses)
-        except BrokenPipeError:
-            raise self._failure(t_render) from None
-        self._unsent -= 1
-        if not self._unsent:
-            self._poses.close()
-
-    def receive(self, t_render: float) -> tuple[str, tuple | str]:
-        try:
-            return pickle.load(self._outcomes)
-        except (EOFError, pickle.UnpicklingError):  # the worker ended before or while it answered
-            raise self._failure(t_render) from None
-
-    def _failure(self, t_render: float) -> ChildProcessError:
-        return self.failure(f" before answering for the frame rendered at t={t_render:.3f} s")
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self._poses.close()
-        self._outcomes.close()
-        super().__exit__(exc_type, exc, tb)
 
 
 def run_scenario(scenario: Scenario, telemetry_path=None) -> RunResult:
@@ -415,17 +336,22 @@ def run_scenario(scenario: Scenario, telemetry_path=None) -> RunResult:
     # worker holds a copy of the writer's input open
     writer = _NoFile() if telemetry_path is None else telemetry.CsvWriter(table, telemetry_path)
     with writer:
-        frames = _Worker(sc, n_frames) if n_frames >= WORKER_MIN_FRAMES else _InProcess(sc)
+        rng = np.random.default_rng(sc.seed)  # the camera's, drawn only by _estimate
+        frames = (Forked if n_frames >= WORKER_MIN_FRAMES else InProcess)(
+            "the perception worker", lambda pose: _estimate(sc, rng, *pose)
+        )
         with frames:
             for k in range(n_ticks):
                 t = k * dt
 
                 # --- perception cadence: latch the estimate of the frame rendered one
-                # stride ago, send the camera pose of the next one
+                # stride ago, send the tool pose of the next one
                 fresh = 0.0
                 if k % stride == 0:
                     if rendered_at is not None:
-                        outcome, estimate = frames.receive(rendered_at)
+                        outcome, estimate = frames.receive(
+                            f" before answering for the frame rendered at t={rendered_at:.3f} s"
+                        )
                         outcomes[outcome] += 1
                         if outcome == "fresh":
                             n_s_base, theta, l_s = estimate
@@ -436,8 +362,10 @@ def run_scenario(scenario: Scenario, telemetry_path=None) -> RunResult:
                             )
                     rendered_at = None
                     if k + stride < n_ticks:  # a frame rendered now is perceived one stride later
-                        frames.send(camera_pose_from_tool(Pose(np.reshape(r_ee, (3, 3)), p_ee), sc.camera), t)
+                        frames.send((r_ee, p_ee), f" before answering for the frame rendered at t={t:.3f} s")
                         rendered_at = t
+                        if k + 2 * stride >= n_ticks:  # the last pose: the worker exits while the last stride runs
+                            frames.close()
                     writer.hand(k)  # rows [:k] are finished
 
                 # --- policy and desired pose

@@ -13,24 +13,24 @@ table plus one block of temporaries, never a second table. Iterating
 
 The CSV write of a table of two blocks or more runs in two processes at
 once, through one writer, `CsvWriter`; the simulation loop itself stays
-single-threaded. A child forked through `forked.Forked` formats the head of
-the table straight into the file while this process formats the rest into
-an unnamed temporary file and appends those bytes after reaping the child,
-so the file is byte-identical to a one-process write. A run given a path
-forks the writer before its first tick and hands it the rows finished so
-far at each perception tick, never more than one block beyond what the
-child has formatted; when the loop ends, the child takes half of the rows
-neither process has formatted. `write_csv` is the same writer on a finished
-table, split at the middle row, mid = (len(table) + 1) // 2, the child
-taking rows [:mid]. A shorter table is written in this process alone. The
-fork makes the writer POSIX-only.
+single-threaded. Its child, a `forked.Forked` job sent one row limit per
+request, formats the head of the table up to each limit straight into the
+file while this process formats the rest into an unnamed temporary file and
+appends those bytes after reaping the child, so the file is byte-identical
+to a one-process write. A run given a path forks the writer before its
+first tick and hands it the rows finished so far at each perception tick,
+never more than one block beyond what the child has formatted; when the
+loop ends, the child takes half of the rows neither process has formatted.
+`write_csv` is the same writer on a finished table, split at the middle
+row, mid = (len(table) + 1) // 2, the child taking rows [:mid]. A shorter
+table is written in this process alone. The fork makes the writer
+POSIX-only.
 """
 
 from __future__ import annotations
 
 import mmap
 import operator
-import os
 import shutil
 import tempfile
 from dataclasses import dataclass
@@ -94,56 +94,46 @@ class ParseError(ValueError):
 def new_table(n_rows: int) -> np.ndarray:
     """An unfilled (n_rows, len(COLUMNS)) table for a CsvWriter to format while it is filled.
 
-    A table long enough for the writer to fork lives in a shared anonymous
-    mapping, so the child sees the rows filled after the fork; a shorter
-    one is np.empty's.
+    It lives in a shared anonymous mapping, so a forked writer sees the rows
+    filled after the fork.
     """
-    shape = (n_rows, len(COLUMNS))
-    if n_rows < 2 * BLOCK_ROWS:
-        return np.empty(shape)
-    return np.frombuffer(mmap.mmap(-1, n_rows * len(COLUMNS) * 8)).reshape(shape)
+    return np.frombuffer(mmap.mmap(-1, n_rows * len(COLUMNS) * 8)).reshape(n_rows, len(COLUMNS))
 
 
 class CsvWriter:
     """A table's CSV text, header first, formatted while the table's rows are finished.
 
-    The destination opens, and the header is written, before anything else.
-    For a table of two blocks or more a forked child formats the rows up to
-    each limit `hand` gives it straight into the file; `finish(n)` gives it
-    half of the rows [:n] that neither process has formatted and formats
-    the rest itself. Rows filled after the fork reach the child only in a
-    table from `new_table`. Leaving the ``with`` block closes the file; if
-    the block raised, it ends the child first.
+    The header is checked against the table, and the destination opens and
+    gets the header, before anything else. For a table of two blocks or more
+    a forked child formats the rows up to each limit `hand` sends it straight
+    into the file; `finish(n)` sends it half of the rows [:n] that neither
+    process has formatted and formats the rest itself. Rows filled after the
+    fork reach the child only in a table from `new_table`. Leaving the
+    ``with`` block closes the file; if the block raised, it ends the child
+    first.
     """
 
     def __init__(self, table: np.ndarray, path, header=COLUMNS):
-        self._table, self._child, self._limits = table, None, None
+        if table.ndim != 2 or table.shape[1] != len(header):
+            raise ValueError(f"a table of shape {table.shape} does not fit a header of {len(header)} names")
+        self._table, self._child = table, None
         self._fh = open(path, "w")
         try:
             self._fh.write(",".join(header) + "\n")
             if len(table) >= 2 * BLOCK_ROWS:
                 self._fh.flush()  # so the child's copy of the file object holds nothing to write twice
                 self._handed, self._formatted = 0, np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
-                limits, write_end = os.pipe()
-                self._limits = open(write_end, "wb", buffering=0)  # each 8-byte limit goes out whole
-                try:
-                    self._child = Forked(f"the CSV writer of {path}", lambda: self._serve(limits))
-                finally:
-                    os.close(limits)
+                self._child = Forked(f"the CSV writer of {path}", self._serve)
         except BaseException as exc:
             self.__exit__(type(exc), exc, exc.__traceback__)
             raise
 
-    def _serve(self, limits: int) -> None:
-        """The child: format rows up to each limit read from the pipe, until it closes."""
-        self._limits.close()
-        done = 0
-        with open(limits, "rb") as pipe:
-            while limit := pipe.read(8):
-                limit = int.from_bytes(limit, "little")
-                _write_rows(self._fh, self._table[done:limit])
-                self._formatted[0] = done = limit
-        self._fh.flush()
+    def _serve(self, limit: int) -> None:
+        """The child: format the rows up to limit, from the last limit on, into the file."""
+        done = int(self._formatted[0])
+        _write_rows(self._fh, self._table[done:limit])
+        self._fh.flush()  # the child leaves through os._exit, which flushes nothing
+        self._formatted[0] = limit
 
     def hand(self, n_rows: int) -> None:
         """Let the child format rows [:n_rows], or up to one block beyond the rows it has formatted."""
@@ -152,10 +142,7 @@ class CsvWriter:
 
     def _send(self, n_rows: int) -> None:
         if n_rows > self._handed:
-            try:
-                self._limits.write(n_rows.to_bytes(8, "little"))
-            except BrokenPipeError:
-                raise self._child.failure(f" before formatting rows {self._handed}:{n_rows}") from None
+            self._child.send(n_rows, f" before formatting rows {self._handed}:{n_rows}")
             self._handed = n_rows
 
     def finish(self, n_rows: int) -> None:
@@ -164,7 +151,7 @@ class CsvWriter:
             _write_rows(self._fh, self._table[:n_rows])
             return
         self._send((int(self._formatted[0]) + n_rows + 1) // 2)
-        self._limits.close()
+        self._child.close()
         with tempfile.TemporaryFile("w+") as tail:
             _write_rows(tail, self._table[self._handed : n_rows])
             if self._child.reap():
@@ -177,8 +164,6 @@ class CsvWriter:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
-            if self._limits is not None:
-                self._limits.close()  # the child's input ends; close may be called again
             if self._child is not None:
                 self._child.__exit__(exc_type, exc, tb)
         finally:

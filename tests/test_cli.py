@@ -1,6 +1,8 @@
 import contextlib
+import errno
 import logging
 import os
+import re
 import subprocess
 import sys
 
@@ -24,6 +26,17 @@ def short_run(tmp_path_factory):
     code = main(["run", "--scenario", REF, "--duration", "1.5", "--out", str(out)])
     assert code == EXIT_OK
     return out
+
+
+def refuse_fork():
+    raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def fork_refused(path):
+    """The error of a CSV writer to path whose fork the host refused."""
+    return pytest.raises(
+        ChildProcessError, match=f"^the CSV writer of {re.escape(str(path))} could not start: Resource temporarily unavailable$"
+    )
 
 
 class TestRun:
@@ -104,6 +117,15 @@ class TestRun:
         assert f"cannot write {tmp_path / 'telemetry.csv'}: " in err
         assert "Traceback" not in err
 
+    def test_refused_fork_is_no_unwritable_file(self, tmp_path, monkeypatch, capsys):
+        # the run's CSV writer forks before the first tick
+        fds = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        with fork_refused(tmp_path / "telemetry.csv"):
+            main(["run", "--scenario", REF, "--duration", "2", "--out", str(tmp_path)])
+        assert "cannot write" not in capsys.readouterr().err
+        assert len(os.listdir("/proc/self/fd")) == fds
+
     @pytest.mark.parametrize("name", ["telemetry.csv", "report.txt"])
     def test_unwritable_output_exits_2_before_running(self, name, tmp_path, monkeypatch, capsys):
         def no_run(scenario):
@@ -173,6 +195,15 @@ class TestExportPlots:
         assert code == EXIT_CONFIG
         assert f"cannot write {tmp_path / 'force.csv'}: " in err
         assert "Traceback" not in err
+
+    def test_refused_fork_is_no_unwritable_table(self, short_run, tmp_path, monkeypatch, capsys):
+        # each table has a row per tick of the 1.5 s run, enough for the CSV writer to fork
+        fds = len(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "fork", refuse_fork)
+        with fork_refused(tmp_path / "trajectory_vs_surface.csv"):
+            main(["export-plots", str(short_run / "telemetry.csv"), "--out", str(tmp_path)])
+        assert "cannot write" not in capsys.readouterr().err
+        assert len(os.listdir("/proc/self/fd")) == fds
 
     @pytest.mark.parametrize("command", ["report", "export-plots"])
     def test_header_only_telemetry_exits_2(self, short_run, tmp_path, capsys, command):

@@ -111,3 +111,27 @@ def test_tables_independent_of_openblas_kernels(core, shipped_digests):
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert proc.stdout.split() == shipped_digests
+
+
+def process_calls(tree) -> set:
+    """The pickle imports and the os.fork and os.pipe references of a module's syntax tree."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found |= {alias.name for alias in node.names if alias.name == "pickle"}
+        elif isinstance(node, ast.ImportFrom):
+            if node.module == "pickle":
+                found.add("pickle")
+            elif node.module == "os":
+                found |= {f"os.{alias.name}" for alias in node.names if alias.name in ("fork", "pipe")}
+        elif isinstance(node, ast.Attribute) and node.attr in ("fork", "pipe"):
+            if isinstance(node.value, ast.Name) and node.value.id == "os":
+                found.add(f"os.{node.attr}")
+    return found
+
+
+def test_one_message_format_between_processes():
+    # forked.Forked owns the package's fork, its pipes and the pickled messages across them
+    found = {path.name: process_calls(ast.parse(path.read_text()))
+             for path in sorted((ROOT / "src" / "vauf").glob("*.py"))}
+    assert {name: calls for name, calls in found.items() if calls} == {"forked.py": {"pickle", "os.fork", "os.pipe"}}

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import vauf.controller
+import vauf.forked
 import vauf.monitor
 import vauf.runtime
 import vauf.spatial
@@ -348,9 +349,9 @@ class TestPerceptionWorker:
 
         def estimate_once(*args):  # the worker's own copy of calls: the second frame fails
             calls.append(1)
-            if how == "cut" and len(calls) == 1:  # in the worker: this reply's dump is looked up, so the next is cut
-                monkeypatch.setattr(vauf.runtime, "pickle", types.SimpleNamespace(load=pickle.load, dump=dump_half))
             if len(calls) == 2:
+                if how == "cut":  # in the worker: this answer's dump is looked up after this call, so it is cut
+                    monkeypatch.setattr(vauf.forked, "pickle", types.SimpleNamespace(load=pickle.load, dump=dump_half))
                 if how == "raises":
                     raise RuntimeError("estimate failed")
                 if how == "killed":
@@ -402,7 +403,7 @@ class TestStreamedTelemetry:
             return step(*args)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(vauf.telemetry, "Forked", lambda job, target: writers.append(job) or forked(job, target))
+            mp.setattr(vauf.telemetry, "Forked", lambda job, serve: writers.append(job) or forked(job, serve))
             mp.setattr(vauf.runtime, "plant_step", diverging_step)
             res = run_scenario(sc, path)
         assert len(os.listdir("/proc/self/fd")) == fds  # no pipe end or file outlives the run

@@ -1,4 +1,5 @@
 import os
+import re
 
 import numpy as np
 import pytest
@@ -62,6 +63,16 @@ class TestCsvRoundTrip:
         path = tmp_path / "t.csv"
         write_csv(np.array([[0.1, 2.0], [-3.5, 1e-300]]), path, ["a", "b"])
         assert path.read_text() == "a,b\n0.1,2.0\n-3.5,1e-300\n"
+
+    @pytest.mark.parametrize("shape", [(3, 2), (3,), (2, 1, 1)])
+    def test_header_must_fit_the_table(self, shape, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"kept\n")
+        with pytest.raises(ValueError, match=rf"shape {re.escape(str(shape))} does not fit a header of 1 names"):
+            write_csv(np.zeros(shape), path, ["a"])
+        with pytest.raises(ValueError, match="does not fit a header of 1 names"):
+            telemetry.CsvWriter(np.zeros(shape), path, ["a"])
+        assert path.read_bytes() == b"kept\n"
 
     def test_bit_identical_rewrite(self, tmp_path):
         rows = synthetic_rows(100, fz_err=0.123456789012345678)

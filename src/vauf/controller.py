@@ -110,7 +110,8 @@ def force_wrench(
     """
     f_err = f_ext_z - f_d_z
     out = f_d_z + cfg.k_p * f_err + cfg.k_i * state.pi_integral
-    state.pi_integral = min(max(state.pi_integral - f_err * dt, -cfg.integral_limit), cfg.integral_limit)
+    integral, limit = state.pi_integral - f_err * dt, cfg.integral_limit
+    state.pi_integral = -limit if integral < -limit else limit if integral > limit else integral
     # only R's z column meets the tool-z thrust (0, 0, out, 0, 0, 0)
     return rotate_wrench(r_ee, (0.0, 0.0, out, 0.0, 0.0, 0.0))
 

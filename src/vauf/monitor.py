@@ -61,7 +61,8 @@ def rho_align_step(rho_align: float, h: float, dt: float, cfg: MonitorConfig) ->
     growth past 1, no decay past 0 (for finite dt, bit for bit the rate
     clipped at a saturated state), so the state is a valid gain under any h.
     """
-    return min(max(rho_align + (h * rho_align + cfg.rho_min) * dt, 0.0), 1.0)
+    rho = rho_align + (h * rho_align + cfg.rho_min) * dt
+    return 0.0 if rho < 0.0 else 1.0 if rho > 1.0 else rho
 
 
 def rho_frc(f_d_z: float, x_z: float, delta_c: float) -> float:

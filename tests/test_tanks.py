@@ -11,7 +11,6 @@ from vauf.tanks import (
     AUDIT_TOL,
     AuditReport,
     TankConfig,
-    _integrate_energy,
     compose_command,
     force_tank_step,
     gate_beta,
@@ -269,8 +268,10 @@ class TestBandInvariant:
         s = 1.5
         powers = rng.uniform(-400.0, 400.0, 1_000_000)
         lo, hi = 2.0, 0.0
+        unit_x = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
         for p in powers:
-            s = _integrate_energy(s, FORCE_TANK, p, 1e-3)
+            # an open valve (lam 0, sigma 1) along a unit twist books the power p itself
+            s = force_tank_step(s, FORCE_TANK, unit_x, (-p, 0.0, 0.0, 0.0, 0.0, 0.0), 0, 1.0, 1.0, 1e-3)
             lo = min(lo, s)
             hi = max(hi, s)
         assert lo >= 1.0 - 1e-9 and hi <= 2.0 + 1e-9

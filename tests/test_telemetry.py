@@ -1,5 +1,7 @@
+import itertools
 import os
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from vauf import telemetry
 from vauf.telemetry import (
     BLOCK_ROWS,
     COLUMNS,
+    ROW_STRUCT,
     ParseError,
     TelemetryRow,
     compute_metrics,
@@ -269,6 +272,35 @@ class TestCsvWriter:
             writer.hand(BLOCK_ROWS)
             writer.finish(len(table))
         assert (tmp_path / "t.csv").read_bytes() == one_process_csv(table)
+
+
+TABLES = pytest.mark.parametrize(
+    "make", [lambda n: np.empty((n, len(COLUMNS))), telemetry.new_table], ids=["np.empty", "new_table"]
+)
+
+
+class TestPackedRow:
+    """ROW_STRUCT writes a row's bytes as assigning the row does, on both kinds of table."""
+
+    @TABLES
+    def test_writes_the_bytes_of_an_assignment(self, make):
+        # every special float, and the ints a row carries in lam
+        row = tuple(itertools.islice(itertools.cycle([0.0, *SPECIALS, 0, 1]), len(COLUMNS)))
+        assigned, packed = make(3), make(3)
+        assigned[:] = packed[:] = special_table(3)
+        assigned[1] = row
+        ROW_STRUCT.pack_into(packed, 1 * ROW_STRUCT.size, *row)
+        assert packed.tobytes() == assigned.tobytes()
+
+    @TABLES
+    @pytest.mark.parametrize("length", [len(COLUMNS) - 1, len(COLUMNS) + 1])
+    def test_row_of_wrong_length_raises_and_writes_nothing(self, make, length):
+        table = make(3)
+        table[:] = special_table(3)
+        before = table.tobytes()
+        with pytest.raises(struct.error):
+            ROW_STRUCT.pack_into(table, ROW_STRUCT.size, *[1.0] * length)
+        assert table.tobytes() == before
 
 
 class TestPassMemory:

@@ -1,9 +1,10 @@
 """One job in an os.fork()ed child: the package's one fork, message format, reap and failure path.
 
-A job is one function, `serve(request)`: `telemetry.CsvWriter` sends its
-child row limits to format the table up to, and `runtime.run_scenario`
-sends its perception worker each frame's tool pose. `Forked` serves the
-requests in a child; `InProcess`, the same interface, in this process:
+A job is one function, `serve(request)`: `runtime.run_scenario` sends its
+perception worker each frame's tool pose, and `telemetry.CsvWriter` sends
+its writer row limits (the `telemetry` docstring describes the writer).
+`Forked` serves the requests in a child; `InProcess`, the same interface,
+in this process:
 
 - requests and answers cross two pipes pickled, which keeps each float's 8
   bytes. The child pickles back each answer that is not None, in request
@@ -163,6 +164,10 @@ class InProcess:
 
     def close(self) -> None:
         pass
+
+    def reap(self) -> int:
+        """0: each request was served as it was sent."""
+        return 0
 
     def __enter__(self) -> InProcess:
         return self

@@ -29,11 +29,11 @@ traced camera and perception layers read 0 on such a run).
 process, on both paths, and a failed frame's DEBUG line carries the
 failure's whole text from either.
 
-Where the telemetry is written: given a path, a run writes its table there
-through `telemetry.CsvWriter`, which opens the file before the first tick.
-Such a run fills a table from `telemetry.new_table`, and the writer's
-forked child, if the writer forks one, is handed the rows finished so far
-at each perception tick.
+Where the telemetry is written: every run fills a table from
+`telemetry.new_table`, and given a path it writes the table there through
+a `telemetry.CsvWriter`, opened before the first tick and handed the rows
+finished so far at each perception tick (the `telemetry` docstring
+describes the writer).
 
 The tick is Python floats and tuples from contact to plant step: the plant
 state is (r_ee, p_ee, twist) with r_ee a row-major rotation 9-tuple, the
@@ -112,7 +112,7 @@ from .tanks import (
 )
 # TelemetryRow stays a global here for the traced benchmark run, which wraps
 # it; rows are built by telemetry.TelemetryRows, so the wrapper is not reached
-from .telemetry import COLUMNS, ROW_STRUCT, TelemetryRow
+from .telemetry import ROW_STRUCT, TelemetryRow
 
 log = logging.getLogger(__name__)
 
@@ -340,11 +340,11 @@ def run_scenario(scenario: Scenario, telemetry_path=None) -> RunResult:
     outcomes = dict.fromkeys(OUTCOMES, 0)
     trigger_armed = True
     events: list[float] = []
-    table = np.empty((n_ticks, len(COLUMNS))) if telemetry_path is None else telemetry.new_table(n_ticks)
+    table = telemetry.new_table(n_ticks)
     pack_row, row_bytes = ROW_STRUCT.pack_into, ROW_STRUCT.size
     abort_reason = None
 
-    # the writer forks first and finishes once the worker is reaped: a live
+    # a forked writer forks first and finishes once the worker is reaped: a live
     # worker holds a copy of the writer's input open
     writer = _NoFile() if telemetry_path is None else telemetry.CsvWriter(table, telemetry_path)
     with writer:

@@ -11,20 +11,23 @@ audit in `tanks`) walks it BLOCK_ROWS rows at a time, so a pass holds the
 table plus one block of temporaries, never a second table. Iterating
 `RunResult.rows`, a TelemetryRows view of the table, is one more such pass.
 
-The CSV write of a table of two blocks or more runs in two processes at
-once, through one writer, `CsvWriter`; the simulation loop itself stays
-single-threaded. Its child, a `forked.Forked` job sent one row limit per
-request, formats the head of the table up to each limit straight into the
-file while this process formats the rest into an unnamed temporary file and
-appends those bytes after reaping the child, so the file is byte-identical
-to a one-process write. A run given a path forks the writer before its
-first tick and hands it the rows finished so far at each perception tick,
-never more than one block beyond what the child has formatted; when the
-loop ends, the child takes half of the rows neither process has formatted.
-`write_csv` is the same writer on a finished table, split at the middle
-row, mid = (len(table) + 1) // 2, the child taking rows [:mid]. A shorter
-table is written in this process alone. The fork makes the writer
-POSIX-only.
+Every CSV write goes through one writer, `CsvWriter`, whose job is sent
+one row limit per request and formats the head of the table up to each
+limit straight into the file, while this process formats the rest into an
+unnamed temporary file and appends those bytes after reaping the job, so
+the file is byte-identical to a one-process write. For a table of two
+blocks or more the job is a `forked.Forked` child, so the two parts are
+formatted in two processes at once (the simulation loop itself stays
+single-threaded); for a shorter one it is a `forked.InProcess` job, which
+formats each limit as it is sent. A run gives its writer a table from
+`new_table`, whose shared mapping lets a forked child read the rows filled
+after the fork; it starts the writer before its first tick and hands it
+the rows finished so far at each perception tick, never more than one
+block beyond what the job has formatted; when the loop ends, the job takes
+half of the rows neither process has formatted. `write_csv` is the same
+writer on a finished table, split at the middle row,
+mid = (len(table) + 1) // 2, the job taking rows [:mid]. The fork makes
+the writer of a long table POSIX-only.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .forked import Forked
+from .forked import Forked, InProcess
 
 COLUMNS = (
     ["t"]
@@ -98,10 +101,10 @@ class ParseError(ValueError):
 
 
 def new_table(n_rows: int) -> np.ndarray:
-    """An unfilled (n_rows, len(COLUMNS)) table for a CsvWriter to format while it is filled.
+    """An unfilled (n_rows, len(COLUMNS)) table, the kind every run fills.
 
-    It lives in a shared anonymous mapping, so a forked writer sees the rows
-    filled after the fork.
+    It lives in a shared anonymous mapping, so a forked CsvWriter sees the
+    rows filled after the fork.
     """
     return np.frombuffer(mmap.mmap(-1, n_rows * len(COLUMNS) * 8)).reshape(n_rows, len(COLUMNS))
 
@@ -110,68 +113,58 @@ class CsvWriter:
     """A table's CSV text, header first, formatted while the table's rows are finished.
 
     The header is checked against the table, and the destination opens and
-    gets the header, before anything else. For a table of two blocks or more
-    a forked child formats the rows up to each limit `hand` sends it straight
-    into the file; `finish(n)` sends it half of the rows [:n] that neither
-    process has formatted and formats the rest itself. Rows filled after the
-    fork reach the child only in a table from `new_table`. Leaving the
-    ``with`` block closes the file; if the block raised, it ends the child
-    first.
+    gets the header, before the job starts; the module docstring describes
+    the job, `hand` and `finish`. Leaving the ``with`` block closes the file;
+    if the block raised, it ends a forked job first.
     """
 
     def __init__(self, table: np.ndarray, path, header=COLUMNS):
         if table.ndim != 2 or table.shape[1] != len(header):
             raise ValueError(f"a table of shape {table.shape} does not fit a header of {len(header)} names")
-        self._table, self._child = table, None
+        self._table, self._handed, self._formatted = table, 0, np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
         self._fh = open(path, "w")
         try:
             self._fh.write(",".join(header) + "\n")
-            if len(table) >= 2 * BLOCK_ROWS:
-                self._fh.flush()  # so the child's copy of the file object holds nothing to write twice
-                self._handed, self._formatted = 0, np.frombuffer(mmap.mmap(-1, 8), dtype=np.int64)
-                self._child = Forked(f"the CSV writer of {path}", self._serve)
-        except BaseException as exc:
-            self.__exit__(type(exc), exc, exc.__traceback__)
+            self._fh.flush()  # so a forked child's copy of the file object holds nothing to write twice
+            job = Forked if len(table) >= 2 * BLOCK_ROWS else InProcess
+            self._job = job(f"the CSV writer of {path}", self._serve)
+        except BaseException:
+            self._fh.close()
             raise
 
     def _serve(self, limit: int) -> None:
-        """The child: format the rows up to limit, from the last limit on, into the file."""
+        """The job: format the rows up to limit, from the last limit on, into the file."""
         done = int(self._formatted[0])
         _write_rows(self._fh, self._table[done:limit])
-        self._fh.flush()  # the child leaves through os._exit, which flushes nothing
+        self._fh.flush()  # a forked child leaves through os._exit, which flushes nothing
         self._formatted[0] = limit
 
     def hand(self, n_rows: int) -> None:
-        """Let the child format rows [:n_rows], or up to one block beyond the rows it has formatted."""
-        if self._child is not None:
-            self._send(min(n_rows, int(self._formatted[0]) + BLOCK_ROWS))
+        """Let the job format rows [:n_rows], or up to one block beyond the rows it has formatted."""
+        self._send(min(n_rows, int(self._formatted[0]) + BLOCK_ROWS))
 
     def _send(self, n_rows: int) -> None:
         if n_rows > self._handed:
-            self._child.send(n_rows, f" before formatting rows {self._handed}:{n_rows}")
+            self._job.send(n_rows, f" before formatting rows {self._handed}:{n_rows}")
             self._handed = n_rows
 
     def finish(self, n_rows: int) -> None:
-        """Write rows [:n_rows]: the child formats half of those neither process has formatted yet."""
-        if self._child is None:
-            _write_rows(self._fh, self._table[:n_rows])
-            return
+        """Write rows [:n_rows]: the job formats half of those neither process has formatted yet."""
         self._send((int(self._formatted[0]) + n_rows + 1) // 2)
-        self._child.close()
+        self._job.close()
         with tempfile.TemporaryFile("w+") as tail:
             _write_rows(tail, self._table[self._handed : n_rows])
-            if self._child.reap():
-                raise self._child.failure()
+            if self._job.reap():
+                raise self._job.failure()
             tail.seek(0)
-            shutil.copyfileobj(tail, self._fh)  # at the file offset the child moved past its rows
+            shutil.copyfileobj(tail, self._fh)  # at the file offset the job moved past its rows
 
     def __enter__(self) -> CsvWriter:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
         try:
-            if self._child is not None:
-                self._child.__exit__(exc_type, exc, tb)
+            self._job.__exit__(exc_type, exc, tb)
         finally:
             self._fh.close()
 
@@ -179,9 +172,9 @@ class CsvWriter:
 def write_csv(table, path, header=COLUMNS) -> None:
     """Write a float table (or a sequence of rows), one column per header name, as CSV.
 
-    A CsvWriter with every row already finished: a table of two blocks or
-    more is split at its middle row, mid = (len(table) + 1) // 2, a forked
-    child formatting rows [:mid] while this process formats rows [mid:].
+    A CsvWriter with every row already finished, split at its middle row,
+    mid = (len(table) + 1) // 2: the job formats rows [:mid] and this
+    process rows [mid:].
     """
     table = np.asarray(table, dtype=float)
     with CsvWriter(table, path, header) as writer:

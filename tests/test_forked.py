@@ -96,10 +96,11 @@ class TestForked:
         assert job.reap() == 0
 
     def test_in_process_answers_as_forked(self):
-        requests = range(12)
-        got = answers(Forked("the job", every_third_none), requests, 8)
-        assert answers(InProcess("the job", every_third_none), requests, 8) == got
-        assert got[:2] == [[0, 0.0, "0"], [2, 2 / 7, "2"]]
+        jobs = Forked("the job", every_third_none), InProcess("the job", every_third_none)
+        forked_got, in_process_got = (answers(job, range(12), 8) for job in jobs)
+        assert in_process_got == forked_got
+        assert forked_got[:2] == [[0, 0.0, "0"], [2, 2 / 7, "2"]]
+        assert [job.reap() for job in jobs] == [0, 0]
 
     @pytest.mark.parametrize("call", ["pipe", "fork"])
     def test_failed_start_raises(self, call, monkeypatch):

@@ -229,15 +229,24 @@ class TestCsvWriter:
     """A CsvWriter formats a table while it is filled, byte-identical to one process."""
 
     @pytest.mark.parametrize(
-        "n, end", [(2 * BLOCK_ROWS, None), (3 * BLOCK_ROWS + 7, None), (20_000, None), (3000, 1451)]
+        "n, end",
+        [
+            (1, None),
+            (BLOCK_ROWS - 1, None),
+            (2 * BLOCK_ROWS - 1, 700),
+            (2 * BLOCK_ROWS, None),
+            (3 * BLOCK_ROWS + 7, None),
+            (20_000, None),
+            (3000, 1451),
+        ],
     )
     def test_rows_handed_while_filled(self, n, end, tmp_path):
         table, filled = special_table(n), telemetry.new_table(n)
         end = n if end is None else end  # a run that ends early finishes fewer rows than it allocated
         with telemetry.CsvWriter(filled, tmp_path / "t.csv") as writer:
-            for k in range(0, end, 300):
+            for k in range(0, end, 300):  # as a run hands rows [:k] at each perception tick k
+                writer.hand(k)
                 filled[k : k + 300] = table[k : k + 300]
-                writer.hand(min(k + 300, end))
             writer.finish(end)
         assert (tmp_path / "t.csv").read_bytes() == one_process_csv(table[:end])
         assert_no_child()
